@@ -10,9 +10,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .engines import BuiltinModelFinder, EngineLimits, EngineVerdict
-from .logic import Formula, negate
-from .modelfinder import ModelOutcome, model_to_text
+from .engines import EngineLimits, EngineVerdict
+from .modelfinder import model_to_tables, model_to_text
 from .tptp import AnnotatedFormula, Theory
 from .verdicts import Entailment, ProblemKind, SzsStatus, classify, combine
 
@@ -99,14 +98,6 @@ class ConsistencyReport:
     axioms_plus_negated_conjecture: ConsistencyCheck | None
 
 
-def _as_engines(engine_or_group) -> list:
-    if engine_or_group is None:
-        return []
-    if isinstance(engine_or_group, (list, tuple)):
-        return list(engine_or_group)
-    return [engine_or_group]
-
-
 GOAL_CONJECTURE = ("conjecture",)
 GOAL_UNSAT = ("unsat",)
 
@@ -124,15 +115,15 @@ class QuerySession:
     def __init__(
         self,
         theory: Theory,
-        provers: Sequence | None = None,
-        counters: Sequence | None = None,
+        provers: Sequence = (),
+        counters: Sequence = (),
         limits: EngineLimits | None = None,
         parallelism: int = 1,
         unsat_mode: bool = False,
     ):
         self.theory = theory
-        self.provers = _as_engines(provers)
-        self.counters = _as_engines(counters)
+        self.provers = list(provers)
+        self.counters = list(counters)
         self.limits = limits or EngineLimits()
         self.parallelism = max(1, parallelism)
         self.unsat_mode = unsat_mode
@@ -169,40 +160,35 @@ class QuerySession:
 
     # -- engine invocation ---------------------------------------------------
 
-    def run_engine(self, names: frozenset[str], engine, goal: tuple | None = None) -> EngineVerdict:
-        goal = goal or self.default_goal()
-        key = (goal, names, engine.id)
-        hit = self._verdicts.get(key)
-        if hit is not None:
-            return hit
-        verdict = engine.run(self.query_theory(names, goal), self.limits)
-        self.engine_calls += 1
-        self._verdicts[key] = verdict
-        self._note(goal, names, classify(verdict.status, self.kind_for(goal)))
-        return verdict
+    def run_engine(
+        self, names: frozenset[str], engine, goal: tuple | None = None
+    ) -> EngineVerdict:
+        """One engine's verdict on "do these premises yield the goal?"."""
+        return self._run([(names, engine)], goal or self.default_goal())[0]
 
-    def _run_many(
+    def _run(
         self, queries: list[tuple[frozenset[str], object]], goal: tuple
     ) -> list[EngineVerdict]:
-        """Run (names, engine) pairs, possibly in parallel; order-stable."""
-        fresh = [
-            (names, engine)
-            for names, engine in queries
-            if (goal, names, engine.id) not in self._verdicts
-        ]
+        """Verdicts for (names, engine) pairs, in order.  Pairs not cached yet
+        run once each, on the thread pool when there are several."""
+        keys = [(goal, names, engine.id) for names, engine in queries]
+        fresh = {k: q for k, q in zip(keys, queries) if k not in self._verdicts}
+
+        def call(query):
+            names, engine = query
+            return engine.run(self.query_theory(names, goal), self.limits)
+
         if len(fresh) > 1 and self.parallelism > 1:
             with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-                results = list(
-                    pool.map(
-                        lambda q: q[1].run(self.query_theory(q[0], goal), self.limits),
-                        fresh,
-                    )
-                )
-            for (names, engine), verdict in zip(fresh, results):
-                self.engine_calls += 1
-                self._verdicts[(goal, names, engine.id)] = verdict
-                self._note(goal, names, classify(verdict.status, self.kind_for(goal)))
-        return [self.run_engine(names, engine, goal) for names, engine in queries]
+                verdicts = list(pool.map(call, fresh.values()))
+        else:
+            verdicts = map(call, fresh.values())
+        kind = self.kind_for(goal)
+        for (key, (names, _)), verdict in zip(fresh.items(), verdicts):
+            self.engine_calls += 1
+            self._verdicts[key] = verdict
+            self._note(goal, names, classify(verdict.status, kind))
+        return [self._verdicts[k] for k in keys]
 
     # -- entailment decisions -------------------------------------------------
 
@@ -221,83 +207,60 @@ class QuerySession:
                 return Entailment.DoesNotProve
         return None
 
+    def _known(self, goal: tuple, names: frozenset[str]) -> Entailment | None:
+        """The cached or monotonicity-implied answer, if any; no engine runs."""
+        cached = self._entailments.get((goal, names))
+        return cached if cached is not None else self._monotone(goal, names)
+
     def decide(
-        self, names: frozenset[str], prefer: str = "prove", goal: tuple | None = None
-    ) -> Entailment:
-        """Combined entailment for "do these premises yield the goal?".
+        self,
+        query_sets: Sequence[frozenset[str]],
+        prefer: str = "prove",
+        goal: tuple | None = None,
+    ) -> list[Entailment]:
+        """Combined entailment for "do these premises yield the goal?", per set.
 
         prefer picks which engine group goes first: "prove" for derivability
         checks, "counter" when a countermodel is the expected answer.  Every
         engine in a phase is consulted and the verdicts are combined, so
-        contradicting engines are detected within a phase.
+        contradicting engines are detected within a phase.  With parallelism,
+        the first phase of every still-open set runs up front on the pool.
         """
         goal = goal or self.default_goal()
-        cached = self._entailments.get((goal, names))
-        if cached is not None:
-            return cached
-        derived = self._monotone(goal, names)
-        if derived is not None:
-            self._entailments[(goal, names)] = derived
-            return derived
-        kind = self.kind_for(goal)
         phases = (
             [self.counters, self.provers]
             if prefer == "counter"
             else [self.provers, self.counters]
         )
-        collected: list[Entailment] = []
-        for phase in phases:
-            if not phase:
-                continue
-            verdicts = self._run_many([(names, e) for e in phase], goal)
-            collected.extend(classify(v.status, kind) for v in verdicts)
-            result = combine(collected)
-            if result != Entailment.Undetermined:
-                self._entailments[(goal, names)] = result
-                self._note(goal, names, result)
-                return result
-        self._entailments[(goal, names)] = Entailment.Undetermined
-        return Entailment.Undetermined
-
-    def decide_batch(
-        self,
-        query_sets: list[frozenset[str]],
-        prefer: str = "prove",
-        goal: tuple | None = None,
-    ) -> list[Entailment]:
-        """Decide several queries; phase-batched so calls can run in parallel."""
-        goal = goal or self.default_goal()
         if self.parallelism > 1:
-            first = self.counters if prefer == "counter" else self.provers
-            pending = [
-                names
-                for names in query_sets
-                if (goal, names) not in self._entailments
-                and self._monotone(goal, names) is None
-            ]
-            self._run_many(
-                [(names, e) for names in pending for e in first], goal
-            )
-        return [self.decide(names, prefer, goal) for names in query_sets]
+            pending = [names for names in query_sets if self._known(goal, names) is None]
+            self._run([(names, e) for names in pending for e in phases[0]], goal)
+        return [self._decide_one(names, phases, goal) for names in query_sets]
 
-    def representative_verdict(
-        self, names: frozenset[str], engine, goal: tuple | None = None
-    ) -> EngineVerdict:
-        return self.run_engine(names, engine, goal)
+    def _decide_one(self, names: frozenset[str], phases: list, goal: tuple) -> Entailment:
+        result = self._known(goal, names)
+        if result is None:
+            kind = self.kind_for(goal)
+            collected: list[Entailment] = []
+            result = Entailment.Undetermined
+            for phase in phases:
+                if not phase:
+                    continue
+                verdicts = self._run([(names, e) for e in phase], goal)
+                collected.extend(classify(v.status, kind) for v in verdicts)
+                result = combine(collected)
+                if result != Entailment.Undetermined:
+                    self._note(goal, names, result)
+                    break
+        self._entailments[(goal, names)] = result
+        return result
 
 
 # ---------------------------------------------------------------------------
 # Reproving
 
 
-def syntactic_reprove(
-    t: Theory,
-    prover,
-    limits: EngineLimits,
-    *,
-    session: QuerySession | None = None,
-    unsat_mode: bool = False,
-) -> ReproveTrace:
+def syntactic_reprove(session: QuerySession, engine) -> ReproveTrace:
     """Iterate the prover, restricting to the premises used in each round.
 
     Stops at a fixpoint (used premises equal the current set) or as soon as a
@@ -305,16 +268,9 @@ def syntactic_reprove(
     yield a single-stage trace: no trimming information means the whole
     current set counts as used.
     """
-    provers = _as_engines(prover)
-    if not provers:
-        raise AnalysisError("syntactic reproving needs a prover engine")
-    engine = provers[0]
-    session = session or QuerySession(
-        t, provers=provers, limits=limits, unsat_mode=unsat_mode
-    )
     goal = session.default_goal()
     kind = session.kind_for(goal)
-    current: tuple[str, ...] = t.premise_names
+    current: tuple[str, ...] = session.theory.premise_names
     stages: list[tuple[tuple[str, ...], EngineVerdict]] = []
     while True:
         verdict = session.run_engine(frozenset(current), engine, goal)
@@ -329,33 +285,17 @@ def syntactic_reprove(
         current = tuple(n for n in current if n in used)
 
 
-def classify_needed(
-    t: Theory,
-    prover,
-    counter_engine,
-    limits: EngineLimits,
-    *,
-    session: QuerySession | None = None,
-    unsat_mode: bool = False,
-) -> NeededClassification:
+def classify_needed(session: QuerySession) -> NeededClassification:
     """Classify each premise by what deleting it (keeping the rest) does.
 
     A verified countermodel for the deletion makes the premise needed; a
     verified proof without it makes it eliminable; anything else is unknown.
-    The analyzed set is exactly t's premises, so callers control the starting
-    set by restricting the theory first.
+    The analyzed set is exactly the session theory's premises, so callers
+    control the starting set by building the session over a restricted theory.
     """
-    session = session or QuerySession(
-        t,
-        provers=_as_engines(prover),
-        counters=_as_engines(counter_engine),
-        limits=limits,
-        unsat_mode=unsat_mode,
-    )
-    names = t.premise_names
+    names = session.theory.premise_names
     full = frozenset(names)
-    queries = [full - {n} for n in names]
-    entailments = session.decide_batch(queries, prefer="counter")
+    entailments = session.decide([full - {n} for n in names], prefer="counter")
     needed, eliminable, unknown = set(), set(), set()
     for name, ent in zip(names, entailments):
         if ent == Entailment.DoesNotProve:
@@ -369,31 +309,15 @@ def classify_needed(
     )
 
 
-def semantic_reprove(
-    t: Theory,
-    prover,
-    counter_engine,
-    limits: EngineLimits,
-    *,
-    session: QuerySession | None = None,
-    unsat_mode: bool = False,
-) -> tuple[NeededClassification, Confirmation]:
+def semantic_reprove(session: QuerySession) -> tuple[NeededClassification, Confirmation]:
     """Compute the needed set and check whether it still yields the goal.
 
     Unknown premises are retained alongside the needed ones for the
     confirmation check; deleting a premise on an unverified judgment would
     be unsound.  NotSufficient signals multiple incomparable minima.
     """
-    session = session or QuerySession(
-        t,
-        provers=_as_engines(prover),
-        counters=_as_engines(counter_engine),
-        limits=limits,
-        unsat_mode=unsat_mode,
-    )
-    cls = classify_needed(t, prover, counter_engine, limits, session=session)
-    tstar = cls.needed | cls.unknown
-    ent = session.decide(frozenset(tstar), prefer="prove")
+    cls = classify_needed(session)
+    [ent] = session.decide([cls.needed | cls.unknown], prefer="prove")
     if ent == Entailment.Proves:
         confirmation = Confirmation.ConfirmedMinimum
     elif ent == Entailment.DoesNotProve:
@@ -408,15 +332,7 @@ def semantic_reprove(
 
 
 def enumerate_minima(
-    t: Theory,
-    cls: NeededClassification,
-    prover,
-    counter_engine,
-    limits: EngineLimits,
-    subset_budget: int = 4096,
-    *,
-    session: QuerySession | None = None,
-    unsat_mode: bool = False,
+    session: QuerySession, cls: NeededClassification, subset_budget: int = 4096
 ) -> MinimaReport:
     """Search candidate subsets needed ∪ E over E ⊆ eliminable for minima.
 
@@ -425,14 +341,7 @@ def enumerate_minima(
     already shown insufficient are pruned.  Unknown premises are treated as
     needed and make the report non-exhaustive.
     """
-    session = session or QuerySession(
-        t,
-        provers=_as_engines(prover),
-        counters=_as_engines(counter_engine),
-        limits=limits,
-        unsat_mode=unsat_mode,
-    )
-    order = {name: i for i, name in enumerate(t.premise_names)}
+    order = {name: i for i, name in enumerate(session.theory.premise_names)}
     core = frozenset(cls.needed | cls.unknown)
     eliminable = sorted(cls.eliminable, key=order.get)
     exhaustive = not cls.unknown
@@ -452,7 +361,7 @@ def enumerate_minima(
                 exhaustive = False
                 stopped = True
                 break
-            ent = session.decide(candidate, prefer="prove")
+            [ent] = session.decide([candidate], prefer="prove")
             if ent == Entailment.Undetermined:
                 exhaustive = False
                 continue
@@ -461,7 +370,7 @@ def enumerate_minima(
             # Sufficient; verify minimality through single deletions.
             minimal = True
             for name in sorted(candidate, key=order.get):
-                sub_ent = session.decide(candidate - {name}, prefer="counter")
+                [sub_ent] = session.decide([candidate - {name}], prefer="counter")
                 if sub_ent == Entailment.Proves:
                     minimal = False
                     break
@@ -485,10 +394,6 @@ def brute_force_minima(t: Theory, prover, limits: EngineLimits) -> MinimaReport:
     n = len(names)
     if n > 12:
         raise AnalysisError(f"brute force guarded to 12 premises, got {n}")
-    provers = _as_engines(prover)
-    if not provers:
-        raise AnalysisError("brute force needs a prover engine")
-    engine = provers[0]
     unsat_mode = t.conjecture is None
     kind = ProblemKind.no_conjecture_unsat if unsat_mode else ProblemKind.has_conjecture
     sufficient = [False] * (1 << n)
@@ -498,7 +403,7 @@ def brute_force_minima(t: Theory, prover, limits: EngineLimits) -> MinimaReport:
         sub_theory = t.restrict(subset)
         if unsat_mode:
             sub_theory = sub_theory.without_conjecture()
-        verdict = engine.run(sub_theory, limits)
+        verdict = prover.run(sub_theory, limits)
         calls += 1
         ent = classify(verdict.status, kind)
         if ent == Entailment.Undetermined:
@@ -530,40 +435,29 @@ def brute_force_minima(t: Theory, prover, limits: EngineLimits) -> MinimaReport:
 
 # ---------------------------------------------------------------------------
 # Independence
+#
+# The axioms are the session theory's premises; its conjecture, if any, is
+# never queried.
 
 
 def _axiom_goal(name: str) -> tuple:
     return ("axiom", name)
 
 
-def independence_naive(
-    axioms: Theory,
-    prover,
-    counter_engine,
-    limits: EngineLimits,
-    *,
-    session: QuerySession | None = None,
-) -> IndependenceReport:
+def independence_naive(session: QuerySession) -> IndependenceReport:
     """For each axiom, ask whether the remaining axioms derive it.
 
     Underivability is preferred from the counter engine (a model of the rest
     plus the negated axiom); n queries total.
     """
-    if not axioms.premises:
+    names = session.theory.premise_names
+    if not names:
         raise AnalysisError("independence needs at least one axiom")
-    base = axioms.without_conjecture()
-    session = session or QuerySession(
-        base,
-        provers=_as_engines(prover),
-        counters=_as_engines(counter_engine),
-        limits=limits,
-    )
-    names = base.premise_names
     per_axiom: dict[str, Entailment] = {}
     witness: tuple[str, frozenset[str]] | None = None
     for name in names:
         others = frozenset(names) - {name}
-        ent = session.decide(others, prefer="counter", goal=_axiom_goal(name))
+        [ent] = session.decide([others], prefer="counter", goal=_axiom_goal(name))
         per_axiom[name] = ent
         if ent == Entailment.Proves and witness is None:
             witness = (name, others)
@@ -577,22 +471,13 @@ def independence_naive(
 
 
 def independence_failfast(
-    axioms: Theory,
-    prover,
-    limits: EngineLimits,
-    max_subset_size: int | None = None,
-    *,
-    session: QuerySession | None = None,
+    session: QuerySession, max_subset_size: int | None = None
 ) -> IndependenceReport:
     """Try small subsets first: for k = 1.. test every size-k subset of the
     other axioms against each axiom, returning the first derivation found."""
-    base = axioms.without_conjecture()
-    names = base.premise_names
+    names = session.theory.premise_names
     if len(names) < 2:
         raise AnalysisError("fail-fast independence needs at least two axioms")
-    session = session or QuerySession(
-        base, provers=_as_engines(prover), limits=limits
-    )
     limit = max_subset_size if max_subset_size is not None else len(names) - 1
     per_axiom: dict[str, Entailment] = {}
     undetermined = False
@@ -601,7 +486,7 @@ def independence_failfast(
             others = [m for m in names if m != name]
             for combo in itertools.combinations(others, k):
                 subset = frozenset(combo)
-                ent = session.decide(subset, prefer="prove", goal=_axiom_goal(name))
+                [ent] = session.decide([subset], prefer="prove", goal=_axiom_goal(name))
                 if ent == Entailment.Proves:
                     per_axiom[name] = Entailment.Proves
                     return IndependenceReport(
@@ -622,26 +507,14 @@ def independence_failfast(
     return IndependenceReport(verdict, None, per_axiom)
 
 
-def independence_random(
-    axioms: Theory,
-    prover,
-    limits: EngineLimits,
-    trials: int,
-    seed: int,
-    *,
-    session: QuerySession | None = None,
-) -> IndependenceReport:
+def independence_random(session: QuerySession, trials: int, seed: int) -> IndependenceReport:
     """Randomized probing: pick an axiom and a random nonempty subset of the
     others, test derivability.  Never concludes Independent."""
     if trials < 1:
         raise AnalysisError("trials must be at least 1")
-    base = axioms.without_conjecture()
-    names = base.premise_names
+    names = session.theory.premise_names
     if not names:
         raise AnalysisError("independence needs at least one axiom")
-    session = session or QuerySession(
-        base, provers=_as_engines(prover), limits=limits
-    )
     rng = random.Random(seed)
     per_axiom: dict[str, Entailment] = {}
     for _ in range(trials):
@@ -654,7 +527,7 @@ def independence_random(
             if chosen:
                 break
         subset = frozenset(chosen)
-        ent = session.decide(subset, prefer="prove", goal=_axiom_goal(name))
+        [ent] = session.decide([subset], prefer="prove", goal=_axiom_goal(name))
         if ent == Entailment.Proves:
             per_axiom[name] = Entailment.Proves
             return IndependenceReport(
@@ -667,66 +540,50 @@ def independence_random(
 # Consistency triple check
 
 
+_CONSISTENCY_OUTCOMES = {
+    SzsStatus.Satisfiable: "ModelFound",
+    SzsStatus.CounterSatisfiable: "ModelFound",
+    SzsStatus.Unsatisfiable: "Unsatisfiable",
+    SzsStatus.Timeout: "ResourceOut",
+    SzsStatus.ResourceOut: "ResourceOut",
+}
+
+
 def _consistency_check(
     label: str,
-    formulas: list[tuple[str, Formula]],
-    model_finder,
+    t: Theory,
+    finder,
     limits: EngineLimits,
     readings: dict[str, str],
 ) -> ConsistencyCheck:
-    if isinstance(model_finder, BuiltinModelFinder):
-        outcome: ModelOutcome = model_finder.search_formulas(formulas, limits)
-        kind = outcome.kind.value
-        check = ConsistencyCheck(
-            label=label,
-            engine_id=model_finder.id,
-            outcome=kind,
-            reading=readings.get(kind, kind),
-            budget=limits.timeout,
-            domain_size=outcome.model.domain_size if outcome.model else None,
-            exhausted_size=outcome.exhausted_size,
-            model_text=model_to_text(outcome.model) if outcome.model else None,
-            model_tables=None,
-        )
-        if outcome.model is not None:
-            from .modelfinder import model_to_tables
-
-            check.model_tables = model_to_tables(outcome.model)
-        return check
-    # External model finder: statuses only, no decoded tables.
-    premises = tuple(
-        AnnotatedFormula(name.lstrip("$") or "goal", "axiom", f)
-        for name, f in formulas
-    )
-    verdict = model_finder.run(Theory(premises), limits)
-    status_map = {
-        SzsStatus.Satisfiable: "ModelFound",
-        SzsStatus.Unsatisfiable: "Unsatisfiable",
-        SzsStatus.Timeout: "ResourceOut",
-        SzsStatus.ResourceOut: "ResourceOut",
-    }
-    kind = status_map.get(verdict.status, "Unknown")
+    verdict = finder.run(t, limits)
+    if verdict.status == SzsStatus.GaveUp and verdict.exhausted_size is not None:
+        outcome = "ExhaustedUpTo"
+    else:
+        outcome = _CONSISTENCY_OUTCOMES.get(verdict.status, "Unknown")
+    model = verdict.model
     return ConsistencyCheck(
         label=label,
-        engine_id=model_finder.id,
-        outcome=kind,
-        reading=readings.get(kind, kind),
+        engine_id=finder.id,
+        outcome=outcome,
+        reading=readings.get(outcome, outcome),
         budget=limits.timeout,
+        domain_size=model.domain_size if model else None,
+        exhausted_size=verdict.exhausted_size,
+        model_text=model_to_text(model) if model else None,
+        model_tables=model_to_tables(model) if model else None,
     )
 
 
-def consistency_triple(
-    t: Theory, model_finder, limits: EngineLimits
-) -> ConsistencyReport:
-    """Model-search the axioms alone, with the conjecture, and with its negation."""
-    finders = _as_engines(model_finder)
-    if not finders:
-        raise AnalysisError("consistency checking needs a model finder engine")
-    finder = finders[0]
-    axioms = [(p.name, p.formula) for p in t.premises]
+def consistency_triple(t: Theory, finder, limits: EngineLimits) -> ConsistencyReport:
+    """Model-search the axioms alone, with the conjecture, and with its negation.
+
+    The third check hands the finder t itself: a model of the axioms that
+    falsifies the conjecture is a countermodel.
+    """
     first = _consistency_check(
         "axioms",
-        axioms,
+        t.without_conjecture(),
         finder,
         limits,
         {
@@ -737,11 +594,12 @@ def consistency_triple(
         },
     )
     second = third = None
-    if t.conjecture is not None:
-        conj = t.conjecture
+    conj = t.conjecture
+    if conj is not None:
+        as_axiom = AnnotatedFormula(conj.name, "axiom", conj.formula, conj.source)
         second = _consistency_check(
             "axioms plus conjecture",
-            axioms + [(conj.name, conj.formula)],
+            Theory(t.premises + (as_axiom,), origin=t.origin),
             finder,
             limits,
             {
@@ -753,7 +611,7 @@ def consistency_triple(
         )
         third = _consistency_check(
             "axioms plus negated conjecture",
-            axioms + [("$negated_conjecture", negate(conj.formula))],
+            t,
             finder,
             limits,
             {

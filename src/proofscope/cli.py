@@ -107,15 +107,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("symbols", parents=[shared], help="signature and hapax-legomena lint")
 
-    for name, desc in (
-        ("reprove", "trim premises by reproving"),
-        ("minimize", "alias for reprove --method semantic --chain-minima"),
-    ):
-        p = sub.add_parser(name, parents=[shared], help=desc)
-        p.add_argument(
-            "--method", choices=("syntactic", "semantic"), default="semantic"
-        )
-        p.add_argument("--chain-minima", action="store_true")
+    reprove = sub.add_parser("reprove", parents=[shared], help="trim premises by reproving")
+    reprove.add_argument("--method", choices=("syntactic", "semantic"), default="semantic")
+    reprove.add_argument("--chain-minima", action="store_true")
+    minimize = sub.add_parser(
+        "minimize", parents=[shared],
+        help="alias for reprove --method semantic --chain-minima",
+    )
+    for p in (reprove, minimize):
         p.add_argument(
             "--unsat-mode", action="store_true",
             help="treat a conjecture-free problem as an Unsatisfiable-mode task",
@@ -197,6 +196,8 @@ def cmd_symbols(cfg: RunConfig, out, err) -> int:
 
 
 def cmd_reprove(cfg: RunConfig, method: str, chain_minima: bool, out, err) -> int:
+    if method == "syntactic" and chain_minima:
+        return _fail("--chain-minima needs --method semantic", EXIT_INPUT_ERROR, err)
     theory = parse_file(cfg.problem_path, cfg.include_dirs)
     if theory.conjecture is None and not cfg.unsat_mode:
         return _fail(
@@ -215,19 +216,18 @@ def cmd_reprove(cfg: RunConfig, method: str, chain_minima: bool, out, err) -> in
     provers, counters = _split_capabilities(engines)
     if not provers:
         return _fail("reprove needs at least one proving engine", EXIT_INPUT_ERROR, err)
-    limits = cfg.limits()
     start = time.monotonic()
     session = QuerySession(
         theory,
         provers=provers,
         counters=counters,
-        limits=limits,
+        limits=cfg.limits(),
         parallelism=cfg.parallelism,
         unsat_mode=cfg.unsat_mode,
     )
     full = frozenset(theory.premise_names)
-    initial_ent = session.decide(full, prefer="prove")
-    initial_verdict = session.representative_verdict(full, provers[0])
+    [initial_ent] = session.decide([full], prefer="prove")
+    initial_verdict = session.run_engine(full, provers[0])
     payload: dict = {
         "method": method,
         "initial": rpt.verdict_to_dict(initial_verdict, theory),
@@ -242,32 +242,21 @@ def cmd_reprove(cfg: RunConfig, method: str, chain_minima: bool, out, err) -> in
         )
         exit_code = EXIT_UNCONFIRMED
     elif method == "syntactic":
-        traces = []
-        for engine in provers:
-            trace = analysis.syntactic_reprove(
-                theory, engine, limits, session=session, unsat_mode=cfg.unsat_mode
-            )
-            traces.append(
-                {"engine": engine.id, "trace": rpt.trace_to_dict(trace, theory)}
-            )
-        payload["traces"] = traces
+        payload["traces"] = [
+            {
+                "engine": engine.id,
+                "trace": rpt.trace_to_dict(
+                    analysis.syntactic_reprove(session, engine), theory
+                ),
+            }
+            for engine in provers
+        ]
     else:
-        cls, confirmation = analysis.semantic_reprove(
-            theory, provers, counters, limits, session=session, unsat_mode=cfg.unsat_mode
-        )
+        cls, confirmation = analysis.semantic_reprove(session)
         payload["classification"] = rpt.classification_to_dict(cls, theory)
         payload["confirmation"] = confirmation.value
         if chain_minima:
-            minima = analysis.enumerate_minima(
-                theory,
-                cls,
-                provers,
-                counters,
-                limits,
-                subset_budget=cfg.subset_budget,
-                session=session,
-                unsat_mode=cfg.unsat_mode,
-            )
+            minima = analysis.enumerate_minima(session, cls, cfg.subset_budget)
             payload["minima"] = rpt.minima_to_dict(minima, theory)
             ext = [
                 s.value
@@ -305,27 +294,20 @@ def cmd_independence(
         return _fail(
             "independence needs at least one proving engine", EXIT_INPUT_ERROR, err
         )
-    limits = cfg.limits()
     start = time.monotonic()
     session = QuerySession(
         axioms,
         provers=provers,
         counters=counters,
-        limits=limits,
+        limits=cfg.limits(),
         parallelism=cfg.parallelism,
     )
     if method == "naive":
-        result = analysis.independence_naive(
-            axioms, provers, counters, limits, session=session
-        )
+        result = analysis.independence_naive(session)
     elif method == "failfast":
-        result = analysis.independence_failfast(
-            axioms, provers, limits, max_subset_size, session=session
-        )
+        result = analysis.independence_failfast(session, max_subset_size)
     else:
-        result = analysis.independence_random(
-            axioms, provers, limits, trials=trials, seed=cfg.seed, session=session
-        )
+        result = analysis.independence_random(session, trials, cfg.seed)
     payload = {
         "method": method,
         **rpt.independence_to_dict(result, axioms),
@@ -361,9 +343,8 @@ def cmd_consistency(cfg: RunConfig, out, err) -> int:
         return _fail(
             "consistency checking needs a model-finding engine", EXIT_INPUT_ERROR, err
         )
-    limits = cfg.limits()
     start = time.monotonic()
-    result = analysis.consistency_triple(theory, counters, limits)
+    result = analysis.consistency_triple(theory, counters[0], cfg.limits())
     checks = sum(
         1
         for c in (

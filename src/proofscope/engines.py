@@ -17,13 +17,13 @@ import signal
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Protocol, Sequence
 
-from .logic import Formula, negate
+from .logic import Formula, Interpretation, negate
 from .modelfinder import ModelKind, ModelLimits, ModelOutcome, find_model
-from .prover import ProofOutcome, ProverLimits, prove, refute
+from .prover import ProverLimits, prove, refute
 from .tptp import Theory, render_theory
 from .verdicts import SzsStatus
 
@@ -68,7 +68,6 @@ class EngineSpec:
     executable: str
     argument_template: tuple[str, ...]
     capabilities: frozenset[str]
-    szs_expected: bool = True
 
     def __post_init__(self) -> None:
         problem_slots = sum(1 for tok in self.argument_template if "{problem}" in tok)
@@ -83,12 +82,18 @@ class EngineSpec:
 
 @dataclass(frozen=True)
 class EngineVerdict:
+    """One engine call's answer.  A model finder may also hand back the model
+    it found or the domain size it exhausted; neither takes part in
+    comparisons, and reports never include them."""
+
     engine_id: str
     status: SzsStatus
     used_premises: frozenset[str] = frozenset()
     has_premise_info: bool = False
     raw_output_digest: str | None = None
     elapsed: float = 0.0
+    model: Interpretation | None = field(default=None, compare=False)
+    exhausted_size: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.used_premises and self.status not in (
@@ -245,7 +250,10 @@ class BuiltinProver:
 
     def run(self, t: Theory, limits: EngineLimits) -> EngineVerdict:
         start = time.monotonic()
-        outcome = self.run_raw(t, limits)
+        if t.conjecture is not None:
+            outcome = prove(t, limits.prover_limits())
+        else:
+            outcome = refute(t, limits.prover_limits())
         return EngineVerdict(
             engine_id=self.id,
             status=outcome.status,
@@ -255,11 +263,6 @@ class BuiltinProver:
             elapsed=time.monotonic() - start,
         )
 
-    def run_raw(self, t: Theory, limits: EngineLimits) -> ProofOutcome:
-        if t.conjecture is not None:
-            return prove(t, limits.prover_limits())
-        return refute(t, limits.prover_limits())
-
 
 @dataclass(frozen=True)
 class BuiltinModelFinder:
@@ -268,7 +271,10 @@ class BuiltinModelFinder:
 
     def run(self, t: Theory, limits: EngineLimits) -> EngineVerdict:
         start = time.monotonic()
-        outcome = self.search(t, limits)
+        formulas: list[tuple[str, Formula]] = [(p.name, p.formula) for p in t.premises]
+        if t.conjecture is not None:
+            formulas.append(("$negated_conjecture", negate(t.conjecture.formula)))
+        outcome = self.search_formulas(formulas, limits)
         if outcome.kind == ModelKind.ModelFound:
             status = (
                 SzsStatus.CounterSatisfiable
@@ -284,15 +290,9 @@ class BuiltinModelFinder:
             status=status,
             raw_output_digest=_builtin_digest(status, frozenset()),
             elapsed=time.monotonic() - start,
+            model=outcome.model,
+            exhausted_size=outcome.exhausted_size,
         )
-
-    def search(self, t: Theory, limits: EngineLimits) -> ModelOutcome:
-        formulas: list[tuple[str, Formula]] = [
-            (p.name, p.formula) for p in t.premises
-        ]
-        if t.conjecture is not None:
-            formulas.append(("$negated_conjecture", negate(t.conjecture.formula)))
-        return find_model(formulas, limits.model_limits())
 
     def search_formulas(
         self, formulas: Sequence[tuple[str, Formula]], limits: EngineLimits
@@ -316,7 +316,6 @@ def _spec_from_dict(engine_id: str, raw: dict) -> EngineSpec:
         executable=executable,
         argument_template=tuple(template),
         capabilities=capabilities,
-        szs_expected=bool(raw.get("szs_expected", True)),
     )
 
 

@@ -114,11 +114,9 @@ def test_criterion_2_oracle_equivalence():
         session = QuerySession(
             theory, provers=[prover], counters=[finder], limits=limits
         )
-        cls = classify_needed(theory, prover, finder, limits, session=session)
+        cls = classify_needed(session)
         assert not cls.unknown, f"{name}: classification not decided"
-        enumerated = enumerate_minima(
-            theory, cls, prover, finder, limits, session=session
-        )
+        enumerated = enumerate_minima(session, cls)
         assert enumerated.exhaustive, f"{name}: enumeration not exhaustive"
         oracle = brute_force_minima(theory, prover, limits)
         assert set(enumerated.minima) == set(oracle.minima), (
@@ -141,8 +139,8 @@ def test_criterion_3_independence_suite():
     witnesses_checked = 0
     for name, text in ORACLE_THEORIES:
         axioms = mk(text).without_conjecture()
-        naive = independence_naive(axioms, prover, finder, limits)
-        failfast = independence_failfast(axioms, prover, limits)
+        naive = independence_naive(QuerySession(axioms, [prover], [finder], limits))
+        failfast = independence_failfast(QuerySession(axioms, [prover], limits=limits))
         decisive = {IndependenceVerdict.Independent, IndependenceVerdict.Dependent}
         if naive.verdict in decisive and failfast.verdict in decisive:
             assert naive.verdict == failfast.verdict, f"{name}: verdict clash"
@@ -155,7 +153,7 @@ def test_criterion_3_independence_suite():
                 assert check.status == SzsStatus.Theorem, f"{name}: witness fails"
                 witnesses_checked += 1
     valid_axiom = mk("fof(a1, axiom, p | ~p).")
-    rep = independence_naive(valid_axiom, prover, finder, limits)
+    rep = independence_naive(QuerySession(valid_axiom, [prover], [finder], limits))
     assert rep.verdict == IndependenceVerdict.Dependent
     assert rep.witness == ("a1", frozenset())
     report(
@@ -230,9 +228,7 @@ def test_criterion_6_coincidence_with_independence():
         session = QuerySession(
             theory, provers=[prover], counters=[finder], limits=limits, unsat_mode=True
         )
-        cls, _ = semantic_reprove(
-            theory, prover, finder, limits, session=session, unsat_mode=True
-        )
+        cls, _ = semantic_reprove(session)
         assert not cls.unknown, name
         oracle_needed = {
             name_
@@ -345,14 +341,12 @@ def test_criterion_8_real_engine_figures():
         session = QuerySession(
             theory, provers=[prover], counters=[finder], limits=limits
         )
-        trace = syntactic_reprove(theory, prover, limits, session=session)
-        cls = classify_needed(
-            theory.restrict(trace.final_premises), prover, finder, limits,
-            session=session,
+        trace = syntactic_reprove(session, prover)
+        trimmed = QuerySession(
+            theory.restrict(trace.final_premises), provers=[prover],
+            counters=[finder], limits=limits,
         )
-        minima = enumerate_minima(
-            theory.restrict(trace.final_premises), cls, prover, finder, limits,
-            session=session,
-        )
+        cls = classify_needed(trimmed)
+        minima = enumerate_minima(trimmed, cls)
         assert len(minima.minima) == expectations[name], name
     report(8, True, "real-engine minima tables reproduced")

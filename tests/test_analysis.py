@@ -28,7 +28,7 @@ LIMITS = EngineLimits(timeout=20.0, max_domain_size=3)
 class TestSyntacticReprove:
     def test_trivial_fixpoint(self, prover):
         t = mk("fof(a1, axiom, p). fof(goal, conjecture, p).")
-        trace = syntactic_reprove(t, prover, LIMITS)
+        trace = syntactic_reprove(QuerySession(t, [prover], limits=LIMITS), prover)
         assert trace.fixpoint_reached
         assert trace.final_premises == ("a1",)
 
@@ -38,12 +38,12 @@ class TestSyntacticReprove:
         fs = {f.name: f.formula for f in t.premises}
         assert prop_entails([fs["a1"]], t.conjecture.formula)
         assert not prop_entails([fs["a2"]], t.conjecture.formula)
-        trace = syntactic_reprove(t, prover, LIMITS)
+        trace = syntactic_reprove(QuerySession(t, [prover], limits=LIMITS), prover)
         assert trace.fixpoint_reached
         assert trace.final_premises == ("a1",)
 
     def test_stages_strictly_decrease(self, prover, puz001):
-        trace = syntactic_reprove(t=puz001, prover=prover, limits=LIMITS)
+        trace = syntactic_reprove(QuerySession(puz001, [prover], limits=LIMITS), prover)
         sizes = [len(stage[0]) for stage in trace.stages]
         assert sizes == sorted(sizes, reverse=True)
         for earlier, later in zip(trace.stages, trace.stages[1:]):
@@ -55,7 +55,7 @@ class TestSyntacticReprove:
 
     def test_non_theorem_reports_without_fixpoint(self, prover):
         t = mk("fof(a1, axiom, p). fof(goal, conjecture, q).")
-        trace = syntactic_reprove(t, prover, LIMITS)
+        trace = syntactic_reprove(QuerySession(t, [prover], limits=LIMITS), prover)
         assert not trace.fixpoint_reached
         assert trace.stages[-1][1].status == SzsStatus.CounterSatisfiable
 
@@ -66,7 +66,7 @@ class TestSyntacticReprove:
         t = mk("fof(a1, axiom, p). fof(a2, axiom, q). fof(goal, conjecture, p).")
         # countersat stub has no derivation info; use a theorem stub citing nothing:
         engine = ExternalEngine(stub_spec("theorem", "--cite", "a1", engine_id="x"))
-        trace = syntactic_reprove(t, engine, limits)
+        trace = syntactic_reprove(QuerySession(t, [engine], limits=limits), engine)
         assert [len(s[0]) for s in trace.stages] == [2, 1]
 
 
@@ -77,18 +77,20 @@ class TestClassifyNeeded:
         # oracle: deleting either premise still proves the disjunction
         assert prop_entails([fs["a2"]], t.conjecture.formula)
         assert prop_entails([fs["a1"]], t.conjecture.formula)
-        cls = classify_needed(t, prover, model_finder, LIMITS)
+        cls = classify_needed(QuerySession(t, [prover], [model_finder], LIMITS))
         assert cls.needed == frozenset()
         assert cls.eliminable == {"a1", "a2"}
         assert not cls.approximate
 
     def test_single_premise_needed(self, prover, model_finder):
         t = mk("fof(a1, axiom, p). fof(goal, conjecture, p).")
-        cls = classify_needed(t, prover, model_finder, LIMITS)
+        cls = classify_needed(QuerySession(t, [prover], [model_finder], LIMITS))
         assert cls.needed == {"a1"}
 
     def test_partition_property(self, prover, model_finder, puz001):
-        cls = classify_needed(puz001, prover, model_finder, EngineLimits(30, 4))
+        cls = classify_needed(
+            QuerySession(puz001, [prover], [model_finder], EngineLimits(30, 4))
+        )
         all_names = set(puz001.premise_names)
         assert cls.needed | cls.eliminable | cls.unknown == all_names
         assert not (cls.needed & cls.eliminable)
@@ -99,7 +101,7 @@ class TestClassifyNeeded:
 class TestSemanticReprove:
     def test_not_sufficient_signals_multiple_minima(self, prover, model_finder):
         t = mk("fof(a1, axiom, p). fof(a2, axiom, q). fof(goal, conjecture, p | q).")
-        cls, confirmation = semantic_reprove(t, prover, model_finder, LIMITS)
+        cls, confirmation = semantic_reprove(QuerySession(t, [prover], [model_finder], LIMITS))
         assert cls.needed == frozenset()
         assert confirmation == Confirmation.NotSufficient
 
@@ -108,7 +110,7 @@ class TestSemanticReprove:
             "fof(a1, axiom, p). fof(a2, axiom, p => q). fof(a3, axiom, r). "
             "fof(goal, conjecture, q)."
         )
-        cls, confirmation = semantic_reprove(t, prover, model_finder, LIMITS)
+        cls, confirmation = semantic_reprove(QuerySession(t, [prover], [model_finder], LIMITS))
         assert cls.needed == {"a1", "a2"}
         assert cls.eliminable == {"a3"}
         assert confirmation == Confirmation.ConfirmedMinimum
@@ -117,8 +119,9 @@ class TestSemanticReprove:
 class TestEnumerateMinima:
     def test_two_minima_for_disjunction(self, prover, model_finder):
         t = mk("fof(a1, axiom, p). fof(a2, axiom, q). fof(goal, conjecture, p | q).")
-        cls, _ = semantic_reprove(t, prover, model_finder, LIMITS)
-        report = enumerate_minima(t, cls, prover, model_finder, LIMITS)
+        session = QuerySession(t, [prover], [model_finder], LIMITS)
+        cls, _ = semantic_reprove(session)
+        report = enumerate_minima(session, cls)
         assert set(report.minima) == {frozenset({"a1"}), frozenset({"a2"})}
         assert report.exhaustive
         oracle = brute_force_minima(t, prover, LIMITS)
@@ -130,8 +133,9 @@ class TestEnumerateMinima:
             "fof(a1, axiom, a). fof(a2, axiom, a => c). fof(a3, axiom, b). "
             "fof(a4, axiom, b => c). fof(goal, conjecture, c)."
         )
-        cls, _ = semantic_reprove(t, prover, model_finder, LIMITS)
-        report = enumerate_minima(t, cls, prover, model_finder, LIMITS)
+        session = QuerySession(t, [prover], [model_finder], LIMITS)
+        cls, _ = semantic_reprove(session)
+        report = enumerate_minima(session, cls)
         assert len(report.minima) == 2
         for minimum in report.minima:
             sub = t.restrict(minimum)
@@ -149,10 +153,8 @@ class TestEnumerateMinima:
         session = QuerySession(
             t, provers=[prover], counters=[model_finder], limits=LIMITS
         )
-        cls = classify_needed(t, prover, model_finder, LIMITS, session=session)
-        report = enumerate_minima(
-            t, cls, prover, model_finder, LIMITS, subset_budget=1, session=session
-        )
+        cls = classify_needed(session)
+        report = enumerate_minima(session, cls, subset_budget=1)
         assert not report.exhaustive
 
 
@@ -191,7 +193,7 @@ class TestBruteForce:
 class TestIndependence:
     def test_two_atoms_independent(self, prover, model_finder):
         t = mk("fof(a1, axiom, p). fof(a2, axiom, q).")
-        report = independence_naive(t, prover, model_finder, LIMITS)
+        report = independence_naive(QuerySession(t, [prover], [model_finder], LIMITS))
         assert report.verdict == IndependenceVerdict.Independent
         assert report.witness is None
 
@@ -206,7 +208,7 @@ class TestIndependence:
             for name in fs
         }
         assert oracle == {"a1": False, "a2": True, "a3": True}
-        report = independence_naive(t, prover, model_finder, LIMITS)
+        report = independence_naive(QuerySession(t, [prover], [model_finder], LIMITS))
         assert report.verdict == IndependenceVerdict.Dependent
         assert {n: e == Entailment.Proves for n, e in report.per_axiom.items()} == oracle
         # first dependent axiom in declaration order is the witness
@@ -214,42 +216,44 @@ class TestIndependence:
 
     def test_valid_axiom_dependent_on_empty_set(self, prover, model_finder):
         t = mk("fof(a1, axiom, p | ~p).")
-        report = independence_naive(t, prover, model_finder, LIMITS)
+        report = independence_naive(QuerySession(t, [prover], [model_finder], LIMITS))
         assert report.verdict == IndependenceVerdict.Dependent
         assert report.witness == ("a1", frozenset())
 
     def test_failfast_finds_smallest_witness_first(self, prover):
         t = mk("fof(a1, axiom, p). fof(a2, axiom, p => q). fof(a3, axiom, q).")
-        report = independence_failfast(t, prover, LIMITS)
+        report = independence_failfast(QuerySession(t, [prover], limits=LIMITS))
         assert report.verdict == IndependenceVerdict.Dependent
         # q alone already derives p => q, found at subset size 1
         assert report.witness == ("a2", frozenset({"a3"}))
 
     def test_failfast_projection_at_size_one(self, prover):
         t = mk("fof(a1, axiom, p). fof(a2, axiom, q & p).")
-        report = independence_failfast(t, prover, LIMITS)
+        report = independence_failfast(QuerySession(t, [prover], limits=LIMITS))
         assert report.verdict == IndependenceVerdict.Dependent
         assert report.witness == ("a1", frozenset({"a2"}))
 
     def test_failfast_independent_after_exhausting(self, prover):
         t = mk("fof(a1, axiom, p). fof(a2, axiom, q).")
-        report = independence_failfast(t, prover, LIMITS)
+        report = independence_failfast(QuerySession(t, [prover], limits=LIMITS))
         assert report.verdict == IndependenceVerdict.Independent
 
     def test_failfast_truncated_sweep_is_inconclusive(self, prover):
         # No axiom follows from a single other, but p <=> q follows from the
         # pair {p, q}; a sweep capped at size 1 must not claim independence.
         t = mk("fof(a1, axiom, p). fof(a2, axiom, q). fof(a3, axiom, p <=> q).")
-        capped = independence_failfast(t, prover, LIMITS, max_subset_size=1)
+        capped = independence_failfast(
+            QuerySession(t, [prover], limits=LIMITS), max_subset_size=1
+        )
         assert capped.verdict == IndependenceVerdict.Inconclusive
-        full = independence_failfast(t, prover, LIMITS)
+        full = independence_failfast(QuerySession(t, [prover], limits=LIMITS))
         assert full.verdict == IndependenceVerdict.Dependent
         # at size 2 the sweep reaches a1 first: {q, p <=> q} derives p
         assert full.witness == ("a1", frozenset({"a2", "a3"}))
 
     def test_random_finds_dependency(self, prover):
         t = mk("fof(a1, axiom, p). fof(a2, axiom, p => q). fof(a3, axiom, q).")
-        report = independence_random(t, prover, LIMITS, trials=50, seed=11)
+        report = independence_random(QuerySession(t, [prover], limits=LIMITS), trials=50, seed=11)
         assert report.verdict == IndependenceVerdict.Dependent
         name, subset = report.witness
         # the witness re-verifies through an independent prover call
@@ -258,18 +262,18 @@ class TestIndependence:
 
     def test_random_never_claims_independent(self, prover):
         t = mk("fof(a1, axiom, p). fof(a2, axiom, q).")
-        report = independence_random(t, prover, LIMITS, trials=25, seed=3)
+        report = independence_random(QuerySession(t, [prover], limits=LIMITS), trials=25, seed=3)
         assert report.verdict == IndependenceVerdict.Inconclusive
 
     def test_random_rejects_zero_trials(self, prover):
         t = mk("fof(a1, axiom, p).")
         with pytest.raises(AnalysisError):
-            independence_random(t, prover, LIMITS, trials=0, seed=1)
+            independence_random(QuerySession(t, [prover], limits=LIMITS), trials=0, seed=1)
 
     def test_random_deterministic_given_seed(self, prover):
         t = mk("fof(a1, axiom, p). fof(a2, axiom, p => q). fof(a3, axiom, q).")
-        a = independence_random(t, prover, LIMITS, trials=50, seed=11)
-        b = independence_random(t, prover, LIMITS, trials=50, seed=11)
+        a = independence_random(QuerySession(t, [prover], limits=LIMITS), trials=50, seed=11)
+        b = independence_random(QuerySession(t, [prover], limits=LIMITS), trials=50, seed=11)
         assert a.witness == b.witness
 
 
@@ -318,13 +322,11 @@ class TestUnknownClassification:
         session = QuerySession(
             t, provers=[dead_prover], counters=[model_finder], limits=limits
         )
-        cls = classify_needed(t, dead_prover, model_finder, limits, session=session)
+        cls = classify_needed(session)
         assert cls.needed == {"a1", "a2"}  # countermodels still decide these
         assert cls.unknown == {"a3"}
         assert cls.approximate
-        report = enumerate_minima(
-            t, cls, dead_prover, model_finder, limits, session=session
-        )
+        report = enumerate_minima(session, cls)
         assert not report.exhaustive
 
 
@@ -336,17 +338,17 @@ class TestQuerySessionPruning:
         )
         session = QuerySession(t, provers=[prover], counters=[model_finder], limits=LIMITS)
         full = frozenset(t.premise_names)
-        assert session.decide(frozenset({"a1", "a2"}), prefer="prove") == Entailment.Proves
+        assert session.decide([frozenset({"a1", "a2"})], prefer="prove") == [Entailment.Proves]
         before = session.engine_calls
         # superset of a proving set: no engine call needed
-        assert session.decide(full, prefer="prove") == Entailment.Proves
+        assert session.decide([full], prefer="prove") == [Entailment.Proves]
         assert session.engine_calls == before
 
     def test_exact_cache(self, prover, model_finder):
         t = mk("fof(a1, axiom, p). fof(goal, conjecture, p).")
         session = QuerySession(t, provers=[prover], counters=[model_finder], limits=LIMITS)
         full = frozenset(t.premise_names)
-        session.decide(full, prefer="prove")
+        session.decide([full], prefer="prove")
         calls = session.engine_calls
-        session.decide(full, prefer="prove")
+        session.decide([full], prefer="prove")
         assert session.engine_calls == calls

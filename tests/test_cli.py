@@ -130,6 +130,20 @@ class TestReprove:
         code, _, err = run_cli(["reprove", problems["clean"], "--unsat-mode"])
         assert code == 2
 
+    def test_syntactic_chain_minima_rejected(self, problems):
+        code, out, err = run_cli(
+            ["reprove", problems["chain"], "--method", "syntactic", "--chain-minima"]
+        )
+        assert code == 2
+        assert "--chain-minima" in err
+        assert out == ""
+
+    def test_minimize_rejects_method(self, problems, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["minimize", problems["chain"], "--method", "syntactic"])
+        assert exc.value.code == 2
+        assert "--method" in capsys.readouterr().err
+
 
 class TestIndependence:
     def test_independent_exit_zero(self, problems):
@@ -176,6 +190,42 @@ class TestConsistency:
         code, out, _ = run_cli(["consistency", problems["unsat"]])
         assert code == 0
         assert "may be inconsistent" in out
+
+    @pytest.mark.parametrize(
+        "mode, outcome",
+        [("satisfiable", "ModelFound"), ("unsat", "Unsatisfiable"), ("garbage", "Unknown")],
+    )
+    def test_external_model_finder(self, mode, outcome, problems, tmp_path):
+        """An external finder answers through SZS statuses alone: no model
+        tables, one call per check."""
+        config = {
+            "engines": {
+                "stub-finder": {
+                    "executable": sys.executable,
+                    "args": [str(STUB_ENGINE), "--mode", mode, "{problem}"],
+                    "capabilities": ["finds_models"],
+                }
+            }
+        }
+        cfg_path = tmp_path / "engines.json"
+        cfg_path.write_text(json.dumps(config))
+        for problem, calls in (("clean", 3), ("indep", 1)):
+            code, out, _ = run_cli(
+                [
+                    "consistency", problems[problem], "--json",
+                    "--engine", "stub-finder", "--engine-config", str(cfg_path),
+                ]
+            )
+            assert code == 0
+            report = json.loads(out)
+            assert report["engine_calls"] == calls
+            checks = [c for c in report["payload"].values() if c is not None]
+            assert len(checks) == calls
+            for check in checks:
+                assert check["engine"] == "stub-finder"
+                assert check["outcome"] == outcome
+                assert check["model"] is None
+                assert check["model_text"] is None
 
 
 class TestJsonContract:
@@ -235,14 +285,18 @@ class TestDeterminism:
     def test_parallel_dispatch_same_report(self, problems):
         """Results are independent of the parallelism setting; only the
         echoed configuration may differ."""
-        _, serial, _ = run_cli(["minimize", problems["chain"], "--json"])
-        _, parallel, _ = run_cli(
-            ["minimize", problems["chain"], "--json", "--parallel", "4"]
-        )
-        a, b = json.loads(serial), json.loads(parallel)
-        a.pop("config")
-        b.pop("config")
-        assert _scrub(json.dumps(a)) == _scrub(json.dumps(b))
+        for argv in (
+            ["minimize", problems["chain"]],
+            ["reprove", problems["chain"], "--method", "syntactic"],
+            ["independence", problems["dep"], "--method", "naive"],
+            ["consistency", problems["chain"]],
+        ):
+            _, serial, _ = run_cli(argv + ["--json"])
+            _, parallel, _ = run_cli(argv + ["--json", "--parallel", "4"])
+            a, b = json.loads(serial), json.loads(parallel)
+            a.pop("config")
+            b.pop("config")
+            assert _scrub(json.dumps(a)) == _scrub(json.dumps(b)), argv[0]
 
 
 class TestEngineConflict:
