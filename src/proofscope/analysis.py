@@ -105,9 +105,11 @@ GOAL_UNSAT = ("unsat",)
 class QuerySession:
     """Dispatches entailment queries to engines with caching and pruning.
 
-    The cache is keyed by (goal, premise-name set, engine); decided queries
-    additionally feed monotonicity pruning: a superset of a proving set
-    proves, a subset of a non-proving set does not prove.  Cache hits and
+    The cache is keyed by (goal, premise-name set, engine); decided engine
+    verdicts additionally feed monotonicity pruning: a superset of a proving
+    set proves, a subset of a non-proving set does not prove.  When a verdict
+    marks its used premises as exact, the proving set recorded is the part of
+    the query set the proof used, not the whole query set.  Cache hits and
     pruned queries consume no engine calls, so reports are deterministic for
     a fixed query issue order.
     """
@@ -187,7 +189,11 @@ class QuerySession:
         for (key, (names, _)), verdict in zip(fresh.items(), verdicts):
             self.engine_calls += 1
             self._verdicts[key] = verdict
-            self._note(goal, names, classify(verdict.status, kind))
+            ent = classify(verdict.status, kind)
+            if ent == Entailment.Proves and verdict.premises_exact:
+                # The premises the proof used prove the goal on their own.
+                names = verdict.used_premises & names
+            self._note(goal, names, ent)
         return [self._verdicts[k] for k in keys]
 
     # -- entailment decisions -------------------------------------------------
@@ -250,7 +256,6 @@ class QuerySession:
                 collected.extend(classify(v.status, kind) for v in verdicts)
                 result = combine(collected)
                 if result != Entailment.Undetermined:
-                    self._note(goal, names, result)
                     break
         self._entailments[(goal, names)] = result
         return result

@@ -8,6 +8,7 @@ according to --mode:
   countersat  SZS CounterSatisfiable
   satisfiable SZS Satisfiable
   unsat       SZS Unsatisfiable plus a TSTP derivation citing premises
+  contradictory  SZS ContradictoryAxioms plus a TSTP derivation citing premises
   timeout     print nothing and sleep until killed
   garbage     non-SZS noise on stdout
 
@@ -50,7 +51,9 @@ def main() -> int:
     conjecture = [name for name, role in found if role == "conjecture"]
     cited = [c for c in args.cite.split(",") if c] or premises
 
-    status = "Unsatisfiable" if args.mode == "unsat" else "Theorem"
+    status = {"unsat": "Unsatisfiable", "contradictory": "ContradictoryAxioms"}.get(
+        args.mode, "Theorem"
+    )
     print(f"% SZS status {status} for stub")
     print("% SZS output start Proof")
     for name in cited:

@@ -25,7 +25,7 @@ from .logic import Formula, Interpretation, negate
 from .modelfinder import ModelKind, ModelLimits, ModelOutcome, find_model
 from .prover import ProverLimits, prove, refute
 from .tptp import Theory, render_theory
-from .verdicts import SzsStatus
+from .verdicts import PROOF_STATUSES, SzsStatus
 
 GRACE_SECONDS = 2.0
 
@@ -84,23 +84,29 @@ class EngineSpec:
 class EngineVerdict:
     """One engine call's answer.  A model finder may also hand back the model
     it found or the domain size it exhausted; neither takes part in
-    comparisons, and reports never include them."""
+    comparisons, and reports never include them.
+
+    premises_exact marks used_premises as exactly the premises the proof
+    used, so that set alone yields the goal.  The built-in prover's are: every
+    clause records the premises it came from.  An external engine's come from
+    file() citations, which may be incomplete.
+    """
 
     engine_id: str
     status: SzsStatus
     used_premises: frozenset[str] = frozenset()
     has_premise_info: bool = False
+    premises_exact: bool = False
     raw_output_digest: str | None = None
     elapsed: float = 0.0
     model: Interpretation | None = field(default=None, compare=False)
     exhausted_size: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.used_premises and self.status not in (
-            SzsStatus.Theorem,
-            SzsStatus.Unsatisfiable,
-        ):
-            raise ValueError("used_premises only accompany Theorem/Unsatisfiable")
+        if self.used_premises and self.status not in PROOF_STATUSES:
+            raise ValueError(
+                "used_premises only accompany Theorem/Unsatisfiable/ContradictoryAxioms"
+            )
 
 
 _SZS_STATUS_RE = re.compile(r"SZS\s+status\s+([A-Za-z]+)")
@@ -222,7 +228,7 @@ def run_engine(spec: EngineSpec, t: Theory, budget: float) -> EngineVerdict:
         status = SzsStatus.Timeout
     used: frozenset[str] = frozenset()
     info = False
-    if status in (SzsStatus.Theorem, SzsStatus.Unsatisfiable):
+    if status in PROOF_STATUSES:
         used = extract_used_premises(output, t)
         info = _cited_any(output)
     return EngineVerdict(
@@ -259,6 +265,7 @@ class BuiltinProver:
             status=outcome.status,
             used_premises=outcome.used_premises,
             has_premise_info=True,
+            premises_exact=True,
             raw_output_digest=_builtin_digest(outcome.status, outcome.used_premises),
             elapsed=time.monotonic() - start,
         )

@@ -10,13 +10,22 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class SzsStatus(str, Enum):
+    """The SZS statuses proofscope reads (Sutcliffe 2008, "The SZS
+    Ontologies for Automated Reasoning Software"); any other name parses as
+    Unknown."""
+
     Theorem = "Theorem"
+    ContradictoryAxioms = "ContradictoryAxioms"
     CounterSatisfiable = "CounterSatisfiable"
+    CounterTheorem = "CounterTheorem"
     Satisfiable = "Satisfiable"
     Unsatisfiable = "Unsatisfiable"
     Timeout = "Timeout"
     GaveUp = "GaveUp"
     ResourceOut = "ResourceOut"
+    MemoryOut = "MemoryOut"
+    Error = "Error"
+    Inappropriate = "Inappropriate"
     Unknown = "Unknown"
 
     @classmethod
@@ -25,6 +34,12 @@ class SzsStatus(str, Enum):
             return cls(token)
         except ValueError:
             return cls.Unknown
+
+
+# Statuses backed by a refutation, whose derivation names the premises used.
+PROOF_STATUSES = frozenset(
+    {SzsStatus.Theorem, SzsStatus.Unsatisfiable, SzsStatus.ContradictoryAxioms}
+)
 
 
 class Entailment(str, Enum):
@@ -58,12 +73,16 @@ class VerdictConflictError(Exception):
 def classify(s: SzsStatus, kind: ProblemKind) -> Entailment:
     """Map an engine status to an entailment judgment for the given problem kind.
 
-    Resource-limited and mismatched statuses never classify as decisive.
+    Contradictory axioms prove any goal.  A CounterTheorem (the negated
+    conjecture follows) implies CounterSatisfiable.  Resource-limited, failed
+    and mismatched statuses never classify as decisive.
     """
+    if s == SzsStatus.ContradictoryAxioms:
+        return Entailment.Proves
     if kind == ProblemKind.has_conjecture:
         if s == SzsStatus.Theorem:
             return Entailment.Proves
-        if s == SzsStatus.CounterSatisfiable:
+        if s in (SzsStatus.CounterSatisfiable, SzsStatus.CounterTheorem):
             return Entailment.DoesNotProve
     else:
         if s == SzsStatus.Unsatisfiable:

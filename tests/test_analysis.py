@@ -1,5 +1,7 @@
 """Analysis procedure tests: reproving, minima, independence, consistency."""
 
+import itertools
+
 import pytest
 
 from proofscope.analysis import (
@@ -18,9 +20,11 @@ from proofscope.analysis import (
     syntactic_reprove,
 )
 from proofscope.engines import EngineLimits
-from proofscope.verdicts import Entailment, SzsStatus
+from proofscope.tptp import AnnotatedFormula, Theory
+from proofscope.verdicts import Entailment, ProblemKind, SzsStatus, classify
 
-from conftest import mk, prop_entails
+from conftest import mk, prop_entails, stub_spec
+from corpus import ORACLE_THEORIES, UNSAT_CLAUSE_SETS
 
 LIMITS = EngineLimits(timeout=20.0, max_domain_size=3)
 
@@ -352,3 +356,123 @@ class TestQuerySessionPruning:
         calls = session.engine_calls
         session.decide([full], prefer="prove")
         assert session.engine_calls == calls
+
+    def _calls(self, session, names, **kw):
+        """(entailment, engine calls made) for one decide."""
+        before = session.engine_calls
+        [ent] = session.decide([frozenset(names)], **kw)
+        return ent, session.engine_calls - before
+
+    def test_used_premises_prune_other_supersets(self, prover, model_finder):
+        t = mk(
+            "fof(a1, axiom, p). fof(a2, axiom, p => q). fof(a3, axiom, r). "
+            "fof(a4, axiom, s). fof(goal, conjecture, q)."
+        )
+        session = QuerySession(t, provers=[prover], counters=[model_finder], limits=LIMITS)
+        assert self._calls(session, {"a1", "a2", "a3"}) == (Entailment.Proves, 1)
+        # Contains the used premises {a1, a2} but is no superset of {a1, a2, a3}.
+        assert self._calls(session, {"a1", "a2", "a4"}) == (Entailment.Proves, 0)
+        assert self._calls(session, {"a1", "a2"}, prefer="counter") == (
+            Entailment.Proves,
+            0,
+        )
+
+    def test_missing_used_premise_still_queries(self, prover, model_finder):
+        t = mk(
+            "fof(a1, axiom, p). fof(a2, axiom, p => q). fof(a3, axiom, r). "
+            "fof(goal, conjecture, q)."
+        )
+        session = QuerySession(t, provers=[prover], counters=[model_finder], limits=LIMITS)
+        session.decide([frozenset({"a1", "a2", "a3"})])
+        ent, calls = self._calls(session, {"a2", "a3"})
+        assert ent == Entailment.DoesNotProve
+        assert calls > 0
+
+    def test_axiom_goal_never_records_its_target(self, prover, model_finder):
+        t = mk("fof(a1, axiom, p). fof(a2, axiom, p => q). fof(a3, axiom, q).")
+        session = QuerySession(t, provers=[prover], counters=[model_finder], limits=LIMITS)
+        goal = ("axiom", "a3")
+        full = frozenset(t.premise_names)
+        verdict = session.run_engine(full, prover, goal)
+        assert verdict.used_premises == {"a1", "a2"}
+        # The proving set recorded for the goal is {a1, a2}: the set without
+        # the target is answered by pruning, a set without a1 is not.
+        assert self._calls(session, {"a1", "a2"}, goal=goal) == (Entailment.Proves, 0)
+        ent, calls = self._calls(session, {"a2", "a3"}, goal=goal, prefer="counter")
+        assert ent == Entailment.DoesNotProve
+        assert calls > 0
+
+    def test_unsat_mode_prunes_by_used_premises(self, prover, model_finder):
+        t = mk(
+            "fof(a1, axiom, p). fof(a2, axiom, ~p). fof(a3, axiom, q). "
+            "fof(a4, axiom, r)."
+        )
+        session = QuerySession(
+            t, provers=[prover], counters=[model_finder], limits=LIMITS, unsat_mode=True
+        )
+        assert self._calls(session, {"a1", "a2", "a3"}) == (Entailment.Proves, 1)
+        assert self._calls(session, {"a1", "a2", "a4"}) == (Entailment.Proves, 0)
+
+    def test_external_citations_never_prune(self, limits):
+        from proofscope.engines import ExternalEngine
+
+        t = mk(
+            "fof(a1, axiom, p). fof(a2, axiom, q). fof(a3, axiom, r). "
+            "fof(goal, conjecture, p)."
+        )
+        # Cites only a1 although it was given all three premises.
+        stub = ExternalEngine(stub_spec("theorem", "--cite", "a1", engine_id="cites-a1"))
+        session = QuerySession(t, provers=[stub], limits=limits)
+        verdict = session.run_engine(frozenset(t.premise_names), stub)
+        assert verdict.used_premises == {"a1"}
+        assert not verdict.premises_exact
+        # {a1, a3} contains the cited premises but not the query set.
+        assert self._calls(session, {"a1", "a3"}) == (Entailment.Proves, 1)
+
+
+def _oracle(prover, t, names, goal) -> Entailment:
+    """Uncached answer for one premise subset: the prover on a theory built
+    here, sharing no code with QuerySession."""
+    if goal == ("unsat",):
+        premises = tuple(f for f in t.premises if f.name in names)
+        verdict = prover.run(Theory(premises), LIMITS)
+        return classify(verdict.status, ProblemKind.no_conjecture_unsat)
+    if goal == ("conjecture",):
+        premises = tuple(f for f in t.premises if f.name in names)
+        conj = t.conjecture
+    else:
+        target = t[goal[1]]
+        premises = tuple(f for f in t.premises if f.name in names and f is not target)
+        conj = AnnotatedFormula(target.name, "conjecture", target.formula, target.source)
+    verdict = prover.run(Theory(premises + (conj,)), LIMITS)
+    return classify(verdict.status, ProblemKind.has_conjecture)
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    ORACLE_THEORIES + UNSAT_CLAUSE_SETS,
+    ids=[n for n, _ in ORACLE_THEORIES + UNSAT_CLAUSE_SETS],
+)
+def test_warm_session_agrees_with_uncached_prover(prover, model_finder, name, text):
+    """Pruning (by query sets and by used premises) never changes a decisive
+    answer: after a session has run the analyses, its answer on every
+    premise subset equals the prover's answer without any cache."""
+    t = mk(text)
+    unsat = t.conjecture is None
+    session = QuerySession(
+        t, provers=[prover], counters=[model_finder], limits=LIMITS, unsat_mode=unsat
+    )
+    cls, _ = semantic_reprove(session)
+    enumerate_minima(session, cls)
+    independence_naive(session)
+    names = t.premise_names
+    goals = [session.default_goal()] + [("axiom", n) for n in names]
+    for goal in goals:
+        for k in range(len(names) + 1):
+            for subset in itertools.combinations(names, k):
+                expected = _oracle(prover, t, subset, goal)
+                if expected == Entailment.Undetermined:
+                    continue
+                [got] = session.decide([frozenset(subset)], goal=goal)
+                assert got == expected, (goal, subset)
+

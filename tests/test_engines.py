@@ -89,6 +89,15 @@ class TestRunEngine:
         assert verdict.has_premise_info
         assert verdict.raw_output_digest
 
+    def test_contradictory_axioms_with_citations(self):
+        t = mk(FOUR_PREMISES)
+        verdict = run_engine(stub_spec("contradictory", "--cite", "a2,a4"), t, 10)
+        assert verdict.status == SzsStatus.ContradictoryAxioms
+        assert verdict.used_premises == {"a2", "a4"}
+        assert verdict.has_premise_info
+        # Citations may be incomplete, so they never count as exact.
+        assert not verdict.premises_exact
+
     def test_cites_all_premises_by_default(self):
         t = mk(FOUR_PREMISES)
         verdict = run_engine(stub_spec("theorem"), t, 10)
@@ -170,6 +179,7 @@ class TestBuiltinEngineWrappers:
         assert v.status == SzsStatus.Theorem
         assert v.used_premises == {"a1"}
         assert v.has_premise_info
+        assert v.premises_exact
 
     def test_prover_refute_mode(self, prover, limits):
         v = prover.run(mk("fof(a1, axiom, p). fof(a2, axiom, ~p)."), limits)

@@ -9,6 +9,7 @@ from proofscope.analysis import (
     IndependenceVerdict,
     MinimaReport,
 )
+from proofscope.engines import EngineVerdict
 from proofscope.verdicts import (
     Entailment,
     ExtendedStatus,
@@ -58,6 +59,60 @@ class TestClassify:
     def test_status_parse_total(self):
         assert SzsStatus.parse("Theorem") == SzsStatus.Theorem
         assert SzsStatus.parse("WeirdThing") == SzsStatus.Unknown
+
+
+# Every status in both problem kinds: (with a conjecture, Unsatisfiable mode).
+P, N, U = Entailment.Proves, Entailment.DoesNotProve, Entailment.Undetermined
+SZS_TABLE = {
+    "Theorem": (P, U),
+    "ContradictoryAxioms": (P, P),
+    "CounterSatisfiable": (N, U),
+    "CounterTheorem": (N, U),
+    "Satisfiable": (U, N),
+    "Unsatisfiable": (U, P),
+    "Timeout": (U, U),
+    "GaveUp": (U, U),
+    "ResourceOut": (U, U),
+    "MemoryOut": (U, U),
+    "Error": (U, U),
+    "Inappropriate": (U, U),
+    "Unknown": (U, U),
+}
+
+
+class TestSzsOntology:
+    def test_table_covers_every_status(self):
+        assert set(SZS_TABLE) == {s.value for s in SzsStatus}
+
+    @pytest.mark.parametrize("name", SZS_TABLE)
+    def test_parse_round_trip(self, name):
+        assert SzsStatus.parse(name).value == name
+
+    @pytest.mark.parametrize(
+        "name,kind,expected",
+        [
+            (name, kind, row[i])
+            for name, row in SZS_TABLE.items()
+            for i, kind in enumerate(
+                (ProblemKind.has_conjecture, ProblemKind.no_conjecture_unsat)
+            )
+        ],
+    )
+    def test_classify(self, name, kind, expected):
+        assert classify(SzsStatus(name), kind) == expected
+
+    @pytest.mark.parametrize("name", SZS_TABLE)
+    def test_used_premises_only_with_a_proof(self, name):
+        status = SzsStatus(name)
+        if status in (
+            SzsStatus.Theorem,
+            SzsStatus.Unsatisfiable,
+            SzsStatus.ContradictoryAxioms,
+        ):
+            EngineVerdict("e", status, used_premises=frozenset({"a1"}))
+        else:
+            with pytest.raises(ValueError):
+                EngineVerdict("e", status, used_premises=frozenset({"a1"}))
 
 
 class TestCombine:
