@@ -41,13 +41,12 @@ from .engines import (
 from .logic import Formula, Interpretation, evaluate, free_variables, negate
 from .modelfinder import (
     ModelKind,
-    ModelLimits,
     ModelOutcome,
     find_model,
     model_to_text,
     verify_model,
 )
-from .prover import ProofOutcome, ProverLimits, prove, refute
+from .prover import ProofOutcome, prove, refute
 from .tptp import (
     AnnotatedFormula,
     SignatureEntry,

@@ -150,12 +150,7 @@ class QuerySession:
                 raise AnalysisError("theory has no conjecture")
             return self.theory.restrict(names)
         # goal = ("axiom", name): derive that axiom from the given premises.
-        target = self.theory[goal[1]]
-        premises = tuple(
-            f for f in self.theory.premises if f.name in names and f.name != target.name
-        )
-        conj = AnnotatedFormula(target.name, "conjecture", target.formula, target.source)
-        return Theory(premises + (conj,), origin=self.theory.origin)
+        return self.theory.restrict(names).with_conjecture(self.theory[goal[1]])
 
     def default_goal(self) -> tuple:
         return GOAL_UNSAT if self.unsat_mode else GOAL_CONJECTURE
@@ -483,6 +478,8 @@ def independence_failfast(
     names = session.theory.premise_names
     if len(names) < 2:
         raise AnalysisError("fail-fast independence needs at least two axioms")
+    if max_subset_size is not None and max_subset_size < 1:
+        raise AnalysisError("max subset size must be at least 1")
     limit = max_subset_size if max_subset_size is not None else len(names) - 1
     per_axiom: dict[str, Entailment] = {}
     undetermined = False
@@ -549,6 +546,7 @@ _CONSISTENCY_OUTCOMES = {
     SzsStatus.Satisfiable: "ModelFound",
     SzsStatus.CounterSatisfiable: "ModelFound",
     SzsStatus.Unsatisfiable: "Unsatisfiable",
+    SzsStatus.ContradictoryAxioms: "Unsatisfiable",
     SzsStatus.Timeout: "ResourceOut",
     SzsStatus.ResourceOut: "ResourceOut",
 }

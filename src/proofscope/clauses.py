@@ -40,9 +40,6 @@ class Literal:
     pred: str  # EQUALITY_PRED for equality literals
     args: tuple[Term, ...]
 
-    def complement(self) -> "Literal":
-        return Literal(not self.positive, self.pred, self.args)
-
     def __str__(self) -> str:
         if self.pred == EQUALITY_PRED:
             op = "=" if self.positive else "!="

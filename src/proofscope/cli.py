@@ -35,6 +35,7 @@ EXIT_INCONCLUSIVE = 4
 EXIT_CONFLICT = 5
 
 DEFAULT_ENGINES = [BUILTIN_PROVER_ID, BUILTIN_MODEL_FINDER_ID]
+DEFAULT_TRIALS = 50
 
 
 @dataclass
@@ -42,33 +43,27 @@ class RunConfig:
     problem_path: str
     include_dirs: list[str] = field(default_factory=list)
     engines: list[str] = field(default_factory=lambda: list(DEFAULT_ENGINES))
-    timeout_per_call: float = 10.0
+    limits: EngineLimits = field(default_factory=EngineLimits)
     parallelism: int = 1
     seed: int = 0
     output_format: str = "text"
-    max_domain_size: int = 4
     subset_budget: int = 4096
     engine_config: str | None = None
     unsat_mode: bool = False
 
     def __post_init__(self) -> None:
-        if self.timeout_per_call < 1:
-            raise ValueError("timeout must be at least 1 second")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
-
-    def limits(self) -> EngineLimits:
-        return EngineLimits(
-            timeout=self.timeout_per_call, max_domain_size=self.max_domain_size
-        )
+        if self.subset_budget < 1:
+            raise ValueError("subset budget must be at least 1")
 
     def to_dict(self) -> dict:
         return {
             "include_dirs": list(self.include_dirs),
-            "timeout": self.timeout_per_call,
+            "timeout": self.limits.timeout,
             "parallelism": self.parallelism,
             "seed": self.seed,
-            "max_domain_size": self.max_domain_size,
+            "max_domain_size": self.limits.max_domain_size,
             "subset_budget": self.subset_budget,
             "unsat_mode": self.unsat_mode,
         }
@@ -122,8 +117,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("independence", parents=[shared], help="axiom independence check")
     p.add_argument("--method", choices=("naive", "failfast", "random"), default="naive")
-    p.add_argument("--trials", type=int, default=50, help="random-mode trial count")
-    p.add_argument("--max-subset-size", type=int, default=None)
+    p.add_argument(
+        "--trials", type=int, default=None,
+        help=f"trial count, --method random only (default {DEFAULT_TRIALS})",
+    )
+    p.add_argument(
+        "--max-subset-size", type=int, default=None,
+        help="largest subset tried, --method failfast only (default: all)",
+    )
 
     sub.add_parser("consistency", parents=[shared], help="model-existence triple check")
     return parser
@@ -134,11 +135,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         problem_path=args.problem,
         include_dirs=args.include_dirs,
         engines=list(args.engines) or list(DEFAULT_ENGINES),
-        timeout_per_call=args.timeout,
+        limits=EngineLimits(timeout=args.timeout, max_domain_size=args.max_domain_size),
         parallelism=args.parallel,
         seed=args.seed,
         output_format="json" if args.json else "text",
-        max_domain_size=args.max_domain_size,
         subset_budget=args.subset_budget,
         engine_config=args.engine_config,
         unsat_mode=getattr(args, "unsat_mode", False),
@@ -221,7 +221,7 @@ def cmd_reprove(cfg: RunConfig, method: str, chain_minima: bool, out, err) -> in
         theory,
         provers=provers,
         counters=counters,
-        limits=cfg.limits(),
+        limits=cfg.limits,
         parallelism=cfg.parallelism,
         unsat_mode=cfg.unsat_mode,
     )
@@ -278,8 +278,17 @@ def cmd_reprove(cfg: RunConfig, method: str, chain_minima: bool, out, err) -> in
 
 
 def cmd_independence(
-    cfg: RunConfig, method: str, trials: int, max_subset_size: int | None, out, err
+    cfg: RunConfig,
+    method: str,
+    trials: int | None,
+    max_subset_size: int | None,
+    out,
+    err,
 ) -> int:
+    if trials is not None and method != "random":
+        return _fail("--trials needs --method random", EXIT_INPUT_ERROR, err)
+    if max_subset_size is not None and method != "failfast":
+        return _fail("--max-subset-size needs --method failfast", EXIT_INPUT_ERROR, err)
     theory = parse_file(cfg.problem_path, cfg.include_dirs)
     if theory.conjecture is not None:
         err.write(
@@ -299,7 +308,7 @@ def cmd_independence(
         axioms,
         provers=provers,
         counters=counters,
-        limits=cfg.limits(),
+        limits=cfg.limits,
         parallelism=cfg.parallelism,
     )
     if method == "naive":
@@ -307,6 +316,7 @@ def cmd_independence(
     elif method == "failfast":
         result = analysis.independence_failfast(session, max_subset_size)
     else:
+        trials = DEFAULT_TRIALS if trials is None else trials
         result = analysis.independence_random(session, trials, cfg.seed)
     payload = {
         "method": method,
@@ -344,7 +354,7 @@ def cmd_consistency(cfg: RunConfig, out, err) -> int:
             "consistency checking needs a model-finding engine", EXIT_INPUT_ERROR, err
         )
     start = time.monotonic()
-    result = analysis.consistency_triple(theory, counters[0], cfg.limits())
+    result = analysis.consistency_triple(theory, counters[0], cfg.limits)
     checks = sum(
         1
         for c in (

@@ -22,8 +22,8 @@ from importlib import resources
 from typing import Protocol, Sequence
 
 from .logic import Formula, Interpretation, negate
-from .modelfinder import ModelKind, ModelLimits, ModelOutcome, find_model
-from .prover import ProverLimits, prove, refute
+from .modelfinder import ModelKind, ModelOutcome, find_model
+from .prover import prove, refute
 from .tptp import Theory, render_theory
 from .verdicts import PROOF_STATUSES, SzsStatus
 
@@ -42,24 +42,29 @@ class EngineConfigError(Exception):
 
 @dataclass(frozen=True)
 class EngineLimits:
-    """Per-call resource limits shared by every engine kind."""
+    """Per-call resource limits, the one budget type every engine takes.
+
+    timeout bounds each call's wall-clock seconds; max_domain_size is the
+    largest domain the model finder tries; max_clause_count is how many kept
+    clauses the prover may hold before it answers ResourceOut.  Values are
+    checked here, so a bad limit fails before any engine runs.
+    """
 
     timeout: float = 10.0
     max_domain_size: int = 4
     max_clause_count: int = 100_000
-    max_clause_weight: int | None = None
 
-    def prover_limits(self) -> ProverLimits:
-        return ProverLimits(
-            wall_clock_budget=self.timeout,
-            max_clause_count=self.max_clause_count,
-            max_clause_weight=self.max_clause_weight,
-        )
-
-    def model_limits(self) -> ModelLimits:
-        return ModelLimits(
-            max_domain_size=self.max_domain_size, wall_clock_budget=self.timeout
-        )
+    def __post_init__(self) -> None:
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if self.max_domain_size < 1:
+            raise ValueError(
+                f"max_domain_size must be at least 1, got {self.max_domain_size}"
+            )
+        if self.max_clause_count < 1:
+            raise ValueError(
+                f"max_clause_count must be positive, got {self.max_clause_count}"
+            )
 
 
 @dataclass(frozen=True)
@@ -256,10 +261,7 @@ class BuiltinProver:
 
     def run(self, t: Theory, limits: EngineLimits) -> EngineVerdict:
         start = time.monotonic()
-        if t.conjecture is not None:
-            outcome = prove(t, limits.prover_limits())
-        else:
-            outcome = refute(t, limits.prover_limits())
+        outcome = (prove if t.conjecture is not None else refute)(t, limits)
         return EngineVerdict(
             engine_id=self.id,
             status=outcome.status,
@@ -304,7 +306,7 @@ class BuiltinModelFinder:
     def search_formulas(
         self, formulas: Sequence[tuple[str, Formula]], limits: EngineLimits
     ) -> ModelOutcome:
-        return find_model(formulas, limits.model_limits())
+        return find_model(formulas, limits)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .clauses import EQUALITY_PRED, Clause, clause_signature, clausify
 from .logic import (
@@ -29,17 +29,8 @@ from .logic import (
     evaluate,
 )
 
-
-@dataclass(frozen=True)
-class ModelLimits:
-    max_domain_size: int = 4
-    wall_clock_budget: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.max_domain_size < 1:
-            raise ValueError("max_domain_size must be at least 1")
-        if self.wall_clock_budget <= 0:
-            raise ValueError("wall_clock_budget must be positive")
+if TYPE_CHECKING:  # pragma: no cover
+    from .engines import EngineLimits
 
 
 class ModelKind(str, Enum):
@@ -405,10 +396,10 @@ def _merge_formula_signature(
 
 
 def find_model(
-    formulas: Sequence[tuple[str, Formula]], limits: ModelLimits
+    formulas: Sequence[tuple[str, Formula]], limits: EngineLimits
 ) -> ModelOutcome:
     """Search domains of increasing size for a verified model of the formulas."""
-    deadline = time.monotonic() + limits.wall_clock_budget
+    deadline = time.monotonic() + limits.timeout
     clauses = clausify(list(formulas))
     preds, funcs = clause_signature(clauses)
     _merge_formula_signature([f for _, f in formulas], preds, funcs)

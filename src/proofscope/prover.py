@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .clauses import (
     EQUALITY_PRED,
@@ -27,20 +28,8 @@ from .logic import App, Term, Var, negate
 from .tptp import Theory
 from .verdicts import SzsStatus
 
-
-@dataclass(frozen=True)
-class ProverLimits:
-    wall_clock_budget: float = 10.0
-    max_clause_count: int = 100_000
-    max_clause_weight: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.wall_clock_budget <= 0:
-            raise ValueError("wall_clock_budget must be positive")
-        if self.max_clause_count <= 0:
-            raise ValueError("max_clause_count must be positive")
-        if self.max_clause_weight is not None and self.max_clause_weight <= 0:
-            raise ValueError("max_clause_weight must be positive")
+if TYPE_CHECKING:  # pragma: no cover
+    from .engines import EngineLimits
 
 
 # Every PICK_GIVEN_RATIO-th selection takes the oldest unprocessed clause
@@ -302,9 +291,9 @@ class _Proc:
 
 
 class _Saturation:
-    def __init__(self, initial: ClauseSet, limits: ProverLimits):
-        self.limits = limits
-        self.deadline = time.monotonic() + limits.wall_clock_budget
+    def __init__(self, initial: ClauseSet, limits: EngineLimits):
+        self.max_clause_count = limits.max_clause_count
+        self.deadline = time.monotonic() + limits.timeout
         self.heap: list[tuple[int, int, int]] = []  # (weight, age, slot)
         self.slots: list[Clause] = []
         self.done: list[bool] = []  # slot already selected as given
@@ -317,7 +306,6 @@ class _Saturation:
         self.seen: set[tuple[Literal, ...]] = set()
         self.generated = 0
         self.kept = 0
-        self.discarded_for_weight = False
         self.empty: Clause | None = None
         self.out_of_resources = False
         self._tick = 0
@@ -346,45 +334,25 @@ class _Saturation:
             return
         if _is_tautology(literals):
             return
-        clause = Clause(literals, origins)
-        if (
-            self.limits.max_clause_weight is not None
-            and clause.weight > self.limits.max_clause_weight
-        ):
-            self.discarded_for_weight = True
-            return
         if literals in self.seen:
             return
         if self._forward_subsumed(literals):
             return
+        clause = Clause(literals, origins)
         self.seen.add(literals)
         slot = len(self.slots)
         self.slots.append(clause)
         self.done.append(False)
         heapq.heappush(self.heap, (clause.weight, slot, slot))
         self.kept += 1
-        if self.kept > self.limits.max_clause_count:
+        if self.kept > self.max_clause_count:
             self.out_of_resources = True
 
     def _time_up(self) -> bool:
         return time.monotonic() >= self.deadline
 
-    def _pop_given(self) -> int | None:
-        """Select the next given clause slot: weight order with an age interleave."""
-        self.picks += 1
-        if self.picks % PICK_GIVEN_RATIO == 0:
-            while self.age_cursor < len(self.slots) and self.done[self.age_cursor]:
-                self.age_cursor += 1
-            if self.age_cursor < len(self.slots):
-                slot = self.age_cursor
-                self.done[slot] = True
-                return slot
-        while self.heap:
-            _, _, slot = heapq.heappop(self.heap)
-            if not self.done[slot]:
-                self.done[slot] = True
-                return slot
-        # Heap exhausted; fall back to any remaining aged clauses.
+    def _pop_oldest(self) -> int | None:
+        """Select the oldest unprocessed slot, if any."""
         while self.age_cursor < len(self.slots) and self.done[self.age_cursor]:
             self.age_cursor += 1
         if self.age_cursor < len(self.slots):
@@ -392,6 +360,21 @@ class _Saturation:
             self.done[slot] = True
             return slot
         return None
+
+    def _pop_given(self) -> int | None:
+        """Select the next given clause slot: weight order with an age interleave."""
+        self.picks += 1
+        if self.picks % PICK_GIVEN_RATIO == 0:
+            slot = self._pop_oldest()
+            if slot is not None:
+                return slot
+        while self.heap:
+            _, _, slot = heapq.heappop(self.heap)
+            if not self.done[slot]:
+                self.done[slot] = True
+                return slot
+        # Heap exhausted; fall back to any remaining aged clauses.
+        return self._pop_oldest()
 
     def run(self) -> str:
         """Returns one of 'refutation', 'closure', 'resource'."""
@@ -406,7 +389,8 @@ class _Saturation:
             if slot is None:
                 break
             given = self.slots[slot]
-            if self._forward_subsumed_strictly(given):
+            # A popped clause may have become redundant since its insertion.
+            if self._forward_subsumed(given.literals):
                 continue
             gidx = len(self.processed)
             proc = _Proc(given)
@@ -420,10 +404,6 @@ class _Saturation:
                     return "refutation"
                 return "resource"
         return "closure"
-
-    def _forward_subsumed_strictly(self, given: Clause) -> bool:
-        """Popped clauses may have become redundant since their insertion."""
-        return self._forward_subsumed(given.literals)
 
     def _infer(self, given: Clause) -> bool:
         """Generate resolvents and positive factors of the given clause.
@@ -470,14 +450,6 @@ class _Saturation:
         return True
 
 
-def _saturate(clauses: ClauseSet, limits: ProverLimits) -> tuple[str, Clause | None, SearchStats, bool]:
-    start = time.monotonic()
-    sat = _Saturation(clauses, limits)
-    result = sat.run()
-    stats = SearchStats(sat.generated, sat.kept, time.monotonic() - start)
-    return result, sat.empty, stats, sat.discarded_for_weight
-
-
 def _input_clauses(named: list[tuple[str, object]]) -> ClauseSet:
     clauses = clausify(named)  # type: ignore[arg-type]
     if contains_equality(clauses):
@@ -485,41 +457,44 @@ def _input_clauses(named: list[tuple[str, object]]) -> ClauseSet:
     return clauses
 
 
-def prove(t: Theory, limits: ProverLimits) -> ProofOutcome:
+def _search(
+    t: Theory,
+    goal: list[tuple[str, object]],
+    limits: EngineLimits,
+    refuted: SzsStatus,
+    saturated: SzsStatus,
+) -> ProofOutcome:
+    """Saturate t's premises plus the goal formulas (the negated conjecture,
+    if any); a refutation answers refuted, a closed search saturated."""
+    clauses = _input_clauses([(p.name, p.formula) for p in t.premises] + goal)
+    start = time.monotonic()
+    sat = _Saturation(clauses, limits)
+    result = sat.run()
+    stats = SearchStats(sat.generated, sat.kept, time.monotonic() - start)
+    if result == "refutation":
+        assert sat.empty is not None
+        origins = sat.empty.origins
+        return ProofOutcome(
+            refuted,
+            frozenset(origins) - {ORIGIN_CONJECTURE, ORIGIN_EQUALITY},
+            stats,
+            axioms_inconsistent=bool(goal) and ORIGIN_CONJECTURE not in origins,
+        )
+    if result == "closure":
+        return ProofOutcome(saturated, frozenset(), stats)
+    return ProofOutcome(SzsStatus.ResourceOut, frozenset(), stats)
+
+
+def prove(t: Theory, limits: EngineLimits) -> ProofOutcome:
     """Attempt to derive the conjecture of t from its premises."""
     if t.conjecture is None:
         raise ValueError("prove requires a conjecture; use refute for Unsatisfiable-mode problems")
-    named = [(p.name, p.formula) for p in t.premises]
-    named.append((ORIGIN_CONJECTURE, negate(t.conjecture.formula)))
-    clauses = _input_clauses(named)
-    result, empty, stats, discarded = _saturate(clauses, limits)
-    if result == "refutation":
-        assert empty is not None
-        used = frozenset(empty.origins) - {ORIGIN_CONJECTURE, ORIGIN_EQUALITY}
-        return ProofOutcome(
-            SzsStatus.Theorem,
-            used,
-            stats,
-            axioms_inconsistent=ORIGIN_CONJECTURE not in empty.origins,
-        )
-    if result == "closure":
-        status = SzsStatus.GaveUp if discarded else SzsStatus.CounterSatisfiable
-        return ProofOutcome(status, frozenset(), stats)
-    return ProofOutcome(SzsStatus.ResourceOut, frozenset(), stats)
+    goal = [(ORIGIN_CONJECTURE, negate(t.conjecture.formula))]
+    return _search(t, goal, limits, SzsStatus.Theorem, SzsStatus.CounterSatisfiable)
 
 
-def refute(t: Theory, limits: ProverLimits) -> ProofOutcome:
+def refute(t: Theory, limits: EngineLimits) -> ProofOutcome:
     """Attempt to refute a conjecture-free theory (intended status Unsatisfiable)."""
     if t.conjecture is not None:
         raise ValueError("refute requires a theory without a conjecture")
-    named = [(p.name, p.formula) for p in t.premises]
-    clauses = _input_clauses(named)
-    result, empty, stats, discarded = _saturate(clauses, limits)
-    if result == "refutation":
-        assert empty is not None
-        used = frozenset(empty.origins) - {ORIGIN_EQUALITY}
-        return ProofOutcome(SzsStatus.Unsatisfiable, used, stats)
-    if result == "closure":
-        status = SzsStatus.GaveUp if discarded else SzsStatus.Satisfiable
-        return ProofOutcome(status, frozenset(), stats)
-    return ProofOutcome(SzsStatus.ResourceOut, frozenset(), stats)
+    return _search(t, [], limits, SzsStatus.Unsatisfiable, SzsStatus.Satisfiable)

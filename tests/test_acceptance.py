@@ -35,8 +35,8 @@ from proofscope.engines import (
     run_engine,
 )
 from proofscope.logic import evaluate
-from proofscope.modelfinder import ModelKind, ModelLimits, find_model
-from proofscope.prover import ProverLimits, prove
+from proofscope.modelfinder import ModelKind, find_model
+from proofscope.prover import prove
 from proofscope.tptp import ParseError, parse_file, parse_problem, render_theory
 from proofscope.verdicts import SzsStatus
 
@@ -149,7 +149,7 @@ def test_criterion_3_independence_suite():
             if rep.verdict == IndependenceVerdict.Dependent:
                 axiom, subset = rep.witness
                 sub_theory = axioms.restrict(subset).with_conjecture(axioms[axiom])
-                check = prove(sub_theory, ProverLimits(wall_clock_budget=20))
+                check = prove(sub_theory, EngineLimits(timeout=20))
                 assert check.status == SzsStatus.Theorem, f"{name}: witness fails"
                 witnesses_checked += 1
     valid_axiom = mk("fof(a1, axiom, p | ~p).")
@@ -171,7 +171,9 @@ def test_criterion_4_model_finder_soundness():
     rng = random.Random(55)
     for _ in range(210):
         formula = random_closed_formula(rng, 2)
-        out = find_model([("gen", formula)], ModelLimits(2, 10.0))
+        out = find_model(
+            [("gen", formula)], EngineLimits(timeout=10.0, max_domain_size=2)
+        )
         runs += 1
         if out.kind == ModelKind.ModelFound:
             assert evaluate(out.model, formula)
@@ -182,7 +184,7 @@ def test_criterion_4_model_finder_soundness():
     ]
     for text, expected_size in crafted:
         formulas = [(f.name, f.formula) for f in mk(text).formulas]
-        out = find_model(formulas, ModelLimits(4, 10.0))
+        out = find_model(formulas, EngineLimits(timeout=10.0, max_domain_size=4))
         assert out.kind == ModelKind.ModelFound
         assert out.model.domain_size == expected_size
         assert all(evaluate(out.model, f) for _, f in formulas)

@@ -80,6 +80,32 @@ class TestSymbols:
         assert "timeout" in err
 
 
+class TestFlagErrors:
+    """Out-of-range limits and flags the chosen method would ignore are
+    input errors, reported before any engine runs."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["minimize", "{chain}", "--timeout", "0"],
+            ["minimize", "{chain}", "--parallel", "0"],
+            ["minimize", "{chain}", "--max-domain-size", "0"],
+            ["consistency", "{chain}", "--max-domain-size", "0"],
+            ["minimize", "{chain}", "--subset-budget", "0"],
+            ["independence", "{indep}", "--method", "naive", "--trials", "3"],
+            ["independence", "{indep}", "--method", "random", "--max-subset-size", "1"],
+            ["independence", "{indep}", "--method", "failfast", "--max-subset-size", "0"],
+        ],
+        ids=lambda argv: " ".join(argv[2:]) + f" ({argv[0]})",
+    )
+    def test_exit_two_without_traceback(self, argv, problems):
+        code, out, err = run_cli([tok.format(**problems) for tok in argv])
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("proofscope: ") and err.count("\n") == 1
+
+
 class TestReprove:
     def test_trivial_single_stage(self, problems):
         code, out, _ = run_cli(
@@ -193,7 +219,12 @@ class TestConsistency:
 
     @pytest.mark.parametrize(
         "mode, outcome",
-        [("satisfiable", "ModelFound"), ("unsat", "Unsatisfiable"), ("garbage", "Unknown")],
+        [
+            ("satisfiable", "ModelFound"),
+            ("unsat", "Unsatisfiable"),
+            ("contradictory", "Unsatisfiable"),
+            ("garbage", "Unknown"),
+        ],
     )
     def test_external_model_finder(self, mode, outcome, problems, tmp_path):
         """An external finder answers through SZS statuses alone: no model

@@ -7,6 +7,7 @@ import pytest
 
 from proofscope.engines import (
     EngineConfigError,
+    EngineLimits,
     EngineSpec,
     ExternalEngine,
     extract_used_premises,
@@ -170,6 +171,13 @@ class TestEngineConfig:
     def test_unknown_engine_id(self):
         with pytest.raises(EngineConfigError, match="unknown engine id"):
             resolve_engines(["no-such-engine"])
+
+
+class TestEngineLimits:
+    @pytest.mark.parametrize("field", ["max_domain_size", "timeout", "max_clause_count"])
+    def test_out_of_range_rejected_at_construction(self, field):
+        with pytest.raises(ValueError, match=field):
+            EngineLimits(**{field: 0})
 
 
 class TestBuiltinEngineWrappers:

@@ -2,10 +2,10 @@
 
 import random
 
+from proofscope.engines import EngineLimits
 from proofscope.logic import evaluate, negate
 from proofscope.modelfinder import (
     ModelKind,
-    ModelLimits,
     find_model,
     model_to_text,
     verify_model,
@@ -21,7 +21,10 @@ def formulas_of(text):
 
 class TestFindModel:
     def test_single_fact_size_one(self):
-        out = find_model(formulas_of("fof(a1, axiom, p(a))."), ModelLimits(3, 10))
+        out = find_model(
+            formulas_of("fof(a1, axiom, p(a))."),
+            EngineLimits(timeout=10, max_domain_size=3),
+        )
         assert out.kind == ModelKind.ModelFound
         assert out.model.domain_size == 1
 
@@ -32,7 +35,7 @@ class TestFindModel:
         assert not any(
             all(evaluate(m, f) for f in fs) for m in enumerate_interpretations(fs, 1)
         )
-        out = find_model(formulas, ModelLimits(3, 10))
+        out = find_model(formulas, EngineLimits(timeout=10, max_domain_size=3))
         assert out.kind == ModelKind.ModelFound
         assert out.model.domain_size == 2
 
@@ -40,13 +43,14 @@ class TestFindModel:
         formulas = formulas_of(
             "fof(a1, axiom, ? [X,Y,Z] : (X != Y & X != Z & Y != Z))."
         )
-        out = find_model(formulas, ModelLimits(4, 10))
+        out = find_model(formulas, EngineLimits(timeout=10, max_domain_size=4))
         assert out.kind == ModelKind.ModelFound
         assert out.model.domain_size == 3
 
     def test_propositional_contradiction_exhausts(self):
         out = find_model(
-            formulas_of("fof(a1, axiom, p). fof(a2, axiom, ~p)."), ModelLimits(3, 10)
+            formulas_of("fof(a1, axiom, p). fof(a2, axiom, ~p)."),
+            EngineLimits(timeout=10, max_domain_size=3),
         )
         assert out.kind == ModelKind.ExhaustedUpTo
         assert out.exhausted_size == 3
@@ -57,7 +61,7 @@ class TestFindModel:
             formulas_of(
                 "fof(a1, axiom, ! [X] : p(f(X))). fof(a2, axiom, ? [X] : ~p(X))."
             ),
-            ModelLimits(4, 10),
+            EngineLimits(timeout=10, max_domain_size=4),
         )
         assert out.kind == ModelKind.ModelFound
         m = out.model
@@ -66,7 +70,8 @@ class TestFindModel:
 
     def test_resource_out(self):
         out = find_model(
-            formulas_of("fof(a1, axiom, p)."), ModelLimits(3, 0.000001)
+            formulas_of("fof(a1, axiom, p)."),
+            EngineLimits(timeout=0.000001, max_domain_size=3),
         )
         assert out.kind == ModelKind.ResourceOut
 
@@ -74,8 +79,8 @@ class TestFindModel:
         formulas = formulas_of(
             "fof(a1, axiom, ! [X] : (p(X) | q(X))). fof(a2, axiom, ? [X] : ~p(X))."
         )
-        a = find_model(formulas, ModelLimits(3, 10))
-        b = find_model(formulas, ModelLimits(3, 10))
+        a = find_model(formulas, EngineLimits(timeout=10, max_domain_size=3))
+        b = find_model(formulas, EngineLimits(timeout=10, max_domain_size=3))
         assert a.model == b.model
 
     def test_dreadbury_countermodel_for_wrong_killer(self, puz001):
@@ -84,7 +89,8 @@ class TestFindModel:
         axioms = [(p.name, p.formula) for p in puz001.premises]
         wrong = mk("fof(goal, conjecture, killed(charles, agatha)).").conjecture
         out = find_model(
-            axioms + [("$neg", negate(wrong.formula))], ModelLimits(4, 30)
+            axioms + [("$neg", negate(wrong.formula))],
+            EngineLimits(timeout=30, max_domain_size=4),
         )
         assert out.kind == ModelKind.ModelFound
         assert verify_model(out.model, [f for _, f in axioms])
@@ -108,7 +114,7 @@ class TestVerifyModel:
         ]
         for text in texts:
             formulas = formulas_of(text)
-            out = find_model(formulas, ModelLimits(4, 20))
+            out = find_model(formulas, EngineLimits(timeout=20, max_domain_size=4))
             assert out.kind == ModelKind.ModelFound, text
             assert verify_model(out.model, [f for _, f in formulas])
 
@@ -124,7 +130,9 @@ class TestRandomizedSoundness:
         found = exhausted = 0
         for i in range(220):
             formula = random_closed_formula(rng, 2)
-            out = find_model([("gen", formula)], ModelLimits(2, 10))
+            out = find_model(
+                [("gen", formula)], EngineLimits(timeout=10, max_domain_size=2)
+            )
             if out.kind == ModelKind.ModelFound:
                 found += 1
                 assert evaluate(out.model, formula), f"run {i}: model fails"
@@ -141,7 +149,10 @@ class TestRandomizedSoundness:
 
 class TestModelText:
     def test_stable_rendering(self):
-        out = find_model(formulas_of("fof(a1, axiom, p(a) & ~q(b))."), ModelLimits(3, 10))
+        out = find_model(
+            formulas_of("fof(a1, axiom, p(a) & ~q(b))."),
+            EngineLimits(timeout=10, max_domain_size=3),
+        )
         text = model_to_text(out.model)
         assert text.splitlines()[0].startswith("domain size:")
         assert model_to_text(out.model) == text
@@ -152,18 +163,18 @@ class TestAgreementWithSaturation:
         """Where saturation genuinely closes as Satisfiable on the curated
         corpus, the model finder must find the (known finite) model rather
         than exhaust."""
-        from proofscope.prover import ProverLimits, refute
+        from proofscope.prover import refute
         from proofscope.verdicts import SzsStatus
         from corpus import ORACLE_THEORIES
 
         checked = 0
         for name, text in ORACLE_THEORIES:
             theory = mk(text).without_conjecture()
-            outcome = refute(theory, ProverLimits(wall_clock_budget=10))
+            outcome = refute(theory, EngineLimits(timeout=10))
             if outcome.status != SzsStatus.Satisfiable:
                 continue
             formulas = [(f.name, f.formula) for f in theory.premises]
-            found = find_model(formulas, ModelLimits(3, 20))
+            found = find_model(formulas, EngineLimits(timeout=20, max_domain_size=3))
             assert found.kind == ModelKind.ModelFound, name
             checked += 1
         assert checked >= 15  # the corpus is mostly satisfiable axiom sets

@@ -2,14 +2,15 @@
 
 import pytest
 
-from proofscope.modelfinder import ModelKind, ModelLimits, find_model
+from proofscope.engines import EngineLimits
+from proofscope.modelfinder import ModelKind, find_model
 from proofscope.logic import negate
-from proofscope.prover import ProverLimits, prove, refute
+from proofscope.prover import prove, refute
 from proofscope.verdicts import SzsStatus
 
 from conftest import mk, prop_entails, prop_satisfiable
 
-LIMITS = ProverLimits(wall_clock_budget=20)
+LIMITS = EngineLimits(timeout=20)
 
 
 class TestProve:
@@ -37,23 +38,24 @@ class TestProve:
         # the model finder agrees: axioms plus negated conjecture have a model
         formulas = [(f.name, f.formula) for f in t.premises]
         formulas.append(("$neg", negate(t.conjecture.formula)))
-        assert find_model(formulas, ModelLimits(2, 10)).kind == ModelKind.ModelFound
+        out = find_model(formulas, EngineLimits(timeout=10, max_domain_size=2))
+        assert out.kind == ModelKind.ModelFound
 
     def test_requires_conjecture(self):
         with pytest.raises(ValueError):
             prove(mk("fof(a1, axiom, p)."), LIMITS)
 
     def test_used_premises_subset_of_inputs(self, puz001):
-        out = prove(puz001, ProverLimits(wall_clock_budget=60))
+        out = prove(puz001, EngineLimits(timeout=60))
         assert out.status == SzsStatus.Theorem
         assert out.used_premises <= set(puz001.premise_names)
         assert not out.axioms_inconsistent
 
     def test_soundness_spot_check_reprove_used(self, puz001):
         """Restricting to the used premises must still prove the conjecture."""
-        out = prove(puz001, ProverLimits(wall_clock_budget=60))
+        out = prove(puz001, EngineLimits(timeout=60))
         sub = puz001.restrict(out.used_premises)
-        again = prove(sub, ProverLimits(wall_clock_budget=60))
+        again = prove(sub, EngineLimits(timeout=60))
         assert again.status == SzsStatus.Theorem
 
     def test_axioms_inconsistent_flag(self):
@@ -98,17 +100,8 @@ class TestProve:
             "fof(a1, axiom, ! [X] : (p(X) => p(f(X)))). fof(a2, axiom, p(a)). "
             "fof(goal, conjecture, q)."
         )
-        out = prove(t, ProverLimits(wall_clock_budget=20, max_clause_count=30))
+        out = prove(t, EngineLimits(timeout=20, max_clause_count=30))
         assert out.status == SzsStatus.ResourceOut
-
-    def test_gave_up_when_weight_limit_discards(self):
-        # Saturation closes only because heavy clauses were discarded.
-        t = mk(
-            "fof(a1, axiom, ! [X] : (p(X) => p(f(X)))). fof(a2, axiom, p(a)). "
-            "fof(goal, conjecture, q)."
-        )
-        out = prove(t, ProverLimits(wall_clock_budget=20, max_clause_weight=4))
-        assert out.status == SzsStatus.GaveUp
 
 
 class TestRefute:
