@@ -24,8 +24,8 @@ from .engines import (
     load_engine_config,
     resolve_engines,
 )
-from .tptp import TptpError, hapax_legomena, parse_file, signature_of
-from .verdicts import Entailment, VerdictConflictError, extended_statuses
+from .tptp import Theory, TptpError, hapax_legomena, parse_file, signature_of
+from .verdicts import Entailment, ExtendedStatus, VerdictConflictError, extended_statuses
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -40,22 +40,18 @@ DEFAULT_TRIALS = 50
 
 @dataclass
 class RunConfig:
-    problem_path: str
-    include_dirs: list[str] = field(default_factory=list)
-    engines: list[str] = field(default_factory=lambda: list(DEFAULT_ENGINES))
-    limits: EngineLimits = field(default_factory=EngineLimits)
-    parallelism: int = 1
-    seed: int = 0
-    output_format: str = "text"
-    subset_budget: int = 4096
-    engine_config: str | None = None
-    unsat_mode: bool = False
+    """The checked flags of one run; built only by _config_from_args."""
 
-    def __post_init__(self) -> None:
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
-        if self.subset_budget < 1:
-            raise ValueError("subset budget must be at least 1")
+    problem_path: str
+    include_dirs: list[str]
+    engines: list[str]
+    limits: EngineLimits
+    parallelism: int
+    seed: int
+    output_format: str
+    subset_budget: int
+    engine_config: str | None
+    unsat_mode: bool
 
     def to_dict(self) -> dict:
         return {
@@ -109,6 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "minimize", parents=[shared],
         help="alias for reprove --method semantic --chain-minima",
     )
+    minimize.set_defaults(method="semantic", chain_minima=True)
     for p in (reprove, minimize):
         p.add_argument(
             "--unsat-mode", action="store_true",
@@ -131,7 +128,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
+    """The run configuration; every flag error raises ValueError here, before
+    the problem is read."""
+    cfg = RunConfig(
         problem_path=args.problem,
         include_dirs=args.include_dirs,
         engines=list(args.engines) or list(DEFAULT_ENGINES),
@@ -143,24 +142,44 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         engine_config=args.engine_config,
         unsat_mode=getattr(args, "unsat_mode", False),
     )
+    if cfg.parallelism < 1:
+        raise ValueError("parallelism must be at least 1")
+    if cfg.subset_budget < 1:
+        raise ValueError("subset budget must be at least 1")
+    method = getattr(args, "method", None)
+    trials = getattr(args, "trials", None)
+    max_subset_size = getattr(args, "max_subset_size", None)
+    if method == "syntactic" and args.chain_minima:
+        raise ValueError("--chain-minima needs --method semantic")
+    if trials is not None and method != "random":
+        raise ValueError("--trials needs --method random")
+    if trials is not None and trials < 1:
+        raise ValueError("trials must be at least 1")
+    if max_subset_size is not None and method != "failfast":
+        raise ValueError("--max-subset-size needs --method failfast")
+    if max_subset_size is not None and max_subset_size < 1:
+        raise ValueError("max subset size must be at least 1")
+    return cfg
 
 
-def _load_engines(cfg: RunConfig) -> list:
+def _session(
+    cfg: RunConfig, theory: Theory, capability: str, missing: str
+) -> tuple[QuerySession, list[str]]:
+    """A query session over theory with the configured engines, and their
+    ids; raises EngineConfigError(missing) when no engine has capability."""
     config = load_engine_config(cfg.engine_config) if cfg.engine_config else None
-    return resolve_engines(cfg.engines, config)
-
-
-def _split_capabilities(engines: list) -> tuple[list, list]:
-    provers = [e for e in engines if CAP_PROVES in e.capabilities]
-    counters = [e for e in engines if CAP_FINDS_MODELS in e.capabilities]
-    return provers, counters
-
-
-def _emit(report: rpt.Report, cfg: RunConfig, out) -> None:
-    if cfg.output_format == "json":
-        out.write(report.to_json() + "\n")
-    else:
-        out.write(report.to_text())
+    engines = resolve_engines(cfg.engines, config)
+    if not any(capability in e.capabilities for e in engines):
+        raise EngineConfigError(missing)
+    session = QuerySession(
+        theory,
+        provers=[e for e in engines if CAP_PROVES in e.capabilities],
+        counters=[e for e in engines if CAP_FINDS_MODELS in e.capabilities],
+        limits=cfg.limits,
+        parallelism=cfg.parallelism,
+        unsat_mode=cfg.unsat_mode,
+    )
+    return session, [e.id for e in engines]
 
 
 def _fail(message: str, code: int, err) -> int:
@@ -168,71 +187,52 @@ def _fail(message: str, code: int, err) -> int:
     return code
 
 
+@dataclass
+class Outcome:
+    """What a subcommand found; main turns it into the report."""
+
+    command: str
+    theory: Theory
+    engines: list[str]
+    payload: dict
+    exit_code: int
+    extended_statuses: list[ExtendedStatus] = field(default_factory=list)
+    engine_calls: int = 0
+
+
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the parsed theory and returns an Outcome.  Input
+# errors found in the theory raise AnalysisError or EngineConfigError.
 
 
-def cmd_symbols(cfg: RunConfig, out, err) -> int:
-    theory = parse_file(cfg.problem_path, cfg.include_dirs)
-    start = time.monotonic()
-    signature = signature_of(theory)
+def cmd_symbols(theory: Theory, cfg: RunConfig, args, err) -> Outcome:
     hapax = hapax_legomena(theory)
-    report = rpt.Report(
-        command="symbols",
-        problem=cfg.problem_path,
-        theory_summary=rpt.theory_summary(theory),
-        engines=[],
-        config=cfg.to_dict(),
-        payload={
-            "signature": rpt.signature_to_dict(signature),
-            "hapax": rpt.signature_to_dict(hapax),
-        },
-        extended_statuses=[],
-        engine_calls=0,
-        elapsed_seconds=time.monotonic() - start,
-    )
-    _emit(report, cfg, out)
-    return EXIT_FINDING if hapax else EXIT_OK
+    payload = {
+        "signature": rpt.signature_to_dict(signature_of(theory)),
+        "hapax": rpt.signature_to_dict(hapax),
+    }
+    return Outcome("symbols", theory, [], payload, EXIT_FINDING if hapax else EXIT_OK)
 
 
-def cmd_reprove(cfg: RunConfig, method: str, chain_minima: bool, out, err) -> int:
-    if method == "syntactic" and chain_minima:
-        return _fail("--chain-minima needs --method semantic", EXIT_INPUT_ERROR, err)
-    theory = parse_file(cfg.problem_path, cfg.include_dirs)
+def cmd_reprove(theory: Theory, cfg: RunConfig, args, err) -> Outcome:
     if theory.conjecture is None and not cfg.unsat_mode:
-        return _fail(
+        raise AnalysisError(
             "problem has no conjecture; pass --unsat-mode for Unsatisfiable-mode "
-            "problems or add a conjecture",
-            EXIT_INPUT_ERROR,
-            err,
+            "problems or add a conjecture"
         )
     if theory.conjecture is not None and cfg.unsat_mode:
-        return _fail(
-            "--unsat-mode is only for conjecture-free problems",
-            EXIT_INPUT_ERROR,
-            err,
-        )
-    engines = _load_engines(cfg)
-    provers, counters = _split_capabilities(engines)
-    if not provers:
-        return _fail("reprove needs at least one proving engine", EXIT_INPUT_ERROR, err)
-    start = time.monotonic()
-    session = QuerySession(
-        theory,
-        provers=provers,
-        counters=counters,
-        limits=cfg.limits,
-        parallelism=cfg.parallelism,
-        unsat_mode=cfg.unsat_mode,
+        raise AnalysisError("--unsat-mode is only for conjecture-free problems")
+    session, engines = _session(
+        cfg, theory, CAP_PROVES, "reprove needs at least one proving engine"
     )
     full = frozenset(theory.premise_names)
     [initial_ent] = session.decide([full], prefer="prove")
-    initial_verdict = session.run_engine(full, provers[0])
+    initial_verdict = session.run_engine(full, session.provers[0])
     payload: dict = {
-        "method": method,
+        "method": args.method,
         "initial": rpt.verdict_to_dict(initial_verdict, theory),
     }
-    ext: list[str] = []
+    ext: list[ExtendedStatus] = []
     exit_code = EXIT_OK
     if initial_ent != Entailment.Proves:
         payload["error"] = (
@@ -241,7 +241,7 @@ def cmd_reprove(cfg: RunConfig, method: str, chain_minima: bool, out, err) -> in
             else "unsatisfiability not confirmed by the configured engines"
         )
         exit_code = EXIT_UNCONFIRMED
-    elif method == "syntactic":
+    elif args.method == "syntactic":
         payload["traces"] = [
             {
                 "engine": engine.id,
@@ -249,134 +249,79 @@ def cmd_reprove(cfg: RunConfig, method: str, chain_minima: bool, out, err) -> in
                     analysis.syntactic_reprove(session, engine), theory
                 ),
             }
-            for engine in provers
+            for engine in session.provers
         ]
     else:
         cls, confirmation = analysis.semantic_reprove(session)
         payload["classification"] = rpt.classification_to_dict(cls, theory)
         payload["confirmation"] = confirmation.value
-        if chain_minima:
+        if args.chain_minima:
             minima = analysis.enumerate_minima(session, cls, cfg.subset_budget)
             payload["minima"] = rpt.minima_to_dict(minima, theory)
-            ext = [
-                s.value
-                for s in extended_statuses(minima, None, len(theory.premises))
-            ]
-    report = rpt.Report(
-        command="reprove" if method != "semantic" or not chain_minima else "minimize",
-        problem=cfg.problem_path,
-        theory_summary=rpt.theory_summary(theory),
-        engines=[e.id for e in engines],
-        config=cfg.to_dict(),
-        payload=payload,
-        extended_statuses=ext,
-        engine_calls=session.engine_calls,
-        elapsed_seconds=time.monotonic() - start,
-    )
-    _emit(report, cfg, out)
-    return exit_code
+            ext = extended_statuses(minima, None, len(theory.premises))
+    command = "minimize" if args.method == "semantic" and args.chain_minima else "reprove"
+    return Outcome(command, theory, engines, payload, exit_code, ext, session.engine_calls)
 
 
-def cmd_independence(
-    cfg: RunConfig,
-    method: str,
-    trials: int | None,
-    max_subset_size: int | None,
-    out,
-    err,
-) -> int:
-    if trials is not None and method != "random":
-        return _fail("--trials needs --method random", EXIT_INPUT_ERROR, err)
-    if max_subset_size is not None and method != "failfast":
-        return _fail("--max-subset-size needs --method failfast", EXIT_INPUT_ERROR, err)
-    theory = parse_file(cfg.problem_path, cfg.include_dirs)
+def cmd_independence(theory: Theory, cfg: RunConfig, args, err) -> Outcome:
     if theory.conjecture is not None:
         err.write(
             "proofscope: warning: conjecture ignored for independence analysis\n"
         )
     axioms = theory.without_conjecture()
     if not axioms.premises:
-        return _fail("independence needs at least one axiom", EXIT_INPUT_ERROR, err)
-    engines = _load_engines(cfg)
-    provers, counters = _split_capabilities(engines)
-    if not provers:
-        return _fail(
-            "independence needs at least one proving engine", EXIT_INPUT_ERROR, err
-        )
-    start = time.monotonic()
-    session = QuerySession(
-        axioms,
-        provers=provers,
-        counters=counters,
-        limits=cfg.limits,
-        parallelism=cfg.parallelism,
+        raise AnalysisError("independence needs at least one axiom")
+    session, engines = _session(
+        cfg, axioms, CAP_PROVES, "independence needs at least one proving engine"
     )
-    if method == "naive":
+    payload: dict = {"method": args.method}
+    if args.method == "naive":
         result = analysis.independence_naive(session)
-    elif method == "failfast":
-        result = analysis.independence_failfast(session, max_subset_size)
+    elif args.method == "failfast":
+        result = analysis.independence_failfast(session, args.max_subset_size)
     else:
-        trials = DEFAULT_TRIALS if trials is None else trials
+        trials = DEFAULT_TRIALS if args.trials is None else args.trials
         result = analysis.independence_random(session, trials, cfg.seed)
-    payload = {
-        "method": method,
-        **rpt.independence_to_dict(result, axioms),
-    }
-    if method == "random":
         payload["trials"] = trials
         payload["seed"] = cfg.seed
-    ext = [s.value for s in extended_statuses(None, result, len(axioms.premises))]
-    report = rpt.Report(
-        command="independence",
-        problem=cfg.problem_path,
-        theory_summary=rpt.theory_summary(axioms),
-        engines=[e.id for e in engines],
-        config=cfg.to_dict(),
-        payload=payload,
-        extended_statuses=ext,
-        engine_calls=session.engine_calls,
-        elapsed_seconds=time.monotonic() - start,
+    payload.update(rpt.independence_to_dict(result, axioms))
+    ext = extended_statuses(None, result, len(axioms.premises))
+    exit_code = {
+        IndependenceVerdict.Independent: EXIT_OK,
+        IndependenceVerdict.Dependent: EXIT_FINDING,
+    }.get(result.verdict, EXIT_INCONCLUSIVE)
+    return Outcome(
+        "independence", axioms, engines, payload, exit_code, ext, session.engine_calls
     )
-    _emit(report, cfg, out)
-    if result.verdict == IndependenceVerdict.Independent:
-        return EXIT_OK
-    if result.verdict == IndependenceVerdict.Dependent:
-        return EXIT_FINDING
-    return EXIT_INCONCLUSIVE
 
 
-def cmd_consistency(cfg: RunConfig, out, err) -> int:
-    theory = parse_file(cfg.problem_path, cfg.include_dirs)
-    engines = _load_engines(cfg)
-    _, counters = _split_capabilities(engines)
-    if not counters:
-        return _fail(
-            "consistency checking needs a model-finding engine", EXIT_INPUT_ERROR, err
-        )
-    start = time.monotonic()
-    result = analysis.consistency_triple(theory, counters[0], cfg.limits)
-    checks = sum(
-        1
-        for c in (
-            result.axioms_only,
-            result.axioms_plus_conjecture,
-            result.axioms_plus_negated_conjecture,
-        )
-        if c is not None
+def cmd_consistency(theory: Theory, cfg: RunConfig, args, err) -> Outcome:
+    session, engines = _session(
+        cfg, theory, CAP_FINDS_MODELS, "consistency checking needs a model-finding engine"
     )
-    report = rpt.Report(
-        command="consistency",
-        problem=cfg.problem_path,
-        theory_summary=rpt.theory_summary(theory),
-        engines=[e.id for e in engines],
-        config=cfg.to_dict(),
-        payload=rpt.consistency_to_dict(result),
-        extended_statuses=[],
-        engine_calls=checks,
-        elapsed_seconds=time.monotonic() - start,
+    result = analysis.consistency_triple(theory, session.counters[0], cfg.limits)
+    checks = (
+        result.axioms_only,
+        result.axioms_plus_conjecture,
+        result.axioms_plus_negated_conjecture,
     )
-    _emit(report, cfg, out)
-    return EXIT_OK
+    return Outcome(
+        "consistency",
+        theory,
+        engines,
+        rpt.consistency_to_dict(result),
+        EXIT_OK,
+        engine_calls=sum(1 for c in checks if c is not None),
+    )
+
+
+COMMANDS = {
+    "symbols": cmd_symbols,
+    "reprove": cmd_reprove,
+    "minimize": cmd_reprove,
+    "independence": cmd_independence,
+    "consistency": cmd_consistency,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -385,31 +330,39 @@ def cmd_consistency(cfg: RunConfig, out, err) -> int:
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT_ERROR, err)
     try:
-        if args.command == "symbols":
-            return cmd_symbols(cfg, out, err)
-        if args.command == "reprove":
-            return cmd_reprove(cfg, args.method, args.chain_minima, out, err)
-        if args.command == "minimize":
-            return cmd_reprove(cfg, "semantic", True, out, err)
-        if args.command == "independence":
-            return cmd_independence(
-                cfg, args.method, args.trials, args.max_subset_size, out, err
-            )
-        return cmd_consistency(cfg, out, err)
+        theory = parse_file(cfg.problem_path, cfg.include_dirs)
+        start = time.monotonic()
+        outcome = COMMANDS[args.command](theory, cfg, args, err)
     except VerdictConflictError as exc:
         return _fail(f"engine verdict conflict: {exc}", EXIT_CONFLICT, err)
-    except (TptpError, FileNotFoundError, IsADirectoryError) as exc:
+    except (
+        TptpError, FileNotFoundError, IsADirectoryError, EngineConfigError, AnalysisError
+    ) as exc:
         return _fail(str(exc), EXIT_INPUT_ERROR, err)
-    except (EngineConfigError, AnalysisError) as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR, err)
+    report = rpt.Report(
+        command=outcome.command,
+        problem=cfg.problem_path,
+        theory_summary=rpt.theory_summary(outcome.theory),
+        engines=outcome.engines,
+        config=cfg.to_dict(),
+        payload=outcome.payload,
+        extended_statuses=[s.value for s in outcome.extended_statuses],
+        engine_calls=outcome.engine_calls,
+        elapsed_seconds=time.monotonic() - start,
+    )
+    out.write(report.to_json() + "\n" if cfg.output_format == "json" else report.to_text())
+    return outcome.exit_code
 
 
 def console_main() -> None:  # pragma: no cover - setuptools entry point
+    sys.exit(main())
+
+
+if __name__ == "__main__":
     sys.exit(main())

@@ -28,6 +28,9 @@ from .tptp import Theory, render_theory
 from .verdicts import PROOF_STATUSES, SzsStatus
 
 GRACE_SECONDS = 2.0
+# An external engine's wait goes through poll(), which takes milliseconds as
+# a C int, so a longer per-call budget overflows.
+MAX_TIMEOUT = (2**31 - 1) // 1000
 
 CAP_PROVES = "proves"
 CAP_FINDS_MODELS = "finds_models"
@@ -44,10 +47,11 @@ class EngineConfigError(Exception):
 class EngineLimits:
     """Per-call resource limits, the one budget type every engine takes.
 
-    timeout bounds each call's wall-clock seconds; max_domain_size is the
-    largest domain the model finder tries; max_clause_count is how many kept
-    clauses the prover may hold before it answers ResourceOut.  Values are
-    checked here, so a bad limit fails before any engine runs.
+    timeout bounds each call's wall-clock seconds, up to MAX_TIMEOUT;
+    max_domain_size is the largest domain the model finder tries;
+    max_clause_count is how many kept clauses the prover may hold before it
+    answers ResourceOut.  Values are checked here, so a bad limit fails before
+    any engine runs.
     """
 
     timeout: float = 10.0
@@ -57,6 +61,10 @@ class EngineLimits:
     def __post_init__(self) -> None:
         if not self.timeout > 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if not self.timeout <= MAX_TIMEOUT:
+            raise ValueError(
+                f"timeout must be at most {MAX_TIMEOUT} seconds, got {self.timeout}"
+            )
         if self.max_domain_size < 1:
             raise ValueError(
                 f"max_domain_size must be at least 1, got {self.max_domain_size}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 
@@ -204,18 +205,12 @@ def _eval(m: Interpretation, f: Formula, env: dict[str, int]) -> bool:
     if f.kind == FORALL:
         return all(
             _eval(m, f.body, {**env, **dict(zip(f.variables, vals))})
-            for vals in _assignments(f.variables, domain)
+            for vals in itertools.product(domain, repeat=len(f.variables))
         )
     return any(
         _eval(m, f.body, {**env, **dict(zip(f.variables, vals))})
-        for vals in _assignments(f.variables, domain)
+        for vals in itertools.product(domain, repeat=len(f.variables))
     )
-
-
-def _assignments(variables: tuple[str, ...], domain: range):
-    import itertools
-
-    return itertools.product(domain, repeat=len(variables))
 
 
 def evaluate(m: Interpretation, f: Formula) -> bool:

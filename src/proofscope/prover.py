@@ -220,13 +220,6 @@ def _subsumes_into(
     return backtrack(0, {})
 
 
-def subsumes(c: Clause, d: Clause) -> bool:
-    """True if some substitution maps c's literals into d's literal set."""
-    if len(c.literals) > len(d.literals):
-        return False
-    return _subsumes_into(c.literals, _literals_by_key(d.literals))
-
-
 # ---------------------------------------------------------------------------
 # Congruence axioms for equality
 

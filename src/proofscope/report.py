@@ -18,17 +18,11 @@ from .engines import EngineVerdict
 from .tptp import SignatureEntry, Theory
 
 
-def verdict_to_dict(v: EngineVerdict, theory: Theory | None = None) -> dict:
-    used = list(v.used_premises)
-    if theory is not None:
-        order = {name: i for i, name in enumerate(theory.premise_names)}
-        used.sort(key=lambda n: order.get(n, len(order)))
-    else:
-        used.sort()
+def verdict_to_dict(v: EngineVerdict, theory: Theory) -> dict:
     return {
         "engine": v.engine_id,
         "status": v.status.value,
-        "used_premises": used,
+        "used_premises": _ordered(v.used_premises, theory),
         "has_premise_info": v.has_premise_info,
         "raw_output_digest": v.raw_output_digest,
         "elapsed_seconds": round(v.elapsed, 6),

@@ -350,7 +350,8 @@ class _Parser:
         got = tok.value if tok.kind != "eof" else "end of input"
         raise self.error(f"expected a formula, found {got!r}")
 
-    def parse_atomic(self, bound: frozenset[str]) -> Formula:
+    def parse_atomic(self, bound: frozenset[str] | None) -> Formula:
+        """An atom or an (in)equation; bound is None in a cnf clause."""
         tok = self.peek()
         term = self.parse_term(bound)
         nxt = self.peek()
@@ -360,22 +361,25 @@ class _Parser:
             eq = Equality(term, right)
             return eq if op == "=" else Not(eq)
         if isinstance(term, Var):
-            raise self.error("a variable is not a formula", tok)
-        # Reclassify the outermost term as a predicate application.
-        self._reclassify_predicate(term, tok)
+            what = "literal" if bound is None else "formula"
+            raise self.error(f"a variable is not a {what}", tok)
+        # Reclassify the outermost term as a predicate application.  Its use
+        # is the last one recorded, since parse_term records a head after its
+        # arguments.
+        sym, use = self.uses[-1]
+        self.uses[-1] = (sym, _SymbolUse(KIND_PREDICATE, use.arity, use.line, use.column))
         return Atom(term.head, term.args)
 
-    def _reclassify_predicate(self, term: App, tok: Token) -> None:
-        for i, (sym, use) in enumerate(self.uses):
-            if sym == term.head and use.line == tok.line and use.column == tok.column:
-                self.uses[i] = (sym, _SymbolUse(KIND_PREDICATE, use.arity, use.line, use.column))
-                return
-
-    def parse_term(self, bound: frozenset[str]) -> Term:
+    def parse_term(self, bound: frozenset[str] | None) -> Term:
+        """A term; bound is None in a cnf clause, whose variables are all
+        implicitly universal and are collected in self._cnf_vars."""
         tok = self.peek()
         if tok.kind == "upper":
             self.next()
-            if tok.value not in bound:
+            if bound is None:
+                if tok.value not in self._cnf_vars:
+                    self._cnf_vars.append(tok.value)
+            elif tok.value not in bound:
                 raise self.error(f"unbound variable {tok.value!r}", tok)
             return Var(tok.value)
         if tok.kind in ("lower", "quoted"):
@@ -418,48 +422,8 @@ class _Parser:
     def parse_cnf_literal(self) -> Formula:
         if self.peek().kind == "op" and self.peek().value == "~":
             self.next()
-            return Not(self.parse_cnf_atom())
-        return self.parse_cnf_atom()
-
-    def parse_cnf_atom(self) -> Formula:
-        tok = self.peek()
-        term = self.parse_cnf_term()
-        nxt = self.peek()
-        if nxt.kind == "op" and nxt.value in ("=", "!="):
-            op = self.next().value
-            right = self.parse_cnf_term()
-            eq = Equality(term, right)
-            return eq if op == "=" else Not(eq)
-        if isinstance(term, Var):
-            raise self.error("a variable is not a literal", tok)
-        self._reclassify_predicate(term, tok)
-        return Atom(term.head, term.args)
-
-    def parse_cnf_term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "upper":
-            self.next()
-            if tok.value not in self._cnf_vars:
-                self._cnf_vars.append(tok.value)
-            return Var(tok.value)
-        if tok.kind in ("lower", "quoted"):
-            self.next()
-            head = tok.value if tok.kind == "lower" else _unquote(tok.value)
-            args: list[Term] = []
-            if self.peek().kind == "op" and self.peek().value == "(":
-                self.next()
-                while True:
-                    args.append(self.parse_cnf_term())
-                    if self.peek().kind == "op" and self.peek().value == ",":
-                        self.next()
-                        continue
-                    break
-                self.expect("op", ")")
-            kind = KIND_FUNCTION if args else KIND_CONSTANT
-            self.uses.append((head, _SymbolUse(kind, len(args), tok.line, tok.column)))
-            return App(head, tuple(args))
-        got = tok.value if tok.kind != "eof" else "end of input"
-        raise self.error(f"expected a term, found {got!r}")
+            return Not(self.parse_atomic(None))
+        return self.parse_atomic(None)
 
 
 # ---------------------------------------------------------------------------

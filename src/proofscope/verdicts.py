@@ -125,10 +125,9 @@ def extended_statuses(
     """
     out: list[ExtendedStatus] = []
     if indep is not None:
-        verdict = getattr(indep.verdict, "value", indep.verdict)
-        if verdict == "Independent":
+        if indep.verdict == "Independent":
             out.append(ExtendedStatus.IndependentAxioms)
-        elif verdict == "Dependent":
+        elif indep.verdict == "Dependent":
             out.append(ExtendedStatus.DependentAxioms)
     if minima is not None and minima.minima:
         if any(len(m) < premise_count for m in minima.minima):

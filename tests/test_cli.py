@@ -2,13 +2,17 @@
 
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import proofscope
 from proofscope.cli import main
 
 from conftest import PUZ001, STUB_ENGINE
@@ -74,29 +78,48 @@ class TestSymbols:
         assert code == 2
         assert re.search(r":\d+:\d+:", err)
 
+    def test_python_m_runs_the_cli(self, problems):
+        """`python -m proofscope.cli` runs the CLI from a checkout."""
+        src = str(Path(proofscope.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "proofscope.cli", "symbols", problems["typo"]],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 1
+        assert "hapax legomena (possible typos):" in proc.stdout
+        assert "conected_to" in proc.stdout
+
     def test_bad_timeout_exit_two(self, problems):
         code, _, err = run_cli(["symbols", problems["clean"], "--timeout", "0"])
         assert code == 2
         assert "timeout" in err
 
 
+FLAG_ERRORS = [
+    ["minimize", "{chain}", "--timeout", "0"],
+    ["minimize", "{chain}", "--timeout", "inf"],
+    ["minimize", "{chain}", "--timeout", "1e10"],
+    ["minimize", "{chain}", "--timeout", "1e300"],
+    ["minimize", "{chain}", "--parallel", "0"],
+    ["minimize", "{chain}", "--max-domain-size", "0"],
+    ["consistency", "{chain}", "--max-domain-size", "0"],
+    ["minimize", "{chain}", "--subset-budget", "0"],
+    ["reprove", "{chain}", "--method", "syntactic", "--chain-minima"],
+    ["independence", "{indep}", "--method", "naive", "--trials", "3"],
+    ["independence", "{indep}", "--method", "random", "--trials", "0"],
+    ["independence", "{indep}", "--method", "random", "--max-subset-size", "1"],
+    ["independence", "{indep}", "--method", "failfast", "--max-subset-size", "0"],
+]
+
+
 class TestFlagErrors:
     """Out-of-range limits and flags the chosen method would ignore are
-    input errors, reported before any engine runs."""
+    input errors, reported before the problem is read."""
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["minimize", "{chain}", "--timeout", "0"],
-            ["minimize", "{chain}", "--parallel", "0"],
-            ["minimize", "{chain}", "--max-domain-size", "0"],
-            ["consistency", "{chain}", "--max-domain-size", "0"],
-            ["minimize", "{chain}", "--subset-budget", "0"],
-            ["independence", "{indep}", "--method", "naive", "--trials", "3"],
-            ["independence", "{indep}", "--method", "random", "--max-subset-size", "1"],
-            ["independence", "{indep}", "--method", "failfast", "--max-subset-size", "0"],
-        ],
-        ids=lambda argv: " ".join(argv[2:]) + f" ({argv[0]})",
+        "argv", FLAG_ERRORS, ids=lambda argv: " ".join(argv[2:]) + f" ({argv[0]})"
     )
     def test_exit_two_without_traceback(self, argv, problems):
         code, out, err = run_cli([tok.format(**problems) for tok in argv])
@@ -104,6 +127,17 @@ class TestFlagErrors:
         assert out == ""
         assert "Traceback" not in err
         assert err.startswith("proofscope: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv", FLAG_ERRORS, ids=lambda argv: " ".join(argv[2:]) + f" ({argv[0]})"
+    )
+    def test_reported_before_the_problem_is_read(self, argv, tmp_path):
+        missing = str(tmp_path / "missing.p")
+        code, out, err = run_cli([tok.format(chain=missing, indep=missing) for tok in argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("proofscope: ") and err.count("\n") == 1
+        assert "missing.p" not in err
 
 
 class TestReprove:

@@ -179,6 +179,11 @@ class TestEngineLimits:
         with pytest.raises(ValueError, match=field):
             EngineLimits(**{field: 0})
 
+    @pytest.mark.parametrize("timeout", [float("inf"), 1e10])
+    def test_timeout_beyond_a_subprocess_wait_rejected(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            EngineLimits(timeout=timeout)
+
 
 class TestBuiltinEngineWrappers:
     def test_prover_verdict_shape(self, prover, limits):
