@@ -65,16 +65,19 @@ CASES = {
     ],
     "dependent_axioms.consistency": ["consistency", DEPENDENT],
     "PUZ001+1.minimize": ["minimize", PUZ001],
+    # The only bundled problem with constants, equality and Skolem symbols.
+    "PUZ001+1.symbols": ["symbols", PUZ001],
+    "PUZ001+1.consistency": ["consistency", PUZ001],
 }
 SMALL_CASES = [case for case in CASES if not case.startswith("PUZ001")]
-# One text report per subcommand on each small problem.
+# One text report per subcommand on each small problem, and two on PUZ001.
 TEXT_CASES = [
     f"{problem}.{shape}"
     for problem in ("two_minima", "dependent_axioms")
     for shape in (
         "symbols", "reprove-syntactic", "minimize", "independence-naive", "consistency",
     )
-]
+] + ["PUZ001+1.symbols", "PUZ001+1.consistency"]
 ELAPSED = re.compile(r"elapsed: \d+\.\d\ds$", re.MULTILINE)
 
 
