@@ -25,6 +25,8 @@ from .logic import (
     Term,
     Truth,
     Var,
+    symbols,
+    term_symbols,
 )
 
 EQUALITY_PRED = "="
@@ -194,31 +196,6 @@ def _distribute(f: Formula) -> list[list[Literal]]:
     raise ValueError(f"matrix contains unexpected node {type(f).__name__}")
 
 
-def _collect_symbols(f: Formula, out: set[str]) -> None:
-    def term(t: Term) -> None:
-        if isinstance(t, App):
-            out.add(t.head)
-            for a in t.args:
-                term(a)
-
-    if isinstance(f, Atom):
-        out.add(f.pred)
-        for a in f.args:
-            term(a)
-    elif isinstance(f, Equality):
-        term(f.left)
-        term(f.right)
-    elif isinstance(f, Truth):
-        pass
-    elif isinstance(f, Not):
-        _collect_symbols(f.body, out)
-    elif isinstance(f, Binary):
-        _collect_symbols(f.left, out)
-        _collect_symbols(f.right, out)
-    else:
-        _collect_symbols(f.body, out)
-
-
 def _dedupe(lits: Iterable[Literal]) -> tuple[Literal, ...]:
     seen: set[Literal] = set()
     out: list[Literal] = []
@@ -236,10 +213,7 @@ def clausify(named: Sequence[tuple[str, Formula]]) -> ClauseSet:
     source formula.  Skolem symbols are fresh with respect to the whole input
     signature and numbered deterministically in input order.
     """
-    taken: set[str] = set()
-    for _, f in named:
-        _collect_symbols(f, taken)
-    sk = _Skolemizer(taken)
+    sk = _Skolemizer({sym for _, f in named for sym, _, _ in symbols(f)})
     clauses: list[Clause] = []
     for name, f in named:
         nnf = _nnf(f, True)
@@ -253,19 +227,13 @@ def clause_signature(clauses: Iterable[Clause]) -> tuple[dict[str, int], dict[st
     """Predicate and function symbols (with arities) occurring in clauses."""
     preds: dict[str, int] = {}
     funcs: dict[str, int] = {}
-
-    def term(t: Term) -> None:
-        if isinstance(t, App):
-            funcs.setdefault(t.head, len(t.args))
-            for a in t.args:
-                term(a)
-
     for c in clauses:
         for lit in c.literals:
             if lit.pred != EQUALITY_PRED:
                 preds.setdefault(lit.pred, len(lit.args))
             for a in lit.args:
-                term(a)
+                for sym, arity, _ in term_symbols(a):
+                    funcs.setdefault(sym, arity)
     return preds, funcs
 
 

@@ -19,7 +19,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from .logic import Formula, Interpretation, negate
 from .modelfinder import ModelKind, ModelOutcome, find_model
@@ -92,6 +92,9 @@ class EngineSpec:
         if bad:
             raise EngineConfigError(f"engine {self.id!r}: unknown capabilities {sorted(bad)}")
 
+    def run(self, t: Theory, limits: EngineLimits) -> EngineVerdict:
+        return run_engine(self, t, limits.timeout)
+
 
 @dataclass(frozen=True)
 class EngineVerdict:
@@ -156,31 +159,8 @@ def _cited_any(output: str) -> bool:
     return bool(_FILE_SOURCE_RE.search(_derivation_region(output)))
 
 
-class Engine(Protocol):  # pragma: no cover - structural type only
-    id: str
-    capabilities: frozenset[str]
-
-    def run(self, t: Theory, limits: EngineLimits) -> EngineVerdict: ...
-
-
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8", errors="replace")).hexdigest()
-
-
-@dataclass(frozen=True)
-class ExternalEngine:
-    spec: EngineSpec
-
-    @property
-    def id(self) -> str:
-        return self.spec.id
-
-    @property
-    def capabilities(self) -> frozenset[str]:
-        return self.spec.capabilities
-
-    def run(self, t: Theory, limits: EngineLimits) -> EngineVerdict:
-        return run_engine(self.spec, t, limits.timeout)
 
 
 def run_engine(spec: EngineSpec, t: Theory, budget: float) -> EngineVerdict:
@@ -249,7 +229,9 @@ def run_engine(spec: EngineSpec, t: Theory, budget: float) -> EngineVerdict:
         status=status,
         used_premises=used,
         has_premise_info=info,
-        raw_output_digest=_digest(output),
+        # The temp-file path differs on every call; engines that cite their
+        # input in file(...) annotations print it.
+        raw_output_digest=_digest(output.replace(problem_path, "{problem}")),
         elapsed=time.monotonic() - start,
     )
 
@@ -367,7 +349,7 @@ def resolve_engines(
         elif eid == BUILTIN_MODEL_FINDER_ID:
             out.append(BuiltinModelFinder())
         elif eid in available:
-            out.append(ExternalEngine(available[eid]))
+            out.append(available[eid])
         else:
             raise EngineConfigError(
                 f"unknown engine id {eid!r}; known: "

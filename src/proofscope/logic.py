@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,6 +98,32 @@ Formula = Atom | Equality | Truth | Not | Binary | Quantified
 def negate(f: Formula) -> Formula:
     """Wrap a formula in a negation node, with no simplification."""
     return Not(f)
+
+
+def term_symbols(t: Term) -> Iterator[tuple[str, int, bool]]:
+    """(symbol, arity, False) for every function and constant occurrence in a
+    term, in pre-order."""
+    if isinstance(t, App):
+        yield t.head, len(t.args), False
+        for a in t.args:
+            yield from term_symbols(a)
+
+
+def symbols(f: Formula) -> Iterator[tuple[str, int, bool]]:
+    """(symbol, arity, is_predicate) for every symbol occurrence in a formula,
+    in pre-order.  Equality is not a symbol."""
+    if isinstance(f, Atom):
+        yield f.pred, len(f.args), True
+        for a in f.args:
+            yield from term_symbols(a)
+    elif isinstance(f, Equality):
+        yield from term_symbols(f.left)
+        yield from term_symbols(f.right)
+    elif isinstance(f, Binary):
+        yield from symbols(f.left)
+        yield from symbols(f.right)
+    elif isinstance(f, (Not, Quantified)):
+        yield from symbols(f.body)
 
 
 def _term_vars(t: Term, out: set[str]) -> None:

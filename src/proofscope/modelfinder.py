@@ -2,8 +2,9 @@
 
 Clauses are flattened (fresh variables per subterm) so the propositional
 encoding stays polynomial in the domain size per clause.  Function symbols
-contribute totality and functionality constraints; the first constant is
-pinned to element 0 as the only symmetry breaking.
+contribute totality and functionality constraints; the first constant of
+the clauses, in pre-order, is pinned to element 0 as the only symmetry
+breaking.
 """
 
 from __future__ import annotations
@@ -16,17 +17,13 @@ from typing import TYPE_CHECKING, Sequence
 
 from .clauses import EQUALITY_PRED, Clause, clause_signature, clausify
 from .logic import (
-    App,
-    Atom,
-    Binary,
-    Equality,
     Formula,
     Interpretation,
-    Not,
-    Quantified,
     Term,
     Var,
     evaluate,
+    symbols,
+    term_symbols,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -131,26 +128,6 @@ class _VarLayout:
         for a in args:
             idx = idx * self.n + a
         return self.func_base[name] + idx * self.n + value
-
-
-def _first_constant(clauses: Sequence[Clause]) -> str | None:
-    def scan(t: Term) -> str | None:
-        if isinstance(t, App):
-            if not t.args:
-                return t.head
-            for a in t.args:
-                found = scan(a)
-                if found is not None:
-                    return found
-        return None
-
-    for c in clauses:
-        for lit in c.literals:
-            for a in lit.args:
-                found = scan(a)
-                if found is not None:
-                    return found
-    return None
 
 
 def _ground(
@@ -363,49 +340,31 @@ def verify_model(m: Interpretation, formulas: Sequence[Formula]) -> bool:
     return all(evaluate(m, f) for f in formulas)
 
 
-def _merge_formula_signature(
-    formulas: Sequence[Formula], preds: dict[str, int], funcs: dict[str, int]
-) -> None:
-    """Clauses can drop tautological parts; decoded models must still cover
-    every symbol of the original formulas for verification."""
-
-    def term(t: Term) -> None:
-        if isinstance(t, App):
-            funcs.setdefault(t.head, len(t.args))
-            for a in t.args:
-                term(a)
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Atom):
-            preds.setdefault(f.pred, len(f.args))
-            for a in f.args:
-                term(a)
-        elif isinstance(f, Equality):
-            term(f.left)
-            term(f.right)
-        elif isinstance(f, Not):
-            walk(f.body)
-        elif isinstance(f, Binary):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, Quantified):
-            walk(f.body)
-
-    for f in formulas:
-        walk(f)
-
-
 def find_model(
     formulas: Sequence[tuple[str, Formula]], limits: EngineLimits
 ) -> ModelOutcome:
     """Search domains of increasing size for a verified model of the formulas."""
     deadline = time.monotonic() + limits.timeout
     clauses = clausify(list(formulas))
-    preds, funcs = clause_signature(clauses)
-    _merge_formula_signature([f for _, f in formulas], preds, funcs)
-    flats = [_flatten(c) for c in clauses]
-    first_constant = _first_constant(clauses)
     originals = [f for _, f in formulas]
+    preds, funcs = clause_signature(clauses)
+    # Clauses can drop tautological parts; decoded models must still cover
+    # every symbol of the original formulas for verification.
+    for f in originals:
+        for sym, arity, is_predicate in symbols(f):
+            (preds if is_predicate else funcs).setdefault(sym, arity)
+    flats = [_flatten(c) for c in clauses]
+    first_constant = next(
+        (
+            sym
+            for c in clauses
+            for lit in c.literals
+            for a in lit.args
+            for sym, arity, _ in term_symbols(a)
+            if arity == 0
+        ),
+        None,
+    )
     for n in range(1, limits.max_domain_size + 1):
         if time.monotonic() >= deadline:
             return ModelOutcome(ModelKind.ResourceOut)

@@ -42,7 +42,6 @@ PICK_GIVEN_RATIO = 4
 class SearchStats:
     generated: int
     kept: int
-    elapsed: float
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ class ProofOutcome:
     status: SzsStatus
     used_premises: frozenset[str]
     stats: SearchStats
-    axioms_inconsistent: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +458,13 @@ def _search(
     """Saturate t's premises plus the goal formulas (the negated conjecture,
     if any); a refutation answers refuted, a closed search saturated."""
     clauses = _input_clauses([(p.name, p.formula) for p in t.premises] + goal)
-    start = time.monotonic()
     sat = _Saturation(clauses, limits)
     result = sat.run()
-    stats = SearchStats(sat.generated, sat.kept, time.monotonic() - start)
+    stats = SearchStats(sat.generated, sat.kept)
     if result == "refutation":
         assert sat.empty is not None
-        origins = sat.empty.origins
         return ProofOutcome(
-            refuted,
-            frozenset(origins) - {ORIGIN_CONJECTURE, ORIGIN_EQUALITY},
-            stats,
-            axioms_inconsistent=bool(goal) and ORIGIN_CONJECTURE not in origins,
+            refuted, sat.empty.origins - {ORIGIN_CONJECTURE, ORIGIN_EQUALITY}, stats
         )
     if result == "closure":
         return ProofOutcome(saturated, frozenset(), stats)

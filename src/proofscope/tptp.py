@@ -29,6 +29,7 @@ from .logic import (
     Term,
     Truth,
     Var,
+    symbols,
 )
 
 ROLES = (
@@ -636,37 +637,13 @@ def signature_of(t: Theory) -> list[SignatureEntry]:
         if formula_name not in entry[3]:
             entry[3].append(formula_name)
 
-    def term(tm: Term, formula_name: str) -> None:
-        if isinstance(tm, App):
-            record(
-                tm.head,
-                KIND_FUNCTION if tm.args else KIND_CONSTANT,
-                len(tm.args),
-                formula_name,
-            )
-            for a in tm.args:
-                term(a, formula_name)
-
-    def walk(f: Formula, formula_name: str) -> None:
-        if isinstance(f, Atom):
-            record(f.pred, KIND_PREDICATE, len(f.args), formula_name)
-            for a in f.args:
-                term(a, formula_name)
-        elif isinstance(f, Equality):
-            term(f.left, formula_name)
-            term(f.right, formula_name)
-        elif isinstance(f, Truth):
-            pass
-        elif isinstance(f, Not):
-            walk(f.body, formula_name)
-        elif isinstance(f, Binary):
-            walk(f.left, formula_name)
-            walk(f.right, formula_name)
-        else:
-            walk(f.body, formula_name)
-
     for af in t.formulas:
-        walk(af.formula, af.name)
+        for sym, arity, is_predicate in symbols(af.formula):
+            if is_predicate:
+                kind = KIND_PREDICATE
+            else:
+                kind = KIND_FUNCTION if arity else KIND_CONSTANT
+            record(sym, kind, arity, af.name)
     return [
         SignatureEntry(sym, entry[0], entry[1], entry[2], tuple(entry[3]))
         for sym, entry in sorted(info.items())

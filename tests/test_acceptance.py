@@ -31,7 +31,6 @@ from proofscope.engines import (
     BuiltinModelFinder,
     BuiltinProver,
     EngineLimits,
-    ExternalEngine,
     run_engine,
 )
 from proofscope.logic import evaluate
@@ -335,8 +334,8 @@ def test_criterion_8_real_engine_figures():
     from proofscope.engines import preset_engine_specs
 
     specs = preset_engine_specs()
-    prover = ExternalEngine(specs["eprover"])
-    finder = ExternalEngine(specs["paradox"])
+    prover = specs["eprover"]
+    finder = specs["paradox"]
     expectations = {"GRA008+1": 2, "REL002+1": 2, "TOP024+1": 2}
     for name, path in problems.items():
         theory = parse_file(path, include_dirs=[os.environ["TPTP"]])

@@ -65,11 +65,10 @@ class TestSyntacticReprove:
 
     def test_no_premise_info_single_stage(self, prover, limits):
         from conftest import stub_spec
-        from proofscope.engines import ExternalEngine
 
         t = mk("fof(a1, axiom, p). fof(a2, axiom, q). fof(goal, conjecture, p).")
         # countersat stub has no derivation info; use a theorem stub citing nothing:
-        engine = ExternalEngine(stub_spec("theorem", "--cite", "a1", engine_id="x"))
+        engine = stub_spec("theorem", "--cite", "a1", engine_id="x")
         trace = syntactic_reprove(QuerySession(t, [engine], limits=limits), engine)
         assert [len(s[0]) for s in trace.stages] == [2, 1]
 
@@ -315,13 +314,12 @@ class TestUnknownClassification:
         verified: they land in unknown, T* retains them, and the minima
         report refuses to claim exhaustiveness."""
         from conftest import stub_spec
-        from proofscope.engines import ExternalEngine
 
         t = mk(
             "fof(a1, axiom, p). fof(a2, axiom, p => q). fof(a3, axiom, r). "
             "fof(goal, conjecture, q)."
         )
-        dead_prover = ExternalEngine(stub_spec("garbage", engine_id="dead"))
+        dead_prover = stub_spec("garbage", engine_id="dead")
         limits = EngineLimits(timeout=5.0, max_domain_size=3)
         session = QuerySession(
             t, provers=[dead_prover], counters=[model_finder], limits=limits
@@ -414,14 +412,12 @@ class TestQuerySessionPruning:
         assert self._calls(session, {"a1", "a2", "a4"}) == (Entailment.Proves, 0)
 
     def test_external_citations_never_prune(self, limits):
-        from proofscope.engines import ExternalEngine
-
         t = mk(
             "fof(a1, axiom, p). fof(a2, axiom, q). fof(a3, axiom, r). "
             "fof(goal, conjecture, p)."
         )
         # Cites only a1 although it was given all three premises.
-        stub = ExternalEngine(stub_spec("theorem", "--cite", "a1", engine_id="cites-a1"))
+        stub = stub_spec("theorem", "--cite", "a1", engine_id="cites-a1")
         session = QuerySession(t, provers=[stub], limits=limits)
         verdict = session.run_engine(frozenset(t.premise_names), stub)
         assert verdict.used_premises == {"a1"}

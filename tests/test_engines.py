@@ -9,7 +9,6 @@ from proofscope.engines import (
     EngineConfigError,
     EngineLimits,
     EngineSpec,
-    ExternalEngine,
     extract_used_premises,
     load_engine_config,
     parse_szs,
@@ -90,6 +89,13 @@ class TestRunEngine:
         assert verdict.has_premise_info
         assert verdict.raw_output_digest
 
+    def test_digest_ignores_the_temp_file_path(self):
+        """The stub cites its input file, whose name differs on every call."""
+        t = mk(FOUR_PREMISES)
+        spec = stub_spec("theorem", "--cite", "a1")
+        first = run_engine(spec, t, 10)
+        assert first.raw_output_digest == run_engine(spec, t, 10).raw_output_digest
+
     def test_contradictory_axioms_with_citations(self):
         t = mk(FOUR_PREMISES)
         verdict = run_engine(stub_spec("contradictory", "--cite", "a2,a4"), t, 10)
@@ -166,7 +172,7 @@ class TestEngineConfig:
         specs = load_engine_config(str(cfg))
         engines = resolve_engines(["builtin-prover", "mystub"], specs)
         assert engines[0].id == "builtin-prover"
-        assert isinstance(engines[1], ExternalEngine)
+        assert isinstance(engines[1], EngineSpec)
 
     def test_unknown_engine_id(self):
         with pytest.raises(EngineConfigError, match="unknown engine id"):

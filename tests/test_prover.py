@@ -49,7 +49,6 @@ class TestProve:
         out = prove(puz001, EngineLimits(timeout=60))
         assert out.status == SzsStatus.Theorem
         assert out.used_premises <= set(puz001.premise_names)
-        assert not out.axioms_inconsistent
 
     def test_soundness_spot_check_reprove_used(self, puz001):
         """Restricting to the used premises must still prove the conjecture."""
@@ -58,11 +57,10 @@ class TestProve:
         again = prove(sub, EngineLimits(timeout=60))
         assert again.status == SzsStatus.Theorem
 
-    def test_axioms_inconsistent_flag(self):
+    def test_inconsistent_axioms_prove_any_conjecture(self):
         t = mk("fof(a1, axiom, p). fof(a2, axiom, ~p). fof(goal, conjecture, q).")
         out = prove(t, LIMITS)
         assert out.status == SzsStatus.Theorem
-        assert out.axioms_inconsistent
         assert out.used_premises == {"a1", "a2"}
 
     def test_equality_reasoning_via_congruence(self):
