@@ -11,6 +11,7 @@ from enum import Enum
 from typing import Sequence
 
 from .engines import EngineLimits, EngineVerdict
+from .logic import Binary, Formula, Interpretation, Not, Quantified, evaluate, symbols
 from .modelfinder import model_to_tables, model_to_text
 from .tptp import AnnotatedFormula, Theory
 from .verdicts import Entailment, ProblemKind, SzsStatus, classify, combine
@@ -101,6 +102,22 @@ class ConsistencyReport:
 GOAL_CONJECTURE = ("conjecture",)
 GOAL_UNSAT = ("unsat",)
 
+# Growing a non-proving set evaluates premises in a countermodel.  A premise
+# whose deepest quantifier path binds k variables costs about domain_size ** k
+# assignments; above this many it is left out of the grown set.
+GROW_EVAL_CAP = 4096
+
+
+def _bound_depth(f: Formula) -> int:
+    """Variables bound along the formula's deepest quantifier path."""
+    if isinstance(f, Quantified):
+        return len(f.variables) + _bound_depth(f.body)
+    if isinstance(f, Binary):
+        return max(_bound_depth(f.left), _bound_depth(f.right))
+    if isinstance(f, Not):
+        return _bound_depth(f.body)
+    return 0
+
 
 class QuerySession:
     """Dispatches entailment queries to engines with caching and pruning.
@@ -109,7 +126,12 @@ class QuerySession:
     verdicts additionally feed monotonicity pruning: a superset of a proving
     set proves, a subset of a non-proving set does not prove.  When a verdict
     marks its used premises as exact, the proving set recorded is the part of
-    the query set the proof used, not the whole query set.  Cache hits and
+    the query set the proof used, not the whole query set.  When a verdict
+    carries a finite model of the query set (and of the negated goal), the
+    non-proving set recorded is grown to every premise of the theory that is
+    true in that model, with symbols the model lacks read as predicates true
+    everywhere and functions constantly 0.  Only the built-in model finder
+    hands back a model, so external engines never grow.  Cache hits and
     pruned queries consume no engine calls, so reports are deterministic for
     a fixed query issue order.
     """
@@ -134,6 +156,13 @@ class QuerySession:
         self._entailments: dict[tuple, Entailment] = {}
         self._proving: dict[tuple, list[frozenset[str]]] = {}
         self._not_proving: dict[tuple, list[frozenset[str]]] = {}
+        # Symbol arities and quantifier depths for growing non-proving sets.
+        self._preds: dict[str, int] = {}
+        self._funcs: dict[str, int] = {}
+        for f in theory.formulas:
+            for sym, arity, is_predicate in symbols(f.formula):
+                (self._preds if is_predicate else self._funcs).setdefault(sym, arity)
+        self._depth = {p.name: _bound_depth(p.formula) for p in theory.premises}
 
     # -- query construction -------------------------------------------------
 
@@ -188,16 +217,55 @@ class QuerySession:
             if ent == Entailment.Proves and verdict.premises_exact:
                 # The premises the proof used prove the goal on their own.
                 names = verdict.used_premises & names
+            elif ent == Entailment.DoesNotProve and verdict.model is not None:
+                names = self._grow(names, verdict.model)
             self._note(goal, names, ent)
         return [self._verdicts[k] for k in keys]
+
+    def _grow(self, names: frozenset[str], model: Interpretation) -> frozenset[str]:
+        """names plus every other premise true in the model, extended to the
+        theory's signature.  The goal's symbols are interpreted by the model
+        already, so the extension is a model of the result and the negated
+        goal; an ("axiom", name) target is false in it and never added."""
+        n = model.domain_size
+        candidates = [
+            p
+            for p in self.theory.premises
+            if p.name not in names and n ** self._depth[p.name] <= GROW_EVAL_CAP
+        ]
+        if not candidates:
+            return names
+
+        def table(tables: dict, name: str, arity: int, default):
+            # A table of another arity is a Skolem function that the
+            # clausifier named like a symbol outside the query.
+            known = tables.get(name)
+            if known is not None and len(next(iter(known))) == arity:
+                return known
+            return dict.fromkeys(itertools.product(range(n), repeat=arity), default)
+
+        extended = Interpretation(
+            n,
+            {s: table(model.predicates, s, a, True) for s, a in self._preds.items()},
+            {s: table(model.functions, s, a, 0) for s, a in self._funcs.items()},
+        )
+        return names | {p.name for p in candidates if evaluate(extended, p.formula)}
 
     # -- entailment decisions -------------------------------------------------
 
     def _note(self, goal: tuple, names: frozenset[str], ent: Entailment) -> None:
+        """Record a decided set.  Each list stays an antichain: a set that an
+        entry already implies is not added, and the entries the new set
+        implies are dropped."""
         if ent == Entailment.Proves:
-            self._proving.setdefault(goal, []).append(names)
+            known, implies = self._proving.setdefault(goal, []), frozenset.__le__
         elif ent == Entailment.DoesNotProve:
-            self._not_proving.setdefault(goal, []).append(names)
+            known, implies = self._not_proving.setdefault(goal, []), frozenset.__ge__
+        else:
+            return
+        if not any(implies(k, names) for k in known):
+            known[:] = [k for k in known if not implies(names, k)]
+            known.append(names)
 
     def _monotone(self, goal: tuple, names: frozenset[str]) -> Entailment | None:
         for known in self._proving.get(goal, ()):
@@ -339,7 +407,9 @@ def enumerate_minima(
     Candidates are visited in ascending size, then lexicographically by
     premise declaration order; supersets of found minima and subsets of sets
     already shown insufficient are pruned.  Unknown premises are treated as
-    needed and make the report non-exhaustive.
+    needed and make the report non-exhaustive.  Candidates go to the model
+    finder first: most do not prove, and a countermodel grows the set shown
+    insufficient.
     """
     order = {name: i for i, name in enumerate(session.theory.premise_names)}
     core = frozenset(cls.needed | cls.unknown)
@@ -361,7 +431,7 @@ def enumerate_minima(
                 exhaustive = False
                 stopped = True
                 break
-            [ent] = session.decide([candidate], prefer="prove")
+            [ent] = session.decide([candidate], prefer="counter")
             if ent == Entailment.Undetermined:
                 exhaustive = False
                 continue
@@ -474,7 +544,8 @@ def independence_failfast(
     session: QuerySession, max_subset_size: int | None = None
 ) -> IndependenceReport:
     """Try small subsets first: for k = 1.. test every size-k subset of the
-    other axioms against each axiom, returning the first derivation found."""
+    other axioms against each axiom, returning the first derivation found.
+    Probes go to the model finder first, since most fail."""
     names = session.theory.premise_names
     if len(names) < 2:
         raise AnalysisError("fail-fast independence needs at least two axioms")
@@ -488,7 +559,7 @@ def independence_failfast(
             others = [m for m in names if m != name]
             for combo in itertools.combinations(others, k):
                 subset = frozenset(combo)
-                [ent] = session.decide([subset], prefer="prove", goal=_axiom_goal(name))
+                [ent] = session.decide([subset], prefer="counter", goal=_axiom_goal(name))
                 if ent == Entailment.Proves:
                     per_axiom[name] = Entailment.Proves
                     return IndependenceReport(
@@ -511,7 +582,8 @@ def independence_failfast(
 
 def independence_random(session: QuerySession, trials: int, seed: int) -> IndependenceReport:
     """Randomized probing: pick an axiom and a random nonempty subset of the
-    others, test derivability.  Never concludes Independent."""
+    others, test derivability (model finder first).  Never concludes
+    Independent."""
     if trials < 1:
         raise AnalysisError("trials must be at least 1")
     names = session.theory.premise_names
@@ -529,7 +601,7 @@ def independence_random(session: QuerySession, trials: int, seed: int) -> Indepe
             if chosen:
                 break
         subset = frozenset(chosen)
-        [ent] = session.decide([subset], prefer="prove", goal=_axiom_goal(name))
+        [ent] = session.decide([subset], prefer="counter", goal=_axiom_goal(name))
         if ent == Entailment.Proves:
             per_axiom[name] = Entailment.Proves
             return IndependenceReport(

@@ -1,10 +1,13 @@
 """Analysis procedure tests: reproving, minima, independence, consistency."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proofscope.analysis import (
+    GROW_EVAL_CAP,
     AnalysisError,
     Confirmation,
     IndependenceVerdict,
@@ -20,10 +23,11 @@ from proofscope.analysis import (
     syntactic_reprove,
 )
 from proofscope.engines import EngineLimits
+from proofscope.logic import Atom, Binary, Not
 from proofscope.tptp import AnnotatedFormula, Theory
 from proofscope.verdicts import Entailment, ProblemKind, SzsStatus, classify
 
-from conftest import mk, prop_entails, stub_spec
+from conftest import mk, prop_entails, random_closed_formula, stub_spec
 from corpus import ORACLE_THEORIES, UNSAT_CLAUSE_SETS
 
 LIMITS = EngineLimits(timeout=20.0, max_domain_size=3)
@@ -425,13 +429,130 @@ class TestQuerySessionPruning:
         # {a1, a3} contains the cited premises but not the query set.
         assert self._calls(session, {"a1", "a3"}) == (Entailment.Proves, 1)
 
+    def test_countermodel_grows_non_proving_set(self, prover, model_finder):
+        t = mk(
+            "fof(a1, axiom, p). fof(a2, axiom, p => q). fof(a3, axiom, r). "
+            "fof(a4, axiom, s). fof(goal, conjecture, q)."
+        )
+        session = QuerySession(t, provers=[prover], counters=[model_finder], limits=LIMITS)
+        assert self._calls(session, {"a2"}, prefer="counter") == (Entailment.DoesNotProve, 1)
+        # The model makes p and q false; r and s are absent from it, so read
+        # as true everywhere: the recorded set is {a2, a3, a4}.
+        assert self._calls(session, {"a3", "a4"}) == (Entailment.DoesNotProve, 0)
+        assert self._calls(session, {"a2", "a3", "a4"}) == (Entailment.DoesNotProve, 0)
+        ent, calls = self._calls(session, {"a1", "a2"})
+        assert ent == Entailment.Proves
+        assert calls > 0
 
-def _oracle(prover, t, names, goal) -> Entailment:
+    def test_premise_above_evaluation_cap_not_grown(self, prover, model_finder):
+        # Two distinct elements force domain size 2, and 2 ** k exceeds the
+        # cap for the k variables bound in a_big.
+        k = GROW_EVAL_CAP.bit_length()
+        assert 2**k > GROW_EVAL_CAP
+        variables = ",".join(f"X{i}" for i in range(k))
+        t = mk(
+            "fof(a1, axiom, ?[X,Y]: X != Y). "
+            "fof(a_small, axiom, ![X0]: (p(X0) | ~p(X0))). "
+            f"fof(a_big, axiom, ![{variables}]: (p(X0) | ~p(X0))). "
+            "fof(goal, conjecture, q)."
+        )
+        session = QuerySession(t, provers=[prover], counters=[model_finder], limits=LIMITS)
+        assert self._calls(session, {"a1"}, prefer="counter") == (Entailment.DoesNotProve, 1)
+        assert self._calls(session, {"a1", "a_small"}) == (Entailment.DoesNotProve, 0)
+        ent, calls = self._calls(session, {"a1", "a_big"}, prefer="counter")
+        assert ent == Entailment.DoesNotProve
+        assert calls > 0
+
+    def test_external_model_finder_never_grows(self, prover):
+        t = mk(
+            "fof(a1, axiom, p). fof(a2, axiom, p => q). fof(a3, axiom, r). "
+            "fof(goal, conjecture, q)."
+        )
+        finder = stub_spec("countersat", engine_id="stub-finder", caps=("finds_models",))
+        session = QuerySession(t, provers=[prover], counters=[finder], limits=LIMITS)
+        verdict = session.run_engine(frozenset({"a2"}), finder)
+        assert verdict.model is None
+        ent, calls = self._calls(session, {"a3"}, prefer="counter")
+        assert ent == Entailment.DoesNotProve
+        assert calls > 0
+
+    def test_axiom_goal_never_grows_into_its_target(self, prover, model_finder):
+        t = mk("fof(a1, axiom, p). fof(a2, axiom, q). fof(a3, axiom, r).")
+        session = QuerySession(t, provers=[prover], counters=[model_finder], limits=LIMITS)
+        goal = ("axiom", "a3")
+        assert self._calls(session, {"a1"}, goal=goal, prefer="counter") == (
+            Entailment.DoesNotProve,
+            1,
+        )
+        # a2 is true in the extended model and a3 is false in it.
+        assert self._calls(session, {"a1", "a2"}, goal=goal) == (Entailment.DoesNotProve, 0)
+        ent, calls = self._calls(session, {"a1", "a3"}, goal=goal, prefer="counter")
+        assert ent == Entailment.DoesNotProve
+        assert calls > 0
+
+    def test_unsat_mode_grows_from_a_model(self, prover, model_finder):
+        t = mk(
+            "fof(a1, axiom, p). fof(a2, axiom, ~p). fof(a3, axiom, q). "
+            "fof(a4, axiom, r)."
+        )
+        session = QuerySession(
+            t, provers=[prover], counters=[model_finder], limits=LIMITS, unsat_mode=True
+        )
+        assert self._calls(session, {"a1"}, prefer="counter") == (Entailment.DoesNotProve, 1)
+        assert self._calls(session, {"a1", "a3", "a4"}) == (Entailment.DoesNotProve, 0)
+        ent, calls = self._calls(session, {"a1", "a2"})
+        assert ent == Entailment.Proves
+        assert calls > 0
+
+
+# Twelve premises: a start fact, two routes of three links to the goal, and a
+# dead-end chain d1 -> d2 -> d3 with the derivable shortcut d1 -> d3.
+CHAIN_12 = "\n".join(
+    [
+        "fof(start, axiom, p0(c)).",
+        *(
+            f"fof({name}, axiom, ![X]: ({src}(X) => {dst}(X)))."
+            for name, src, dst in [
+                ("r1", "p0", "p1"), ("r2", "p1", "p2"), ("r3", "p2", "goal"),
+                ("s1", "p0", "p3"), ("s2", "p3", "p4"), ("s3", "p4", "goal"),
+                ("x1", "p0", "d1"), ("x2", "d1", "d2"), ("x3", "d2", "d3"),
+                ("x4", "p3", "d4"), ("x5", "d1", "d3"),
+            ]
+        ),
+        "fof(conj, conjecture, goal(c)).",
+    ]
+)
+
+
+def test_chain_engine_calls_pinned(prover, model_finder):
+    """minimize and fail-fast independence on a 12-premise chain, counted in
+    engine calls.  Countermodel growth answers most subset queries: without
+    it the same analyses make 1572 and 790 calls."""
+    t = mk(CHAIN_12)
+    session = QuerySession(t, [prover], [model_finder], LIMITS)
+    assert session.decide([frozenset(t.premise_names)]) == [Entailment.Proves]
+    cls, confirmation = semantic_reprove(session)
+    assert confirmation == Confirmation.NotSufficient
+    minima = enumerate_minima(session, cls)
+    assert minima.minima == (
+        frozenset({"start", "r1", "r2", "r3"}),
+        frozenset({"start", "s1", "s2", "s3"}),
+    )
+    assert minima.exhaustive
+    assert session.engine_calls == 14
+
+    axioms = QuerySession(t.without_conjecture(), [prover], [model_finder], LIMITS)
+    report = independence_failfast(axioms)
+    assert report.witness == ("x5", frozenset({"x2", "x3"}))
+    assert axioms.engine_calls == 21
+
+
+def _oracle(prover, t, names, goal, limits=LIMITS) -> Entailment:
     """Uncached answer for one premise subset: the prover on a theory built
     here, sharing no code with QuerySession."""
     if goal == ("unsat",):
         premises = tuple(f for f in t.premises if f.name in names)
-        verdict = prover.run(Theory(premises), LIMITS)
+        verdict = prover.run(Theory(premises), limits)
         return classify(verdict.status, ProblemKind.no_conjecture_unsat)
     if goal == ("conjecture",):
         premises = tuple(f for f in t.premises if f.name in names)
@@ -440,7 +561,7 @@ def _oracle(prover, t, names, goal) -> Entailment:
         target = t[goal[1]]
         premises = tuple(f for f in t.premises if f.name in names and f is not target)
         conj = AnnotatedFormula(target.name, "conjecture", target.formula, target.source)
-    verdict = prover.run(Theory(premises + (conj,)), LIMITS)
+    verdict = prover.run(Theory(premises + (conj,)), limits)
     return classify(verdict.status, ProblemKind.has_conjecture)
 
 
@@ -450,25 +571,75 @@ def _oracle(prover, t, names, goal) -> Entailment:
     ids=[n for n, _ in ORACLE_THEORIES + UNSAT_CLAUSE_SETS],
 )
 def test_warm_session_agrees_with_uncached_prover(prover, model_finder, name, text):
-    """Pruning (by query sets and by used premises) never changes a decisive
-    answer: after a session has run the analyses, its answer on every
-    premise subset equals the prover's answer without any cache."""
+    """Pruning (by query sets, by used premises and by countermodel-grown
+    sets) never changes a decisive answer: after a session has run the
+    analyses, its answer on every premise subset, asked with either engine
+    group first, equals the prover's answer without any cache."""
     t = mk(text)
     unsat = t.conjecture is None
-    session = QuerySession(
-        t, provers=[prover], counters=[model_finder], limits=LIMITS, unsat_mode=unsat
-    )
-    cls, _ = semantic_reprove(session)
-    enumerate_minima(session, cls)
-    independence_naive(session)
     names = t.premise_names
-    goals = [session.default_goal()] + [("axiom", n) for n in names]
-    for goal in goals:
-        for k in range(len(names) + 1):
-            for subset in itertools.combinations(names, k):
-                expected = _oracle(prover, t, subset, goal)
-                if expected == Entailment.Undetermined:
-                    continue
-                [got] = session.decide([frozenset(subset)], goal=goal)
-                assert got == expected, (goal, subset)
+    goals = [("unsat",) if unsat else ("conjecture",)] + [("axiom", n) for n in names]
+    expected = {
+        (goal, subset): _oracle(prover, t, subset, goal)
+        for goal in goals
+        for k in range(len(names) + 1)
+        for subset in itertools.combinations(names, k)
+    }
+    for prefer in ("prove", "counter"):
+        session = QuerySession(
+            t, provers=[prover], counters=[model_finder], limits=LIMITS, unsat_mode=unsat
+        )
+        cls, _ = semantic_reprove(session)
+        enumerate_minima(session, cls)
+        independence_naive(session)
+        if len(names) >= 2:
+            independence_failfast(session)
+        independence_random(session, trials=20, seed=5)
+        for (goal, subset), want in expected.items():
+            if want == Entailment.Undetermined:
+                continue
+            [got] = session.decide([frozenset(subset)], prefer=prefer, goal=goal)
+            assert got == want, (prefer, goal, subset)
 
+
+# Propositions over q/0, r/0 and s/0, and conftest's random closed formulas
+# over p/1, q/0, f/1, a and b (with equality).
+_FORMULAS = st.one_of(
+    st.recursive(
+        st.sampled_from(["q", "r", "s"]).map(Atom),
+        lambda sub: st.one_of(
+            sub.map(Not),
+            st.builds(Binary, st.sampled_from(["&", "|", "=>", "<=>"]), sub, sub),
+        ),
+        max_leaves=4,
+    ),
+    st.integers(0, 2**16).map(lambda n: random_closed_formula(random.Random(n), 1)),
+)
+
+
+# The clause cap, not the clock, stops the saturations that equality makes
+# endless, so both sides reach the same ResourceOut.
+SMALL_LIMITS = EngineLimits(timeout=10.0, max_domain_size=3, max_clause_count=300)
+
+
+@given(premises=st.lists(_FORMULAS, min_size=1, max_size=3), conjecture=_FORMULAS)
+def test_growing_session_agrees_with_uncached_prover(
+    prover, model_finder, premises, conjecture
+):
+    """On small random theories, a session that asks the model finder first,
+    and so grows every countermodel, answers each premise subset like the
+    uncached prover."""
+    t = Theory(
+        tuple(AnnotatedFormula(f"a{i}", "axiom", f) for i, f in enumerate(premises))
+        + (AnnotatedFormula("goal", "conjecture", conjecture),)
+    )
+    session = QuerySession(
+        t, provers=[prover], counters=[model_finder], limits=SMALL_LIMITS
+    )
+    names = t.premise_names
+    for k in range(len(names) + 1):
+        for subset in itertools.combinations(names, k):
+            want = _oracle(prover, t, subset, ("conjecture",), SMALL_LIMITS)
+            [got] = session.decide([frozenset(subset)], prefer="counter")
+            if want != Entailment.Undetermined:
+                assert got == want, subset
