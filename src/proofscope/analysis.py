@@ -120,20 +120,22 @@ def _bound_depth(f: Formula) -> int:
 
 
 class QuerySession:
-    """Dispatches entailment queries to engines with caching and pruning.
+    """The one path from an analysis to an engine, with caching and pruning.
 
-    The cache is keyed by (goal, premise-name set, engine); decided engine
-    verdicts additionally feed monotonicity pruning: a superset of a proving
-    set proves, a subset of a non-proving set does not prove.  When a verdict
-    marks its used premises as exact, the proving set recorded is the part of
-    the query set the proof used, not the whole query set.  When a verdict
-    carries a finite model of the query set (and of the negated goal), the
-    non-proving set recorded is grown to every premise of the theory that is
-    true in that model, with symbols the model lacks read as predicates true
-    everywhere and functions constantly 0.  Only the built-in model finder
-    hands back a model, so external engines never grow.  Cache hits and
-    pruned queries consume no engine calls, so reports are deterministic for
-    a fixed query issue order.
+    Its one cache holds engine verdicts, keyed by (goal, premise-name set,
+    engine).  Decided verdicts feed monotonicity pruning: a superset of a
+    proving set proves, a subset of a non-proving set does not prove; a set
+    no engine decided is re-combined from the cache.  When a verdict marks its
+    used premises as exact, the proving set recorded is the part of the query
+    set the proof used, not the whole query set.  When a verdict carries a
+    finite model of the query set (and of the negated goal), the non-proving
+    set recorded is grown to every premise of the theory that is true in that
+    model, with symbols the model lacks read as predicates true everywhere
+    and functions constantly 0.  Only the built-in model finder hands back a
+    model, so external engines never grow.  A theory without a conjecture is
+    an Unsatisfiable-mode task: the default goal refutes its premises.  Cache
+    hits and pruned queries consume no engine calls, so reports are
+    deterministic for a fixed order of queries.
     """
 
     def __init__(
@@ -143,17 +145,14 @@ class QuerySession:
         counters: Sequence = (),
         limits: EngineLimits | None = None,
         parallelism: int = 1,
-        unsat_mode: bool = False,
     ):
         self.theory = theory
         self.provers = list(provers)
         self.counters = list(counters)
         self.limits = limits or EngineLimits()
         self.parallelism = max(1, parallelism)
-        self.unsat_mode = unsat_mode
         self.engine_calls = 0
         self._verdicts: dict[tuple, EngineVerdict] = {}
-        self._entailments: dict[tuple, Entailment] = {}
         self._proving: dict[tuple, list[frozenset[str]]] = {}
         self._not_proving: dict[tuple, list[frozenset[str]]] = {}
         # Symbol arities and quantifier depths for growing non-proving sets.
@@ -172,17 +171,24 @@ class QuerySession:
         return ProblemKind.has_conjecture
 
     def query_theory(self, names: frozenset[str], goal: tuple) -> Theory:
+        t = self.theory.restrict(names)
+        c = t.conjecture
         if goal == GOAL_UNSAT:
-            return self.theory.restrict(names).without_conjecture()
+            # Refute the named formulas: a named conjecture joins them as an
+            # axiom, after the premises.
+            if c is None or c.name not in names:
+                return t.without_conjecture()
+            as_axiom = AnnotatedFormula(c.name, "axiom", c.formula, c.source)
+            return Theory(t.premises + (as_axiom,), origin=t.origin)
         if goal == GOAL_CONJECTURE:
-            if self.theory.conjecture is None:
+            if c is None:
                 raise AnalysisError("theory has no conjecture")
-            return self.theory.restrict(names)
+            return t
         # goal = ("axiom", name): derive that axiom from the given premises.
-        return self.theory.restrict(names).with_conjecture(self.theory[goal[1]])
+        return t.with_conjecture(self.theory[goal[1]])
 
     def default_goal(self) -> tuple:
-        return GOAL_UNSAT if self.unsat_mode else GOAL_CONJECTURE
+        return GOAL_UNSAT if self.theory.conjecture is None else GOAL_CONJECTURE
 
     # -- engine invocation ---------------------------------------------------
 
@@ -276,11 +282,6 @@ class QuerySession:
                 return Entailment.DoesNotProve
         return None
 
-    def _known(self, goal: tuple, names: frozenset[str]) -> Entailment | None:
-        """The cached or monotonicity-implied answer, if any; no engine runs."""
-        cached = self._entailments.get((goal, names))
-        return cached if cached is not None else self._monotone(goal, names)
-
     def decide(
         self,
         query_sets: Sequence[frozenset[str]],
@@ -302,26 +303,22 @@ class QuerySession:
             else [self.provers, self.counters]
         )
         if self.parallelism > 1:
-            pending = [names for names in query_sets if self._known(goal, names) is None]
+            pending = [names for names in query_sets if self._monotone(goal, names) is None]
             self._run([(names, e) for names in pending for e in phases[0]], goal)
         return [self._decide_one(names, phases, goal) for names in query_sets]
 
     def _decide_one(self, names: frozenset[str], phases: list, goal: tuple) -> Entailment:
-        result = self._known(goal, names)
-        if result is None:
-            kind = self.kind_for(goal)
-            collected: list[Entailment] = []
-            result = Entailment.Undetermined
-            for phase in phases:
-                if not phase:
-                    continue
-                verdicts = self._run([(names, e) for e in phase], goal)
-                collected.extend(classify(v.status, kind) for v in verdicts)
-                result = combine(collected)
-                if result != Entailment.Undetermined:
-                    break
-        self._entailments[(goal, names)] = result
-        return result
+        result = self._monotone(goal, names)
+        if result is not None:
+            return result
+        kind = self.kind_for(goal)
+        collected: list[Entailment] = []
+        for phase in phases:
+            verdicts = self._run([(names, e) for e in phase], goal)
+            collected.extend(classify(v.status, kind) for v in verdicts)
+            if combine(collected) != Entailment.Undetermined:
+                break
+        return combine(collected)
 
 
 # ---------------------------------------------------------------------------
@@ -624,25 +621,28 @@ _CONSISTENCY_OUTCOMES = {
 }
 
 
+# On the axioms plus the negated conjecture, Theorem: the negation contradicts them.
+_NEGATED_CONJECTURE_OUTCOMES = {**_CONSISTENCY_OUTCOMES, SzsStatus.Theorem: "Unsatisfiable"}
+
+
 def _consistency_check(
     label: str,
-    t: Theory,
-    finder,
-    limits: EngineLimits,
+    verdict: EngineVerdict,
+    budget: float,
     readings: dict[str, str],
+    outcomes: dict[SzsStatus, str] = _CONSISTENCY_OUTCOMES,
 ) -> ConsistencyCheck:
-    verdict = finder.run(t, limits)
     if verdict.status == SzsStatus.GaveUp and verdict.exhausted_size is not None:
         outcome = "ExhaustedUpTo"
     else:
-        outcome = _CONSISTENCY_OUTCOMES.get(verdict.status, "Unknown")
+        outcome = outcomes.get(verdict.status, "Unknown")
     model = verdict.model
     return ConsistencyCheck(
         label=label,
-        engine_id=finder.id,
+        engine_id=verdict.engine_id,
         outcome=outcome,
         reading=readings.get(outcome, outcome),
-        budget=limits.timeout,
+        budget=budget,
         domain_size=model.domain_size if model else None,
         exhausted_size=verdict.exhausted_size,
         model_text=model_to_text(model) if model else None,
@@ -650,17 +650,22 @@ def _consistency_check(
     )
 
 
-def consistency_triple(t: Theory, finder, limits: EngineLimits) -> ConsistencyReport:
+def consistency_triple(session: QuerySession) -> ConsistencyReport:
     """Model-search the axioms alone, with the conjecture, and with its negation.
 
-    The third check hands the finder t itself: a model of the axioms that
+    All three checks go to the session's first model finder.  The third asks
+    whether the premises yield the conjecture: a model of the axioms that
     falsifies the conjecture is a countermodel.
     """
+    if not session.counters:
+        raise AnalysisError("consistency checking needs a model-finding engine")
+    finder = session.counters[0]
+    budget = session.limits.timeout
+    premises = frozenset(session.theory.premise_names)
     first = _consistency_check(
         "axioms",
-        t.without_conjecture(),
-        finder,
-        limits,
+        session.run_engine(premises, finder, GOAL_UNSAT),
+        budget,
         {
             "ModelFound": "axioms are consistent (finite model found)",
             "ExhaustedUpTo": "no finite model within bounds; axioms may be inconsistent",
@@ -669,14 +674,12 @@ def consistency_triple(t: Theory, finder, limits: EngineLimits) -> ConsistencyRe
         },
     )
     second = third = None
-    conj = t.conjecture
+    conj = session.theory.conjecture
     if conj is not None:
-        as_axiom = AnnotatedFormula(conj.name, "axiom", conj.formula, conj.source)
         second = _consistency_check(
             "axioms plus conjecture",
-            Theory(t.premises + (as_axiom,), origin=t.origin),
-            finder,
-            limits,
+            session.run_engine(premises | {conj.name}, finder, GOAL_UNSAT),
+            budget,
             {
                 "ModelFound": "axioms plus conjecture are consistent",
                 "ExhaustedUpTo": "no finite model within bounds for axioms plus conjecture",
@@ -686,14 +689,14 @@ def consistency_triple(t: Theory, finder, limits: EngineLimits) -> ConsistencyRe
         )
         third = _consistency_check(
             "axioms plus negated conjecture",
-            t,
-            finder,
-            limits,
+            session.run_engine(premises, finder, GOAL_CONJECTURE),
+            budget,
             {
                 "ModelFound": "conjecture is countersatisfiable: not derivable from the axioms",
                 "ExhaustedUpTo": "no countermodel within bounds; consistent with the conjecture being a theorem",
                 "Unsatisfiable": "negated conjecture contradicts the axioms: conjecture is a theorem",
                 "ResourceOut": "search ran out of resources",
             },
+            _NEGATED_CONJECTURE_OUTCOMES,
         )
     return ConsistencyReport(first, second, third)

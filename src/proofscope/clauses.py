@@ -69,9 +69,6 @@ class Clause:
     def weight(self) -> int:
         return sum(literal_weight(l) for l in self.literals)
 
-    def is_empty(self) -> bool:
-        return not self.literals
-
     def __str__(self) -> str:
         return "{" + " | ".join(map(str, self.literals)) + "}"
 

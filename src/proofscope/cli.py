@@ -177,7 +177,6 @@ def _session(
         counters=[e for e in engines if CAP_FINDS_MODELS in e.capabilities],
         limits=cfg.limits,
         parallelism=cfg.parallelism,
-        unsat_mode=cfg.unsat_mode,
     )
     return session, [e.id for e in engines]
 
@@ -299,19 +298,14 @@ def cmd_consistency(theory: Theory, cfg: RunConfig, args, err) -> Outcome:
     session, engines = _session(
         cfg, theory, CAP_FINDS_MODELS, "consistency checking needs a model-finding engine"
     )
-    result = analysis.consistency_triple(theory, session.counters[0], cfg.limits)
-    checks = (
-        result.axioms_only,
-        result.axioms_plus_conjecture,
-        result.axioms_plus_negated_conjecture,
-    )
+    result = analysis.consistency_triple(session)
     return Outcome(
         "consistency",
         theory,
         engines,
         rpt.consistency_to_dict(result),
         EXIT_OK,
-        engine_calls=sum(1 for c in checks if c is not None),
+        engine_calls=session.engine_calls,
     )
 
 

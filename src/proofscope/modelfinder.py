@@ -343,16 +343,21 @@ def verify_model(m: Interpretation, formulas: Sequence[Formula]) -> bool:
 def find_model(
     formulas: Sequence[tuple[str, Formula]], limits: EngineLimits
 ) -> ModelOutcome:
-    """Search domains of increasing size for a verified model of the formulas."""
+    """Search domains of increasing size for a verified model of the formulas.
+
+    A symbol used at two arities is an input error (ValueError)."""
     deadline = time.monotonic() + limits.timeout
     clauses = clausify(list(formulas))
     originals = [f for _, f in formulas]
     preds, funcs = clause_signature(clauses)
     # Clauses can drop tautological parts; decoded models must still cover
-    # every symbol of the original formulas for verification.
+    # every symbol of the original formulas for verification.  Skolem
+    # functions are fresh, so a clash of arities is in the input.
     for f in originals:
         for sym, arity, is_predicate in symbols(f):
-            (preds if is_predicate else funcs).setdefault(sym, arity)
+            table = preds if is_predicate else funcs
+            if table.setdefault(sym, arity) != arity:
+                raise ValueError(f"symbol {sym} used with arity {table[sym]} and arity {arity}")
     flats = [_flatten(c) for c in clauses]
     first_constant = next(
         (

@@ -226,9 +226,7 @@ def test_criterion_6_coincidence_with_independence():
         theory = mk(text)
         formulas = {f.name: f.formula for f in theory.premises}
         assert not prop_satisfiable(formulas.values()), f"{name} is satisfiable"
-        session = QuerySession(
-            theory, provers=[prover], counters=[finder], limits=limits, unsat_mode=True
-        )
+        session = QuerySession(theory, provers=[prover], counters=[finder], limits=limits)
         cls, _ = semantic_reprove(session)
         assert not cls.unknown, name
         oracle_needed = {

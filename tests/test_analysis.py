@@ -22,12 +22,12 @@ from proofscope.analysis import (
     semantic_reprove,
     syntactic_reprove,
 )
-from proofscope.engines import EngineLimits
+from proofscope.engines import EngineLimits, EngineVerdict
 from proofscope.logic import Atom, Binary, Not
-from proofscope.tptp import AnnotatedFormula, Theory
+from proofscope.tptp import AnnotatedFormula, Theory, parse_file, render_theory
 from proofscope.verdicts import Entailment, ProblemKind, SzsStatus, classify
 
-from conftest import mk, prop_entails, random_closed_formula, stub_spec
+from conftest import PROBLEM_DIR, mk, prop_entails, random_closed_formula, stub_spec
 from corpus import ORACLE_THEORIES, UNSAT_CLAUSE_SETS
 
 LIMITS = EngineLimits(timeout=20.0, max_domain_size=3)
@@ -287,29 +287,119 @@ class TestIndependence:
 class TestConsistencyTriple:
     def test_toy_theorem(self, model_finder):
         t = mk("fof(a1, axiom, p). fof(goal, conjecture, p).")
-        report = consistency_triple(t, model_finder, LIMITS)
+        report = consistency_triple(QuerySession(t, counters=[model_finder], limits=LIMITS))
         assert report.axioms_only.outcome == "ModelFound"
         assert report.axioms_plus_conjecture.outcome == "ModelFound"
         assert report.axioms_plus_negated_conjecture.outcome == "ExhaustedUpTo"
 
     def test_countersatisfiable_toy(self, model_finder):
         t = mk("fof(a1, axiom, p). fof(goal, conjecture, q).")
-        report = consistency_triple(t, model_finder, LIMITS)
+        report = consistency_triple(QuerySession(t, counters=[model_finder], limits=LIMITS))
         assert report.axioms_plus_negated_conjecture.outcome == "ModelFound"
         assert "countersatisfiable" in report.axioms_plus_negated_conjecture.reading
 
     def test_inconsistent_axioms(self, model_finder):
         t = mk("fof(a1, axiom, p). fof(a2, axiom, ~p).")
-        report = consistency_triple(t, model_finder, LIMITS)
+        report = consistency_triple(QuerySession(t, counters=[model_finder], limits=LIMITS))
         assert report.axioms_only.outcome == "ExhaustedUpTo"
         assert report.axioms_plus_conjecture is None
         assert report.axioms_plus_negated_conjecture is None
 
     def test_puz001_rows(self, model_finder, puz001):
-        report = consistency_triple(puz001, model_finder, EngineLimits(30, 4))
+        report = consistency_triple(
+            QuerySession(puz001, counters=[model_finder], limits=EngineLimits(30, 4))
+        )
         assert report.axioms_only.outcome == "ModelFound"
         assert report.axioms_plus_conjecture.outcome == "ModelFound"
         assert report.axioms_plus_negated_conjecture.outcome == "ExhaustedUpTo"
+
+
+PUZ001_AXIOMS = """\
+fof(pel55_1, axiom, ? [X] : (lives(X) & killed(X,agatha))).
+fof(pel55_2_1, axiom, lives(agatha)).
+fof(pel55_2_2, axiom, lives(butler)).
+fof(pel55_2_3, axiom, lives(charles)).
+fof(pel55_3, axiom, ! [X] : (lives(X) => (X = agatha | X = butler | X = charles))).
+fof(pel55_4, axiom, ! [X,Y] : (killed(X,Y) => hates(X,Y))).
+fof(pel55_5, axiom, ! [X,Y] : (killed(X,Y) => ~richer(X,Y))).
+fof(pel55_6, axiom, ! [X] : (hates(agatha,X) => ~hates(charles,X))).
+fof(pel55_7, axiom, ! [X] : (X != butler => hates(agatha,X))).
+fof(pel55_8, axiom, ! [X] : (~richer(X,agatha) => hates(butler,X))).
+fof(pel55_9, axiom, ! [X] : (hates(agatha,X) => hates(butler,X))).
+fof(pel55_10, axiom, ! [X] : ? [Y] : ~hates(X,Y)).
+fof(pel55_11, axiom, agatha != butler).
+"""
+TWO_MINIMA_AXIOMS = """\
+fof(route_a, axiom, a).
+fof(route_a_works, axiom, a => c).
+fof(route_b, axiom, b).
+fof(route_b_works, axiom, b => c).
+"""
+
+
+class _RecordingFinder:
+    """A model finder that records each query theory it is given and gives up."""
+
+    id = "recording-finder"
+    capabilities = frozenset({"finds_models"})
+
+    def __init__(self):
+        self.seen = []
+
+    def run(self, t, limits):
+        self.seen.append(render_theory(t))
+        return EngineVerdict(self.id, SzsStatus.GaveUp)
+
+
+class TestConsistencyThroughSession:
+    def test_three_engine_calls_then_none(self, model_finder):
+        t = mk("fof(a1, axiom, p). fof(goal, conjecture, q).")
+        session = QuerySession(t, counters=[model_finder], limits=LIMITS)
+        first = consistency_triple(session)
+        assert session.engine_calls == 3
+        assert consistency_triple(session) == first
+        assert session.engine_calls == 3
+
+    def test_one_engine_call_without_conjecture(self, model_finder):
+        session = QuerySession(mk("fof(a1, axiom, p)."), counters=[model_finder], limits=LIMITS)
+        consistency_triple(session)
+        assert session.engine_calls == 1
+        consistency_triple(session)
+        assert session.engine_calls == 1
+
+    def test_needs_a_model_finder(self, prover):
+        t = mk("fof(a1, axiom, p). fof(goal, conjecture, p).")
+        with pytest.raises(AnalysisError, match="model-finding engine"):
+            consistency_triple(QuerySession(t, provers=[prover], limits=LIMITS))
+
+    def test_budget_is_the_session_timeout(self, model_finder):
+        t = mk("fof(a1, axiom, p). fof(goal, conjecture, p).")
+        limits = EngineLimits(timeout=7.5, max_domain_size=2)
+        report = consistency_triple(QuerySession(t, counters=[model_finder], limits=limits))
+        assert report.axioms_only.budget == 7.5
+        assert report.axioms_plus_negated_conjecture.budget == 7.5
+
+    @pytest.mark.parametrize(
+        "problem, axioms, conjecture_name, conjecture_text",
+        [
+            ("PUZ001+1.p", PUZ001_AXIOMS, "pel55", "killed(agatha,agatha)"),
+            ("two_minima.p", TWO_MINIMA_AXIOMS, "goal", "c"),
+        ],
+    )
+    def test_query_theories_render_as_before(
+        self, problem, axioms, conjecture_name, conjecture_text
+    ):
+        """The finder sees the same three theories as when consistency_triple
+        built them itself: the axioms, the axioms with the conjecture appended
+        as an axiom, and the problem unchanged."""
+        finder = _RecordingFinder()
+        t = parse_file(str(PROBLEM_DIR / problem))
+        consistency_triple(QuerySession(t, counters=[finder], limits=LIMITS))
+        assert finder.seen == [
+            axioms,
+            axioms + f"fof({conjecture_name}, axiom, {conjecture_text}).\n",
+            axioms + f"fof({conjecture_name}, conjecture, {conjecture_text}).\n",
+        ]
 
 
 class TestUnknownClassification:
@@ -358,6 +448,21 @@ class TestQuerySessionPruning:
         calls = session.engine_calls
         session.decide([full], prefer="prove")
         assert session.engine_calls == calls
+
+    def test_undetermined_set_is_recombined_without_engine_calls(self):
+        t = mk("fof(a1, axiom, p). fof(a2, axiom, q). fof(goal, conjecture, p).")
+        session = QuerySession(t, provers=[stub_spec("garbage")], limits=LIMITS)
+        full = frozenset(t.premise_names)
+        assert session.decide([full]) == [Entailment.Undetermined]
+        assert session.engine_calls == 1
+        for prefer in ("prove", "counter"):
+            assert session.decide([full], prefer=prefer) == [Entailment.Undetermined]
+        assert session.engine_calls == 1
+
+    def test_unsat_mode_is_read_from_the_theory(self):
+        with_conjecture = mk("fof(a1, axiom, p). fof(goal, conjecture, p).")
+        assert QuerySession(with_conjecture).default_goal() == ("conjecture",)
+        assert QuerySession(with_conjecture.without_conjecture()).default_goal() == ("unsat",)
 
     def _calls(self, session, names, **kw):
         """(entailment, engine calls made) for one decide."""
@@ -409,9 +514,7 @@ class TestQuerySessionPruning:
             "fof(a1, axiom, p). fof(a2, axiom, ~p). fof(a3, axiom, q). "
             "fof(a4, axiom, r)."
         )
-        session = QuerySession(
-            t, provers=[prover], counters=[model_finder], limits=LIMITS, unsat_mode=True
-        )
+        session = QuerySession(t, provers=[prover], counters=[model_finder], limits=LIMITS)
         assert self._calls(session, {"a1", "a2", "a3"}) == (Entailment.Proves, 1)
         assert self._calls(session, {"a1", "a2", "a4"}) == (Entailment.Proves, 0)
 
@@ -495,9 +598,7 @@ class TestQuerySessionPruning:
             "fof(a1, axiom, p). fof(a2, axiom, ~p). fof(a3, axiom, q). "
             "fof(a4, axiom, r)."
         )
-        session = QuerySession(
-            t, provers=[prover], counters=[model_finder], limits=LIMITS, unsat_mode=True
-        )
+        session = QuerySession(t, provers=[prover], counters=[model_finder], limits=LIMITS)
         assert self._calls(session, {"a1"}, prefer="counter") == (Entailment.DoesNotProve, 1)
         assert self._calls(session, {"a1", "a3", "a4"}) == (Entailment.DoesNotProve, 0)
         ent, calls = self._calls(session, {"a1", "a2"})
@@ -586,9 +687,7 @@ def test_warm_session_agrees_with_uncached_prover(prover, model_finder, name, te
         for subset in itertools.combinations(names, k)
     }
     for prefer in ("prove", "counter"):
-        session = QuerySession(
-            t, provers=[prover], counters=[model_finder], limits=LIMITS, unsat_mode=unsat
-        )
+        session = QuerySession(t, provers=[prover], counters=[model_finder], limits=LIMITS)
         cls, _ = semantic_reprove(session)
         enumerate_minima(session, cls)
         independence_naive(session)

@@ -15,7 +15,7 @@ import pytest
 import proofscope
 from proofscope.cli import main
 
-from conftest import PUZ001, STUB_ENGINE
+from conftest import PROBLEM_DIR, PUZ001, STUB_ENGINE
 
 
 def run_cli(argv):
@@ -291,6 +291,37 @@ class TestConsistency:
                 assert check["outcome"] == outcome
                 assert check["model"] is None
                 assert check["model_text"] is None
+
+
+    def test_external_theorem_proves_the_conjecture(self, tmp_path):
+        """Theorem on the axioms plus the negated conjecture means the negation
+        contradicts the axioms; the checks without a conjecture cannot read it."""
+        config = {
+            "engines": {
+                "stub-finder": {
+                    "executable": sys.executable,
+                    "args": [str(STUB_ENGINE), "--mode", "theorem", "{problem}"],
+                    "capabilities": ["finds_models"],
+                }
+            }
+        }
+        cfg_path = tmp_path / "engines.json"
+        cfg_path.write_text(json.dumps(config))
+        code, out, _ = run_cli(
+            [
+                "consistency", str(PROBLEM_DIR / "two_minima.p"), "--json",
+                "--engine", "stub-finder", "--engine-config", str(cfg_path),
+            ]
+        )
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["axioms_only"]["outcome"] == "Unknown"
+        assert payload["axioms_plus_conjecture"]["outcome"] == "Unknown"
+        negated = payload["axioms_plus_negated_conjecture"]
+        assert negated["outcome"] == "Unsatisfiable"
+        assert negated["reading"] == (
+            "negated conjecture contradicts the axioms: conjecture is a theorem"
+        )
 
 
 class TestJsonContract:

@@ -1,0 +1,46 @@
+"""README's library section against the code: every call it spells out
+names the parameters of the function or method it documents."""
+
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+import proofscope
+from proofscope import QuerySession, Theory
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# `name(a, b)` for a proofscope export, `session.name(a, b)` for a
+# QuerySession method, `theory.name(a, b)` for a Theory method.
+CALL_RE = re.compile(r"`(?:(session|theory)\.)?(\w+)\(([^`()]*)\)`")
+OWNERS = {"": proofscope, "session": QuerySession, "theory": Theory}
+
+
+def library_calls() -> list[tuple[str, str, list[str]]]:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    section = re.sub(r"```.*?```", "", section, flags=re.S)
+    return [
+        (owner, name, [p for p in params.split(", ") if p])
+        for owner, name, params in CALL_RE.findall(section)
+        if hasattr(OWNERS[owner], name)
+    ]
+
+
+CALLS = library_calls()
+
+
+def test_library_section_spells_out_the_analyses():
+    names = {name for _, name, _ in CALLS}
+    assert {"consistency_triple", "enumerate_minima", "decide", "run_engine"} <= names
+
+
+@pytest.mark.parametrize(
+    "owner, name, params",
+    CALLS,
+    ids=[f"{owner or 'proofscope'}.{name}" for owner, name, _ in CALLS],
+)
+def test_readme_parameters_match_signature(owner, name, params):
+    signature = inspect.signature(getattr(OWNERS[owner], name))
+    assert params == [p for p in signature.parameters if p != "self"]

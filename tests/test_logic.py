@@ -159,12 +159,12 @@ class TestClausify:
     def test_truth_constants(self):
         assert clausify([("a1", Truth(True))]) == ()
         out = clausify([("a1", Truth(False))])
-        assert len(out) == 1 and out[0].is_empty()
+        assert len(out) == 1 and not out[0].literals
         # p | $true is a tautology: no clauses
         assert clausify([("a1", Binary("|", Atom("p"), Truth(True)))]) == ()
         # p & $false contributes an empty clause
         out = clausify([("a1", Binary("&", Atom("p"), Truth(False)))])
-        assert any(c.is_empty() for c in out)
+        assert any(not c.literals for c in out)
 
     def test_deterministic(self):
         f = Quantified("?", ("X",), Atom("p", (Var("X"),)))

@@ -2,6 +2,9 @@
 
 import random
 
+import pytest
+
+from proofscope import modelfinder
 from proofscope.engines import EngineLimits
 from proofscope.logic import evaluate, negate
 from proofscope.modelfinder import (
@@ -10,7 +13,7 @@ from proofscope.modelfinder import (
     model_to_text,
     verify_model,
 )
-from proofscope.logic import Atom, Interpretation
+from proofscope.logic import App, Atom, Interpretation, Not, Quantified, Var
 
 from conftest import enumerate_interpretations, mk
 
@@ -74,6 +77,21 @@ class TestFindModel:
             EngineLimits(timeout=0.000001, max_domain_size=3),
         )
         assert out.kind == ModelKind.ResourceOut
+
+    def test_symbol_at_two_arities_is_an_input_error(self, monkeypatch):
+        """The parser rejects such a theory, the library API does not: the
+        finder names the clash before it grounds anything."""
+
+        def no_grounding(*args):
+            raise AssertionError("grounded a clashing signature")
+
+        monkeypatch.setattr(modelfinder, "_ground", no_grounding)
+        formulas = [
+            ("a", Quantified("?", ("X",), Atom("p", (App("f", (Var("X"),)),)))),
+            ("b", Not(Not(Atom("p")))),
+        ]
+        with pytest.raises(ValueError, match=r"symbol p used with arity 1 and arity 0"):
+            find_model(formulas, EngineLimits(timeout=10, max_domain_size=3))
 
     def test_determinism(self):
         formulas = formulas_of(
