@@ -1,10 +1,14 @@
 """MACE-style finite model search: ground, solve with DPLL, decode, verify.
 
-Clauses are flattened (fresh variables per subterm) so the propositional
-encoding stays polynomial in the domain size per clause.  Function symbols
-contribute totality and functionality constraints; the first constant of
-the clauses, in pre-order, is pinned to element 0 as the only symmetry
-breaking.
+Clauses are flattened in the style of Paradox (Claessen & Sorensson 2003)
+so the propositional encoding stays polynomial in the domain size per
+clause: every nested subterm gets a fresh variable, a positive equation
+with a function term on one side becomes one function-cell literal, and a
+negative equation between variables is removed by substitution.  Function
+symbols contribute totality and functionality constraints.  Symmetry is
+broken by a canonical constant ordering: with the constants of the clauses
+in pre-order c0, c1, ..., each ci takes a value of at most i, and a value
+d >= 1 only if some earlier constant takes d - 1.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .logic import (
     Var,
     evaluate,
     symbols,
-    term_symbols,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,7 +51,7 @@ class ModelOutcome:
 
 # Flat literals reference clause variables by index:
 #   ("pred", name, argvar_indices, positive)
-#   ("eq", var_index, var_index, positive)
+#   ("eq", var_index, var_index)  (positive; negative ones are substituted away)
 #   ("func", name, argvar_indices, result_var_index, positive)
 FlatLiteral = tuple
 
@@ -63,6 +66,7 @@ def _flatten(clause: Clause) -> FlatClause:
     var_ids: dict[str, int] = {}
     defs: dict[tuple[str, tuple[int, ...]], int] = {}
     lits: list[FlatLiteral] = []
+    disequal: list[tuple[int, int]] = []
     counter = itertools.count()
 
     def var_id(name: str) -> int:
@@ -84,13 +88,54 @@ def _flatten(clause: Clause) -> FlatClause:
 
     for lit in clause.literals:
         if lit.pred == EQUALITY_PRED:
-            a = flat_term(lit.args[0])
-            b = flat_term(lit.args[1])
-            lits.append(("eq", a, b, lit.positive))
+            left, right = lit.args
+            if isinstance(left, Var):
+                left, right = right, left
+            if not lit.positive:
+                disequal.append((flat_term(left), flat_term(right)))
+            elif isinstance(left, Var):
+                lits.append(("eq", flat_term(left), flat_term(right)))
+            else:
+                # f(s) = t is the cell f(s) -> t: totality and functionality
+                # make it equivalent to f(s) != u | u = t for every u.
+                arg_ids = tuple(flat_term(a) for a in left.args)
+                lits.append(("func", left.head, arg_ids, flat_term(right), True))
         else:
             arg_ids = tuple(flat_term(a) for a in lit.args)
             lits.append(("pred", lit.pred, arg_ids, lit.positive))
-    return FlatClause(next(counter), tuple(lits))
+    return _substitute(lits, disequal)
+
+
+def _substitute(lits: list[FlatLiteral], disequal: list[tuple[int, int]]) -> FlatClause:
+    """C | x != y is C[x:=y]: merge the variables of every disequal pair and
+    number the remaining variables densely."""
+    rep: dict[int, int] = {}
+
+    def find(v: int) -> int:
+        while v in rep:
+            v = rep[v]
+        return v
+
+    for x, y in disequal:
+        a, b = find(x), find(y)
+        if a != b:
+            rep[max(a, b)] = min(a, b)
+    dense: dict[int, int] = {}
+
+    def renumber(v: int) -> int:
+        return dense.setdefault(find(v), len(dense))
+
+    out: list[FlatLiteral] = []
+    for lit in lits:
+        tag = lit[0]
+        if tag == "eq":
+            out.append(("eq", renumber(lit[1]), renumber(lit[2])))
+        elif tag == "pred":
+            out.append(("pred", lit[1], tuple(map(renumber, lit[2])), lit[3]))
+        else:
+            args = tuple(map(renumber, lit[2]))
+            out.append(("func", lit[1], args, renumber(lit[3]), lit[4]))
+    return FlatClause(len(dense), tuple(dict.fromkeys(out)))
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +178,22 @@ class _VarLayout:
 def _ground(
     flats: Sequence[FlatClause],
     layout: _VarLayout,
-    first_constant: str | None,
+    constants: Sequence[str],
     deadline: float,
 ) -> tuple[list[list[int]], bool, bool]:
-    """Ground clauses over the domain; returns (cnf, trivially_unsat, timed_out)."""
+    """Ground clauses over the domain; returns (cnf, trivially_unsat, timed_out).
+
+    Every model can be renumbered so that the constants, in the given order,
+    take their values in order of first appearance: ci is at most i, and
+    ci = d >= 1 only if some cj with j < i is d - 1."""
     n = layout.n
     cnf: list[list[int]] = []
-    if first_constant is not None:
-        cnf.append([layout.func_var(first_constant, (), 0)])
+    for i, c in enumerate(constants):
+        for d in range(1, n):
+            clause = [-layout.func_var(c, (), d)]
+            if d <= i:
+                clause += [layout.func_var(prev, (), d - 1) for prev in constants[:i]]
+            cnf.append(clause)
     checked = 0
     for flat in flats:
         for assignment in itertools.product(range(n), repeat=flat.nvars):
@@ -152,8 +205,7 @@ def _ground(
             for lit in flat.literals:
                 tag = lit[0]
                 if tag == "eq":
-                    equal = assignment[lit[1]] == assignment[lit[2]]
-                    if equal == lit[3]:
+                    if assignment[lit[1]] == assignment[lit[2]]:
                         satisfied = True
                         break
                     continue  # literal is false under this assignment
@@ -305,7 +357,7 @@ def _dpll(clauses: list[list[int]], nvars: int, deadline: float):
             assign[abs(trail.pop())] = 0
         decisions[-1] = (var, True)
         enqueue(-var)
-        next_var = 1
+        next_var = var  # every variable below var was assigned before it
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +402,7 @@ def find_model(
     clauses = clausify(list(formulas))
     originals = [f for _, f in formulas]
     preds, funcs = clause_signature(clauses)
+    constants = [sym for sym, arity in funcs.items() if arity == 0]  # pre-order
     # Clauses can drop tautological parts; decoded models must still cover
     # every symbol of the original formulas for verification.  Skolem
     # functions are fresh, so a clash of arities is in the input.
@@ -359,22 +412,11 @@ def find_model(
             if table.setdefault(sym, arity) != arity:
                 raise ValueError(f"symbol {sym} used with arity {table[sym]} and arity {arity}")
     flats = [_flatten(c) for c in clauses]
-    first_constant = next(
-        (
-            sym
-            for c in clauses
-            for lit in c.literals
-            for a in lit.args
-            for sym, arity, _ in term_symbols(a)
-            if arity == 0
-        ),
-        None,
-    )
     for n in range(1, limits.max_domain_size + 1):
         if time.monotonic() >= deadline:
             return ModelOutcome(ModelKind.ResourceOut)
         layout = _VarLayout(preds, funcs, n)
-        cnf, trivially_unsat, timed_out = _ground(flats, layout, first_constant, deadline)
+        cnf, trivially_unsat, timed_out = _ground(flats, layout, constants, deadline)
         if timed_out:
             return ModelOutcome(ModelKind.ResourceOut)
         if trivially_unsat:

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from proofscope import modelfinder
+from proofscope.clauses import clause_signature, clausify, contains_equality
 from proofscope.engines import EngineLimits
 from proofscope.logic import evaluate, negate
 from proofscope.modelfinder import (
@@ -15,11 +17,54 @@ from proofscope.modelfinder import (
 )
 from proofscope.logic import App, Atom, Interpretation, Not, Quantified, Var
 
-from conftest import enumerate_interpretations, mk
+from conftest import enumerate_interpretations, mk, random_closed_formula
 
 
 def formulas_of(text):
     return [(f.name, f.formula) for f in mk(text).formulas]
+
+
+def flat_clause(formula_text):
+    [clause] = clausify(formulas_of(f"fof(a1, axiom, {formula_text})."))
+    return modelfinder._flatten(clause)
+
+
+GROUP_AXIOMS = """
+fof(assoc, axiom, ![X,Y,Z]: mult(mult(X,Y),Z) = mult(X,mult(Y,Z))).
+fof(left_identity, axiom, ![X]: mult(e,X) = X).
+fof(left_inverse, axiom, ![X]: mult(inv(X),X) = e).
+"""
+
+
+class TestFlatten:
+    """Paradox-style flattening: a positive equation with a function term on
+    one side is one function-cell literal, a negative variable equation is
+    substituted away."""
+
+    def test_associativity_has_six_variables(self):
+        flat = flat_clause("![X,Y,Z]: mult(mult(X,Y),Z) = mult(X,mult(Y,Z))")
+        assert flat.nvars == 6
+        assert not any(lit[0] == "eq" for lit in flat.literals)
+
+    def test_left_identity_has_two_variables(self):
+        flat = flat_clause("![X]: mult(e,X) = X")
+        assert flat.nvars == 2
+        assert [lit[0] for lit in flat.literals] == ["func", "func"]
+
+    def test_negative_variable_equation_is_substituted(self):
+        flat = flat_clause("![X]: f(X) != X")
+        assert flat.nvars == 1
+        assert flat.literals == (("func", "f", (0,), 0, False),)
+
+    def test_variable_equation_stays(self):
+        flat = flat_clause("![X,Y]: X = Y")
+        assert flat.nvars == 2
+        assert flat.literals == (("eq", 0, 1),)
+
+    def test_variables_are_numbered_densely(self):
+        flat = flat_clause("![X,Y,Z]: (X != Y | Y != Z | r(X, Z))")
+        assert flat.nvars == 1
+        assert flat.literals == (("pred", "r", (0, 0), True),)
 
 
 class TestFindModel:
@@ -114,6 +159,55 @@ class TestFindModel:
         assert verify_model(out.model, [f for _, f in axioms])
 
 
+class TestTextbookFamilies:
+    def test_least_non_abelian_group_has_six_elements(self, monkeypatch):
+        ground_sizes = {}
+        ground = modelfinder._ground
+
+        def counting_ground(flats, layout, constants, deadline):
+            out = ground(flats, layout, constants, deadline)
+            ground_sizes[layout.n] = len(out[0])
+            return out
+
+        monkeypatch.setattr(modelfinder, "_ground", counting_ground)
+        formulas = formulas_of(
+            GROUP_AXIOMS + "fof(nc, axiom, ~ ![X,Y]: mult(X,Y) = mult(Y,X))."
+        )
+        out = find_model(formulas, EngineLimits(timeout=60, max_domain_size=6))
+        assert (out.kind, out.model.domain_size) == (ModelKind.ModelFound, 6)
+        assert verify_model(out.model, [f for _, f in formulas])
+        assert ground_sizes[6] < 60_000  # 235,477 with a variable per side
+
+    def test_five_pigeons_do_not_fit_four_holes(self):
+        formulas = formulas_of(
+            """
+            fof(distinct, axiom, p1 != p2 & p1 != p3 & p1 != p4 & p1 != p5
+                & p2 != p3 & p2 != p4 & p2 != p5 & p3 != p4 & p3 != p5 & p4 != p5).
+            fof(pigeons, axiom, pigeon(p1) & pigeon(p2) & pigeon(p3)
+                & pigeon(p4) & pigeon(p5)).
+            fof(holes, axiom, ![X]: (hole(X) <=> (X = h1 | X = h2 | X = h3 | X = h4))).
+            fof(placed, axiom, ![X]: (pigeon(X) => ?[H]: (hole(H) & in(X,H)))).
+            fof(no_share, axiom, ![X,Y,H]: ((in(X,H) & in(Y,H)) => X = Y)).
+            """
+        )
+        out = find_model(formulas, EngineLimits(timeout=60, max_domain_size=5))
+        assert (out.kind, out.exhausted_size) == (ModelKind.ExhaustedUpTo, 5)
+
+    def test_element_of_order_four_needs_four_elements(self):
+        formulas = formulas_of(
+            GROUP_AXIOMS
+            + """
+            fof(order, axiom, mult(a,mult(a,mult(a,a))) = e).
+            fof(order_1, axiom, a != e).
+            fof(order_2, axiom, mult(a,a) != e).
+            fof(order_3, axiom, mult(a,mult(a,a)) != e).
+            """
+        )
+        out = find_model(formulas, EngineLimits(timeout=60, max_domain_size=5))
+        assert (out.kind, out.model.domain_size) == (ModelKind.ModelFound, 4)
+        assert verify_model(out.model, [f for _, f in formulas])
+
+
 class TestVerifyModel:
     def test_accepts_true(self):
         m = Interpretation(1, {"p": {(): True}}, {})
@@ -163,6 +257,36 @@ class TestRandomizedSoundness:
                         assert not evaluate(m, formula), f"run {i}: missed model"
         assert found + exhausted == 220
         assert found >= 100  # the generator is not degenerate
+
+
+def least_model_size(formulas, max_size):
+    for size in range(1, max_size + 1):
+        for m in enumerate_interpretations(formulas, size):
+            if all(evaluate(m, f) for f in formulas):
+                return size
+    return None
+
+
+@given(
+    seeds=st.lists(st.integers(0, 2**16), min_size=2, max_size=3),
+    depth=st.integers(1, 2),
+)
+def test_finder_agrees_with_enumeration_on_constants_and_equality(seeds, depth):
+    """Sets of random formulas whose clauses use the constants a and b and
+    equality, so the constant ordering and both flattening rewrites apply:
+    the least model size up to 3, or its absence, is the brute-force one."""
+    formulas = [random_closed_formula(random.Random(s), depth) for s in seeds]
+    named = [(f"f{i}", f) for i, f in enumerate(formulas)]
+    clauses = clausify(named)
+    assume({"a", "b"} <= clause_signature(clauses)[1].keys())
+    assume(contains_equality(clauses))
+    want = least_model_size(formulas, 3)
+    out = find_model(named, EngineLimits(timeout=30, max_domain_size=3))
+    if want is None:
+        assert (out.kind, out.exhausted_size) == (ModelKind.ExhaustedUpTo, 3)
+    else:
+        assert (out.kind, out.model.domain_size) == (ModelKind.ModelFound, want)
+        assert verify_model(out.model, formulas)
 
 
 class TestModelText:
