@@ -196,18 +196,14 @@ class QuerySession:
         self, names: frozenset[str], engine, goal: tuple | None = None
     ) -> EngineVerdict:
         """One engine's verdict on "do these premises yield the goal?"."""
-        return self._run([(names, engine)], goal or self.default_goal())[0]
+        return self._run(names, [engine], goal or self.default_goal())[0]
 
-    def _run(
-        self, queries: list[tuple[frozenset[str], object]], goal: tuple
-    ) -> list[EngineVerdict]:
-        """Verdicts for (names, engine) pairs, in order.  Pairs not cached yet
-        run once each, on the thread pool when there are several."""
-        keys = [(goal, names, engine.id) for names, engine in queries]
-        fresh = {k: q for k, q in zip(keys, queries) if k not in self._verdicts}
+    def _run(self, names: frozenset[str], engines: Sequence, goal: tuple) -> list[EngineVerdict]:
+        """The engines' verdicts on one premise set, in order.  Each engine id
+        not cached for the set yet runs once, side by side up to parallelism."""
+        fresh = {e.id: e for e in engines if (goal, names, e.id) not in self._verdicts}
 
-        def call(query):
-            names, engine = query
+        def call(engine):
             return engine.run(self.query_theory(names, goal), self.limits)
 
         if len(fresh) > 1 and self.parallelism > 1:
@@ -216,17 +212,18 @@ class QuerySession:
         else:
             verdicts = map(call, fresh.values())
         kind = self.kind_for(goal)
-        for (key, (names, _)), verdict in zip(fresh.items(), verdicts):
+        for engine_id, verdict in zip(fresh, verdicts):
             self.engine_calls += 1
-            self._verdicts[key] = verdict
+            self._verdicts[(goal, names, engine_id)] = verdict
             ent = classify(verdict.status, kind)
+            recorded = names
             if ent == Entailment.Proves and verdict.premises_exact:
                 # The premises the proof used prove the goal on their own.
-                names = verdict.used_premises & names
+                recorded = verdict.used_premises & names
             elif ent == Entailment.DoesNotProve and verdict.model is not None:
-                names = self._grow(names, verdict.model)
-            self._note(goal, names, ent)
-        return [self._verdicts[k] for k in keys]
+                recorded = self._grow(names, verdict.model)
+            self._note(goal, recorded, ent)
+        return [self._verdicts[(goal, names, e.id)] for e in engines]
 
     def _grow(self, names: frozenset[str], model: Interpretation) -> frozenset[str]:
         """names plus every other premise true in the model, extended to the
@@ -283,39 +280,28 @@ class QuerySession:
         return None
 
     def decide(
-        self,
-        query_sets: Sequence[frozenset[str]],
-        prefer: str = "prove",
-        goal: tuple | None = None,
-    ) -> list[Entailment]:
-        """Combined entailment for "do these premises yield the goal?", per set.
+        self, names: frozenset[str], prefer: str = "prove", goal: tuple | None = None
+    ) -> Entailment:
+        """Combined entailment for "do these premises yield the goal?".
 
         prefer picks which engine group goes first: "prove" for derivability
         checks, "counter" when a countermodel is the expected answer.  Every
         engine in a phase is consulted and the verdicts are combined, so
-        contradicting engines are detected within a phase.  With parallelism,
-        the first phase of every still-open set runs up front on the pool.
+        contradicting engines are detected within a phase.
         """
         goal = goal or self.default_goal()
+        result = self._monotone(goal, names)
+        if result is not None:
+            return result
         phases = (
             [self.counters, self.provers]
             if prefer == "counter"
             else [self.provers, self.counters]
         )
-        if self.parallelism > 1:
-            pending = [names for names in query_sets if self._monotone(goal, names) is None]
-            self._run([(names, e) for names in pending for e in phases[0]], goal)
-        return [self._decide_one(names, phases, goal) for names in query_sets]
-
-    def _decide_one(self, names: frozenset[str], phases: list, goal: tuple) -> Entailment:
-        result = self._monotone(goal, names)
-        if result is not None:
-            return result
         kind = self.kind_for(goal)
         collected: list[Entailment] = []
         for phase in phases:
-            verdicts = self._run([(names, e) for e in phase], goal)
-            collected.extend(classify(v.status, kind) for v in verdicts)
+            collected.extend(classify(v.status, kind) for v in self._run(names, phase, goal))
             if combine(collected) != Entailment.Undetermined:
                 break
         return combine(collected)
@@ -360,9 +346,9 @@ def classify_needed(session: QuerySession) -> NeededClassification:
     """
     names = session.theory.premise_names
     full = frozenset(names)
-    entailments = session.decide([full - {n} for n in names], prefer="counter")
     needed, eliminable, unknown = set(), set(), set()
-    for name, ent in zip(names, entailments):
+    for name in names:
+        ent = session.decide(full - {name}, prefer="counter")
         if ent == Entailment.DoesNotProve:
             needed.add(name)
         elif ent == Entailment.Proves:
@@ -382,7 +368,7 @@ def semantic_reprove(session: QuerySession) -> tuple[NeededClassification, Confi
     be unsound.  NotSufficient signals multiple incomparable minima.
     """
     cls = classify_needed(session)
-    [ent] = session.decide([cls.needed | cls.unknown], prefer="prove")
+    ent = session.decide(cls.needed | cls.unknown, prefer="prove")
     if ent == Entailment.Proves:
         confirmation = Confirmation.ConfirmedMinimum
     elif ent == Entailment.DoesNotProve:
@@ -428,7 +414,7 @@ def enumerate_minima(
                 exhaustive = False
                 stopped = True
                 break
-            [ent] = session.decide([candidate], prefer="counter")
+            ent = session.decide(candidate, prefer="counter")
             if ent == Entailment.Undetermined:
                 exhaustive = False
                 continue
@@ -437,7 +423,7 @@ def enumerate_minima(
             # Sufficient; verify minimality through single deletions.
             minimal = True
             for name in sorted(candidate, key=order.get):
-                [sub_ent] = session.decide([candidate - {name}], prefer="counter")
+                sub_ent = session.decide(candidate - {name}, prefer="counter")
                 if sub_ent == Entailment.Proves:
                     minimal = False
                     break
@@ -524,7 +510,7 @@ def independence_naive(session: QuerySession) -> IndependenceReport:
     witness: tuple[str, frozenset[str]] | None = None
     for name in names:
         others = frozenset(names) - {name}
-        [ent] = session.decide([others], prefer="counter", goal=_axiom_goal(name))
+        ent = session.decide(others, prefer="counter", goal=_axiom_goal(name))
         per_axiom[name] = ent
         if ent == Entailment.Proves and witness is None:
             witness = (name, others)
@@ -556,7 +542,7 @@ def independence_failfast(
             others = [m for m in names if m != name]
             for combo in itertools.combinations(others, k):
                 subset = frozenset(combo)
-                [ent] = session.decide([subset], prefer="counter", goal=_axiom_goal(name))
+                ent = session.decide(subset, prefer="counter", goal=_axiom_goal(name))
                 if ent == Entailment.Proves:
                     per_axiom[name] = Entailment.Proves
                     return IndependenceReport(
@@ -598,7 +584,7 @@ def independence_random(session: QuerySession, trials: int, seed: int) -> Indepe
             if chosen:
                 break
         subset = frozenset(chosen)
-        [ent] = session.decide([subset], prefer="counter", goal=_axiom_goal(name))
+        ent = session.decide(subset, prefer="counter", goal=_axiom_goal(name))
         if ent == Entailment.Proves:
             per_axiom[name] = Entailment.Proves
             return IndependenceReport(

@@ -44,13 +44,12 @@ class RunConfig:
 
     problem_path: str
     include_dirs: list[str]
-    engines: list[str]
+    engines: list  # resolved engine objects, in flag order
     limits: EngineLimits
     parallelism: int
     seed: int
     output_format: str
     subset_budget: int
-    engine_config: str | None
     unsat_mode: bool
 
     def to_dict(self) -> dict:
@@ -128,18 +127,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The run configuration; every flag error raises ValueError here, before
-    the problem is read."""
+    """The run configuration; every flag error raises ValueError, OSError or
+    EngineConfigError here, before the problem is read."""
+    ids = list(args.engines) or list(DEFAULT_ENGINES)
+    repeated = [eid for eid in ids if ids.count(eid) > 1]
+    if repeated:
+        raise ValueError(f"engine {repeated[0]!r} given more than once")
+    config = load_engine_config(args.engine_config) if args.engine_config else None
     cfg = RunConfig(
         problem_path=args.problem,
         include_dirs=args.include_dirs,
-        engines=list(args.engines) or list(DEFAULT_ENGINES),
+        engines=resolve_engines(ids, config),
         limits=EngineLimits(timeout=args.timeout, max_domain_size=args.max_domain_size),
         parallelism=args.parallel,
         seed=args.seed,
         output_format="json" if args.json else "text",
         subset_budget=args.subset_budget,
-        engine_config=args.engine_config,
         unsat_mode=getattr(args, "unsat_mode", False),
     )
     if cfg.parallelism < 1:
@@ -167,18 +170,16 @@ def _session(
 ) -> tuple[QuerySession, list[str]]:
     """A query session over theory with the configured engines, and their
     ids; raises EngineConfigError(missing) when no engine has capability."""
-    config = load_engine_config(cfg.engine_config) if cfg.engine_config else None
-    engines = resolve_engines(cfg.engines, config)
-    if not any(capability in e.capabilities for e in engines):
+    if not any(capability in e.capabilities for e in cfg.engines):
         raise EngineConfigError(missing)
     session = QuerySession(
         theory,
-        provers=[e for e in engines if CAP_PROVES in e.capabilities],
-        counters=[e for e in engines if CAP_FINDS_MODELS in e.capabilities],
+        provers=[e for e in cfg.engines if CAP_PROVES in e.capabilities],
+        counters=[e for e in cfg.engines if CAP_FINDS_MODELS in e.capabilities],
         limits=cfg.limits,
         parallelism=cfg.parallelism,
     )
-    return session, [e.id for e in engines]
+    return session, [e.id for e in cfg.engines]
 
 
 def _fail(message: str, code: int, err) -> int:
@@ -225,7 +226,7 @@ def cmd_reprove(theory: Theory, cfg: RunConfig, args, err) -> Outcome:
         cfg, theory, CAP_PROVES, "reprove needs at least one proving engine"
     )
     full = frozenset(theory.premise_names)
-    [initial_ent] = session.decide([full], prefer="prove")
+    initial_ent = session.decide(full, prefer="prove")
     initial_verdict = session.run_engine(full, session.provers[0])
     payload: dict = {
         "method": args.method,
@@ -327,7 +328,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-    except ValueError as exc:
+    except (ValueError, OSError, EngineConfigError) as exc:
         return _fail(str(exc), EXIT_INPUT_ERROR, err)
     try:
         theory = parse_file(cfg.problem_path, cfg.include_dirs)

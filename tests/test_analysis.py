@@ -434,30 +434,47 @@ class TestQuerySessionPruning:
         )
         session = QuerySession(t, provers=[prover], counters=[model_finder], limits=LIMITS)
         full = frozenset(t.premise_names)
-        assert session.decide([frozenset({"a1", "a2"})], prefer="prove") == [Entailment.Proves]
+        assert session.decide(frozenset({"a1", "a2"}), prefer="prove") == Entailment.Proves
         before = session.engine_calls
         # superset of a proving set: no engine call needed
-        assert session.decide([full], prefer="prove") == [Entailment.Proves]
+        assert session.decide(full, prefer="prove") == Entailment.Proves
         assert session.engine_calls == before
 
     def test_exact_cache(self, prover, model_finder):
         t = mk("fof(a1, axiom, p). fof(goal, conjecture, p).")
         session = QuerySession(t, provers=[prover], counters=[model_finder], limits=LIMITS)
         full = frozenset(t.premise_names)
-        session.decide([full], prefer="prove")
+        session.decide(full, prefer="prove")
         calls = session.engine_calls
-        session.decide([full], prefer="prove")
+        session.decide(full, prefer="prove")
         assert session.engine_calls == calls
 
     def test_undetermined_set_is_recombined_without_engine_calls(self):
         t = mk("fof(a1, axiom, p). fof(a2, axiom, q). fof(goal, conjecture, p).")
         session = QuerySession(t, provers=[stub_spec("garbage")], limits=LIMITS)
         full = frozenset(t.premise_names)
-        assert session.decide([full]) == [Entailment.Undetermined]
+        assert session.decide(full) == Entailment.Undetermined
         assert session.engine_calls == 1
         for prefer in ("prove", "counter"):
-            assert session.decide([full], prefer=prefer) == [Entailment.Undetermined]
+            assert session.decide(full, prefer=prefer) == Entailment.Undetermined
         assert session.engine_calls == 1
+
+    def test_engine_given_twice_runs_once(self, prover):
+        """Each (goal, premise set, engine id) runs at most once, also when a
+        phase lists one engine twice and runs on the pool."""
+        t = mk("fof(a1, axiom, p). fof(a2, axiom, q). fof(goal, conjecture, p).")
+        unknown = stub_spec("garbage")
+        session = QuerySession(
+            t, provers=[unknown, unknown], counters=[prover, prover],
+            limits=LIMITS, parallelism=2,
+        )
+        full = frozenset(t.premise_names)
+        assert session.decide(full) == Entailment.Proves
+        assert session.engine_calls == 2
+        assert session.run_engine(full, unknown).status == SzsStatus.Unknown
+        assert session.engine_calls == 2
+        assert session.decide(frozenset({"a2"}), prefer="counter") == Entailment.DoesNotProve
+        assert session.engine_calls == 3
 
     def test_unsat_mode_is_read_from_the_theory(self):
         with_conjecture = mk("fof(a1, axiom, p). fof(goal, conjecture, p).")
@@ -467,7 +484,7 @@ class TestQuerySessionPruning:
     def _calls(self, session, names, **kw):
         """(entailment, engine calls made) for one decide."""
         before = session.engine_calls
-        [ent] = session.decide([frozenset(names)], **kw)
+        ent = session.decide(frozenset(names), **kw)
         return ent, session.engine_calls - before
 
     def test_used_premises_prune_other_supersets(self, prover, model_finder):
@@ -490,7 +507,7 @@ class TestQuerySessionPruning:
             "fof(goal, conjecture, q)."
         )
         session = QuerySession(t, provers=[prover], counters=[model_finder], limits=LIMITS)
-        session.decide([frozenset({"a1", "a2", "a3"})])
+        session.decide(frozenset({"a1", "a2", "a3"}))
         ent, calls = self._calls(session, {"a2", "a3"})
         assert ent == Entailment.DoesNotProve
         assert calls > 0
@@ -631,7 +648,7 @@ def test_chain_engine_calls_pinned(prover, model_finder):
     it the same analyses make 1572 and 790 calls."""
     t = mk(CHAIN_12)
     session = QuerySession(t, [prover], [model_finder], LIMITS)
-    assert session.decide([frozenset(t.premise_names)]) == [Entailment.Proves]
+    assert session.decide(frozenset(t.premise_names)) == Entailment.Proves
     cls, confirmation = semantic_reprove(session)
     assert confirmation == Confirmation.NotSufficient
     minima = enumerate_minima(session, cls)
@@ -697,7 +714,7 @@ def test_warm_session_agrees_with_uncached_prover(prover, model_finder, name, te
         for (goal, subset), want in expected.items():
             if want == Entailment.Undetermined:
                 continue
-            [got] = session.decide([frozenset(subset)], prefer=prefer, goal=goal)
+            got = session.decide(frozenset(subset), prefer=prefer, goal=goal)
             assert got == want, (prefer, goal, subset)
 
 
@@ -739,6 +756,6 @@ def test_growing_session_agrees_with_uncached_prover(
     for k in range(len(names) + 1):
         for subset in itertools.combinations(names, k):
             want = _oracle(prover, t, subset, ("conjecture",), SMALL_LIMITS)
-            [got] = session.decide([frozenset(subset)], prefer="counter")
+            got = session.decide(frozenset(subset), prefer="counter")
             if want != Entailment.Undetermined:
                 assert got == want, subset

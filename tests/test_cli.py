@@ -13,6 +13,7 @@ import jsonschema
 import pytest
 
 import proofscope
+from proofscope import analysis
 from proofscope.cli import main
 
 from conftest import PROBLEM_DIR, PUZ001, STUB_ENGINE
@@ -138,6 +139,49 @@ class TestFlagErrors:
         assert out == ""
         assert err.startswith("proofscope: ") and err.count("\n") == 1
         assert "missing.p" not in err
+
+
+SUBCOMMANDS = ["symbols", "reprove", "minimize", "independence", "consistency"]
+# Engine flags, and a fragment of the error line each one gives.
+ENGINE_FLAG_ERRORS = {
+    "unknown id": (["--engine", "bogus"], "unknown engine id 'bogus'"),
+    "unknown id, missing config": (
+        ["--engine", "bogus", "--engine-config", "{missing}"], "no-engines.json"
+    ),
+    "missing config": (["--engine-config", "{missing}"], "no-engines.json"),
+    "malformed config": (
+        ["--engine-config", "{malformed}"], "expected an object mapping engine ids"
+    ),
+    "repeated id": (
+        ["--engine", "builtin-prover", "--engine", "builtin-prover"],
+        "'builtin-prover' given more than once",
+    ),
+}
+
+
+class TestEngineFlagErrors:
+    """Engine ids and the engine configuration file are flags like the
+    others: a bad one exits 2 before the problem is read, for every
+    subcommand."""
+
+    @pytest.mark.parametrize(
+        "flags, message", ENGINE_FLAG_ERRORS.values(), ids=list(ENGINE_FLAG_ERRORS)
+    )
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_exit_two_before_the_problem_is_read(
+        self, command, flags, message, problems, tmp_path
+    ):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(json.dumps({"engines": []}))
+        paths = {"missing": str(tmp_path / "no-engines.json"), "malformed": str(malformed)}
+        flags = [tok.format(**paths) for tok in flags]
+        for problem in (problems["chain"], str(tmp_path / "missing.p")):
+            code, out, err = run_cli([command, problem] + flags)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("proofscope: ") and err.count("\n") == 1
+            assert message in err
+            assert "missing.p" not in err
 
 
 class TestReprove:
@@ -380,9 +424,12 @@ class TestDeterminism:
 
     def test_parallel_dispatch_same_report(self, problems):
         """Results are independent of the parallelism setting; only the
-        echoed configuration may differ."""
+        echoed configuration may differ.  On two_minima.p the proof found for
+        one deletion set answers a later one, in any parallelism."""
         for argv in (
             ["minimize", problems["chain"]],
+            ["minimize", str(PROBLEM_DIR / "two_minima.p")],
+            ["minimize", str(PROBLEM_DIR / "dependent_axioms.p"), "--unsat-mode"],
             ["reprove", problems["chain"], "--method", "syntactic"],
             ["independence", problems["dep"], "--method", "naive"],
             ["consistency", problems["chain"]],
@@ -427,6 +474,53 @@ class TestEngineConflict:
         )
         assert code == 5
         assert "conflict" in err
+
+
+class TestParallelPool:
+    def test_one_phase_on_the_pool_same_report(self, problems, tmp_path, monkeypatch):
+        """Two external provers sit in one phase, so with --parallel 2 they
+        run side by side on each premise set; the report is the serial one."""
+        config = {
+            "engines": {
+                "stub-yes": {
+                    "executable": sys.executable,
+                    "args": [str(STUB_ENGINE), "--mode", "theorem", "{problem}"],
+                    "capabilities": ["proves"],
+                },
+                "stub-unknown": {
+                    "executable": sys.executable,
+                    "args": [str(STUB_ENGINE), "--mode", "garbage", "{problem}"],
+                    "capabilities": ["proves"],
+                },
+            }
+        }
+        cfg_path = tmp_path / "engines.json"
+        cfg_path.write_text(json.dumps(config))
+        pools = []
+
+        class CountingPool(analysis.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "ThreadPoolExecutor", CountingPool)
+        engines = [
+            "--engine", "stub-yes", "--engine", "stub-unknown",
+            "--engine", "builtin-model-finder", "--engine-config", str(cfg_path),
+        ]
+        for argv in (
+            ["minimize", problems["chain"]],
+            ["independence", problems["dep"], "--method", "naive"],
+        ):
+            pools.clear()
+            _, serial, _ = run_cli(argv + engines + ["--json", "--parallel", "1"])
+            assert pools == []
+            _, parallel, _ = run_cli(argv + engines + ["--json", "--parallel", "2"])
+            assert pools and set(pools) == {2}
+            a, b = json.loads(serial), json.loads(parallel)
+            assert a.pop("config") != b.pop("config")
+            assert a["engine_calls"] > 0
+            assert _scrub(json.dumps(a)) == _scrub(json.dumps(b)), argv[0]
 
 
 class TestIncludeDirs:
