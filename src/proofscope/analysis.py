@@ -12,7 +12,6 @@ from typing import Sequence
 
 from .engines import EngineLimits, EngineVerdict
 from .logic import Binary, Formula, Interpretation, Not, Quantified, evaluate, symbols
-from .modelfinder import model_to_tables, model_to_text
 from .tptp import AnnotatedFormula, Theory
 from .verdicts import Entailment, ProblemKind, SzsStatus, classify, combine
 
@@ -81,15 +80,10 @@ class IndependenceReport:
 
 @dataclass
 class ConsistencyCheck:
-    label: str
-    engine_id: str
+    """The model finder's verdict on one check and the outcome read from it."""
+
+    verdict: EngineVerdict
     outcome: str  # ModelFound | ExhaustedUpTo | Unsatisfiable | ResourceOut | Unknown
-    reading: str
-    budget: float
-    domain_size: int | None = None
-    exhausted_size: int | None = None
-    model_text: str | None = None
-    model_tables: dict | None = None
 
 
 @dataclass
@@ -597,92 +591,39 @@ def independence_random(session: QuerySession, trials: int, seed: int) -> Indepe
 # Consistency triple check
 
 
-_CONSISTENCY_OUTCOMES = {
-    SzsStatus.Satisfiable: "ModelFound",
-    SzsStatus.CounterSatisfiable: "ModelFound",
-    SzsStatus.Unsatisfiable: "Unsatisfiable",
-    SzsStatus.ContradictoryAxioms: "Unsatisfiable",
-    SzsStatus.Timeout: "ResourceOut",
-    SzsStatus.ResourceOut: "ResourceOut",
-}
-
-
-# On the axioms plus the negated conjecture, Theorem: the negation contradicts them.
-_NEGATED_CONJECTURE_OUTCOMES = {**_CONSISTENCY_OUTCOMES, SzsStatus.Theorem: "Unsatisfiable"}
-
-
-def _consistency_check(
-    label: str,
-    verdict: EngineVerdict,
-    budget: float,
-    readings: dict[str, str],
-    outcomes: dict[SzsStatus, str] = _CONSISTENCY_OUTCOMES,
-) -> ConsistencyCheck:
-    if verdict.status == SzsStatus.GaveUp and verdict.exhausted_size is not None:
-        outcome = "ExhaustedUpTo"
-    else:
-        outcome = outcomes.get(verdict.status, "Unknown")
-    model = verdict.model
-    return ConsistencyCheck(
-        label=label,
-        engine_id=verdict.engine_id,
-        outcome=outcome,
-        reading=readings.get(outcome, outcome),
-        budget=budget,
-        domain_size=model.domain_size if model else None,
-        exhausted_size=verdict.exhausted_size,
-        model_text=model_to_text(model) if model else None,
-        model_tables=model_to_tables(model) if model else None,
-    )
-
-
 def consistency_triple(session: QuerySession) -> ConsistencyReport:
     """Model-search the axioms alone, with the conjecture, and with its negation.
 
     All three checks go to the session's first model finder.  The third asks
     whether the premises yield the conjecture: a model of the axioms that
-    falsifies the conjecture is a countermodel.
+    falsifies the conjecture is a countermodel.  Each verdict is read by
+    classify under its goal's problem kind.
     """
     if not session.counters:
         raise AnalysisError("consistency checking needs a model-finding engine")
     finder = session.counters[0]
-    budget = session.limits.timeout
     premises = frozenset(session.theory.premise_names)
-    first = _consistency_check(
-        "axioms",
-        session.run_engine(premises, finder, GOAL_UNSAT),
-        budget,
-        {
-            "ModelFound": "axioms are consistent (finite model found)",
-            "ExhaustedUpTo": "no finite model within bounds; axioms may be inconsistent",
-            "Unsatisfiable": "axioms are inconsistent",
-            "ResourceOut": "search ran out of resources",
-        },
-    )
-    second = third = None
+
+    def check(names: frozenset[str], goal: tuple) -> ConsistencyCheck:
+        verdict = session.run_engine(names, finder, goal)
+        ent = classify(verdict.status, session.kind_for(goal))
+        if ent == Entailment.Proves:
+            outcome = "Unsatisfiable"
+        elif ent == Entailment.DoesNotProve:
+            outcome = "ModelFound"
+        elif verdict.exhausted_size is not None:
+            outcome = "ExhaustedUpTo"
+        elif verdict.status in (SzsStatus.Timeout, SzsStatus.ResourceOut):
+            outcome = "ResourceOut"
+        else:
+            outcome = "Unknown"
+        return ConsistencyCheck(verdict, outcome)
+
     conj = session.theory.conjecture
-    if conj is not None:
-        second = _consistency_check(
-            "axioms plus conjecture",
-            session.run_engine(premises | {conj.name}, finder, GOAL_UNSAT),
-            budget,
-            {
-                "ModelFound": "axioms plus conjecture are consistent",
-                "ExhaustedUpTo": "no finite model within bounds for axioms plus conjecture",
-                "Unsatisfiable": "conjecture contradicts the axioms",
-                "ResourceOut": "search ran out of resources",
-            },
-        )
-        third = _consistency_check(
-            "axioms plus negated conjecture",
-            session.run_engine(premises, finder, GOAL_CONJECTURE),
-            budget,
-            {
-                "ModelFound": "conjecture is countersatisfiable: not derivable from the axioms",
-                "ExhaustedUpTo": "no countermodel within bounds; consistent with the conjecture being a theorem",
-                "Unsatisfiable": "negated conjecture contradicts the axioms: conjecture is a theorem",
-                "ResourceOut": "search ran out of resources",
-            },
-            _NEGATED_CONJECTURE_OUTCOMES,
-        )
-    return ConsistencyReport(first, second, third)
+    if conj is None:
+        return ConsistencyReport(check(premises, GOAL_UNSAT), None, None)
+    return ConsistencyReport(
+        check(premises, GOAL_UNSAT),
+        check(premises | {conj.name}, GOAL_UNSAT),
+        check(premises, GOAL_CONJECTURE),
+    )

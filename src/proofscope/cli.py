@@ -36,6 +36,13 @@ EXIT_CONFLICT = 5
 
 DEFAULT_ENGINES = [BUILTIN_PROVER_ID, BUILTIN_MODEL_FINDER_ID]
 DEFAULT_TRIALS = 50
+# The engine capability each subcommand that runs engines needs, as its error names it.
+NEEDED_CAPABILITY = {
+    "reprove": (CAP_PROVES, "at least one proving engine"),
+    "minimize": (CAP_PROVES, "at least one proving engine"),
+    "independence": (CAP_PROVES, "at least one proving engine"),
+    "consistency": (CAP_FINDS_MODELS, "a model-finding engine"),
+}
 
 
 @dataclass
@@ -145,6 +152,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         subset_budget=args.subset_budget,
         unsat_mode=getattr(args, "unsat_mode", False),
     )
+    if args.command in NEEDED_CAPABILITY:
+        capability, engine = NEEDED_CAPABILITY[args.command]
+        if not any(capability in e.capabilities for e in cfg.engines):
+            raise EngineConfigError(f"{args.command} needs {engine}")
     if cfg.parallelism < 1:
         raise ValueError("parallelism must be at least 1")
     if cfg.subset_budget < 1:
@@ -165,13 +176,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _session(
-    cfg: RunConfig, theory: Theory, capability: str, missing: str
-) -> tuple[QuerySession, list[str]]:
-    """A query session over theory with the configured engines, and their
-    ids; raises EngineConfigError(missing) when no engine has capability."""
-    if not any(capability in e.capabilities for e in cfg.engines):
-        raise EngineConfigError(missing)
+def _session(cfg: RunConfig, theory: Theory) -> tuple[QuerySession, list[str]]:
+    """A query session over theory with the configured engines, and their ids."""
     session = QuerySession(
         theory,
         provers=[e for e in cfg.engines if CAP_PROVES in e.capabilities],
@@ -202,7 +208,7 @@ class Outcome:
 
 # ---------------------------------------------------------------------------
 # Subcommands: each takes the parsed theory and returns an Outcome.  Input
-# errors found in the theory raise AnalysisError or EngineConfigError.
+# errors found in the theory raise AnalysisError.
 
 
 def cmd_symbols(theory: Theory, cfg: RunConfig, args, err) -> Outcome:
@@ -222,9 +228,7 @@ def cmd_reprove(theory: Theory, cfg: RunConfig, args, err) -> Outcome:
         )
     if theory.conjecture is not None and cfg.unsat_mode:
         raise AnalysisError("--unsat-mode is only for conjecture-free problems")
-    session, engines = _session(
-        cfg, theory, CAP_PROVES, "reprove needs at least one proving engine"
-    )
+    session, engines = _session(cfg, theory)
     full = frozenset(theory.premise_names)
     initial_ent = session.decide(full, prefer="prove")
     initial_verdict = session.run_engine(full, session.provers[0])
@@ -271,9 +275,7 @@ def cmd_independence(theory: Theory, cfg: RunConfig, args, err) -> Outcome:
     axioms = theory.without_conjecture()
     if not axioms.premises:
         raise AnalysisError("independence needs at least one axiom")
-    session, engines = _session(
-        cfg, axioms, CAP_PROVES, "independence needs at least one proving engine"
-    )
+    session, engines = _session(cfg, axioms)
     payload: dict = {"method": args.method}
     if args.method == "naive":
         result = analysis.independence_naive(session)
@@ -296,15 +298,13 @@ def cmd_independence(theory: Theory, cfg: RunConfig, args, err) -> Outcome:
 
 
 def cmd_consistency(theory: Theory, cfg: RunConfig, args, err) -> Outcome:
-    session, engines = _session(
-        cfg, theory, CAP_FINDS_MODELS, "consistency checking needs a model-finding engine"
-    )
+    session, engines = _session(cfg, theory)
     result = analysis.consistency_triple(session)
     return Outcome(
         "consistency",
         theory,
         engines,
-        rpt.consistency_to_dict(result),
+        rpt.consistency_to_dict(result, cfg.limits.timeout),
         EXIT_OK,
         engine_calls=session.engine_calls,
     )

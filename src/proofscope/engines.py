@@ -100,7 +100,7 @@ class EngineSpec:
 class EngineVerdict:
     """One engine call's answer.  A model finder may also hand back the model
     it found or the domain size it exhausted; neither takes part in
-    comparisons, and reports never include them.
+    comparisons.  Consistency reports render both.
 
     premises_exact marks used_premises as exactly the premises the proof
     used, so that set alone yields the goal.  The built-in prover's are: every
@@ -303,26 +303,36 @@ class BuiltinModelFinder:
 # Engine configuration files
 
 
-def _spec_from_dict(engine_id: str, raw: dict) -> EngineSpec:
+def _spec_from_dict(engine_id: str, raw: object) -> EngineSpec:
+    if not isinstance(raw, dict):
+        raise EngineConfigError(f"engine {engine_id!r}: expected an object")
     try:
         executable = raw["executable"]
         template = raw["args"]
     except KeyError as exc:
         raise EngineConfigError(f"engine {engine_id!r}: missing key {exc}") from exc
-    capabilities = frozenset(raw.get("capabilities", [CAP_PROVES]))
+    capabilities = raw.get("capabilities", [CAP_PROVES])
+    if not isinstance(executable, str):
+        raise EngineConfigError(f"engine {engine_id!r}: 'executable' must be a string")
+    for key, value in (("args", template), ("capabilities", capabilities)):
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise EngineConfigError(f"engine {engine_id!r}: {key!r} must be a list of strings")
     return EngineSpec(
         id=engine_id,
         executable=executable,
         argument_template=tuple(template),
-        capabilities=capabilities,
+        capabilities=frozenset(capabilities),
     )
 
 
 def load_engine_config(path: str) -> dict[str, EngineSpec]:
     """Load a declarative engine configuration file (JSON)."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    engines = data.get("engines", data)
+        try:
+            data = json.load(handle)
+        except ValueError as exc:  # invalid JSON or not UTF-8
+            raise EngineConfigError(f"{path}: cannot parse engine config: {exc}") from exc
+    engines = data.get("engines", data) if isinstance(data, dict) else data
     if not isinstance(engines, dict):
         raise EngineConfigError(f"{path}: expected an object mapping engine ids")
     return {eid: _spec_from_dict(eid, raw) for eid, raw in engines.items()}

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from .analysis import (
-    ConsistencyCheck,
     ConsistencyReport,
     IndependenceReport,
     MinimaReport,
@@ -15,6 +14,7 @@ from .analysis import (
     ReproveTrace,
 )
 from .engines import EngineVerdict
+from .modelfinder import model_to_tables, model_to_text
 from .tptp import SignatureEntry, Theory
 
 
@@ -88,34 +88,51 @@ def independence_to_dict(report: IndependenceReport, theory: Theory) -> dict:
     }
 
 
-def consistency_check_to_dict(check: ConsistencyCheck) -> dict:
-    return {
-        "label": check.label,
-        "engine": check.engine_id,
-        "outcome": check.outcome,
-        "reading": check.reading,
-        "budget_seconds": check.budget,
-        "domain_size": check.domain_size,
-        "exhausted_size": check.exhausted_size,
-        "model": check.model_tables,
-        "model_text": check.model_text,
-    }
+# The checks of the consistency triple, by payload key: each one's label and
+# the reading of each outcome (an outcome without a reading reads as itself).
+CONSISTENCY_CHECKS = {
+    "axioms_only": ("axioms", {
+        "ModelFound": "axioms are consistent (finite model found)",
+        "ExhaustedUpTo": "no finite model within bounds; axioms may be inconsistent",
+        "Unsatisfiable": "axioms are inconsistent",
+        "ResourceOut": "search ran out of resources",
+    }),
+    "axioms_plus_conjecture": ("axioms plus conjecture", {
+        "ModelFound": "axioms plus conjecture are consistent",
+        "ExhaustedUpTo": "no finite model within bounds for axioms plus conjecture",
+        "Unsatisfiable": "conjecture contradicts the axioms",
+        "ResourceOut": "search ran out of resources",
+    }),
+    "axioms_plus_negated_conjecture": ("axioms plus negated conjecture", {
+        "ModelFound": "conjecture is countersatisfiable: not derivable from the axioms",
+        "ExhaustedUpTo": "no countermodel within bounds; consistent with the conjecture being a theorem",
+        "Unsatisfiable": "negated conjecture contradicts the axioms: conjecture is a theorem",
+        "ResourceOut": "search ran out of resources",
+    }),
+}
 
 
-def consistency_to_dict(report: ConsistencyReport) -> dict:
-    return {
-        "axioms_only": consistency_check_to_dict(report.axioms_only),
-        "axioms_plus_conjecture": (
-            consistency_check_to_dict(report.axioms_plus_conjecture)
-            if report.axioms_plus_conjecture
-            else None
-        ),
-        "axioms_plus_negated_conjecture": (
-            consistency_check_to_dict(report.axioms_plus_negated_conjecture)
-            if report.axioms_plus_negated_conjecture
-            else None
-        ),
-    }
+def consistency_to_dict(report: ConsistencyReport, budget: float) -> dict:
+    """The consistency payload; budget is the per-call timeout of the run."""
+    payload: dict = {}
+    for key, (label, readings) in CONSISTENCY_CHECKS.items():
+        check = getattr(report, key)
+        if check is None:
+            payload[key] = None
+            continue
+        v, model = check.verdict, check.verdict.model
+        payload[key] = {
+            "label": label,
+            "engine": v.engine_id,
+            "outcome": check.outcome,
+            "reading": readings.get(check.outcome, check.outcome),
+            "budget_seconds": budget,
+            "domain_size": model.domain_size if model else None,
+            "exhausted_size": v.exhausted_size,
+            "model": model_to_tables(model) if model else None,
+            "model_text": model_to_text(model) if model else None,
+        }
+    return payload
 
 
 @dataclass
@@ -235,12 +252,8 @@ def render_text(report: dict) -> str:
             for name, ent in per.items():
                 lines.append(f"  {name}: {ent}")
     elif cmd == "consistency":
-        for key in (
-            "axioms_only",
-            "axioms_plus_conjecture",
-            "axioms_plus_negated_conjecture",
-        ):
-            check = payload.get(key)
+        for key in CONSISTENCY_CHECKS:
+            check = payload[key]
             if not check:
                 continue
             lines.append(f"{check['label']}: {check['outcome']} - {check['reading']}")

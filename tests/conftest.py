@@ -8,7 +8,9 @@ prover, and model-finder code paths they are used to check.
 from __future__ import annotations
 
 import itertools
+import json
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -52,6 +54,13 @@ def prover():
 @pytest.fixture(scope="session")
 def model_finder():
     return BuiltinModelFinder()
+
+
+@pytest.fixture(scope="session")
+def schema():
+    """The JSON report schema."""
+    text = resources.files("proofscope.data").joinpath("report.schema.json").read_text()
+    return json.loads(text)
 
 
 @pytest.fixture(scope="session")

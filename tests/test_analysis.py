@@ -24,6 +24,7 @@ from proofscope.analysis import (
 )
 from proofscope.engines import EngineLimits, EngineVerdict
 from proofscope.logic import Atom, Binary, Not
+from proofscope.report import consistency_to_dict
 from proofscope.tptp import AnnotatedFormula, Theory, parse_file, render_theory
 from proofscope.verdicts import Entailment, ProblemKind, SzsStatus, classify
 
@@ -296,7 +297,8 @@ class TestConsistencyTriple:
         t = mk("fof(a1, axiom, p). fof(goal, conjecture, q).")
         report = consistency_triple(QuerySession(t, counters=[model_finder], limits=LIMITS))
         assert report.axioms_plus_negated_conjecture.outcome == "ModelFound"
-        assert "countersatisfiable" in report.axioms_plus_negated_conjecture.reading
+        payload = consistency_to_dict(report, LIMITS.timeout)
+        assert "countersatisfiable" in payload["axioms_plus_negated_conjecture"]["reading"]
 
     def test_inconsistent_axioms(self, model_finder):
         t = mk("fof(a1, axiom, p). fof(a2, axiom, ~p).")
@@ -338,17 +340,42 @@ fof(route_b_works, axiom, b => c).
 
 
 class _RecordingFinder:
-    """A model finder that records each query theory it is given and gives up."""
+    """A model finder that records each query theory it is given and answers
+    with one status, by default GaveUp."""
 
     id = "recording-finder"
     capabilities = frozenset({"finds_models"})
 
-    def __init__(self):
+    def __init__(self, status=SzsStatus.GaveUp, exhausted_size=None):
         self.seen = []
+        self.status = status
+        self.exhausted_size = exhausted_size
 
     def run(self, t, limits):
         self.seen.append(render_theory(t))
-        return EngineVerdict(self.id, SzsStatus.GaveUp)
+        return EngineVerdict(self.id, self.status, exhausted_size=self.exhausted_size)
+
+
+# The outcome of each consistency check (axioms, axioms plus conjecture,
+# axioms plus negated conjecture) when the finder answers a status: classify
+# reads the first two as Unsatisfiable-mode tasks, the third as a conjecture.
+ALL_UNKNOWN = ("Unknown", "Unknown", "Unknown")
+CONSISTENCY_OUTCOMES = [
+    (SzsStatus.Theorem, None, ("Unknown", "Unknown", "Unsatisfiable")),
+    (SzsStatus.ContradictoryAxioms, None, ("Unsatisfiable",) * 3),
+    (SzsStatus.CounterSatisfiable, None, ("Unknown", "Unknown", "ModelFound")),
+    (SzsStatus.CounterTheorem, None, ("Unknown", "Unknown", "ModelFound")),
+    (SzsStatus.Satisfiable, None, ("ModelFound", "ModelFound", "Unknown")),
+    (SzsStatus.Unsatisfiable, None, ("Unsatisfiable", "Unsatisfiable", "Unknown")),
+    (SzsStatus.Timeout, None, ("ResourceOut",) * 3),
+    (SzsStatus.GaveUp, None, ALL_UNKNOWN),
+    (SzsStatus.GaveUp, 3, ("ExhaustedUpTo",) * 3),
+    (SzsStatus.ResourceOut, None, ("ResourceOut",) * 3),
+    (SzsStatus.MemoryOut, None, ALL_UNKNOWN),
+    (SzsStatus.Error, None, ALL_UNKNOWN),
+    (SzsStatus.Inappropriate, None, ALL_UNKNOWN),
+    (SzsStatus.Unknown, None, ALL_UNKNOWN),
+]
 
 
 class TestConsistencyThroughSession:
@@ -375,9 +402,29 @@ class TestConsistencyThroughSession:
     def test_budget_is_the_session_timeout(self, model_finder):
         t = mk("fof(a1, axiom, p). fof(goal, conjecture, p).")
         limits = EngineLimits(timeout=7.5, max_domain_size=2)
-        report = consistency_triple(QuerySession(t, counters=[model_finder], limits=limits))
-        assert report.axioms_only.budget == 7.5
-        assert report.axioms_plus_negated_conjecture.budget == 7.5
+        session = QuerySession(t, counters=[model_finder], limits=limits)
+        payload = consistency_to_dict(consistency_triple(session), session.limits.timeout)
+        assert payload["axioms_only"]["budget_seconds"] == 7.5
+        assert payload["axioms_plus_negated_conjecture"]["budget_seconds"] == 7.5
+
+    @pytest.mark.parametrize(
+        "status, exhausted_size, outcomes",
+        CONSISTENCY_OUTCOMES,
+        ids=[f"{s.value}-{n}" for s, n, _ in CONSISTENCY_OUTCOMES],
+    )
+    def test_outcome_is_read_by_classify(self, status, exhausted_size, outcomes):
+        t = mk("fof(a1, axiom, p). fof(goal, conjecture, q).")
+        finder = _RecordingFinder(status, exhausted_size)
+        report = consistency_triple(QuerySession(t, counters=[finder], limits=LIMITS))
+        checks = (
+            report.axioms_only,
+            report.axioms_plus_conjecture,
+            report.axioms_plus_negated_conjecture,
+        )
+        assert tuple(c.outcome for c in checks) == outcomes
+
+    def test_every_status_has_outcomes(self):
+        assert {status for status, _, _ in CONSISTENCY_OUTCOMES} == set(SzsStatus)
 
     @pytest.mark.parametrize(
         "problem, axioms, conjecture_name, conjecture_text",

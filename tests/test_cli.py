@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 
 import jsonschema
@@ -23,12 +22,6 @@ def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     code = main(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
-
-
-@pytest.fixture(scope="module")
-def schema():
-    text = resources.files("proofscope.data").joinpath("report.schema.json").read_text()
-    return json.loads(text)
 
 
 @pytest.fixture()
@@ -112,6 +105,8 @@ FLAG_ERRORS = [
     ["independence", "{indep}", "--method", "random", "--trials", "0"],
     ["independence", "{indep}", "--method", "random", "--max-subset-size", "1"],
     ["independence", "{indep}", "--method", "failfast", "--max-subset-size", "0"],
+    ["minimize", "{chain}", "--engine", "builtin-model-finder"],
+    ["consistency", "{chain}", "--engine", "builtin-prover"],
 ]
 
 
@@ -140,6 +135,20 @@ class TestFlagErrors:
         assert err.startswith("proofscope: ") and err.count("\n") == 1
         assert "missing.p" not in err
 
+    @pytest.mark.parametrize(
+        "command, engine, needs",
+        [
+            ("minimize", "builtin-model-finder", "at least one proving engine"),
+            ("reprove", "builtin-model-finder", "at least one proving engine"),
+            ("independence", "builtin-model-finder", "at least one proving engine"),
+            ("consistency", "builtin-prover", "a model-finding engine"),
+        ],
+    )
+    def test_missing_capability_names_the_subcommand(self, command, engine, needs, problems):
+        code, _, err = run_cli([command, problems["chain"], "--engine", engine])
+        assert code == 2
+        assert err == f"proofscope: {command} needs {needs}\n"
+
 
 SUBCOMMANDS = ["symbols", "reprove", "minimize", "independence", "consistency"]
 # Engine flags, and a fragment of the error line each one gives.
@@ -152,10 +161,29 @@ ENGINE_FLAG_ERRORS = {
     "malformed config": (
         ["--engine-config", "{malformed}"], "expected an object mapping engine ids"
     ),
+    "unparsable config": (["--engine-config", "{unparsable}"], "unparsable.json"),
+    "string capabilities": (
+        ["--engine-config", "{string_capabilities}"],
+        "engine 'e': 'capabilities' must be a list of strings",
+    ),
+    "string args": (
+        ["--engine-config", "{string_args}"], "engine 'e': 'args' must be a list of strings"
+    ),
     "repeated id": (
         ["--engine", "builtin-prover", "--engine", "builtin-prover"],
         "'builtin-prover' given more than once",
     ),
+}
+
+
+# Engine config files that ENGINE_FLAG_ERRORS name, by placeholder.
+CONFIG_FILES = {
+    "malformed": json.dumps({"engines": []}),
+    "unparsable": "{",
+    "string_capabilities": json.dumps(
+        {"engines": {"e": {"executable": "x", "args": ["{problem}"], "capabilities": "proves"}}}
+    ),
+    "string_args": json.dumps({"engines": {"e": {"executable": "x", "args": "{problem}"}}}),
 }
 
 
@@ -171,9 +199,10 @@ class TestEngineFlagErrors:
     def test_exit_two_before_the_problem_is_read(
         self, command, flags, message, problems, tmp_path
     ):
-        malformed = tmp_path / "malformed.json"
-        malformed.write_text(json.dumps({"engines": []}))
-        paths = {"missing": str(tmp_path / "no-engines.json"), "malformed": str(malformed)}
+        paths = {"missing": str(tmp_path / "no-engines.json")}
+        for name, text in CONFIG_FILES.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            Path(paths[name]).write_text(text)
         flags = [tok.format(**paths) for tok in flags]
         for problem in (problems["chain"], str(tmp_path / "missing.p")):
             code, out, err = run_cli([command, problem] + flags)
@@ -296,17 +325,22 @@ class TestConsistency:
         assert "may be inconsistent" in out
 
     @pytest.mark.parametrize(
-        "mode, outcome",
+        "mode, outcome, negated",
         [
-            ("satisfiable", "ModelFound"),
-            ("unsat", "Unsatisfiable"),
-            ("contradictory", "Unsatisfiable"),
-            ("garbage", "Unknown"),
+            pytest.param("satisfiable", "ModelFound", "Unknown", id="satisfiable-ModelFound"),
+            pytest.param("unsat", "Unsatisfiable", "Unknown", id="unsat-Unsatisfiable"),
+            pytest.param(
+                "contradictory", "Unsatisfiable", "Unsatisfiable",
+                id="contradictory-Unsatisfiable",
+            ),
+            pytest.param("garbage", "Unknown", "Unknown", id="garbage-Unknown"),
         ],
     )
-    def test_external_model_finder(self, mode, outcome, problems, tmp_path):
-        """An external finder answers through SZS statuses alone: no model
-        tables, one call per check."""
+    def test_external_model_finder(self, mode, outcome, negated, problems, tmp_path):
+        """An external finder answers through SZS statuses alone, read by
+        classify: no model tables, one call per check.  outcome is the
+        reading on the checks without a conjecture, negated the reading on
+        the axioms plus the negated conjecture."""
         config = {
             "engines": {
                 "stub-finder": {
@@ -318,6 +352,11 @@ class TestConsistency:
         }
         cfg_path = tmp_path / "engines.json"
         cfg_path.write_text(json.dumps(config))
+        expected = {
+            "axioms_only": outcome,
+            "axioms_plus_conjecture": outcome,
+            "axioms_plus_negated_conjecture": negated,
+        }
         for problem, calls in (("clean", 3), ("indep", 1)):
             code, out, _ = run_cli(
                 [
@@ -328,14 +367,13 @@ class TestConsistency:
             assert code == 0
             report = json.loads(out)
             assert report["engine_calls"] == calls
-            checks = [c for c in report["payload"].values() if c is not None]
+            checks = {k: c for k, c in report["payload"].items() if c is not None}
             assert len(checks) == calls
-            for check in checks:
+            for key, check in checks.items():
                 assert check["engine"] == "stub-finder"
-                assert check["outcome"] == outcome
+                assert check["outcome"] == expected[key]
                 assert check["model"] is None
                 assert check["model_text"] is None
-
 
     def test_external_theorem_proves_the_conjecture(self, tmp_path):
         """Theorem on the axioms plus the negated conjecture means the negation

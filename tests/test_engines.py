@@ -1,5 +1,6 @@
 """External engine layer tests, exercised through the bundled stub engine."""
 
+import re
 import sys
 import time
 
@@ -177,6 +178,27 @@ class TestEngineConfig:
     def test_unknown_engine_id(self):
         with pytest.raises(EngineConfigError, match="unknown engine id"):
             resolve_engines(["no-such-engine"])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "expected an object mapping engine ids"),
+            ('{"e": "x"}', "engine 'e': expected an object"),
+            (
+                '{"e": {"executable": 3, "args": ["{problem}"]}}',
+                "engine 'e': 'executable' must be a string",
+            ),
+            (
+                '{"e": {"executable": "x", "args": ["{problem}", 3]}}',
+                "engine 'e': 'args' must be a list of strings",
+            ),
+        ],
+    )
+    def test_malformed_config_is_config_error(self, text, message, tmp_path):
+        cfg = tmp_path / "engines.json"
+        cfg.write_text(text)
+        with pytest.raises(EngineConfigError, match=re.escape(message)):
+            load_engine_config(str(cfg))
 
 
 class TestEngineLimits:
