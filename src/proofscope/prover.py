@@ -2,8 +2,12 @@
 
 Clause selection picks the lowest-weight unprocessed clause with FIFO
 tie-break by age; forward subsumption and tautology deletion are applied to
-generated clauses.  Equality is handled by appending congruence axioms under
-the reserved origin name "$equality", which is excluded from used premises.
+generated clauses.  Forward subsumption looks up candidate subsumers in a
+feature-vector index over the processed clauses (Schulz 2013), which only
+skips matches that must fail, and re-checks a selected clause only against
+clauses processed after it was kept.  Equality is handled by appending
+congruence axioms under the reserved origin name "$equality", which is
+excluded from used premises.
 """
 
 from __future__ import annotations
@@ -40,8 +44,14 @@ PICK_GIVEN_RATIO = 4
 
 @dataclass(frozen=True)
 class SearchStats:
+    """generated counts inserted clauses, kept those that survived deletion,
+    given those selected and processed, and subsumption_tests the full
+    matcher's calls that the feature-vector index let through."""
+
     generated: int
     kept: int
+    given: int
+    subsumption_tests: int
 
 
 @dataclass(frozen=True)
@@ -173,19 +183,21 @@ def _is_tautology(literals: tuple[Literal, ...]) -> bool:
     return any((l.pred, l.args) in positive for l in literals if not l.positive)
 
 
-def _match(pattern: Term, target: Term, subst: Subst) -> bool:
-    """One-way matching: only pattern variables may be bound."""
+def _match(pattern: Term, target: Term, subst: Subst, trail: list[str]) -> bool:
+    """One-way matching: only pattern variables may be bound.  Each new
+    binding's name goes on trail, so a caller can undo it."""
     if isinstance(pattern, Var):
         bound = subst.get(pattern.name)
         if bound is None:
             subst[pattern.name] = target
+            trail.append(pattern.name)
             return True
         return bound == target
     if isinstance(target, Var):
         return False
     if pattern.head != target.head or len(pattern.args) != len(target.args):
         return False
-    return all(_match(p, t, subst) for p, t in zip(pattern.args, target.args))
+    return all(_match(p, t, subst, trail) for p, t in zip(pattern.args, target.args))
 
 
 def _literals_by_key(literals: tuple[Literal, ...]) -> dict[tuple[str, bool], list[Literal]]:
@@ -200,22 +212,148 @@ def _subsumes_into(
     d_by_key: dict[tuple[str, bool], list[Literal]],
 ) -> bool:
     """True if some substitution maps every c literal into d's literal set."""
+    subst: Subst = {}
+    trail: list[str] = []
 
-    def backtrack(i: int, subst: Subst) -> bool:
+    def backtrack(i: int) -> bool:
         if i == len(c_literals):
             return True
         lit = c_literals[i]
         candidates = d_by_key.get((lit.pred, lit.positive))
         if not candidates:
             return False
+        mark = len(trail)
         for cand in candidates:
-            trial = dict(subst)
-            if all(_match(p, t, trial) for p, t in zip(lit.args, cand.args)):
-                if backtrack(i + 1, trial):
+            for p, t in zip(lit.args, cand.args):
+                if not _match(p, t, subst, trail):
+                    break
+            else:
+                if backtrack(i + 1):
+                    return True
+            while len(trail) > mark:
+                del subst[trail.pop()]
+        return False
+
+    return backtrack(0)
+
+
+# ---------------------------------------------------------------------------
+# Feature-vector index for forward subsumption (Schulz 2013, "Simple and
+# Efficient Clause Subsumption with Feature Vector Indexing")
+#
+# C can subsume D only if C's feature vector is componentwise <= D's.  Since
+# _subsumes_into may map two literals of C onto one literal of D, a feature
+# counted over several literals would be unsound; each feature is instead a
+# maximum, over the literals of one (predicate, sign) key, of a measure that
+# a substitution can only grow: term size, term depth, the occurrences of
+# each function symbol, whether a given symbol heads a given argument, and
+# whether two given arguments are the same term.
+#
+# The vector is packed into one int.  A measure v takes min(v, FEATURE_CAP)
+# low bits of its field (thermometer code), so v <= w exactly when v's bits
+# are a subset of w's, and the maximum over literals is the bitwise or of
+# their vectors.  The whole <= test is then (c & d) == c.
+
+FEATURE_CAP = 8
+
+
+class _FeatureIndex:
+    """The processed clauses, by feature vector, for forward subsumption.
+
+    The signature is fixed from the input clauses; inference adds no symbol.
+    """
+
+    def __init__(self, clauses: ClauseSet):
+        _, funcs = clause_signature(clauses)
+        self.symbols = {name: i for i, name in enumerate(sorted(funcs))}
+        arity = {}
+        for c in clauses:
+            for lit in c.literals:
+                arity[(lit.pred, lit.positive)] = len(lit.args)
+        nsym = len(self.symbols)
+        # Per key: the offset of its presence bit; after it come the size,
+        # depth and per-symbol count fields, one bit per (argument, symbol)
+        # for the symbol heading that argument, and one bit per pair of
+        # arguments for the two being equal.
+        self.offsets: dict[tuple[str, bool], int] = {}
+        self.presence = 0
+        offset = 0
+        for key in sorted(arity):
+            n = arity[key]
+            self.offsets[key] = offset
+            self.presence |= 1 << offset
+            offset += 1 + (2 + nsym) * FEATURE_CAP + n * nsym + n * (n - 1) // 2
+        # Processed clauses bucketed by their presence bits (their key set);
+        # each entry is (processed index, literal count, vector, literals).
+        self.buckets: dict[int, list[tuple[int, int, int, tuple[Literal, ...]]]] = {}
+        self.tests = 0
+
+    def vector(self, literals: tuple[Literal, ...]) -> int:
+        """The feature vector of a clause with these literals."""
+        symbols = self.symbols
+        nsym = len(symbols)
+        vec = 0
+        for lit in literals:
+            base = self.offsets[(lit.pred, lit.positive)]
+            occurrences: list[int] = []
+            size = depth = 0
+            heads = base + 1 + (2 + nsym) * FEATURE_CAP
+            pair = heads + len(lit.args) * nsym
+            for i, arg in enumerate(lit.args):
+                if isinstance(arg, App):
+                    vec |= 1 << (heads + i * nsym + symbols[arg.head])
+                s, d = _term_measures(arg, symbols, occurrences)
+                size += s
+                depth = max(depth, d)
+                for other in lit.args[i + 1 :]:
+                    if arg == other:
+                        vec |= 1 << pair
+                    pair += 1
+            vec |= 1 << base | _thermometer(size) << base + 1
+            vec |= _thermometer(depth) << base + 1 + FEATURE_CAP
+            for j in set(occurrences):
+                vec |= _thermometer(occurrences.count(j)) << base + 1 + (2 + j) * FEATURE_CAP
+        return vec
+
+    def add(self, gidx: int, literals: tuple[Literal, ...], vec: int) -> None:
+        entry = (gidx, len(literals), vec, literals)
+        self.buckets.setdefault(vec & self.presence, []).append(entry)
+
+    def subsumed(self, literals: tuple[Literal, ...], vec: int, since: int = 0) -> bool:
+        """True if a clause processed at index since or later, with no more
+        literals than literals, subsumes them."""
+        nlits = len(literals)
+        by_key = None
+        for mask, entries in self.buckets.items():
+            if mask & vec != mask:
+                continue
+            for gidx, n, v, c_literals in entries:
+                if gidx < since or n > nlits or v & vec != v:
+                    continue
+                if by_key is None:
+                    by_key = _literals_by_key(literals)
+                self.tests += 1
+                if _subsumes_into(c_literals, by_key):
                     return True
         return False
 
-    return backtrack(0, {})
+
+def _thermometer(v: int) -> int:
+    return (1 << min(v, FEATURE_CAP)) - 1
+
+
+def _term_measures(t: Term, symbols: dict[str, int], occurrences: list[int]) -> tuple[int, int]:
+    """Size and depth of t; appends the index of each symbol occurrence."""
+    if isinstance(t, Var):
+        return 1, 1
+    occurrences.append(symbols[t.head])
+    size = 1
+    depth = 0
+    for a in t.args:
+        s, d = _term_measures(a, symbols, occurrences)
+        size += s
+        depth = max(depth, d)
+    return size, depth + 1
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +407,13 @@ def congruence_axioms(clauses: ClauseSet) -> ClauseSet:
 
 
 class _Proc:
-    """A processed clause with precomputed matching data."""
+    """A processed clause with its literals renamed apart for resolution."""
 
-    __slots__ = ("clause", "renamed", "by_key", "keyset", "nlits")
+    __slots__ = ("clause", "renamed")
 
     def __init__(self, clause: Clause):
         self.clause = clause
         self.renamed = tuple(_rename_literal(l, "r_") for l in clause.literals)
-        self.by_key = _literals_by_key(clause.literals)
-        self.keyset = frozenset(self.by_key)
-        self.nlits = len(clause.literals)
 
 
 class _Saturation:
@@ -288,12 +423,15 @@ class _Saturation:
         self.heap: list[tuple[int, int, int]] = []  # (weight, age, slot)
         self.slots: list[Clause] = []
         self.done: list[bool] = []  # slot already selected as given
+        # Per slot: the clause's feature vector, and how many clauses were
+        # processed when it was kept (those already failed to subsume it).
+        self.vectors: list[int] = []
+        self.kept_at: list[int] = []
         self.age_cursor = 0
         self.picks = 0
         self.processed: list[_Proc] = []
         self.index: dict[tuple[str, bool], list[tuple[int, int]]] = {}
-        # Subsumption candidates bucketed by the key of their first literal.
-        self.sub_buckets: dict[tuple[str, bool], list[int]] = {}
+        self.features = _FeatureIndex(initial)
         self.seen: set[tuple[Literal, ...]] = set()
         self.generated = 0
         self.kept = 0
@@ -305,19 +443,6 @@ class _Saturation:
             if self.empty is not None:
                 return
 
-    def _forward_subsumed(self, literals: tuple[Literal, ...]) -> bool:
-        """True if some processed clause subsumes the given literal tuple."""
-        by_key = _literals_by_key(literals)
-        keyset = frozenset(by_key)
-        nlits = len(literals)
-        for key in keyset:
-            for pidx in self.sub_buckets.get(key, ()):
-                proc = self.processed[pidx]
-                if proc.nlits <= nlits and proc.keyset <= keyset:
-                    if _subsumes_into(proc.clause.literals, by_key):
-                        return True
-        return False
-
     def _insert(self, literals: tuple[Literal, ...], origins: frozenset[str]) -> None:
         self.generated += 1
         if not literals:
@@ -327,13 +452,16 @@ class _Saturation:
             return
         if literals in self.seen:
             return
-        if self._forward_subsumed(literals):
+        vec = self.features.vector(literals)
+        if self.features.subsumed(literals, vec):
             return
         clause = Clause(literals, origins)
         self.seen.add(literals)
         slot = len(self.slots)
         self.slots.append(clause)
         self.done.append(False)
+        self.vectors.append(vec)
+        self.kept_at.append(len(self.processed))
         heapq.heappush(self.heap, (clause.weight, slot, slot))
         self.kept += 1
         if self.kept > self.max_clause_count:
@@ -381,13 +509,12 @@ class _Saturation:
                 break
             given = self.slots[slot]
             # A popped clause may have become redundant since its insertion.
-            if self._forward_subsumed(given.literals):
+            vec = self.vectors[slot]
+            if self.features.subsumed(given.literals, vec, self.kept_at[slot]):
                 continue
             gidx = len(self.processed)
-            proc = _Proc(given)
-            self.processed.append(proc)
-            first_key = (given.literals[0].pred, given.literals[0].positive)
-            self.sub_buckets.setdefault(first_key, []).append(gidx)
+            self.processed.append(_Proc(given))
+            self.features.add(gidx, given.literals, vec)
             for li, lit in enumerate(given.literals):
                 self.index.setdefault((lit.pred, lit.positive), []).append((gidx, li))
             if not self._infer(given):
@@ -460,7 +587,9 @@ def _search(
     clauses = _input_clauses([(p.name, p.formula) for p in t.premises] + goal)
     sat = _Saturation(clauses, limits)
     result = sat.run()
-    stats = SearchStats(sat.generated, sat.kept)
+    stats = SearchStats(
+        sat.generated, sat.kept, len(sat.processed), sat.features.tests
+    )
     if result == "refutation":
         assert sat.empty is not None
         return ProofOutcome(

@@ -236,6 +236,38 @@ def random_term(rng):
     return App("b")
 
 
+def random_open_term(rng, variables=("X0", "X1", "X2"), depth: int = 2):
+    """Small random term over {f/1, a, b} and the given variables."""
+    roll = rng.random()
+    if roll < 0.35:
+        return Var(rng.choice(variables))
+    if roll < 0.55 or depth == 0:
+        return App("a")
+    if roll < 0.7:
+        return App("b")
+    return App("f", (random_open_term(rng, variables, depth - 1),))
+
+
+def random_literals(rng, max_literals: int = 3, variables=("X0", "X1", "X2")):
+    """1 to max_literals random literals over {p/1, q/0, =} whose terms come
+    from random_open_term."""
+    from proofscope.clauses import EQUALITY_PRED, Literal
+
+    out = []
+    for _ in range(rng.randint(1, max_literals)):
+        positive = rng.random() < 0.5
+        roll = rng.random()
+        if roll < 0.45:
+            args = (random_open_term(rng, variables),)
+            out.append(Literal(positive, "p", args))
+        elif roll < 0.6:
+            out.append(Literal(positive, "q", ()))
+        else:
+            args = (random_open_term(rng, variables), random_open_term(rng, variables))
+            out.append(Literal(positive, EQUALITY_PRED, args))
+    return tuple(out)
+
+
 def _open_over_x(rng, f: Formula) -> Formula:
     """Replace some occurrences of the constant a with the variable X."""
 

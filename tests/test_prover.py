@@ -1,14 +1,38 @@
-"""Saturation prover tests: verdicts, used premises, determinism, limits."""
+"""Saturation prover tests: verdicts, used premises, determinism, limits,
+pinned search counts and the forward-subsumption index."""
+
+import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from proofscope import prover
+from proofscope.clauses import Clause, Literal
 from proofscope.engines import EngineLimits
 from proofscope.modelfinder import ModelKind, find_model
-from proofscope.logic import negate
-from proofscope.prover import prove, refute
+from proofscope.logic import App, Var, negate
+from proofscope.prover import (
+    _FeatureIndex,
+    _apply_literal,
+    _literals_by_key,
+    _subsumes_into,
+    normalize,
+    prove,
+    refute,
+)
+from proofscope.tptp import AnnotatedFormula, Theory, parse_file
 from proofscope.verdicts import SzsStatus
 
-from conftest import mk, prop_entails, prop_satisfiable
+from conftest import (
+    PROBLEM_DIR,
+    mk,
+    prop_entails,
+    prop_satisfiable,
+    random_closed_formula,
+    random_literals,
+    random_open_term,
+)
+from corpus import ORACLE_THEORIES, UNSAT_CLAUSE_SETS
 
 LIMITS = EngineLimits(timeout=20)
 
@@ -164,3 +188,180 @@ class TestAgainstTruthTables:
         assert got == expected
         if not expected:
             assert out.status == SzsStatus.CounterSatisfiable
+
+
+# ---------------------------------------------------------------------------
+# The search itself, pinned: subsumption indexing and other speed-ups must
+# not change a single decision.  Each row is (theory, status, used premises,
+# generated, kept); the table was generated with the first-literal bucket
+# scan that the feature-vector index replaced.
+
+SEARCH_PINS = [
+    ("chain_with_distractor", "Theorem", ("a1", "a2"), 7, 6),
+    ("two_routes", "Theorem", ("a1", "a2"), 8, 7),
+    ("disjunctive_goal", "Theorem", ("a1",), 5, 4),
+    ("conjunctive_goal", "Theorem", ("a1", "a2"), 7, 6),
+    ("shortcut_implication", "Theorem", ("a1", "a2", "a3"), 11, 9),
+    ("tautology_goal", "Theorem", (), 5, 4),
+    ("duplicate_axiom", "Theorem", ("a1",), 5, 3),
+    ("inconsistent_premises", "Theorem", ("a1", "a2"), 5, 4),
+    ("biconditional", "Theorem", ("a1", "a2"), 8, 7),
+    ("exclusive_or", "Theorem", ("a1", "a2"), 10, 7),
+    ("nand_connective", "Theorem", ("a1", "a2"), 7, 6),
+    ("nor_connective", "Theorem", ("a1",), 5, 4),
+    ("single_relevant_fact", "Theorem", ("a3",), 7, 6),
+    ("long_chain", "Theorem", ("a1", "a2", "a3", "a4", "a5"), 16, 15),
+    ("conjunction_trigger", "Theorem", ("a1", "a2", "a3"), 10, 9),
+    ("case_split", "Theorem", ("a1", "a2", "a3"), 12, 11),
+    ("modus_tollens", "Theorem", ("a1", "a2"), 7, 6),
+    ("implied_by", "Theorem", ("a1", "a2"), 6, 5),
+    ("universal_instantiation", "Theorem", ("a1", "a2"), 8, 7),
+    ("existential_witnesses", "Theorem", ("a1",), 5, 4),
+    ("forall_to_exists", "Theorem", ("a1",), 4, 3),
+    ("stratified_rules", "Theorem", ("a1", "a2", "a3"), 10, 9),
+    ("monadic_cover", "Theorem", ("a1", "a2"), 7, 6),
+    ("negative_literal_premise", "Theorem", ("a1", "a2"), 7, 6),
+    ("direct_contradiction", "Unsatisfiable", ("a1", "a2"), 3, 2),
+    ("covered_disjunction", "Unsatisfiable", ("a1", "a2", "a3"), 6, 5),
+    ("contradiction_plus_noise", "Unsatisfiable", ("a1", "a2"), 4, 3),
+    ("broken_implication", "Unsatisfiable", ("a1", "a2", "a3"), 7, 6),
+    ("full_square", "Unsatisfiable", ("a1", "a2", "a3", "a4"), 19, 8),
+    ("three_way", "Unsatisfiable", ("a1", "a2", "a3"), 6, 5),
+    (
+        "PUZ001+1",
+        "Theorem",
+        ("pel55_1", "pel55_10", "pel55_11", "pel55_3", "pel55_4",
+         "pel55_5", "pel55_6", "pel55_7", "pel55_8", "pel55_9"),
+        6036,
+        2403,
+    ),
+    ("dependent_axioms", "Satisfiable", (), 3, 3),
+    ("two_minima", "Theorem", ("route_a", "route_a_works"), 8, 7),
+]
+
+_THEORY_TEXTS = dict(ORACLE_THEORIES + UNSAT_CLAUSE_SETS)
+
+
+def _pinned_theory(name: str) -> Theory:
+    if name in _THEORY_TEXTS:
+        return mk(_THEORY_TEXTS[name])
+    return parse_file(str(PROBLEM_DIR / f"{name}.p"))
+
+
+def test_search_pins_cover_the_corpus_and_bundled_problems():
+    bundled = {p.stem for p in PROBLEM_DIR.glob("*.p")}
+    assert {row[0] for row in SEARCH_PINS} == set(_THEORY_TEXTS) | bundled
+
+
+@pytest.mark.parametrize(
+    "name,status,used,generated,kept", SEARCH_PINS, ids=[r[0] for r in SEARCH_PINS]
+)
+def test_search_is_pinned(name, status, used, generated, kept):
+    t = _pinned_theory(name)
+    search = prove if t.conjecture is not None else refute
+    out = search(t, EngineLimits(timeout=60))
+    assert out.status.value == status
+    assert out.used_premises == frozenset(used)
+    assert (out.stats.generated, out.stats.kept) == (generated, kept)
+
+
+def test_puz001_subsumption_tests_stay_indexed(puz001):
+    """The full PUZ001 proof runs the full matcher on few candidates.  The
+    first-literal bucket scan that the feature-vector index replaced made
+    131,421 matcher calls here; the index makes about 11,000."""
+    out = prove(puz001, EngineLimits(timeout=60))
+    assert (out.stats.generated, out.stats.kept, out.stats.given) == (6036, 2403, 187)
+    assert out.stats.subsumption_tests <= 30_000
+
+
+# ---------------------------------------------------------------------------
+# The feature-vector index answers exactly what the full matcher answers
+# under the literal-count condition: it only skips matches that must fail.
+
+
+def _clause(literals) -> Clause:
+    return Clause(literals, frozenset())
+
+
+def _instance(rng, literals):
+    """literals under a random substitution, plus some random literals."""
+    subst = {v: random_open_term(rng, ("Y0", "Y1")) for v in ("X0", "X1", "X2")}
+    image = tuple(_apply_literal(l, subst) for l in literals)
+    return normalize(image + random_literals(rng, 2, ("Y0", "Y1")))
+
+
+def _brute_force(processed, literals, since=0) -> bool:
+    by_key = _literals_by_key(literals)
+    return any(
+        len(c) <= len(literals) and _subsumes_into(c, by_key) for c in processed[since:]
+    )
+
+
+def test_index_keeps_the_literal_count_condition():
+    """p(X) | p(a) maps into p(a), but a longer clause never subsumes a
+    shorter one here, which keeps factoring's work for the search."""
+    c = normalize((Literal(True, "p", (Var("X"),)), Literal(True, "p", (App("a"),))))
+    d = (Literal(True, "p", (App("a"),)),)
+    index = _FeatureIndex((_clause(c), _clause(d)))
+    index.add(0, c, index.vector(c))
+    assert _subsumes_into(c, _literals_by_key(d))
+    assert not index.subsumed(d, index.vector(d))
+
+
+@given(st.integers(0, 2**32))
+def test_index_never_rejects_a_subsumer(n):
+    rng = random.Random(n)
+    c = normalize(random_literals(rng))
+    for d in (_instance(rng, c), normalize(random_literals(rng, 4))):
+        index = _FeatureIndex((_clause(c), _clause(d)))
+        cv, dv = index.vector(c), index.vector(d)
+        if _subsumes_into(c, _literals_by_key(d)):
+            assert cv & dv == cv
+        index.add(0, c, cv)
+        assert index.subsumed(d, dv) == _brute_force([c], d)
+
+
+@given(st.integers(0, 2**32))
+def test_index_answers_like_a_scan_of_the_processed_clauses(n):
+    rng = random.Random(n)
+    processed = [normalize(random_literals(rng)) for _ in range(rng.randint(1, 6))]
+    query = _instance(rng, rng.choice(processed))
+    since = rng.randint(0, len(processed))
+    index = _FeatureIndex(tuple(map(_clause, processed + [query])))
+    for gidx, literals in enumerate(processed):
+        index.add(gidx, literals, index.vector(literals))
+    vec = index.vector(query)
+    for start in (0, since):
+        got = index.subsumed(query, vec, start)
+        assert got == _brute_force(processed, query, start)
+
+
+class _CheckedIndex(_FeatureIndex):
+    """Checks every answer against a scan of all processed clauses."""
+
+    def __init__(self, clauses):
+        super().__init__(clauses)
+        self.processed = []
+
+    def add(self, gidx, literals, vec):
+        super().add(gidx, literals, vec)
+        self.processed.append(literals)
+
+    def subsumed(self, literals, vec, since=0):
+        got = super().subsumed(literals, vec, since)
+        # Clauses processed before `since` already failed to subsume these
+        # literals when they were kept, so the full scan must agree.
+        assert got == _brute_force(self.processed, literals)
+        return got
+
+
+@given(st.integers(0, 2**16))
+def test_saturation_subsumption_equals_a_full_scan(n):
+    rng = random.Random(n)
+    premises = tuple(
+        AnnotatedFormula(f"a{i}", "axiom", random_closed_formula(rng, 1)) for i in range(2)
+    )
+    goal = AnnotatedFormula("goal", "conjecture", random_closed_formula(rng, 1))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(prover, "_FeatureIndex", _CheckedIndex)
+        prove(Theory(premises + (goal,)), EngineLimits(timeout=10, max_clause_count=150))
