@@ -148,15 +148,14 @@ def _derivation_region(output: str) -> str:
     return output
 
 
+def _cited_names(output: str) -> frozenset[str]:
+    """Names cited as file(<path>, <name>) sources in the derivation."""
+    return frozenset(_FILE_SOURCE_RE.findall(_derivation_region(output)))
+
+
 def extract_used_premises(output: str, t: Theory) -> frozenset[str]:
     """Premise names cited as file(<path>, <name>) sources in the derivation."""
-    region = _derivation_region(output)
-    cited = set(_FILE_SOURCE_RE.findall(region))
-    return frozenset(cited) & frozenset(t.premise_names)
-
-
-def _cited_any(output: str) -> bool:
-    return bool(_FILE_SOURCE_RE.search(_derivation_region(output)))
+    return _cited_names(output) & frozenset(t.premise_names)
 
 
 def _digest(text: str) -> str:
@@ -219,16 +218,12 @@ def run_engine(spec: EngineSpec, t: Theory, budget: float) -> EngineVerdict:
     status = parse_szs(output)
     if timed_out and status == SzsStatus.Unknown:
         status = SzsStatus.Timeout
-    used: frozenset[str] = frozenset()
-    info = False
-    if status in PROOF_STATUSES:
-        used = extract_used_premises(output, t)
-        info = _cited_any(output)
+    cited = _cited_names(output) if status in PROOF_STATUSES else frozenset()
     return EngineVerdict(
         engine_id=spec.id,
         status=status,
-        used_premises=used,
-        has_premise_info=info,
+        used_premises=cited & frozenset(t.premise_names),
+        has_premise_info=bool(cited),
         # The temp-file path differs on every call; engines that cite their
         # input in file(...) annotations print it.
         raw_output_digest=_digest(output.replace(problem_path, "{problem}")),

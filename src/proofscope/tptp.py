@@ -4,6 +4,10 @@ Supported grammar: fof(...) annotated formulas with the connectives
 ~ & | => <= <=> <~> ~| ~&, quantifiers ! and ?, infix = and !=, $true/$false,
 plus cnf(...) inputs (lifted to universally closed formulas) and
 include('file') directives.  % comments are stripped.
+
+Symbol kinds and arities are checked in one place, _signature, which walks
+the parsed formulas with logic.symbols; parse_problem and signature_of both
+call it.  The parser itself records no symbol uses.
 """
 
 from __future__ import annotations
@@ -197,14 +201,6 @@ def _quote_if_needed(name: str) -> str:
 # ---------------------------------------------------------------------------
 # Parser
 
-@dataclass
-class _SymbolUse:
-    kind: str
-    arity: int
-    line: int
-    column: int
-
-
 class _Parser:
     def __init__(self, tokens: list[Token], path: str):
         self.tokens = tokens
@@ -251,7 +247,7 @@ class _Parser:
             return _unquote(self.next().value)
         raise self.error("expected a formula name")
 
-    def parse_annotated(self, keyword: str) -> tuple[AnnotatedFormula, list[tuple[str, _SymbolUse]]]:
+    def parse_annotated(self, keyword: str) -> AnnotatedFormula:
         start = self.expect("lower", keyword)
         self.expect("op", "(")
         name = self.parse_name()
@@ -263,7 +259,6 @@ class _Parser:
             )
         role = self.next().value
         self.expect("op", ",")
-        self.uses: list[tuple[str, _SymbolUse]] = []
         if keyword == "fof":
             formula = self.parse_formula(bound=frozenset())
         else:
@@ -272,10 +267,7 @@ class _Parser:
             raise self.error("annotations are not supported in problem files")
         self.expect("op", ")")
         self.expect("op", ".")
-        annotated = AnnotatedFormula(
-            name, role, formula, Provenance(self.path, start.line)
-        )
-        return annotated, self.uses
+        return AnnotatedFormula(name, role, formula, Provenance(self.path, start.line))
 
     def parse_include(self) -> tuple[str, Token]:
         start = self.expect("lower", "include")
@@ -364,11 +356,6 @@ class _Parser:
         if isinstance(term, Var):
             what = "literal" if bound is None else "formula"
             raise self.error(f"a variable is not a {what}", tok)
-        # Reclassify the outermost term as a predicate application.  Its use
-        # is the last one recorded, since parse_term records a head after its
-        # arguments.
-        sym, use = self.uses[-1]
-        self.uses[-1] = (sym, _SymbolUse(KIND_PREDICATE, use.arity, use.line, use.column))
         return Atom(term.head, term.args)
 
     def parse_term(self, bound: frozenset[str] | None) -> Term:
@@ -396,8 +383,6 @@ class _Parser:
                         continue
                     break
                 self.expect("op", ")")
-            kind = KIND_FUNCTION if args else KIND_CONSTANT
-            self.uses.append((head, _SymbolUse(kind, len(args), tok.line, tok.column)))
             return App(head, tuple(args))
         got = tok.value if tok.kind != "eof" else "end of input"
         raise self.error(f"expected a term, found {got!r}")
@@ -454,15 +439,12 @@ def _parse_into(
     path: str,
     include_dirs: Sequence[str],
     formulas: list[AnnotatedFormula],
-    uses: list[tuple[str, _SymbolUse, str]],
     active: set[str],
 ) -> None:
     parser = _Parser(_tokenize(text, path), path)
     for kind, payload in parser.parse_statements():
         if kind == "formula":
-            annotated, symbol_uses = payload  # type: ignore[misc]
-            formulas.append(annotated)
-            uses.extend((sym, use, path) for sym, use in symbol_uses)
+            formulas.append(payload)  # type: ignore[arg-type]
         else:
             target, tok = payload  # type: ignore[misc]
             including_dir = os.path.dirname(path) if path != "<memory>" else None
@@ -479,54 +461,37 @@ def _parse_into(
             with open(resolved, "r", encoding="utf-8") as handle:
                 included_text = handle.read()
             active.add(real)
-            _parse_into(included_text, resolved, include_dirs, formulas, uses, active)
+            _parse_into(included_text, resolved, include_dirs, formulas, active)
             active.remove(real)
 
 
-def _check_wellformed(
-    formulas: list[AnnotatedFormula], uses: list[tuple[str, _SymbolUse, str]]
-) -> None:
+def _formula_error(f: AnnotatedFormula, message: str) -> ParseError:
+    """An error at f's fof(/cnf( line, column 1."""
+    return ParseError(message, f.source.path, f.source.line, 1)
+
+
+def _check_wellformed(formulas: list[AnnotatedFormula]) -> None:
     seen_names: dict[str, Provenance] = {}
     conjecture: AnnotatedFormula | None = None
     for f in formulas:
         if f.name.startswith("$"):
-            raise ParseError(
-                f"formula name {f.name!r} is reserved ('$'-prefixed names are internal)",
-                f.source.path,
-                f.source.line,
-                1,
+            raise _formula_error(
+                f, f"formula name {f.name!r} is reserved ('$'-prefixed names are internal)"
             )
         if f.name in seen_names:
-            raise ParseError(
+            raise _formula_error(
+                f,
                 f"duplicate formula name {f.name!r} (first declared at "
                 f"{seen_names[f.name].path}:{seen_names[f.name].line})",
-                f.source.path,
-                f.source.line,
-                1,
             )
         seen_names[f.name] = f.source
         if f.role == "conjecture":
             if conjecture is not None:
-                raise ParseError(
-                    f"multiple conjectures: {conjecture.name!r} and {f.name!r}",
-                    f.source.path,
-                    f.source.line,
-                    1,
+                raise _formula_error(
+                    f, f"multiple conjectures: {conjecture.name!r} and {f.name!r}"
                 )
             conjecture = f
-    declared: dict[str, _SymbolUse] = {}
-    for sym, use, path in uses:
-        prior = declared.get(sym)
-        if prior is None:
-            declared[sym] = use
-        elif (prior.kind, prior.arity) != (use.kind, use.arity):
-            raise ParseError(
-                f"symbol {sym!r} used as {use.kind}/{use.arity} but previously as "
-                f"{prior.kind}/{prior.arity}",
-                path,
-                use.line,
-                use.column,
-            )
+    _signature(formulas)
 
 
 def parse_problem(
@@ -534,12 +499,11 @@ def parse_problem(
 ) -> Theory:
     """Parse TPTP FOF/CNF text into a Theory, resolving include directives."""
     formulas: list[AnnotatedFormula] = []
-    uses: list[tuple[str, _SymbolUse, str]] = []
     active: set[str] = set()
     if origin != "<memory>":
         active.add(os.path.realpath(origin))
-    _parse_into(source, origin, include_dirs, formulas, uses, active)
-    _check_wellformed(formulas, uses)
+    _parse_into(source, origin, include_dirs, formulas, active)
+    _check_wellformed(formulas)
     return Theory(tuple(formulas), origin=origin)
 
 
@@ -607,6 +571,34 @@ def render_theory(t: Theory) -> str:
 # Signature analysis
 
 
+def _signature(formulas: Sequence[AnnotatedFormula]) -> dict[str, list]:
+    """symbol -> [kind, arity, occurrences, names of the formulas it occurs in].
+
+    A symbol used with two kinds or arities raises ParseError at the later
+    formula, naming both formulas."""
+    info: dict[str, list] = {}
+    for af in formulas:
+        for sym, arity, is_predicate in symbols(af.formula):
+            if is_predicate:
+                kind = KIND_PREDICATE
+            else:
+                kind = KIND_FUNCTION if arity else KIND_CONSTANT
+            entry = info.get(sym)
+            if entry is None:
+                info[sym] = [kind, arity, 1, [af.name]]
+                continue
+            if entry[0] != kind or entry[1] != arity:
+                raise _formula_error(
+                    af,
+                    f"symbol {sym!r} used as {kind}/{arity} in {af.name!r} but as "
+                    f"{entry[0]}/{entry[1]} in {entry[3][0]!r}",
+                )
+            entry[2] += 1
+            if entry[3][-1] != af.name:
+                entry[3].append(af.name)
+    return info
+
+
 @dataclass(frozen=True)
 class SignatureEntry:
     symbol: str
@@ -620,33 +612,11 @@ def signature_of(t: Theory) -> list[SignatureEntry]:
     """One entry per non-variable symbol, ordered by symbol name.
 
     Occurrence counts are per syntactic occurrence, not per formula.
+    Raises ParseError if a symbol is used with two kinds or arities.
     """
-    info: dict[str, list] = {}  # symbol -> [kind, arity, count, [names]]
-
-    def record(sym: str, kind: str, arity: int, formula_name: str) -> None:
-        entry = info.get(sym)
-        if entry is None:
-            info[sym] = [kind, arity, 1, [formula_name]]
-            return
-        if (entry[0], entry[1]) != (kind, arity):
-            raise TptpError(
-                f"symbol {sym!r} used as {kind}/{arity} but previously as "
-                f"{entry[0]}/{entry[1]}"
-            )
-        entry[2] += 1
-        if formula_name not in entry[3]:
-            entry[3].append(formula_name)
-
-    for af in t.formulas:
-        for sym, arity, is_predicate in symbols(af.formula):
-            if is_predicate:
-                kind = KIND_PREDICATE
-            else:
-                kind = KIND_FUNCTION if arity else KIND_CONSTANT
-            record(sym, kind, arity, af.name)
     return [
-        SignatureEntry(sym, entry[0], entry[1], entry[2], tuple(entry[3]))
-        for sym, entry in sorted(info.items())
+        SignatureEntry(sym, kind, arity, count, tuple(names))
+        for sym, (kind, arity, count, names) in sorted(_signature(t.formulas).items())
     ]
 
 

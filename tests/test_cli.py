@@ -414,6 +414,7 @@ class TestJsonContract:
         ["independence", "{dep}", "--json"],
         ["independence", "{indep}", "--method", "random", "--trials", "5", "--json"],
         ["consistency", "{chain}", "--json"],
+        ["consistency", "{chain}", "--timeout", "0.5", "--json"],
     ]
 
     @pytest.mark.parametrize("template", COMMANDS, ids=lambda t: " ".join(t[:3]))

@@ -14,9 +14,11 @@ from proofscope.logic import (
     Var,
 )
 from proofscope.tptp import (
+    AnnotatedFormula,
     IncludeError,
     ParseError,
     Theory,
+    TptpError,
     hapax_legomena,
     parse_file,
     parse_problem,
@@ -71,6 +73,15 @@ class TestParsing:
         # p used as a predicate and as a constant
         with pytest.raises(ParseError):
             mk("fof(a1, axiom, p). fof(a2, axiom, q(p)).")
+
+    def test_clash_reported_at_later_formula(self):
+        # The position is the fof( of the formula that clashes, not the symbol.
+        with pytest.raises(ParseError) as exc:
+            mk("fof(a1, axiom, p(a)).\nfof(a2, axiom,\n  q & p(a, b)).")
+        assert (exc.value.path, exc.value.line, exc.value.column) == ("<memory>", 2, 1)
+        assert str(exc.value) == (
+            "<memory>:2:1: symbol 'p' used as predicate/2 in 'a2' but as predicate/1 in 'a1'"
+        )
 
     def test_unbound_variable_rejected(self):
         with pytest.raises(ParseError, match="unbound"):
@@ -196,6 +207,22 @@ class TestIncludes:
         )
         assert parse_file(str(prob)) == spliced
 
+    def test_clash_across_files_reported_in_later_file(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("TPTP", raising=False)
+        part = tmp_path / "part.ax"
+        part.write_text("fof(one, axiom, p(a)).\n")
+        prob = tmp_path / "prob.p"
+        prob.write_text("include('part.ax').\n\nfof(goal, conjecture, p).\n")
+        with pytest.raises(ParseError) as exc:
+            parse_file(str(prob))
+        assert (exc.value.path, exc.value.line, exc.value.column) == (str(prob), 3, 1)
+        assert "in 'goal' but as predicate/1 in 'one'" in str(exc.value)
+        prob.write_text("fof(first, axiom, p).\ninclude('part.ax').\n")
+        with pytest.raises(ParseError) as exc:
+            parse_file(str(prob))
+        assert (exc.value.path, exc.value.line, exc.value.column) == (str(part), 1, 1)
+        assert "in 'one' but as predicate/0 in 'first'" in str(exc.value)
+
 
 class TestRendering:
     def test_render_minimal(self):
@@ -309,6 +336,17 @@ class TestSignature:
 
     def test_empty_theory(self):
         assert signature_of(Theory(())) == []
+
+    def test_clash_in_memory_theory(self):
+        t = Theory((
+            AnnotatedFormula("a1", "axiom", Atom("p", (App("a"),))),
+            AnnotatedFormula("a2", "axiom", Atom("a")),
+        ))
+        with pytest.raises(ParseError, match="'a' used as predicate/0 in 'a2' but as "
+                           "constant/0 in 'a1'") as exc:
+            signature_of(t)
+        assert isinstance(exc.value, TptpError)
+        assert (exc.value.path, exc.value.line, exc.value.column) == ("<memory>", 0, 1)
 
     def test_deterministic_order(self):
         t = mk("fof(a1, axiom, zebra & apple & mango).")
