@@ -38,7 +38,7 @@ from .engines import (
     parse_szs,
     run_engine,
 )
-from .logic import Formula, Interpretation, evaluate, free_variables, negate
+from .logic import Formula, Interpretation, evaluate, free_variables
 from .modelfinder import (
     ModelKind,
     ModelOutcome,

@@ -24,7 +24,7 @@ from .engines import (
     load_engine_config,
     resolve_engines,
 )
-from .tptp import Theory, TptpError, hapax_legomena, parse_file, signature_of
+from .tptp import Theory, TptpError, parse_file, signature_of
 from .verdicts import Entailment, ExtendedStatus, VerdictConflictError, extended_statuses
 
 EXIT_OK = 0
@@ -36,6 +36,7 @@ EXIT_CONFLICT = 5
 
 DEFAULT_ENGINES = [BUILTIN_PROVER_ID, BUILTIN_MODEL_FINDER_ID]
 DEFAULT_TRIALS = 50
+DEFAULT_SUBSET_BUDGET = 4096
 # The engine capability each subcommand that runs engines needs, as its error names it.
 NEEDED_CAPABILITY = {
     "reprove": (CAP_PROVES, "at least one proving engine"),
@@ -43,58 +44,31 @@ NEEDED_CAPABILITY = {
     "independence": (CAP_PROVES, "at least one proving engine"),
     "consistency": (CAP_FINDS_MODELS, "a model-finding engine"),
 }
-
-
-@dataclass
-class RunConfig:
-    """The checked flags of one run; built only by _config_from_args."""
-
-    problem_path: str
-    include_dirs: list[str]
-    engines: list  # resolved engine objects, in flag order
-    limits: EngineLimits
-    parallelism: int
-    seed: int
-    output_format: str
-    subset_budget: int
-    unsat_mode: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "include_dirs": list(self.include_dirs),
-            "timeout": self.limits.timeout,
-            "parallelism": self.parallelism,
-            "seed": self.seed,
-            "max_domain_size": self.limits.max_domain_size,
-            "subset_budget": self.subset_budget,
-            "unsat_mode": self.unsat_mode,
-        }
+# The settings a report's config lists: those of them the subcommand takes.
+CONFIG_KEYS = ("include_dirs", "timeout", "parallelism", "max_domain_size", "unsat_mode")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("problem", help="TPTP problem file")
-    shared.add_argument(
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("problem", help="TPTP problem file")
+    common.add_argument(
         "--include-dir", "-I", action="append", default=[], dest="include_dirs",
         help="directory searched for include() files (repeatable)",
     )
-    shared.add_argument(
-        "--engine", action="append", default=[], dest="engines",
+    common.add_argument("--json", action="store_true", help="emit a JSON report")
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument(
+        "--engine", action="append", default=[], dest="engine_ids", metavar="ID",
         help="engine id: builtin-prover, builtin-model-finder, a preset "
         "(eprover, vampire, paradox), or an id from --engine-config (repeatable)",
     )
-    shared.add_argument("--engine-config", help="JSON file mapping engine ids to specs")
-    shared.add_argument("--timeout", type=float, default=10.0, help="seconds per engine call")
-    shared.add_argument("--parallel", type=int, default=1, help="concurrent engine calls")
-    shared.add_argument("--seed", type=int, default=0, help="seed for randomized analyses")
-    shared.add_argument("--json", action="store_true", help="emit a JSON report")
-    shared.add_argument(
-        "--max-domain-size", type=int, default=4, help="model search bound"
+    engine.add_argument("--engine-config", help="JSON file mapping engine ids to specs")
+    engine.add_argument("--timeout", type=float, default=10.0, help="seconds per engine call")
+    engine.add_argument(
+        "--parallel", type=int, default=1, dest="parallelism", help="concurrent engine calls"
     )
-    shared.add_argument(
-        "--subset-budget", type=int, default=4096,
-        help="engine-call budget for minima enumeration",
-    )
+    engine.add_argument("--max-domain-size", type=int, default=4, help="model search bound")
+    runs_engines = [common, engine]
 
     parser = argparse.ArgumentParser(
         prog="proofscope",
@@ -102,13 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("symbols", parents=[shared], help="signature and hapax-legomena lint")
+    sub.add_parser("symbols", parents=[common], help="signature and hapax-legomena lint")
 
-    reprove = sub.add_parser("reprove", parents=[shared], help="trim premises by reproving")
+    reprove = sub.add_parser("reprove", parents=runs_engines, help="trim premises by reproving")
     reprove.add_argument("--method", choices=("syntactic", "semantic"), default="semantic")
     reprove.add_argument("--chain-minima", action="store_true")
     minimize = sub.add_parser(
-        "minimize", parents=[shared],
+        "minimize", parents=runs_engines,
         help="alias for reprove --method semantic --chain-minima",
     )
     minimize.set_defaults(method="semantic", chain_minima=True)
@@ -117,75 +91,76 @@ def _build_parser() -> argparse.ArgumentParser:
             "--unsat-mode", action="store_true",
             help="treat a conjecture-free problem as an Unsatisfiable-mode task",
         )
+        p.add_argument(
+            "--subset-budget", type=int, default=None,
+            help="engine-call budget for minima enumeration, chain minima only "
+            f"(default {DEFAULT_SUBSET_BUDGET})",
+        )
 
-    p = sub.add_parser("independence", parents=[shared], help="axiom independence check")
+    p = sub.add_parser("independence", parents=runs_engines, help="axiom independence check")
     p.add_argument("--method", choices=("naive", "failfast", "random"), default="naive")
     p.add_argument(
         "--trials", type=int, default=None,
         help=f"trial count, --method random only (default {DEFAULT_TRIALS})",
     )
     p.add_argument(
+        "--seed", type=int, default=None, help="seed, --method random only (default 0)"
+    )
+    p.add_argument(
         "--max-subset-size", type=int, default=None,
         help="largest subset tried, --method failfast only (default: all)",
     )
 
-    sub.add_parser("consistency", parents=[shared], help="model-existence triple check")
+    sub.add_parser("consistency", parents=runs_engines, help="model-existence triple check")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The run configuration; every flag error raises ValueError, OSError or
+def _check_args(args: argparse.Namespace) -> None:
+    """Check the flags of a subcommand that runs engines, and add the resolved
+    engines and limits to args; every flag error raises ValueError, OSError or
     EngineConfigError here, before the problem is read."""
-    ids = list(args.engines) or list(DEFAULT_ENGINES)
+    if args.command not in NEEDED_CAPABILITY:
+        return
+    ids = list(args.engine_ids) or list(DEFAULT_ENGINES)
     repeated = [eid for eid in ids if ids.count(eid) > 1]
     if repeated:
         raise ValueError(f"engine {repeated[0]!r} given more than once")
     config = load_engine_config(args.engine_config) if args.engine_config else None
-    cfg = RunConfig(
-        problem_path=args.problem,
-        include_dirs=args.include_dirs,
-        engines=resolve_engines(ids, config),
-        limits=EngineLimits(timeout=args.timeout, max_domain_size=args.max_domain_size),
-        parallelism=args.parallel,
-        seed=args.seed,
-        output_format="json" if args.json else "text",
-        subset_budget=args.subset_budget,
-        unsat_mode=getattr(args, "unsat_mode", False),
-    )
-    if args.command in NEEDED_CAPABILITY:
-        capability, engine = NEEDED_CAPABILITY[args.command]
-        if not any(capability in e.capabilities for e in cfg.engines):
-            raise EngineConfigError(f"{args.command} needs {engine}")
-    if cfg.parallelism < 1:
+    args.engines = resolve_engines(ids, config)
+    args.limits = EngineLimits(timeout=args.timeout, max_domain_size=args.max_domain_size)
+    capability, engine = NEEDED_CAPABILITY[args.command]
+    if not any(capability in e.capabilities for e in args.engines):
+        raise EngineConfigError(f"{args.command} needs {engine}")
+    if args.parallelism < 1:
         raise ValueError("parallelism must be at least 1")
-    if cfg.subset_budget < 1:
-        raise ValueError("subset budget must be at least 1")
     method = getattr(args, "method", None)
-    trials = getattr(args, "trials", None)
-    max_subset_size = getattr(args, "max_subset_size", None)
-    if method == "syntactic" and args.chain_minima:
+    chain_minima = getattr(args, "chain_minima", False)
+    if method == "syntactic" and chain_minima:
         raise ValueError("--chain-minima needs --method semantic")
-    if trials is not None and method != "random":
-        raise ValueError("--trials needs --method random")
-    if trials is not None and trials < 1:
-        raise ValueError("trials must be at least 1")
-    if max_subset_size is not None and method != "failfast":
-        raise ValueError("--max-subset-size needs --method failfast")
-    if max_subset_size is not None and max_subset_size < 1:
-        raise ValueError("max subset size must be at least 1")
-    return cfg
+    # Flags that one method alone reads, what each needs, and whether the run has it.
+    for dest, needs, has in (
+        ("subset_budget", "--chain-minima", chain_minima),
+        ("trials", "--method random", method == "random"),
+        ("seed", "--method random", method == "random"),
+        ("max_subset_size", "--method failfast", method == "failfast"),
+    ):
+        value = getattr(args, dest, None)
+        if value is not None and not has:
+            raise ValueError(f"--{dest.replace('_', '-')} needs {needs}")
+        if value is not None and value < 1 and dest != "seed":  # any seed will do
+            raise ValueError(f"{dest.replace('_', ' ')} must be at least 1")
 
 
-def _session(cfg: RunConfig, theory: Theory) -> tuple[QuerySession, list[str]]:
-    """A query session over theory with the configured engines, and their ids."""
+def _session(args: argparse.Namespace, theory: Theory) -> tuple[QuerySession, list[str]]:
+    """A query session over theory with the run's engines, and their ids."""
     session = QuerySession(
         theory,
-        provers=[e for e in cfg.engines if CAP_PROVES in e.capabilities],
-        counters=[e for e in cfg.engines if CAP_FINDS_MODELS in e.capabilities],
-        limits=cfg.limits,
-        parallelism=cfg.parallelism,
+        provers=[e for e in args.engines if CAP_PROVES in e.capabilities],
+        counters=[e for e in args.engines if CAP_FINDS_MODELS in e.capabilities],
+        limits=args.limits,
+        parallelism=args.parallelism,
     )
-    return session, [e.id for e in cfg.engines]
+    return session, [e.id for e in args.engines]
 
 
 def _fail(message: str, code: int, err) -> int:
@@ -211,24 +186,25 @@ class Outcome:
 # errors found in the theory raise AnalysisError.
 
 
-def cmd_symbols(theory: Theory, cfg: RunConfig, args, err) -> Outcome:
-    hapax = hapax_legomena(theory)
+def cmd_symbols(theory: Theory, args: argparse.Namespace, err) -> Outcome:
+    signature = signature_of(theory)
+    hapax = [e for e in signature if e.occurrence_count == 1]
     payload = {
-        "signature": rpt.signature_to_dict(signature_of(theory)),
+        "signature": rpt.signature_to_dict(signature),
         "hapax": rpt.signature_to_dict(hapax),
     }
     return Outcome("symbols", theory, [], payload, EXIT_FINDING if hapax else EXIT_OK)
 
 
-def cmd_reprove(theory: Theory, cfg: RunConfig, args, err) -> Outcome:
-    if theory.conjecture is None and not cfg.unsat_mode:
+def cmd_reprove(theory: Theory, args: argparse.Namespace, err) -> Outcome:
+    if theory.conjecture is None and not args.unsat_mode:
         raise AnalysisError(
             "problem has no conjecture; pass --unsat-mode for Unsatisfiable-mode "
             "problems or add a conjecture"
         )
-    if theory.conjecture is not None and cfg.unsat_mode:
+    if theory.conjecture is not None and args.unsat_mode:
         raise AnalysisError("--unsat-mode is only for conjecture-free problems")
-    session, engines = _session(cfg, theory)
+    session, engines = _session(args, theory)
     full = frozenset(theory.premise_names)
     initial_ent = session.decide(full, prefer="prove")
     initial_verdict = session.run_engine(full, session.provers[0])
@@ -260,14 +236,15 @@ def cmd_reprove(theory: Theory, cfg: RunConfig, args, err) -> Outcome:
         payload["classification"] = rpt.classification_to_dict(cls, theory)
         payload["confirmation"] = confirmation.value
         if args.chain_minima:
-            minima = analysis.enumerate_minima(session, cls, cfg.subset_budget)
-            payload["minima"] = rpt.minima_to_dict(minima, theory)
+            budget = DEFAULT_SUBSET_BUDGET if args.subset_budget is None else args.subset_budget
+            minima = analysis.enumerate_minima(session, cls, budget)
+            payload["minima"] = rpt.minima_to_dict(minima, theory, budget)
             ext = extended_statuses(minima, None, len(theory.premises))
     command = "minimize" if args.method == "semantic" and args.chain_minima else "reprove"
     return Outcome(command, theory, engines, payload, exit_code, ext, session.engine_calls)
 
 
-def cmd_independence(theory: Theory, cfg: RunConfig, args, err) -> Outcome:
+def cmd_independence(theory: Theory, args: argparse.Namespace, err) -> Outcome:
     if theory.conjecture is not None:
         err.write(
             "proofscope: warning: conjecture ignored for independence analysis\n"
@@ -275,7 +252,7 @@ def cmd_independence(theory: Theory, cfg: RunConfig, args, err) -> Outcome:
     axioms = theory.without_conjecture()
     if not axioms.premises:
         raise AnalysisError("independence needs at least one axiom")
-    session, engines = _session(cfg, axioms)
+    session, engines = _session(args, axioms)
     payload: dict = {"method": args.method}
     if args.method == "naive":
         result = analysis.independence_naive(session)
@@ -283,9 +260,10 @@ def cmd_independence(theory: Theory, cfg: RunConfig, args, err) -> Outcome:
         result = analysis.independence_failfast(session, args.max_subset_size)
     else:
         trials = DEFAULT_TRIALS if args.trials is None else args.trials
-        result = analysis.independence_random(session, trials, cfg.seed)
+        seed = 0 if args.seed is None else args.seed
+        result = analysis.independence_random(session, trials, seed)
         payload["trials"] = trials
-        payload["seed"] = cfg.seed
+        payload["seed"] = seed
     payload.update(rpt.independence_to_dict(result, axioms))
     ext = extended_statuses(None, result, len(axioms.premises))
     exit_code = {
@@ -297,14 +275,14 @@ def cmd_independence(theory: Theory, cfg: RunConfig, args, err) -> Outcome:
     )
 
 
-def cmd_consistency(theory: Theory, cfg: RunConfig, args, err) -> Outcome:
-    session, engines = _session(cfg, theory)
+def cmd_consistency(theory: Theory, args: argparse.Namespace, err) -> Outcome:
+    session, engines = _session(args, theory)
     result = analysis.consistency_triple(session)
     return Outcome(
         "consistency",
         theory,
         engines,
-        rpt.consistency_to_dict(result, cfg.limits.timeout),
+        rpt.consistency_to_dict(result, args.timeout),
         EXIT_OK,
         engine_calls=session.engine_calls,
     )
@@ -327,13 +305,13 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        _check_args(args)
     except (ValueError, OSError, EngineConfigError) as exc:
         return _fail(str(exc), EXIT_INPUT_ERROR, err)
     try:
-        theory = parse_file(cfg.problem_path, cfg.include_dirs)
+        theory = parse_file(args.problem, args.include_dirs)
         start = time.monotonic()
-        outcome = COMMANDS[args.command](theory, cfg, args, err)
+        outcome = COMMANDS[args.command](theory, args, err)
     except VerdictConflictError as exc:
         return _fail(f"engine verdict conflict: {exc}", EXIT_CONFLICT, err)
     except (
@@ -342,16 +320,16 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         return _fail(str(exc), EXIT_INPUT_ERROR, err)
     report = rpt.Report(
         command=outcome.command,
-        problem=cfg.problem_path,
+        problem=args.problem,
         theory_summary=rpt.theory_summary(outcome.theory),
         engines=outcome.engines,
-        config=cfg.to_dict(),
+        config={key: getattr(args, key) for key in CONFIG_KEYS if hasattr(args, key)},
         payload=outcome.payload,
         extended_statuses=[s.value for s in outcome.extended_statuses],
         engine_calls=outcome.engine_calls,
         elapsed_seconds=time.monotonic() - start,
     )
-    out.write(report.to_json() + "\n" if cfg.output_format == "json" else report.to_text())
+    out.write(report.to_json() + "\n" if args.json else report.to_text())
     return outcome.exit_code
 
 

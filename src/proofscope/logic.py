@@ -95,11 +95,6 @@ class Quantified:
 Formula = Atom | Equality | Truth | Not | Binary | Quantified
 
 
-def negate(f: Formula) -> Formula:
-    """Wrap a formula in a negation node, with no simplification."""
-    return Not(f)
-
-
 def term_symbols(t: Term) -> Iterator[tuple[str, int, bool]]:
     """(symbol, arity, False) for every function and constant occurrence in a
     term, in pre-order."""

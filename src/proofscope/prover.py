@@ -28,7 +28,7 @@ from .clauses import (
     clausify,
     contains_equality,
 )
-from .logic import App, Term, Var, negate
+from .logic import App, Not, Term, Var
 from .tptp import Theory
 from .verdicts import SzsStatus
 
@@ -604,7 +604,7 @@ def prove(t: Theory, limits: EngineLimits) -> ProofOutcome:
     """Attempt to derive the conjecture of t from its premises."""
     if t.conjecture is None:
         raise ValueError("prove requires a conjecture; use refute for Unsatisfiable-mode problems")
-    goal = [(ORIGIN_CONJECTURE, negate(t.conjecture.formula))]
+    goal = [(ORIGIN_CONJECTURE, Not(t.conjecture.formula))]
     return _search(t, goal, limits, SzsStatus.Theorem, SzsStatus.CounterSatisfiable)
 
 

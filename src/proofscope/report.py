@@ -66,11 +66,12 @@ def classification_to_dict(cls: NeededClassification, theory: Theory) -> dict:
     }
 
 
-def minima_to_dict(report: MinimaReport, theory: Theory) -> dict:
+def minima_to_dict(report: MinimaReport, theory: Theory, subset_budget: int) -> dict:
     return {
         "minima": [_ordered(m, theory) for m in report.minima],
         "exhaustive": report.exhaustive,
         "budget_spent": report.budget_spent,
+        "subset_budget": subset_budget,
     }
 
 

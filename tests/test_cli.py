@@ -85,11 +85,6 @@ class TestSymbols:
         assert "hapax legomena (possible typos):" in proc.stdout
         assert "conected_to" in proc.stdout
 
-    def test_bad_timeout_exit_two(self, problems):
-        code, _, err = run_cli(["symbols", problems["clean"], "--timeout", "0"])
-        assert code == 2
-        assert "timeout" in err
-
 
 FLAG_ERRORS = [
     ["minimize", "{chain}", "--timeout", "0"],
@@ -101,7 +96,9 @@ FLAG_ERRORS = [
     ["consistency", "{chain}", "--max-domain-size", "0"],
     ["minimize", "{chain}", "--subset-budget", "0"],
     ["reprove", "{chain}", "--method", "syntactic", "--chain-minima"],
+    ["reprove", "{chain}", "--method", "semantic", "--subset-budget", "5"],
     ["independence", "{indep}", "--method", "naive", "--trials", "3"],
+    ["independence", "{indep}", "--method", "naive", "--seed", "1"],
     ["independence", "{indep}", "--method", "random", "--trials", "0"],
     ["independence", "{indep}", "--method", "random", "--max-subset-size", "1"],
     ["independence", "{indep}", "--method", "failfast", "--max-subset-size", "0"],
@@ -150,6 +147,29 @@ class TestFlagErrors:
         assert err == f"proofscope: {command} needs {needs}\n"
 
 
+# A subcommand, and a flag it does not take.
+FLAGS_NOT_TAKEN = [
+    ["symbols", "--timeout", "1"],
+    ["symbols", "--engine", "builtin-prover"],
+    ["consistency", "--seed", "1"],
+    ["consistency", "--subset-budget", "5"],
+    ["independence", "--subset-budget", "5"],
+    ["minimize", "--seed", "1"],
+]
+
+
+class TestUsageErrors:
+    """Each subcommand takes only the flags it reads: any other flag is an
+    argument-parser usage error, exit 2."""
+
+    @pytest.mark.parametrize("argv", FLAGS_NOT_TAKEN, ids=" ".join)
+    def test_flag_not_taken_is_a_usage_error(self, argv, problems, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([argv[0], problems["chain"]] + argv[1:])
+        assert exc.value.code == 2
+        assert argv[1] in capsys.readouterr().err
+
+
 SUBCOMMANDS = ["symbols", "reprove", "minimize", "independence", "consistency"]
 # Engine flags, and a fragment of the error line each one gives.
 ENGINE_FLAG_ERRORS = {
@@ -190,14 +210,15 @@ CONFIG_FILES = {
 class TestEngineFlagErrors:
     """Engine ids and the engine configuration file are flags like the
     others: a bad one exits 2 before the problem is read, for every
-    subcommand."""
+    subcommand.  symbols takes no engine flags, so there each one is an
+    argument-parser usage error."""
 
     @pytest.mark.parametrize(
         "flags, message", ENGINE_FLAG_ERRORS.values(), ids=list(ENGINE_FLAG_ERRORS)
     )
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_exit_two_before_the_problem_is_read(
-        self, command, flags, message, problems, tmp_path
+        self, command, flags, message, problems, tmp_path, capsys
     ):
         paths = {"missing": str(tmp_path / "no-engines.json")}
         for name, text in CONFIG_FILES.items():
@@ -205,10 +226,16 @@ class TestEngineFlagErrors:
             Path(paths[name]).write_text(text)
         flags = [tok.format(**paths) for tok in flags]
         for problem in (problems["chain"], str(tmp_path / "missing.p")):
-            code, out, err = run_cli([command, problem] + flags)
+            if command == "symbols":
+                with pytest.raises(SystemExit) as exc:
+                    run_cli([command, problem] + flags)
+                code, err = exc.value.code, capsys.readouterr().err
+                message = "unrecognized arguments: " + " ".join(flags)
+            else:
+                code, out, err = run_cli([command, problem] + flags)
+                assert out == ""
+                assert err.startswith("proofscope: ") and err.count("\n") == 1
             assert code == 2
-            assert out == ""
-            assert err.startswith("proofscope: ") and err.count("\n") == 1
             assert message in err
             assert "missing.p" not in err
 
@@ -416,12 +443,60 @@ class TestJsonContract:
         ["consistency", "{chain}", "--json"],
         ["consistency", "{chain}", "--timeout", "0.5", "--json"],
     ]
+    ENGINE_CONFIG = ["include_dirs", "max_domain_size", "parallelism", "timeout"]
+    # Each subcommand's run, the config keys its report lists (the settings the
+    # run reads) and the subset budget its minima report, if any.
+    CONFIG_KEYS = [
+        (["symbols", "{typo}"], ["include_dirs"], None),
+        (["reprove", "{chain}", "--method", "syntactic"], ENGINE_CONFIG + ["unsat_mode"], None),
+        (["reprove", "{chain}"], ENGINE_CONFIG + ["unsat_mode"], None),
+        (
+            ["reprove", "{chain}", "--chain-minima", "--subset-budget", "7"],
+            ENGINE_CONFIG + ["unsat_mode"], 7,
+        ),
+        (["minimize", "{chain}"], ENGINE_CONFIG + ["unsat_mode"], 4096),
+        (["minimize", "{chain}", "--subset-budget", "9"], ENGINE_CONFIG + ["unsat_mode"], 9),
+        (["independence", "{dep}", "--method", "failfast"], ENGINE_CONFIG, None),
+        (["independence", "{indep}", "--method", "random", "--seed", "3"], ENGINE_CONFIG, None),
+        (["consistency", "{chain}"], ENGINE_CONFIG, None),
+    ]
 
     @pytest.mark.parametrize("template", COMMANDS, ids=lambda t: " ".join(t[:3]))
     def test_schema_valid(self, template, problems, schema):
         argv = [tok.format(**problems) for tok in template]
         _, out, _ = run_cli(argv)
         jsonschema.validate(json.loads(out), schema)
+
+    @pytest.mark.parametrize(
+        "template, keys, subset_budget", CONFIG_KEYS,
+        ids=[" ".join(t[:1] + t[2:]) for t, _, _ in CONFIG_KEYS],
+    )
+    def test_config_lists_only_the_settings_read(
+        self, template, keys, subset_budget, problems, schema
+    ):
+        """A report's config has exactly the subcommand-level settings the run
+        reads; a method's own settings sit in the payload of that method."""
+        _, out, _ = run_cli([tok.format(**problems) for tok in template] + ["--json"])
+        report = json.loads(out)
+        jsonschema.validate(report, schema)
+        assert sorted(report["config"]) == keys
+        if subset_budget is None:
+            assert "minima" not in report["payload"]
+        else:
+            assert report["payload"]["minima"]["subset_budget"] == subset_budget
+
+    def test_schema_rejects_unread_config(self, problems, schema):
+        """The schema ties the config keys to the subcommand."""
+        _, out, _ = run_cli(["symbols", problems["typo"], "--json"])
+        report = json.loads(out)
+        report["config"]["timeout"] = 10.0
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, schema)
+        _, out, _ = run_cli(["consistency", problems["chain"], "--json"])
+        report = json.loads(out)
+        report["config"]["unsat_mode"] = False
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, schema)
 
     def test_text_and_json_from_same_payload(self, problems):
         _, json_out, _ = run_cli(["minimize", problems["chain"], "--json"])
@@ -451,8 +526,8 @@ def _scrub(json_text: str) -> str:
 
 class TestDeterminism:
     def test_byte_identical_except_elapsed(self, problems):
-        _, a, _ = run_cli(["minimize", problems["chain"], "--json", "--seed", "5"])
-        _, b, _ = run_cli(["minimize", problems["chain"], "--json", "--seed", "5"])
+        _, a, _ = run_cli(["minimize", problems["chain"], "--json"])
+        _, b, _ = run_cli(["minimize", problems["chain"], "--json"])
         assert _scrub(a) == _scrub(b)
 
     def test_puz001_json_deterministic(self):

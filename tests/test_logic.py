@@ -16,25 +16,9 @@ from proofscope.logic import (
     Var,
     evaluate,
     free_variables,
-    negate,
 )
 
 from conftest import clause_as_formula, enumerate_interpretations, mk
-
-
-class TestNegate:
-    def test_atom(self):
-        assert negate(Atom("p")) == Not(Atom("p"))
-
-    def test_quantified_not_simplified(self):
-        f = Quantified("!", ("X",), Atom("p", (Var("X"),)))
-        assert negate(f) == Not(f)
-
-    def test_truth(self):
-        assert negate(Truth(True)) == Not(Truth(True))
-
-    def test_double_negation_not_collapsed(self):
-        assert negate(Not(Atom("p"))) == Not(Not(Atom("p")))
 
 
 class TestFreeVariables:

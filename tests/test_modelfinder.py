@@ -8,7 +8,7 @@ from hypothesis import assume, given, strategies as st
 from proofscope import modelfinder
 from proofscope.clauses import clause_signature, clausify, contains_equality
 from proofscope.engines import EngineLimits
-from proofscope.logic import evaluate, negate
+from proofscope.logic import Not, evaluate
 from proofscope.modelfinder import (
     ModelKind,
     find_model,
@@ -152,7 +152,7 @@ class TestFindModel:
         axioms = [(p.name, p.formula) for p in puz001.premises]
         wrong = mk("fof(goal, conjecture, killed(charles, agatha)).").conjecture
         out = find_model(
-            axioms + [("$neg", negate(wrong.formula))],
+            axioms + [("$neg", Not(wrong.formula))],
             EngineLimits(timeout=30, max_domain_size=4),
         )
         assert out.kind == ModelKind.ModelFound

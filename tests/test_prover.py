@@ -10,7 +10,7 @@ from proofscope import prover
 from proofscope.clauses import Clause, Literal
 from proofscope.engines import EngineLimits
 from proofscope.modelfinder import ModelKind, find_model
-from proofscope.logic import App, Var, negate
+from proofscope.logic import App, Not, Var
 from proofscope.prover import (
     _FeatureIndex,
     _apply_literal,
@@ -61,7 +61,7 @@ class TestProve:
         assert out.status == SzsStatus.CounterSatisfiable
         # the model finder agrees: axioms plus negated conjecture have a model
         formulas = [(f.name, f.formula) for f in t.premises]
-        formulas.append(("$neg", negate(t.conjecture.formula)))
+        formulas.append(("$neg", Not(t.conjecture.formula)))
         out = find_model(formulas, EngineLimits(timeout=10, max_domain_size=2))
         assert out.kind == ModelKind.ModelFound
 
