@@ -50,24 +50,10 @@ class Literal:
         return body if self.positive else f"~{body}"
 
 
-def _term_weight(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(_term_weight(a) for a in t.args)
-
-
-def literal_weight(lit: Literal) -> int:
-    return 1 + sum(_term_weight(a) for a in lit.args)
-
-
 @dataclass(frozen=True, slots=True)
 class Clause:
     literals: tuple[Literal, ...]
     origins: frozenset[str]
-
-    @property
-    def weight(self) -> int:
-        return sum(literal_weight(l) for l in self.literals)
 
     def __str__(self) -> str:
         return "{" + " | ".join(map(str, self.literals)) + "}"

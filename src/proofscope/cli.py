@@ -115,6 +115,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """Parse argv.  argparse reports a flag that a subcommand does not take
+    with the top-level usage line; this reports it with the subcommand's own
+    usage and error lines, still exiting 2."""
+    parser = _build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        sub.choices[args.command].error("unrecognized arguments: " + " ".join(unknown))
+    return args
+
+
 def _check_args(args: argparse.Namespace) -> None:
     """Check the flags of a subcommand that runs engines, and add the resolved
     engines and limits to args; every flag error raises ValueError, OSError or
@@ -303,7 +315,7 @@ COMMANDS = {
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         _check_args(args)
     except (ValueError, OSError, EngineConfigError) as exc:

@@ -8,6 +8,12 @@ skips matches that must fail, and re-checks a selected clause only against
 clauses processed after it was kept.  Equality is handled by appending
 congruence axioms under the reserved origin name "$equality", which is
 excluded from used premises.
+
+The search runs on plain tuples, which hash and compare in C.  Each input
+`Clause` is converted once: a variable becomes its name (a `str`), an
+application `(head, args)` (a constant is `(head, ())`), and a literal
+`(positive, pred, args)`.  The index memoizes each literal's feature vector;
+a clause's vector is the bitwise or of its literals' vectors.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .clauses import (
     EQUALITY_PRED,
@@ -62,154 +68,178 @@ class ProofOutcome:
 
 
 # ---------------------------------------------------------------------------
+# The prover's term form
+
+PTerm = str | tuple[str, tuple["PTerm", ...]]  # variable name, or (head, args)
+PLiteral = tuple[bool, str, tuple[PTerm, ...]]  # (positive, pred, args)
+PClause = tuple[PLiteral, ...]
+
+
+def _term(t: Term) -> PTerm:
+    if isinstance(t, Var):
+        return t.name
+    return (t.head, tuple(_term(a) for a in t.args))
+
+
+def _literal(lit: Literal) -> PLiteral:
+    return (lit.positive, lit.pred, tuple(_term(a) for a in lit.args))
+
+
+# ---------------------------------------------------------------------------
 # Substitutions and unification
 
-Subst = dict[str, Term]
+Subst = dict[str, PTerm]
 
 
-def _walk(t: Term, subst: Subst) -> Term:
-    while isinstance(t, Var):
-        bound = subst.get(t.name)
+def _walk(t: PTerm, subst: Subst) -> PTerm:
+    while isinstance(t, str):
+        bound = subst.get(t)
         if bound is None:
             return t
         t = bound
     return t
 
 
-def _occurs(name: str, t: Term, subst: Subst) -> bool:
+def _occurs(name: str, t: PTerm, subst: Subst) -> bool:
     t = _walk(t, subst)
-    if isinstance(t, Var):
-        return t.name == name
-    return any(_occurs(name, a, subst) for a in t.args)
+    if isinstance(t, str):
+        return t == name
+    return any(_occurs(name, a, subst) for a in t[1])
 
 
-def _unify(a: Term, b: Term, subst: Subst) -> bool:
+def _unify(a: PTerm, b: PTerm, subst: Subst) -> bool:
     """Extend subst in place to unify a and b; False leaves subst unusable."""
     a = _walk(a, subst)
     b = _walk(b, subst)
-    if isinstance(a, Var):
-        if isinstance(b, Var) and a.name == b.name:
+    if isinstance(a, str):
+        if a == b:
             return True
-        if _occurs(a.name, b, subst):
+        if _occurs(a, b, subst):
             return False
-        subst[a.name] = b
+        subst[a] = b
         return True
-    if isinstance(b, Var):
-        if _occurs(b.name, a, subst):
+    if isinstance(b, str):
+        if _occurs(b, a, subst):
             return False
-        subst[b.name] = a
+        subst[b] = a
         return True
-    if a.head != b.head or len(a.args) != len(b.args):
+    if a[0] != b[0] or len(a[1]) != len(b[1]):
         return False
-    return all(_unify(x, y, subst) for x, y in zip(a.args, b.args))
+    return all(_unify(x, y, subst) for x, y in zip(a[1], b[1]))
 
 
-def _unify_args(xs: tuple[Term, ...], ys: tuple[Term, ...], subst: Subst) -> bool:
+def _unify_args(xs: tuple[PTerm, ...], ys: tuple[PTerm, ...], subst: Subst) -> bool:
     if len(xs) != len(ys):
         return False
     return all(_unify(x, y, subst) for x, y in zip(xs, ys))
 
 
-def _apply(t: Term, subst: Subst) -> Term:
+def _apply(t: PTerm, subst: Subst) -> PTerm:
     t = _walk(t, subst)
-    if isinstance(t, Var):
+    if isinstance(t, str) or not t[1]:
         return t
-    if not t.args:
+    return (t[0], tuple(_apply(a, subst) for a in t[1]))
+
+
+def _apply_literal(lit: PLiteral, subst: Subst) -> PLiteral:
+    positive, pred, args = lit
+    return (positive, pred, tuple(_apply(a, subst) for a in args))
+
+
+def _rename_term(t: PTerm, prefix: str) -> PTerm:
+    if isinstance(t, str):
+        return prefix + t
+    if not t[1]:
         return t
-    return App(t.head, tuple(_apply(a, subst) for a in t.args))
+    return (t[0], tuple(_rename_term(a, prefix) for a in t[1]))
 
 
-def _apply_literal(lit: Literal, subst: Subst) -> Literal:
-    return Literal(lit.positive, lit.pred, tuple(_apply(a, subst) for a in lit.args))
-
-
-def _rename_term(t: Term, prefix: str) -> Term:
-    if isinstance(t, Var):
-        return Var(prefix + t.name)
-    if not t.args:
-        return t
-    return App(t.head, tuple(_rename_term(a, prefix) for a in t.args))
-
-
-def _rename_literal(lit: Literal, prefix: str) -> Literal:
-    return Literal(lit.positive, lit.pred, tuple(_rename_term(a, prefix) for a in lit.args))
+def _rename_literal(lit: PLiteral, prefix: str) -> PLiteral:
+    positive, pred, args = lit
+    return (positive, pred, tuple(_rename_term(a, prefix) for a in args))
 
 
 # ---------------------------------------------------------------------------
-# Clause normalization, tautology and subsumption checks
+# Clause normalization, weight, tautology and subsumption checks
 
 
-def _shape(t: Term) -> str:
-    if isinstance(t, Var):
+def _shape(t: PTerm) -> str:
+    if isinstance(t, str):
         return "*"
-    if not t.args:
-        return t.head
-    return f"{t.head}({','.join(_shape(a) for a in t.args)})"
+    head, args = t
+    if not args:
+        return head
+    return f"{head}({','.join(_shape(a) for a in args)})"
 
 
-def _literal_key(lit: Literal) -> tuple:
-    return (lit.pred, not lit.positive, tuple(_shape(a) for a in lit.args))
+def _literal_key(lit: PLiteral) -> tuple:
+    positive, pred, args = lit
+    return (pred, not positive, tuple(_shape(a) for a in args))
 
 
-def normalize(literals: tuple[Literal, ...]) -> tuple[Literal, ...]:
+def normalize(literals: PClause) -> PClause:
     """Dedupe, sort by a variable-blind key, and rename variables canonically."""
-    unique: list[Literal] = []
-    seen: set[Literal] = set()
-    for lit in literals:
-        if lit not in seen:
-            seen.add(lit)
-            unique.append(lit)
+    unique = list(dict.fromkeys(literals))
     unique.sort(key=_literal_key)
-    mapping: dict[str, Var] = {}
+    mapping: dict[str, str] = {}
 
-    def rename(t: Term) -> Term:
-        if isinstance(t, Var):
-            var = mapping.get(t.name)
+    def rename(t: PTerm) -> PTerm:
+        if isinstance(t, str):
+            var = mapping.get(t)
             if var is None:
-                var = Var(f"X{len(mapping)}")
-                mapping[t.name] = var
+                var = mapping[t] = f"X{len(mapping)}"
             return var
-        if not t.args:
+        if not t[1]:
             return t
-        return App(t.head, tuple(rename(a) for a in t.args))
+        return (t[0], tuple(rename(a) for a in t[1]))
 
     return tuple(
-        Literal(l.positive, l.pred, tuple(rename(a) for a in l.args)) for l in unique
+        (positive, pred, tuple(rename(a) for a in args)) for positive, pred, args in unique
     )
 
 
-def _is_tautology(literals: tuple[Literal, ...]) -> bool:
-    positive = {(l.pred, l.args) for l in literals if l.positive}
-    return any((l.pred, l.args) in positive for l in literals if not l.positive)
+def _term_weight(t: PTerm) -> int:
+    if isinstance(t, str):
+        return 1
+    return 1 + sum(_term_weight(a) for a in t[1])
 
 
-def _match(pattern: Term, target: Term, subst: Subst, trail: list[str]) -> bool:
+def _weight(literals: PClause) -> int:
+    return sum(1 + sum(_term_weight(a) for a in args) for _, _, args in literals)
+
+
+def _is_tautology(literals: PClause) -> bool:
+    positive = {(pred, args) for pos, pred, args in literals if pos}
+    return any((pred, args) in positive for pos, pred, args in literals if not pos)
+
+
+def _match(pattern: PTerm, target: PTerm, subst: Subst, trail: list[str]) -> bool:
     """One-way matching: only pattern variables may be bound.  Each new
     binding's name goes on trail, so a caller can undo it."""
-    if isinstance(pattern, Var):
-        bound = subst.get(pattern.name)
+    if isinstance(pattern, str):
+        bound = subst.get(pattern)
         if bound is None:
-            subst[pattern.name] = target
-            trail.append(pattern.name)
+            subst[pattern] = target
+            trail.append(pattern)
             return True
         return bound == target
-    if isinstance(target, Var):
+    if isinstance(target, str):
         return False
-    if pattern.head != target.head or len(pattern.args) != len(target.args):
+    if pattern[0] != target[0] or len(pattern[1]) != len(target[1]):
         return False
-    return all(_match(p, t, subst, trail) for p, t in zip(pattern.args, target.args))
+    return all(_match(p, t, subst, trail) for p, t in zip(pattern[1], target[1]))
 
 
-def _literals_by_key(literals: tuple[Literal, ...]) -> dict[tuple[str, bool], list[Literal]]:
-    by_key: dict[tuple[str, bool], list[Literal]] = {}
+def _literals_by_key(literals: PClause) -> dict[tuple[str, bool], list[PLiteral]]:
+    by_key: dict[tuple[str, bool], list[PLiteral]] = {}
     for lit in literals:
-        by_key.setdefault((lit.pred, lit.positive), []).append(lit)
+        by_key.setdefault((lit[1], lit[0]), []).append(lit)
     return by_key
 
 
 def _subsumes_into(
-    c_literals: tuple[Literal, ...],
-    d_by_key: dict[tuple[str, bool], list[Literal]],
+    c_literals: PClause,
+    d_by_key: dict[tuple[str, bool], list[PLiteral]],
 ) -> bool:
     """True if some substitution maps every c literal into d's literal set."""
     subst: Subst = {}
@@ -218,13 +248,13 @@ def _subsumes_into(
     def backtrack(i: int) -> bool:
         if i == len(c_literals):
             return True
-        lit = c_literals[i]
-        candidates = d_by_key.get((lit.pred, lit.positive))
+        positive, pred, args = c_literals[i]
+        candidates = d_by_key.get((pred, positive))
         if not candidates:
             return False
         mark = len(trail)
         for cand in candidates:
-            for p, t in zip(lit.args, cand.args):
+            for p, t in zip(args, cand[2]):
                 if not _match(p, t, subst, trail):
                     break
             else:
@@ -263,13 +293,15 @@ class _FeatureIndex:
     The signature is fixed from the input clauses; inference adds no symbol.
     """
 
-    def __init__(self, clauses: ClauseSet):
-        _, funcs = clause_signature(clauses)
-        self.symbols = {name: i for i, name in enumerate(sorted(funcs))}
+    def __init__(self, clauses: Iterable[PClause]):
+        funcs: set[str] = set()
         arity = {}
-        for c in clauses:
-            for lit in c.literals:
-                arity[(lit.pred, lit.positive)] = len(lit.args)
+        for literals in clauses:
+            for positive, pred, args in literals:
+                arity[(pred, positive)] = len(args)
+                for a in args:
+                    _function_symbols(a, funcs)
+        self.symbols = {name: i for i, name in enumerate(sorted(funcs))}
         nsym = len(self.symbols)
         # Per key: the offset of its presence bit; after it come the size,
         # depth and per-symbol count fields, one bit per (argument, symbol)
@@ -285,41 +317,52 @@ class _FeatureIndex:
             offset += 1 + (2 + nsym) * FEATURE_CAP + n * nsym + n * (n - 1) // 2
         # Processed clauses bucketed by their presence bits (their key set);
         # each entry is (processed index, literal count, vector, literals).
-        self.buckets: dict[int, list[tuple[int, int, int, tuple[Literal, ...]]]] = {}
+        self.buckets: dict[int, list[tuple[int, int, int, PClause]]] = {}
+        self.literal_vectors: dict[PLiteral, int] = {}
         self.tests = 0
 
-    def vector(self, literals: tuple[Literal, ...]) -> int:
+    def vector(self, literals: PClause) -> int:
         """The feature vector of a clause with these literals."""
-        symbols = self.symbols
-        nsym = len(symbols)
+        memo = self.literal_vectors
         vec = 0
         for lit in literals:
-            base = self.offsets[(lit.pred, lit.positive)]
-            occurrences: list[int] = []
-            size = depth = 0
-            heads = base + 1 + (2 + nsym) * FEATURE_CAP
-            pair = heads + len(lit.args) * nsym
-            for i, arg in enumerate(lit.args):
-                if isinstance(arg, App):
-                    vec |= 1 << (heads + i * nsym + symbols[arg.head])
-                s, d = _term_measures(arg, symbols, occurrences)
-                size += s
-                depth = max(depth, d)
-                for other in lit.args[i + 1 :]:
-                    if arg == other:
-                        vec |= 1 << pair
-                    pair += 1
-            vec |= 1 << base | _thermometer(size) << base + 1
-            vec |= _thermometer(depth) << base + 1 + FEATURE_CAP
-            for j in set(occurrences):
-                vec |= _thermometer(occurrences.count(j)) << base + 1 + (2 + j) * FEATURE_CAP
+            v = memo.get(lit)
+            if v is None:
+                v = memo[lit] = self._literal_vector(lit)
+            vec |= v
         return vec
 
-    def add(self, gidx: int, literals: tuple[Literal, ...], vec: int) -> None:
+    def _literal_vector(self, lit: PLiteral) -> int:
+        positive, pred, args = lit
+        symbols = self.symbols
+        nsym = len(symbols)
+        base = self.offsets[(pred, positive)]
+        occurrences: list[int] = []
+        size = depth = 0
+        heads = base + 1 + (2 + nsym) * FEATURE_CAP
+        pair = heads + len(args) * nsym
+        vec = 0
+        for i, arg in enumerate(args):
+            if not isinstance(arg, str):
+                vec |= 1 << (heads + i * nsym + symbols[arg[0]])
+            s, d = _term_measures(arg, symbols, occurrences)
+            size += s
+            depth = max(depth, d)
+            for other in args[i + 1 :]:
+                if arg == other:
+                    vec |= 1 << pair
+                pair += 1
+        vec |= 1 << base | _thermometer(size) << base + 1
+        vec |= _thermometer(depth) << base + 1 + FEATURE_CAP
+        for j in set(occurrences):
+            vec |= _thermometer(occurrences.count(j)) << base + 1 + (2 + j) * FEATURE_CAP
+        return vec
+
+    def add(self, gidx: int, literals: PClause, vec: int) -> None:
         entry = (gidx, len(literals), vec, literals)
         self.buckets.setdefault(vec & self.presence, []).append(entry)
 
-    def subsumed(self, literals: tuple[Literal, ...], vec: int, since: int = 0) -> bool:
+    def subsumed(self, literals: PClause, vec: int, since: int = 0) -> bool:
         """True if a clause processed at index since or later, with no more
         literals than literals, subsumes them."""
         nlits = len(literals)
@@ -338,18 +381,25 @@ class _FeatureIndex:
         return False
 
 
+def _function_symbols(t: PTerm, out: set[str]) -> None:
+    if not isinstance(t, str):
+        out.add(t[0])
+        for a in t[1]:
+            _function_symbols(a, out)
+
+
 def _thermometer(v: int) -> int:
     return (1 << min(v, FEATURE_CAP)) - 1
 
 
-def _term_measures(t: Term, symbols: dict[str, int], occurrences: list[int]) -> tuple[int, int]:
+def _term_measures(t: PTerm, symbols: dict[str, int], occurrences: list[int]) -> tuple[int, int]:
     """Size and depth of t; appends the index of each symbol occurrence."""
-    if isinstance(t, Var):
+    if isinstance(t, str):
         return 1, 1
-    occurrences.append(symbols[t.head])
+    occurrences.append(symbols[t[0]])
     size = 1
     depth = 0
-    for a in t.args:
+    for a in t[1]:
         s, d = _term_measures(a, symbols, occurrences)
         size += s
         depth = max(depth, d)
@@ -406,22 +456,12 @@ def congruence_axioms(clauses: ClauseSet) -> ClauseSet:
 # Saturation
 
 
-class _Proc:
-    """A processed clause with its literals renamed apart for resolution."""
-
-    __slots__ = ("clause", "renamed")
-
-    def __init__(self, clause: Clause):
-        self.clause = clause
-        self.renamed = tuple(_rename_literal(l, "r_") for l in clause.literals)
-
-
 class _Saturation:
-    def __init__(self, initial: ClauseSet, limits: EngineLimits):
+    def __init__(self, initial: list[tuple[PClause, frozenset[str]]], limits: EngineLimits):
         self.max_clause_count = limits.max_clause_count
         self.deadline = time.monotonic() + limits.timeout
         self.heap: list[tuple[int, int, int]] = []  # (weight, age, slot)
-        self.slots: list[Clause] = []
+        self.slots: list[tuple[PClause, frozenset[str]]] = []  # (literals, origins)
         self.done: list[bool] = []  # slot already selected as given
         # Per slot: the clause's feature vector, and how many clauses were
         # processed when it was kept (those already failed to subsume it).
@@ -429,24 +469,26 @@ class _Saturation:
         self.kept_at: list[int] = []
         self.age_cursor = 0
         self.picks = 0
-        self.processed: list[_Proc] = []
+        # Per processed clause: its literals renamed apart for resolution,
+        # and its origins.
+        self.processed: list[tuple[PClause, frozenset[str]]] = []
         self.index: dict[tuple[str, bool], list[tuple[int, int]]] = {}
-        self.features = _FeatureIndex(initial)
-        self.seen: set[tuple[Literal, ...]] = set()
+        self.features = _FeatureIndex(literals for literals, _ in initial)
+        self.seen: set[PClause] = set()
         self.generated = 0
         self.kept = 0
-        self.empty: Clause | None = None
+        self.empty: frozenset[str] | None = None  # the empty clause's origins
         self.out_of_resources = False
         self._tick = 0
-        for clause in initial:
-            self._insert(normalize(clause.literals), clause.origins)
+        for literals, origins in initial:
+            self._insert(normalize(literals), origins)
             if self.empty is not None:
                 return
 
-    def _insert(self, literals: tuple[Literal, ...], origins: frozenset[str]) -> None:
+    def _insert(self, literals: PClause, origins: frozenset[str]) -> None:
         self.generated += 1
         if not literals:
-            self.empty = Clause((), origins)
+            self.empty = origins
             return
         if _is_tautology(literals):
             return
@@ -455,14 +497,13 @@ class _Saturation:
         vec = self.features.vector(literals)
         if self.features.subsumed(literals, vec):
             return
-        clause = Clause(literals, origins)
         self.seen.add(literals)
         slot = len(self.slots)
-        self.slots.append(clause)
+        self.slots.append((literals, origins))
         self.done.append(False)
         self.vectors.append(vec)
         self.kept_at.append(len(self.processed))
-        heapq.heappush(self.heap, (clause.weight, slot, slot))
+        heapq.heappush(self.heap, (_weight(literals), slot, slot))
         self.kept += 1
         if self.kept > self.max_clause_count:
             self.out_of_resources = True
@@ -507,43 +548,41 @@ class _Saturation:
             slot = self._pop_given()
             if slot is None:
                 break
-            given = self.slots[slot]
+            literals, origins = self.slots[slot]
             # A popped clause may have become redundant since its insertion.
             vec = self.vectors[slot]
-            if self.features.subsumed(given.literals, vec, self.kept_at[slot]):
+            if self.features.subsumed(literals, vec, self.kept_at[slot]):
                 continue
             gidx = len(self.processed)
-            self.processed.append(_Proc(given))
-            self.features.add(gidx, given.literals, vec)
-            for li, lit in enumerate(given.literals):
-                self.index.setdefault((lit.pred, lit.positive), []).append((gidx, li))
-            if not self._infer(given):
+            renamed = tuple(_rename_literal(l, "r_") for l in literals)
+            self.processed.append((renamed, origins))
+            self.features.add(gidx, literals, vec)
+            for li, (positive, pred, _) in enumerate(literals):
+                self.index.setdefault((pred, positive), []).append((gidx, li))
+            if not self._infer(literals, origins):
                 if self.empty is not None:
                     return "refutation"
                 return "resource"
         return "closure"
 
-    def _infer(self, given: Clause) -> bool:
+    def _infer(self, literals: PClause, origins: frozenset[str]) -> bool:
         """Generate resolvents and positive factors of the given clause.
 
         Returns False when the search must stop (refutation or resources).
         """
         # Binary resolution against processed clauses (including given itself).
-        for li, lit in enumerate(given.literals):
-            partners = self.index.get((lit.pred, not lit.positive), ())
-            rest = tuple(l for i, l in enumerate(given.literals) if i != li)
+        for li, (positive, pred, args) in enumerate(literals):
+            partners = self.index.get((pred, not positive), ())
+            rest = literals[:li] + literals[li + 1 :]
             for pidx, mi in partners:
-                partner = self.processed[pidx]
-                renamed = partner.renamed
+                renamed, partner_origins = self.processed[pidx]
                 subst: Subst = {}
-                if not _unify_args(lit.args, renamed[mi].args, subst):
+                if not _unify_args(args, renamed[mi][2], subst):
                     continue
                 resolvent = tuple(_apply_literal(l, subst) for l in rest) + tuple(
                     _apply_literal(l, subst) for i, l in enumerate(renamed) if i != mi
                 )
-                self._insert(
-                    normalize(resolvent), given.origins | partner.clause.origins
-                )
+                self._insert(normalize(resolvent), origins | partner_origins)
                 if self.empty is not None or self.out_of_resources:
                     return False
                 self._tick += 1
@@ -551,28 +590,30 @@ class _Saturation:
                     self.out_of_resources = True
                     return False
         # Positive factoring on the given clause.
-        positives = [i for i, l in enumerate(given.literals) if l.positive]
+        positives = [i for i, l in enumerate(literals) if l[0]]
         for a in range(len(positives)):
             for b in range(a + 1, len(positives)):
-                la = given.literals[positives[a]]
-                lb = given.literals[positives[b]]
-                if la.pred != lb.pred:
+                la = literals[positives[a]]
+                lb = literals[positives[b]]
+                if la[1] != lb[1]:
                     continue
                 subst = {}
-                if not _unify_args(la.args, lb.args, subst):
+                if not _unify_args(la[2], lb[2], subst):
                     continue
-                factor = tuple(_apply_literal(l, subst) for l in given.literals)
-                self._insert(normalize(factor), given.origins)
+                factor = tuple(_apply_literal(l, subst) for l in literals)
+                self._insert(normalize(factor), origins)
                 if self.empty is not None or self.out_of_resources:
                     return False
         return True
 
 
-def _input_clauses(named: list[tuple[str, object]]) -> ClauseSet:
+def _input_clauses(named: list[tuple[str, object]]) -> list[tuple[PClause, frozenset[str]]]:
+    """Clausify, add congruence axioms if equality occurs, and convert each
+    clause to the prover's form once."""
     clauses = clausify(named)  # type: ignore[arg-type]
     if contains_equality(clauses):
         clauses = clauses + congruence_axioms(clauses)
-    return clauses
+    return [(tuple(map(_literal, c.literals)), c.origins) for c in clauses]
 
 
 def _search(
@@ -593,7 +634,7 @@ def _search(
     if result == "refutation":
         assert sat.empty is not None
         return ProofOutcome(
-            refuted, sat.empty.origins - {ORIGIN_CONJECTURE, ORIGIN_EQUALITY}, stats
+            refuted, sat.empty - {ORIGIN_CONJECTURE, ORIGIN_EQUALITY}, stats
         )
     if result == "closure":
         return ProofOutcome(saturated, frozenset(), stats)

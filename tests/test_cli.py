@@ -160,14 +160,19 @@ FLAGS_NOT_TAKEN = [
 
 class TestUsageErrors:
     """Each subcommand takes only the flags it reads: any other flag is an
-    argument-parser usage error, exit 2."""
+    argument-parser usage error, exit 2, reported with the subcommand's own
+    usage line."""
 
     @pytest.mark.parametrize("argv", FLAGS_NOT_TAKEN, ids=" ".join)
     def test_flag_not_taken_is_a_usage_error(self, argv, problems, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli([argv[0], problems["chain"]] + argv[1:])
         assert exc.value.code == 2
-        assert argv[1] in capsys.readouterr().err
+        usage, *_, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith(f"usage: proofscope {argv[0]} [-h]")
+        assert error == f"proofscope {argv[0]}: error: unrecognized arguments: " + " ".join(
+            argv[1:]
+        )
 
 
 SUBCOMMANDS = ["symbols", "reprove", "minimize", "independence", "consistency"]

@@ -7,15 +7,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from proofscope import prover
-from proofscope.clauses import Clause, Literal
+from proofscope.clauses import Literal
 from proofscope.engines import EngineLimits
 from proofscope.modelfinder import ModelKind, find_model
 from proofscope.logic import App, Not, Var
 from proofscope.prover import (
+    SearchStats,
     _FeatureIndex,
     _apply_literal,
+    _is_tautology,
+    _literal,
     _literals_by_key,
     _subsumes_into,
+    _term,
     normalize,
     prove,
     refute,
@@ -193,40 +197,42 @@ class TestAgainstTruthTables:
 # ---------------------------------------------------------------------------
 # The search itself, pinned: subsumption indexing and other speed-ups must
 # not change a single decision.  Each row is (theory, status, used premises,
-# generated, kept); the table was generated with the first-literal bucket
-# scan that the feature-vector index replaced.
+# generated, kept, given, subsumption tests).  Generated and kept were
+# generated with the first-literal bucket scan that the feature-vector index
+# replaced; given and subsumption tests with the index over Literal and App
+# objects, before the prover switched to plain tuples.
 
 SEARCH_PINS = [
-    ("chain_with_distractor", "Theorem", ("a1", "a2"), 7, 6),
-    ("two_routes", "Theorem", ("a1", "a2"), 8, 7),
-    ("disjunctive_goal", "Theorem", ("a1",), 5, 4),
-    ("conjunctive_goal", "Theorem", ("a1", "a2"), 7, 6),
-    ("shortcut_implication", "Theorem", ("a1", "a2", "a3"), 11, 9),
-    ("tautology_goal", "Theorem", (), 5, 4),
-    ("duplicate_axiom", "Theorem", ("a1",), 5, 3),
-    ("inconsistent_premises", "Theorem", ("a1", "a2"), 5, 4),
-    ("biconditional", "Theorem", ("a1", "a2"), 8, 7),
-    ("exclusive_or", "Theorem", ("a1", "a2"), 10, 7),
-    ("nand_connective", "Theorem", ("a1", "a2"), 7, 6),
-    ("nor_connective", "Theorem", ("a1",), 5, 4),
-    ("single_relevant_fact", "Theorem", ("a3",), 7, 6),
-    ("long_chain", "Theorem", ("a1", "a2", "a3", "a4", "a5"), 16, 15),
-    ("conjunction_trigger", "Theorem", ("a1", "a2", "a3"), 10, 9),
-    ("case_split", "Theorem", ("a1", "a2", "a3"), 12, 11),
-    ("modus_tollens", "Theorem", ("a1", "a2"), 7, 6),
-    ("implied_by", "Theorem", ("a1", "a2"), 6, 5),
-    ("universal_instantiation", "Theorem", ("a1", "a2"), 8, 7),
-    ("existential_witnesses", "Theorem", ("a1",), 5, 4),
-    ("forall_to_exists", "Theorem", ("a1",), 4, 3),
-    ("stratified_rules", "Theorem", ("a1", "a2", "a3"), 10, 9),
-    ("monadic_cover", "Theorem", ("a1", "a2"), 7, 6),
-    ("negative_literal_premise", "Theorem", ("a1", "a2"), 7, 6),
-    ("direct_contradiction", "Unsatisfiable", ("a1", "a2"), 3, 2),
-    ("covered_disjunction", "Unsatisfiable", ("a1", "a2", "a3"), 6, 5),
-    ("contradiction_plus_noise", "Unsatisfiable", ("a1", "a2"), 4, 3),
-    ("broken_implication", "Unsatisfiable", ("a1", "a2", "a3"), 7, 6),
-    ("full_square", "Unsatisfiable", ("a1", "a2", "a3", "a4"), 19, 8),
-    ("three_way", "Unsatisfiable", ("a1", "a2", "a3"), 6, 5),
+    ("chain_with_distractor", "Theorem", ("a1", "a2"), 7, 6, 5, 0),
+    ("two_routes", "Theorem", ("a1", "a2"), 8, 7, 5, 0),
+    ("disjunctive_goal", "Theorem", ("a1",), 5, 4, 3, 0),
+    ("conjunctive_goal", "Theorem", ("a1", "a2"), 7, 6, 5, 0),
+    ("shortcut_implication", "Theorem", ("a1", "a2", "a3"), 11, 9, 6, 0),
+    ("tautology_goal", "Theorem", (), 5, 4, 4, 0),
+    ("duplicate_axiom", "Theorem", ("a1",), 5, 3, 3, 0),
+    ("inconsistent_premises", "Theorem", ("a1", "a2"), 5, 4, 2, 0),
+    ("biconditional", "Theorem", ("a1", "a2"), 8, 7, 5, 0),
+    ("exclusive_or", "Theorem", ("a1", "a2"), 10, 7, 5, 1),
+    ("nand_connective", "Theorem", ("a1", "a2"), 7, 6, 5, 0),
+    ("nor_connective", "Theorem", ("a1",), 5, 4, 4, 0),
+    ("single_relevant_fact", "Theorem", ("a3",), 7, 6, 6, 0),
+    ("long_chain", "Theorem", ("a1", "a2", "a3", "a4", "a5"), 16, 15, 11, 0),
+    ("conjunction_trigger", "Theorem", ("a1", "a2", "a3"), 10, 9, 6, 0),
+    ("case_split", "Theorem", ("a1", "a2", "a3"), 12, 11, 7, 0),
+    ("modus_tollens", "Theorem", ("a1", "a2"), 7, 6, 5, 0),
+    ("implied_by", "Theorem", ("a1", "a2"), 6, 5, 4, 0),
+    ("universal_instantiation", "Theorem", ("a1", "a2"), 8, 7, 5, 0),
+    ("existential_witnesses", "Theorem", ("a1",), 5, 4, 4, 0),
+    ("forall_to_exists", "Theorem", ("a1",), 4, 3, 3, 0),
+    ("stratified_rules", "Theorem", ("a1", "a2", "a3"), 10, 9, 6, 0),
+    ("monadic_cover", "Theorem", ("a1", "a2"), 7, 6, 5, 0),
+    ("negative_literal_premise", "Theorem", ("a1", "a2"), 7, 6, 5, 0),
+    ("direct_contradiction", "Unsatisfiable", ("a1", "a2"), 3, 2, 2, 0),
+    ("covered_disjunction", "Unsatisfiable", ("a1", "a2", "a3"), 6, 5, 4, 0),
+    ("contradiction_plus_noise", "Unsatisfiable", ("a1", "a2"), 4, 3, 2, 0),
+    ("broken_implication", "Unsatisfiable", ("a1", "a2", "a3"), 7, 6, 5, 0),
+    ("full_square", "Unsatisfiable", ("a1", "a2", "a3", "a4"), 19, 8, 7, 0),
+    ("three_way", "Unsatisfiable", ("a1", "a2", "a3"), 6, 5, 4, 0),
     (
         "PUZ001+1",
         "Theorem",
@@ -234,9 +240,11 @@ SEARCH_PINS = [
          "pel55_5", "pel55_6", "pel55_7", "pel55_8", "pel55_9"),
         6036,
         2403,
+        187,
+        10987,
     ),
-    ("dependent_axioms", "Satisfiable", (), 3, 3),
-    ("two_minima", "Theorem", ("route_a", "route_a_works"), 8, 7),
+    ("dependent_axioms", "Satisfiable", (), 3, 3, 2, 1),
+    ("two_minima", "Theorem", ("route_a", "route_a_works"), 8, 7, 5, 0),
 ]
 
 _THEORY_TEXTS = dict(ORACLE_THEORIES + UNSAT_CLAUSE_SETS)
@@ -254,15 +262,17 @@ def test_search_pins_cover_the_corpus_and_bundled_problems():
 
 
 @pytest.mark.parametrize(
-    "name,status,used,generated,kept", SEARCH_PINS, ids=[r[0] for r in SEARCH_PINS]
+    "name,status,used,generated,kept,given,tests",
+    SEARCH_PINS,
+    ids=[r[0] for r in SEARCH_PINS],
 )
-def test_search_is_pinned(name, status, used, generated, kept):
+def test_search_is_pinned(name, status, used, generated, kept, given, tests):
     t = _pinned_theory(name)
     search = prove if t.conjecture is not None else refute
     out = search(t, EngineLimits(timeout=60))
     assert out.status.value == status
     assert out.used_premises == frozenset(used)
-    assert (out.stats.generated, out.stats.kept) == (generated, kept)
+    assert out.stats == SearchStats(generated, kept, given, tests)
 
 
 def test_puz001_subsumption_tests_stay_indexed(puz001):
@@ -279,15 +289,17 @@ def test_puz001_subsumption_tests_stay_indexed(puz001):
 # under the literal-count condition: it only skips matches that must fail.
 
 
-def _clause(literals) -> Clause:
-    return Clause(literals, frozenset())
+def _form(literals) -> tuple:
+    """Literal objects in the prover's tuple form, converted as
+    _input_clauses converts every input clause."""
+    return tuple(map(_literal, literals))
 
 
 def _instance(rng, literals):
     """literals under a random substitution, plus some random literals."""
-    subst = {v: random_open_term(rng, ("Y0", "Y1")) for v in ("X0", "X1", "X2")}
+    subst = {v: _term(random_open_term(rng, ("Y0", "Y1"))) for v in ("X0", "X1", "X2")}
     image = tuple(_apply_literal(l, subst) for l in literals)
-    return normalize(image + random_literals(rng, 2, ("Y0", "Y1")))
+    return normalize(image + _form(random_literals(rng, 2, ("Y0", "Y1"))))
 
 
 def _brute_force(processed, literals, since=0) -> bool:
@@ -300,9 +312,9 @@ def _brute_force(processed, literals, since=0) -> bool:
 def test_index_keeps_the_literal_count_condition():
     """p(X) | p(a) maps into p(a), but a longer clause never subsumes a
     shorter one here, which keeps factoring's work for the search."""
-    c = normalize((Literal(True, "p", (Var("X"),)), Literal(True, "p", (App("a"),))))
-    d = (Literal(True, "p", (App("a"),)),)
-    index = _FeatureIndex((_clause(c), _clause(d)))
+    c = normalize(_form((Literal(True, "p", (Var("X"),)), Literal(True, "p", (App("a"),)))))
+    d = _form((Literal(True, "p", (App("a"),)),))
+    index = _FeatureIndex((c, d))
     index.add(0, c, index.vector(c))
     assert _subsumes_into(c, _literals_by_key(d))
     assert not index.subsumed(d, index.vector(d))
@@ -311,9 +323,9 @@ def test_index_keeps_the_literal_count_condition():
 @given(st.integers(0, 2**32))
 def test_index_never_rejects_a_subsumer(n):
     rng = random.Random(n)
-    c = normalize(random_literals(rng))
-    for d in (_instance(rng, c), normalize(random_literals(rng, 4))):
-        index = _FeatureIndex((_clause(c), _clause(d)))
+    c = normalize(_form(random_literals(rng)))
+    for d in (_instance(rng, c), normalize(_form(random_literals(rng, 4)))):
+        index = _FeatureIndex((c, d))
         cv, dv = index.vector(c), index.vector(d)
         if _subsumes_into(c, _literals_by_key(d)):
             assert cv & dv == cv
@@ -324,16 +336,53 @@ def test_index_never_rejects_a_subsumer(n):
 @given(st.integers(0, 2**32))
 def test_index_answers_like_a_scan_of_the_processed_clauses(n):
     rng = random.Random(n)
-    processed = [normalize(random_literals(rng)) for _ in range(rng.randint(1, 6))]
+    processed = [normalize(_form(random_literals(rng))) for _ in range(rng.randint(1, 6))]
     query = _instance(rng, rng.choice(processed))
     since = rng.randint(0, len(processed))
-    index = _FeatureIndex(tuple(map(_clause, processed + [query])))
+    index = _FeatureIndex(processed + [query])
     for gidx, literals in enumerate(processed):
         index.add(gidx, literals, index.vector(literals))
     vec = index.vector(query)
     for start in (0, since):
         got = index.subsumed(query, vec, start)
         assert got == _brute_force(processed, query, start)
+
+
+@given(st.integers(0, 2**32))
+def test_clause_vector_is_the_or_of_its_literal_vectors(n):
+    """The index memoizes one vector per literal and ors them, so a
+    literal's vector may depend neither on the other literals of its clause
+    nor on what the index computed before."""
+    rng = random.Random(n)
+    clauses = [normalize(_form(random_literals(rng, 4))) for _ in range(3)]
+    index = _FeatureIndex(clauses)
+    for other in clauses[1:]:
+        index.vector(other)
+    c = clauses[0]
+    expected = 0
+    for lit in c:
+        expected |= _FeatureIndex(clauses).vector((lit,))
+    assert index.vector(c) == expected
+    assert index.vector(c[::-1]) == expected
+
+
+def test_quoted_constant_and_variable_stay_distinct():
+    """'X0' is a constant whose name is the one normalize gives the first
+    variable; the tuple form keeps ("X0", ()) apart from the variable "X0"."""
+    const, var = (App("X0"),), (Var("Y"),)
+    clause = normalize(_form((Literal(True, "p", const), Literal(True, "p", var))))
+    assert clause == ((True, "p", ("X0",)), (True, "p", (("X0", ()),)))
+    assert not _is_tautology(
+        normalize(_form((Literal(True, "p", const), Literal(False, "p", var))))
+    )
+    var_unit = normalize(_form((Literal(True, "p", var),)))
+    const_unit = normalize(_form((Literal(True, "p", const),)))
+    assert _subsumes_into(var_unit, _literals_by_key(const_unit))
+    assert not _subsumes_into(const_unit, _literals_by_key(var_unit))
+    out = prove(mk("fof(a1, axiom, p('X0')). fof(goal, conjecture, ! [X] : p(X))."), LIMITS)
+    assert out.status == SzsStatus.CounterSatisfiable
+    out = prove(mk("fof(a1, axiom, ! [X] : p(X)). fof(goal, conjecture, p('X0'))."), LIMITS)
+    assert out.status == SzsStatus.Theorem
 
 
 class _CheckedIndex(_FeatureIndex):
