@@ -2,7 +2,7 @@
 
 import pytest
 
-from proofscope.clauses import clausify
+from proofscope.clauses import clause_signature, clausify
 from proofscope.logic import (
     App,
     Atom,
@@ -149,6 +149,17 @@ class TestClausify:
         # p & $false contributes an empty clause
         out = clausify([("a1", Binary("&", Atom("p"), Truth(False)))])
         assert any(not c.literals for c in out)
+
+    def test_signature_lists_function_symbols_in_pre_order(self):
+        """The model finder breaks symmetry by the order of the constants in
+        clause_signature, so that order is pre-order over the clauses."""
+        t = mk("fof(a1, axiom, p(f(a, g(b)), c) | ~q(h(d))). fof(a2, axiom, e = k(a, m)).")
+        preds, funcs = clause_signature(clausify([(f.name, f.formula) for f in t.formulas]))
+        assert list(preds.items()) == [("p", 2), ("q", 1)]
+        assert list(funcs.items()) == [
+            ("f", 2), ("a", 0), ("g", 1), ("b", 0), ("c", 0), ("h", 1), ("d", 0),
+            ("e", 0), ("k", 2), ("m", 0),
+        ]
 
     def test_deterministic(self):
         f = Quantified("?", ("X",), Atom("p", (Var("X"),)))

@@ -366,6 +366,33 @@ def test_clause_vector_is_the_or_of_its_literal_vectors(n):
     assert index.vector(c[::-1]) == expected
 
 
+def test_input_clauses_are_pinned():
+    """The clause form the search starts from: the clausified premises and
+    negated conjecture, then the congruence axioms in their order."""
+    t = mk(
+        "fof(a1, axiom, ![X]: p(X, f(X))). fof(a2, axiom, f(c) = c). "
+        "fof(goal, conjecture, p(c, c))."
+    )
+    named = [(p.name, p.formula) for p in t.premises]
+    named.append(("$conjecture", Not(t.conjecture.formula)))
+    c = ("c", ())
+    eq = frozenset({"$equality"})
+    assert list(prover._input_clauses(named)) == [
+        (((True, "p", ("V1", ("f", ("V1",)))),), frozenset({"a1"})),
+        (((True, "=", (("f", (c,)), c)),), frozenset({"a2"})),
+        (((False, "p", (c, c)),), frozenset({"$conjecture"})),
+        (((True, "=", ("X0", "X0")),), eq),
+        (((False, "=", ("X0", "X1")), (True, "=", ("X1", "X0"))), eq),
+        (
+            ((False, "=", ("X0", "X1")), (False, "=", ("X1", "X2")), (True, "=", ("X0", "X2"))),
+            eq,
+        ),
+        (((False, "=", ("A0", "B")), (False, "p", ("A0", "A1")), (True, "p", ("B", "A1"))), eq),
+        (((False, "=", ("A1", "B")), (False, "p", ("A0", "A1")), (True, "p", ("A0", "B"))), eq),
+        (((False, "=", ("A0", "B")), (True, "=", (("f", ("A0",)), ("f", ("B",))))), eq),
+    ]
+
+
 def test_quoted_constant_and_variable_stay_distinct():
     """'X0' is a constant whose name is the one normalize gives the first
     variable; the tuple form keeps ("X0", ()) apart from the variable "X0"."""
