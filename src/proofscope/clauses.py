@@ -1,8 +1,14 @@
-"""Clause forms and origin-tracking clausification (NNF, skolemize, distribute)."""
+"""The clause form, and origin-tracking clausification (NNF, skolemize,
+distribute).
+
+One clause form serves the prover and the model finder.  It is made of
+plain tuples, which hash and compare in C: a variable is its name (a
+`str`), an application is `(head, args)` and a constant `(head, ())`, a
+literal is `(positive, pred, args)` and a clause `(literals, origins)`.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .logic import (
@@ -26,7 +32,6 @@ from .logic import (
     Truth,
     Var,
     symbols,
-    term_symbols,
 )
 
 EQUALITY_PRED = "="
@@ -35,30 +40,10 @@ EQUALITY_PRED = "="
 ORIGIN_CONJECTURE = "$conjecture"
 ORIGIN_EQUALITY = "$equality"
 
-
-@dataclass(frozen=True, slots=True)
-class Literal:
-    positive: bool
-    pred: str  # EQUALITY_PRED for equality literals
-    args: tuple[Term, ...]
-
-    def __str__(self) -> str:
-        if self.pred == EQUALITY_PRED:
-            op = "=" if self.positive else "!="
-            return f"{self.args[0]} {op} {self.args[1]}"
-        body = self.pred if not self.args else f"{self.pred}({','.join(map(str, self.args))})"
-        return body if self.positive else f"~{body}"
-
-
-@dataclass(frozen=True, slots=True)
-class Clause:
-    literals: tuple[Literal, ...]
-    origins: frozenset[str]
-
-    def __str__(self) -> str:
-        return "{" + " | ".join(map(str, self.literals)) + "}"
-
-
+ClauseTerm = str | tuple[str, tuple["ClauseTerm", ...]]  # variable name, or (head, args)
+Literal = tuple[bool, str, tuple[ClauseTerm, ...]]  # (positive, pred, args)
+Literals = tuple[Literal, ...]
+Clause = tuple[Literals, frozenset[str]]  # (literals, origins)
 ClauseSet = tuple[Clause, ...]
 
 
@@ -150,24 +135,32 @@ class _Skolemizer:
         return self.walk(f.body, universals, inner)
 
 
+def _clause_term(t: Term) -> ClauseTerm:
+    if isinstance(t, Var):
+        return t.name
+    return (t.head, tuple(_clause_term(a) for a in t.args))
+
+
+def _literal(positive: bool, f: Atom | Equality) -> Literal:
+    if isinstance(f, Atom):
+        return (positive, f.pred, tuple(_clause_term(a) for a in f.args))
+    return (positive, EQUALITY_PRED, (_clause_term(f.left), _clause_term(f.right)))
+
+
 def _distribute(f: Formula) -> list[list[Literal]]:
     """CNF of a quantifier-free NNF matrix, as lists of literals.
 
     Truth constants fall out of the representation: a true formula yields no
     clauses, a false one yields the empty clause.
     """
-    if isinstance(f, Atom):
-        return [[Literal(True, f.pred, f.args)]]
-    if isinstance(f, Equality):
-        return [[Literal(True, EQUALITY_PRED, (f.left, f.right))]]
+    if isinstance(f, (Atom, Equality)):
+        return [[_literal(True, f)]]
     if isinstance(f, Truth):
         return [] if f.value else [[]]
     if isinstance(f, Not):
         body = f.body
-        if isinstance(body, Atom):
-            return [[Literal(False, body.pred, body.args)]]
-        if isinstance(body, Equality):
-            return [[Literal(False, EQUALITY_PRED, (body.left, body.right))]]
+        if isinstance(body, (Atom, Equality)):
+            return [[_literal(False, body)]]
         if isinstance(body, Truth):
             return [[]] if body.value else []
         raise ValueError(f"matrix not in NNF: negation of {type(body).__name__}")
@@ -177,16 +170,6 @@ def _distribute(f: Formula) -> list[list[Literal]]:
         if f.op == OR:
             return [ci + cj for ci in _distribute(f.left) for cj in _distribute(f.right)]
     raise ValueError(f"matrix contains unexpected node {type(f).__name__}")
-
-
-def _dedupe(lits: Iterable[Literal]) -> tuple[Literal, ...]:
-    seen: set[Literal] = set()
-    out: list[Literal] = []
-    for l in lits:
-        if l not in seen:
-            seen.add(l)
-            out.append(l)
-    return tuple(out)
 
 
 def clausify(named: Sequence[tuple[str, Formula]]) -> ClauseSet:
@@ -202,23 +185,32 @@ def clausify(named: Sequence[tuple[str, Formula]]) -> ClauseSet:
         nnf = _nnf(f, True)
         matrix = sk.walk(nnf, (), {})
         for lits in _distribute(matrix):
-            clauses.append(Clause(_dedupe(lits), frozenset({name})))
+            clauses.append((tuple(dict.fromkeys(lits)), frozenset({name})))
     return tuple(clauses)
 
 
+def function_symbols(t: ClauseTerm, out: dict[str, int]) -> None:
+    """Record each function and constant symbol of t with its arity, in
+    pre-order; a symbol already in out keeps its entry."""
+    if not isinstance(t, str):
+        out.setdefault(t[0], len(t[1]))
+        for a in t[1]:
+            function_symbols(a, out)
+
+
 def clause_signature(clauses: Iterable[Clause]) -> tuple[dict[str, int], dict[str, int]]:
-    """Predicate and function symbols (with arities) occurring in clauses."""
+    """Predicate and function symbols (with arities) occurring in clauses,
+    each in pre-order of first occurrence."""
     preds: dict[str, int] = {}
     funcs: dict[str, int] = {}
-    for c in clauses:
-        for lit in c.literals:
-            if lit.pred != EQUALITY_PRED:
-                preds.setdefault(lit.pred, len(lit.args))
-            for a in lit.args:
-                for sym, arity, _ in term_symbols(a):
-                    funcs.setdefault(sym, arity)
+    for literals, _ in clauses:
+        for _, pred, args in literals:
+            if pred != EQUALITY_PRED:
+                preds.setdefault(pred, len(args))
+            for a in args:
+                function_symbols(a, funcs)
     return preds, funcs
 
 
 def contains_equality(clauses: Iterable[Clause]) -> bool:
-    return any(lit.pred == EQUALITY_PRED for c in clauses for lit in c.literals)
+    return any(pred == EQUALITY_PRED for literals, _ in clauses for _, pred, _ in literals)

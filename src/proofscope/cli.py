@@ -326,9 +326,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         outcome = COMMANDS[args.command](theory, args, err)
     except VerdictConflictError as exc:
         return _fail(f"engine verdict conflict: {exc}", EXIT_CONFLICT, err)
-    except (
-        TptpError, FileNotFoundError, IsADirectoryError, EngineConfigError, AnalysisError
-    ) as exc:
+    except (TptpError, OSError, EngineConfigError, AnalysisError) as exc:
         return _fail(str(exc), EXIT_INPUT_ERROR, err)
     report = rpt.Report(
         command=outcome.command,

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Sequence
 
+from .clauses import ORIGIN_CONJECTURE
 from .logic import Formula, Interpretation, Not
 from .modelfinder import ModelKind, ModelOutcome, find_model
 from .prover import prove, refute
@@ -267,7 +268,7 @@ class BuiltinModelFinder:
         start = time.monotonic()
         formulas: list[tuple[str, Formula]] = [(p.name, p.formula) for p in t.premises]
         if t.conjecture is not None:
-            formulas.append(("$negated_conjecture", Not(t.conjecture.formula)))
+            formulas.append((ORIGIN_CONJECTURE, Not(t.conjecture.formula)))
         outcome = self.search_formulas(formulas, limits)
         if outcome.kind == ModelKind.ModelFound:
             status = (

@@ -19,15 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
-from .clauses import EQUALITY_PRED, Clause, clause_signature, clausify
-from .logic import (
-    Formula,
-    Interpretation,
-    Term,
-    Var,
-    evaluate,
-    symbols,
-)
+from .clauses import EQUALITY_PRED, ClauseTerm, Literals, clause_signature, clausify
+from .logic import Formula, Interpretation, evaluate, symbols
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engines import EngineLimits
@@ -62,7 +55,7 @@ class FlatClause:
     literals: tuple[FlatLiteral, ...]
 
 
-def _flatten(clause: Clause) -> FlatClause:
+def _flatten(literals: Literals) -> FlatClause:
     var_ids: dict[str, int] = {}
     defs: dict[tuple[str, tuple[int, ...]], int] = {}
     lits: list[FlatLiteral] = []
@@ -74,35 +67,36 @@ def _flatten(clause: Clause) -> FlatClause:
             var_ids[name] = next(counter)
         return var_ids[name]
 
-    def flat_term(t: Term) -> int:
-        if isinstance(t, Var):
-            return var_id(t.name)
-        arg_ids = tuple(flat_term(a) for a in t.args)
-        key = (t.head, arg_ids)
+    def flat_term(t: ClauseTerm) -> int:
+        if isinstance(t, str):
+            return var_id(t)
+        head, args = t
+        arg_ids = tuple(flat_term(a) for a in args)
+        key = (head, arg_ids)
         if key in defs:
             return defs[key]
         aux = next(counter)
         defs[key] = aux
-        lits.append(("func", t.head, arg_ids, aux, False))
+        lits.append(("func", head, arg_ids, aux, False))
         return aux
 
-    for lit in clause.literals:
-        if lit.pred == EQUALITY_PRED:
-            left, right = lit.args
-            if isinstance(left, Var):
+    for positive, pred, args in literals:
+        if pred == EQUALITY_PRED:
+            left, right = args
+            if isinstance(left, str):
                 left, right = right, left
-            if not lit.positive:
+            if not positive:
                 disequal.append((flat_term(left), flat_term(right)))
-            elif isinstance(left, Var):
+            elif isinstance(left, str):
                 lits.append(("eq", flat_term(left), flat_term(right)))
             else:
                 # f(s) = t is the cell f(s) -> t: totality and functionality
                 # make it equivalent to f(s) != u | u = t for every u.
-                arg_ids = tuple(flat_term(a) for a in left.args)
-                lits.append(("func", left.head, arg_ids, flat_term(right), True))
+                arg_ids = tuple(flat_term(a) for a in left[1])
+                lits.append(("func", left[0], arg_ids, flat_term(right), True))
         else:
-            arg_ids = tuple(flat_term(a) for a in lit.args)
-            lits.append(("pred", lit.pred, arg_ids, lit.positive))
+            arg_ids = tuple(flat_term(a) for a in args)
+            lits.append(("pred", pred, arg_ids, positive))
     return _substitute(lits, disequal)
 
 
@@ -411,7 +405,7 @@ def find_model(
             table = preds if is_predicate else funcs
             if table.setdefault(sym, arity) != arity:
                 raise ValueError(f"symbol {sym} used with arity {table[sym]} and arity {arity}")
-    flats = [_flatten(c) for c in clauses]
+    flats = [_flatten(literals) for literals, _ in clauses]
     for n in range(1, limits.max_domain_size + 1):
         if time.monotonic() >= deadline:
             return ModelOutcome(ModelKind.ResourceOut)

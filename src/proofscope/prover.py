@@ -9,11 +9,9 @@ clauses processed after it was kept.  Equality is handled by appending
 congruence axioms under the reserved origin name "$equality", which is
 excluded from used premises.
 
-The search runs on plain tuples, which hash and compare in C.  Each input
-`Clause` is converted once: a variable becomes its name (a `str`), an
-application `(head, args)` (a constant is `(head, ())`), and a literal
-`(positive, pred, args)`.  The index memoizes each literal's feature vector;
-a clause's vector is the bitwise or of its literals' vectors.
+The search runs on the plain-tuple clause form of `clauses`, as `clausify`
+returns it.  The index memoizes each literal's feature vector; a clause's
+vector is the bitwise or of its literals' vectors.
 """
 
 from __future__ import annotations
@@ -29,12 +27,15 @@ from .clauses import (
     ORIGIN_EQUALITY,
     Clause,
     ClauseSet,
+    ClauseTerm,
     Literal,
+    Literals,
     clause_signature,
     clausify,
     contains_equality,
+    function_symbols,
 )
-from .logic import App, Not, Term, Var
+from .logic import Not
 from .tptp import Theory
 from .verdicts import SzsStatus
 
@@ -68,30 +69,12 @@ class ProofOutcome:
 
 
 # ---------------------------------------------------------------------------
-# The prover's term form
-
-PTerm = str | tuple[str, tuple["PTerm", ...]]  # variable name, or (head, args)
-PLiteral = tuple[bool, str, tuple[PTerm, ...]]  # (positive, pred, args)
-PClause = tuple[PLiteral, ...]
-
-
-def _term(t: Term) -> PTerm:
-    if isinstance(t, Var):
-        return t.name
-    return (t.head, tuple(_term(a) for a in t.args))
-
-
-def _literal(lit: Literal) -> PLiteral:
-    return (lit.positive, lit.pred, tuple(_term(a) for a in lit.args))
-
-
-# ---------------------------------------------------------------------------
 # Substitutions and unification
 
-Subst = dict[str, PTerm]
+Subst = dict[str, ClauseTerm]
 
 
-def _walk(t: PTerm, subst: Subst) -> PTerm:
+def _walk(t: ClauseTerm, subst: Subst) -> ClauseTerm:
     while isinstance(t, str):
         bound = subst.get(t)
         if bound is None:
@@ -100,14 +83,14 @@ def _walk(t: PTerm, subst: Subst) -> PTerm:
     return t
 
 
-def _occurs(name: str, t: PTerm, subst: Subst) -> bool:
+def _occurs(name: str, t: ClauseTerm, subst: Subst) -> bool:
     t = _walk(t, subst)
     if isinstance(t, str):
         return t == name
     return any(_occurs(name, a, subst) for a in t[1])
 
 
-def _unify(a: PTerm, b: PTerm, subst: Subst) -> bool:
+def _unify(a: ClauseTerm, b: ClauseTerm, subst: Subst) -> bool:
     """Extend subst in place to unify a and b; False leaves subst unusable."""
     a = _walk(a, subst)
     b = _walk(b, subst)
@@ -128,25 +111,25 @@ def _unify(a: PTerm, b: PTerm, subst: Subst) -> bool:
     return all(_unify(x, y, subst) for x, y in zip(a[1], b[1]))
 
 
-def _unify_args(xs: tuple[PTerm, ...], ys: tuple[PTerm, ...], subst: Subst) -> bool:
+def _unify_args(xs: tuple[ClauseTerm, ...], ys: tuple[ClauseTerm, ...], subst: Subst) -> bool:
     if len(xs) != len(ys):
         return False
     return all(_unify(x, y, subst) for x, y in zip(xs, ys))
 
 
-def _apply(t: PTerm, subst: Subst) -> PTerm:
+def _apply(t: ClauseTerm, subst: Subst) -> ClauseTerm:
     t = _walk(t, subst)
     if isinstance(t, str) or not t[1]:
         return t
     return (t[0], tuple(_apply(a, subst) for a in t[1]))
 
 
-def _apply_literal(lit: PLiteral, subst: Subst) -> PLiteral:
+def _apply_literal(lit: Literal, subst: Subst) -> Literal:
     positive, pred, args = lit
     return (positive, pred, tuple(_apply(a, subst) for a in args))
 
 
-def _rename_term(t: PTerm, prefix: str) -> PTerm:
+def _rename_term(t: ClauseTerm, prefix: str) -> ClauseTerm:
     if isinstance(t, str):
         return prefix + t
     if not t[1]:
@@ -154,7 +137,7 @@ def _rename_term(t: PTerm, prefix: str) -> PTerm:
     return (t[0], tuple(_rename_term(a, prefix) for a in t[1]))
 
 
-def _rename_literal(lit: PLiteral, prefix: str) -> PLiteral:
+def _rename_literal(lit: Literal, prefix: str) -> Literal:
     positive, pred, args = lit
     return (positive, pred, tuple(_rename_term(a, prefix) for a in args))
 
@@ -163,7 +146,7 @@ def _rename_literal(lit: PLiteral, prefix: str) -> PLiteral:
 # Clause normalization, weight, tautology and subsumption checks
 
 
-def _shape(t: PTerm) -> str:
+def _shape(t: ClauseTerm) -> str:
     if isinstance(t, str):
         return "*"
     head, args = t
@@ -172,18 +155,18 @@ def _shape(t: PTerm) -> str:
     return f"{head}({','.join(_shape(a) for a in args)})"
 
 
-def _literal_key(lit: PLiteral) -> tuple:
+def _literal_key(lit: Literal) -> tuple:
     positive, pred, args = lit
     return (pred, not positive, tuple(_shape(a) for a in args))
 
 
-def normalize(literals: PClause) -> PClause:
+def normalize(literals: Literals) -> Literals:
     """Dedupe, sort by a variable-blind key, and rename variables canonically."""
     unique = list(dict.fromkeys(literals))
     unique.sort(key=_literal_key)
     mapping: dict[str, str] = {}
 
-    def rename(t: PTerm) -> PTerm:
+    def rename(t: ClauseTerm) -> ClauseTerm:
         if isinstance(t, str):
             var = mapping.get(t)
             if var is None:
@@ -198,22 +181,22 @@ def normalize(literals: PClause) -> PClause:
     )
 
 
-def _term_weight(t: PTerm) -> int:
+def _term_weight(t: ClauseTerm) -> int:
     if isinstance(t, str):
         return 1
     return 1 + sum(_term_weight(a) for a in t[1])
 
 
-def _weight(literals: PClause) -> int:
+def _weight(literals: Literals) -> int:
     return sum(1 + sum(_term_weight(a) for a in args) for _, _, args in literals)
 
 
-def _is_tautology(literals: PClause) -> bool:
+def _is_tautology(literals: Literals) -> bool:
     positive = {(pred, args) for pos, pred, args in literals if pos}
     return any((pred, args) in positive for pos, pred, args in literals if not pos)
 
 
-def _match(pattern: PTerm, target: PTerm, subst: Subst, trail: list[str]) -> bool:
+def _match(pattern: ClauseTerm, target: ClauseTerm, subst: Subst, trail: list[str]) -> bool:
     """One-way matching: only pattern variables may be bound.  Each new
     binding's name goes on trail, so a caller can undo it."""
     if isinstance(pattern, str):
@@ -230,16 +213,16 @@ def _match(pattern: PTerm, target: PTerm, subst: Subst, trail: list[str]) -> boo
     return all(_match(p, t, subst, trail) for p, t in zip(pattern[1], target[1]))
 
 
-def _literals_by_key(literals: PClause) -> dict[tuple[str, bool], list[PLiteral]]:
-    by_key: dict[tuple[str, bool], list[PLiteral]] = {}
+def _literals_by_key(literals: Literals) -> dict[tuple[str, bool], list[Literal]]:
+    by_key: dict[tuple[str, bool], list[Literal]] = {}
     for lit in literals:
         by_key.setdefault((lit[1], lit[0]), []).append(lit)
     return by_key
 
 
 def _subsumes_into(
-    c_literals: PClause,
-    d_by_key: dict[tuple[str, bool], list[PLiteral]],
+    c_literals: Literals,
+    d_by_key: dict[tuple[str, bool], list[Literal]],
 ) -> bool:
     """True if some substitution maps every c literal into d's literal set."""
     subst: Subst = {}
@@ -293,14 +276,14 @@ class _FeatureIndex:
     The signature is fixed from the input clauses; inference adds no symbol.
     """
 
-    def __init__(self, clauses: Iterable[PClause]):
-        funcs: set[str] = set()
+    def __init__(self, clauses: Iterable[Literals]):
+        funcs: dict[str, int] = {}
         arity = {}
         for literals in clauses:
             for positive, pred, args in literals:
                 arity[(pred, positive)] = len(args)
                 for a in args:
-                    _function_symbols(a, funcs)
+                    function_symbols(a, funcs)
         self.symbols = {name: i for i, name in enumerate(sorted(funcs))}
         nsym = len(self.symbols)
         # Per key: the offset of its presence bit; after it come the size,
@@ -317,11 +300,11 @@ class _FeatureIndex:
             offset += 1 + (2 + nsym) * FEATURE_CAP + n * nsym + n * (n - 1) // 2
         # Processed clauses bucketed by their presence bits (their key set);
         # each entry is (processed index, literal count, vector, literals).
-        self.buckets: dict[int, list[tuple[int, int, int, PClause]]] = {}
-        self.literal_vectors: dict[PLiteral, int] = {}
+        self.buckets: dict[int, list[tuple[int, int, int, Literals]]] = {}
+        self.literal_vectors: dict[Literal, int] = {}
         self.tests = 0
 
-    def vector(self, literals: PClause) -> int:
+    def vector(self, literals: Literals) -> int:
         """The feature vector of a clause with these literals."""
         memo = self.literal_vectors
         vec = 0
@@ -332,7 +315,7 @@ class _FeatureIndex:
             vec |= v
         return vec
 
-    def _literal_vector(self, lit: PLiteral) -> int:
+    def _literal_vector(self, lit: Literal) -> int:
         positive, pred, args = lit
         symbols = self.symbols
         nsym = len(symbols)
@@ -358,11 +341,11 @@ class _FeatureIndex:
             vec |= _thermometer(occurrences.count(j)) << base + 1 + (2 + j) * FEATURE_CAP
         return vec
 
-    def add(self, gidx: int, literals: PClause, vec: int) -> None:
+    def add(self, gidx: int, literals: Literals, vec: int) -> None:
         entry = (gidx, len(literals), vec, literals)
         self.buckets.setdefault(vec & self.presence, []).append(entry)
 
-    def subsumed(self, literals: PClause, vec: int, since: int = 0) -> bool:
+    def subsumed(self, literals: Literals, vec: int, since: int = 0) -> bool:
         """True if a clause processed at index since or later, with no more
         literals than literals, subsumes them."""
         nlits = len(literals)
@@ -381,18 +364,11 @@ class _FeatureIndex:
         return False
 
 
-def _function_symbols(t: PTerm, out: set[str]) -> None:
-    if not isinstance(t, str):
-        out.add(t[0])
-        for a in t[1]:
-            _function_symbols(a, out)
-
-
 def _thermometer(v: int) -> int:
     return (1 << min(v, FEATURE_CAP)) - 1
 
 
-def _term_measures(t: PTerm, symbols: dict[str, int], occurrences: list[int]) -> tuple[int, int]:
+def _term_measures(t: ClauseTerm, symbols: dict[str, int], occurrences: list[int]) -> tuple[int, int]:
     """Size and depth of t; appends the index of each symbol occurrence."""
     if isinstance(t, str):
         return 1, 1
@@ -413,42 +389,24 @@ def _term_measures(t: PTerm, symbols: dict[str, int], occurrences: list[int]) ->
 def congruence_axioms(clauses: ClauseSet) -> ClauseSet:
     preds, funcs = clause_signature(clauses)
     origin = frozenset({ORIGIN_EQUALITY})
-    x, y, z = Var("X0"), Var("X1"), Var("X2")
-    eq = lambda a, b, pos: Literal(pos, EQUALITY_PRED, (a, b))  # noqa: E731
+    eq = lambda a, b, pos: (pos, EQUALITY_PRED, (a, b))  # noqa: E731
     out = [
-        Clause((eq(x, x, True),), origin),
-        Clause((eq(x, y, False), eq(y, x, True)), origin),
-        Clause((eq(x, y, False), eq(y, z, False), eq(x, z, True)), origin),
+        ((eq("X0", "X0", True),), origin),
+        ((eq("X0", "X1", False), eq("X1", "X0", True)), origin),
+        ((eq("X0", "X1", False), eq("X1", "X2", False), eq("X0", "X2", True)), origin),
     ]
     for name in sorted(preds):
         arity = preds[name]
         for i in range(arity):
-            args = tuple(Var(f"A{j}") for j in range(arity))
-            repl = tuple(Var("B") if j == i else args[j] for j in range(arity))
-            out.append(
-                Clause(
-                    (
-                        eq(args[i], Var("B"), False),
-                        Literal(False, name, args),
-                        Literal(True, name, repl),
-                    ),
-                    origin,
-                )
-            )
+            args = tuple(f"A{j}" for j in range(arity))
+            repl = args[:i] + ("B",) + args[i + 1 :]
+            out.append(((eq(args[i], "B", False), (False, name, args), (True, name, repl)), origin))
     for name in sorted(funcs):
         arity = funcs[name]
         for i in range(arity):
-            args = tuple(Var(f"A{j}") for j in range(arity))
-            repl = tuple(Var("B") if j == i else args[j] for j in range(arity))
-            out.append(
-                Clause(
-                    (
-                        eq(args[i], Var("B"), False),
-                        eq(App(name, args), App(name, repl), True),
-                    ),
-                    origin,
-                )
-            )
+            args = tuple(f"A{j}" for j in range(arity))
+            repl = args[:i] + ("B",) + args[i + 1 :]
+            out.append(((eq(args[i], "B", False), eq((name, args), (name, repl), True)), origin))
     return tuple(out)
 
 
@@ -457,11 +415,11 @@ def congruence_axioms(clauses: ClauseSet) -> ClauseSet:
 
 
 class _Saturation:
-    def __init__(self, initial: list[tuple[PClause, frozenset[str]]], limits: EngineLimits):
+    def __init__(self, initial: ClauseSet, limits: EngineLimits):
         self.max_clause_count = limits.max_clause_count
         self.deadline = time.monotonic() + limits.timeout
         self.heap: list[tuple[int, int, int]] = []  # (weight, age, slot)
-        self.slots: list[tuple[PClause, frozenset[str]]] = []  # (literals, origins)
+        self.slots: list[Clause] = []
         self.done: list[bool] = []  # slot already selected as given
         # Per slot: the clause's feature vector, and how many clauses were
         # processed when it was kept (those already failed to subsume it).
@@ -471,10 +429,10 @@ class _Saturation:
         self.picks = 0
         # Per processed clause: its literals renamed apart for resolution,
         # and its origins.
-        self.processed: list[tuple[PClause, frozenset[str]]] = []
+        self.processed: list[Clause] = []
         self.index: dict[tuple[str, bool], list[tuple[int, int]]] = {}
         self.features = _FeatureIndex(literals for literals, _ in initial)
-        self.seen: set[PClause] = set()
+        self.seen: set[Literals] = set()
         self.generated = 0
         self.kept = 0
         self.empty: frozenset[str] | None = None  # the empty clause's origins
@@ -485,7 +443,7 @@ class _Saturation:
             if self.empty is not None:
                 return
 
-    def _insert(self, literals: PClause, origins: frozenset[str]) -> None:
+    def _insert(self, literals: Literals, origins: frozenset[str]) -> None:
         self.generated += 1
         if not literals:
             self.empty = origins
@@ -565,7 +523,7 @@ class _Saturation:
                 return "resource"
         return "closure"
 
-    def _infer(self, literals: PClause, origins: frozenset[str]) -> bool:
+    def _infer(self, literals: Literals, origins: frozenset[str]) -> bool:
         """Generate resolvents and positive factors of the given clause.
 
         Returns False when the search must stop (refutation or resources).
@@ -607,13 +565,12 @@ class _Saturation:
         return True
 
 
-def _input_clauses(named: list[tuple[str, object]]) -> list[tuple[PClause, frozenset[str]]]:
-    """Clausify, add congruence axioms if equality occurs, and convert each
-    clause to the prover's form once."""
+def _input_clauses(named: list[tuple[str, object]]) -> ClauseSet:
+    """Clausify, and add congruence axioms if equality occurs."""
     clauses = clausify(named)  # type: ignore[arg-type]
     if contains_equality(clauses):
         clauses = clauses + congruence_axioms(clauses)
-    return [(tuple(map(_literal, c.literals)), c.origins) for c in clauses]
+    return clauses
 
 
 def _search(
@@ -627,7 +584,13 @@ def _search(
     if any); a refutation answers refuted, a closed search saturated."""
     clauses = _input_clauses([(p.name, p.formula) for p in t.premises] + goal)
     sat = _Saturation(clauses, limits)
-    result = sat.run()
+    try:
+        result = sat.run()
+    except RecursionError:
+        # Resolution can build terms deeper than the input's without bound;
+        # one too deep for the interpreter's stack ends the search as its
+        # budget does.
+        result = "resource"
     stats = SearchStats(
         sat.generated, sat.kept, len(sat.processed), sat.features.tests
     )

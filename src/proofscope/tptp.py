@@ -67,6 +67,14 @@ class IncludeError(TptpError):
     """An include directive could not be resolved."""
 
 
+# Formulas and terms nest at most this deep: each parenthesised formula,
+# negation, quantifier and argument list opens one level.  Clausification,
+# the prover and model verification recurse up to three frames per level,
+# so a problem nested this deep leaves most of the interpreter's default
+# stack of 1000 frames to the callers and to the terms the prover deepens.
+MAX_NESTING = 100
+
+
 @dataclass(frozen=True)
 class Provenance:
     path: str
@@ -206,6 +214,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.path = path
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -218,6 +227,12 @@ class _Parser:
     def error(self, message: str, tok: Token | None = None) -> ParseError:
         tok = tok or self.peek()
         return ParseError(message, self.path, tok.line, tok.column)
+
+    def descend(self, tok: Token) -> None:
+        """Open one level of nesting at tok."""
+        if self.depth == MAX_NESTING:
+            raise self.error(f"formula or term nested deeper than {MAX_NESTING} levels", tok)
+        self.depth += 1
 
     def expect(self, kind: str, value: str | None = None) -> Token:
         tok = self.peek()
@@ -306,6 +321,7 @@ class _Parser:
     def parse_unitary(self, bound: frozenset[str]) -> Formula:
         tok = self.peek()
         if tok.kind == "op" and tok.value in (FORALL, EXISTS):
+            self.descend(tok)
             kind = self.next().value
             self.expect("op", "[")
             variables: list[str] = []
@@ -321,14 +337,18 @@ class _Parser:
             self.expect("op", "]")
             self.expect("op", ":")
             body = self.parse_unitary(bound | set(variables))
+            self.depth -= 1
             return Quantified(kind, tuple(variables), body)
         if tok.kind == "op" and tok.value == "~":
-            self.next()
-            return Not(self.parse_unitary(bound))
+            self.descend(self.next())
+            body = self.parse_unitary(bound)
+            self.depth -= 1
+            return Not(body)
         if tok.kind == "op" and tok.value == "(":
-            self.next()
+            self.descend(self.next())
             inner = self.parse_formula(bound)
             self.expect("op", ")")
+            self.depth -= 1
             return inner
         if tok.kind == "dollar":
             if tok.value == "$true":
@@ -375,7 +395,7 @@ class _Parser:
             head = tok.value if tok.kind == "lower" else _unquote(tok.value)
             args: list[Term] = []
             if self.peek().kind == "op" and self.peek().value == "(":
-                self.next()
+                self.descend(self.next())
                 while True:
                     args.append(self.parse_term(bound))
                     if self.peek().kind == "op" and self.peek().value == ",":
@@ -383,6 +403,7 @@ class _Parser:
                         continue
                     break
                 self.expect("op", ")")
+                self.depth -= 1
             return App(head, tuple(args))
         got = tok.value if tok.kind != "eof" else "end of input"
         raise self.error(f"expected a term, found {got!r}")
@@ -458,8 +479,7 @@ def _parse_into(
                 raise IncludeError(
                     f"{path}:{tok.line}:{tok.column}: circular include of {target!r}"
                 )
-            with open(resolved, "r", encoding="utf-8") as handle:
-                included_text = handle.read()
+            included_text = _read_text(resolved)
             active.add(real)
             _parse_into(included_text, resolved, include_dirs, formulas, active)
             active.remove(real)
@@ -507,9 +527,18 @@ def parse_problem(
     return Theory(tuple(formulas), origin=origin)
 
 
-def parse_file(path: str, include_dirs: Sequence[str] = ()) -> Theory:
+def _read_text(path: str) -> str:
+    """The text of a problem or included file; one that is not UTF-8 is a
+    TptpError naming the file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_problem(handle.read(), include_dirs, origin=path)
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise TptpError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def parse_file(path: str, include_dirs: Sequence[str] = ()) -> Theory:
+    return parse_problem(_read_text(path), include_dirs, origin=path)
 
 
 # ---------------------------------------------------------------------------

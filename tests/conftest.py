@@ -177,32 +177,32 @@ def clause_as_formula(clause) -> Formula:
     """View a clause as a universally closed disjunction of its literals."""
     from proofscope.clauses import EQUALITY_PRED
 
+    literals, _ = clause
     lits = []
-    for lit in clause.literals:
-        if lit.pred == EQUALITY_PRED:
-            atom: Formula = Equality(lit.args[0], lit.args[1])
+    variables: set[str] = set()
+    for positive, pred, args in literals:
+        terms = tuple(_formula_term(a, variables) for a in args)
+        if pred == EQUALITY_PRED:
+            atom: Formula = Equality(terms[0], terms[1])
         else:
-            atom = Atom(lit.pred, lit.args)
-        lits.append(atom if lit.positive else Not(atom))
+            atom = Atom(pred, terms)
+        lits.append(atom if positive else Not(atom))
     if not lits:
         return Truth(False)
     body = lits[0]
     for lit in lits[1:]:
         body = Binary("|", body, lit)
-    variables = sorted(
-        {v.name for lit in clause.literals for a in lit.args for v in _term_vars(a)}
-    )
     if variables:
-        return Quantified("!", tuple(variables), body)
+        return Quantified("!", tuple(sorted(variables)), body)
     return body
 
 
-def _term_vars(t):
-    if isinstance(t, Var):
-        yield t
-    else:
-        for a in t.args:
-            yield from _term_vars(a)
+def _formula_term(t, variables: set[str]):
+    """The logic term of a clause-form term; adds its variables to variables."""
+    if isinstance(t, str):
+        variables.add(t)
+        return Var(t)
+    return App(t[0], tuple(_formula_term(a, variables) for a in t[1]))
 
 
 def random_closed_formula(rng, depth: int) -> Formula:
@@ -237,21 +237,21 @@ def random_term(rng):
 
 
 def random_open_term(rng, variables=("X0", "X1", "X2"), depth: int = 2):
-    """Small random term over {f/1, a, b} and the given variables."""
+    """Small random clause-form term over {f/1, a, b} and the given variables."""
     roll = rng.random()
     if roll < 0.35:
-        return Var(rng.choice(variables))
+        return rng.choice(variables)
     if roll < 0.55 or depth == 0:
-        return App("a")
+        return ("a", ())
     if roll < 0.7:
-        return App("b")
-    return App("f", (random_open_term(rng, variables, depth - 1),))
+        return ("b", ())
+    return ("f", (random_open_term(rng, variables, depth - 1),))
 
 
 def random_literals(rng, max_literals: int = 3, variables=("X0", "X1", "X2")):
-    """1 to max_literals random literals over {p/1, q/0, =} whose terms come
-    from random_open_term."""
-    from proofscope.clauses import EQUALITY_PRED, Literal
+    """1 to max_literals random clause-form literals over {p/1, q/0, =} whose
+    terms come from random_open_term."""
+    from proofscope.clauses import EQUALITY_PRED
 
     out = []
     for _ in range(rng.randint(1, max_literals)):
@@ -259,12 +259,12 @@ def random_literals(rng, max_literals: int = 3, variables=("X0", "X1", "X2")):
         roll = rng.random()
         if roll < 0.45:
             args = (random_open_term(rng, variables),)
-            out.append(Literal(positive, "p", args))
+            out.append((positive, "p", args))
         elif roll < 0.6:
-            out.append(Literal(positive, "q", ()))
+            out.append((positive, "q", ()))
         else:
             args = (random_open_term(rng, variables), random_open_term(rng, variables))
-            out.append(Literal(positive, EQUALITY_PRED, args))
+            out.append((positive, EQUALITY_PRED, args))
     return tuple(out)
 
 

@@ -14,6 +14,7 @@ import pytest
 import proofscope
 from proofscope import analysis
 from proofscope.cli import main
+from proofscope.tptp import MAX_NESTING
 
 from conftest import PROBLEM_DIR, PUZ001, STUB_ENGINE
 
@@ -653,3 +654,78 @@ class TestIncludeDirs:
             ["reprove", str(prob), "-I", str(axdir), "--method", "syntactic"]
         )
         assert code == 0
+
+
+class TestUnreadableInput:
+    """A problem or included file that cannot be read as UTF-8 text is an
+    input error that names the file."""
+
+    def test_non_utf8_problem_file(self, tmp_path):
+        bad = tmp_path / "bad.p"
+        bad.write_bytes(b"fof(a1, axiom, p).\n% caf\xff\n")
+        code, out, err = run_cli(["symbols", str(bad)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"proofscope: {bad}: not UTF-8 text") and err.count("\n") == 1
+
+    def test_non_utf8_included_file(self, tmp_path):
+        bad = tmp_path / "bad.ax"
+        bad.write_bytes(b"fof(a1, axiom, \xffp).\n")
+        prob = tmp_path / "prob.p"
+        prob.write_text("include('bad.ax').\nfof(goal, conjecture, p).\n")
+        code, out, err = run_cli(["symbols", str(prob)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"proofscope: {bad}: not UTF-8 text") and err.count("\n") == 1
+
+
+class TestNesting:
+    """Formulas and terms nested to MAX_NESTING levels run through every
+    subcommand; one level more is a parse error at the token that opens it."""
+
+    @staticmethod
+    def problem(tmp_path, formula_depth, term_depth):
+        path = tmp_path / "deep.p"
+        path.write_text(
+            f"fof(a1, axiom, {'(' * formula_depth}p{')' * formula_depth}).\n"
+            f"fof(a2, axiom, q = {'f(' * term_depth}c{')' * term_depth}).\n"
+            "fof(goal, conjecture, p).\n"
+        )
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["symbols"],
+            ["reprove"],
+            ["reprove", "--method", "syntactic"],
+            ["minimize"],
+            ["independence"],
+            ["consistency"],
+        ],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_every_subcommand_at_the_limit(self, argv, tmp_path):
+        path = self.problem(tmp_path, MAX_NESTING, MAX_NESTING)
+        timeout = [] if argv == ["symbols"] else ["--timeout", "0.5"]
+        code, out, err = run_cli([argv[0], path, *argv[1:], *timeout])
+        assert code != 2, err
+        assert out
+
+    @pytest.mark.parametrize(
+        "formula_depth, term_depth, line, column",
+        [
+            (MAX_NESTING + 1, 1, 1, 16 + MAX_NESTING),
+            (1, MAX_NESTING + 1, 2, 21 + 2 * MAX_NESTING),
+        ],
+        ids=["formula", "term"],
+    )
+    def test_one_level_past_the_limit(self, formula_depth, term_depth, line, column, tmp_path):
+        path = self.problem(tmp_path, formula_depth, term_depth)
+        code, out, err = run_cli(["symbols", path])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"proofscope: {path}:{line}:{column}: "
+            f"formula or term nested deeper than {MAX_NESTING} levels\n"
+        )

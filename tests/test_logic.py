@@ -93,26 +93,26 @@ class TestClausify:
     def test_conjunction_splits_with_origins(self):
         out = clausify([("a1", Binary("&", Atom("p"), Atom("q")))])
         assert len(out) == 2
-        assert all(c.origins == frozenset({"a1"}) for c in out)
-        preds = {c.literals[0].pred for c in out}
+        assert all(origins == frozenset({"a1"}) for _, origins in out)
+        preds = {literals[0][1] for literals, _ in out}
         assert preds == {"p", "q"}
 
     def test_skolem_constant(self):
         f = Quantified("?", ("X",), Atom("p", (Var("X"),)))
         out = clausify([("a1", f)])
         assert len(out) == 1
-        lit = out[0].literals[0]
-        assert lit.pred == "p" and isinstance(lit.args[0], App)
-        assert lit.args[0].head == "sk1"
+        _, pred, args = out[0][0][0]
+        assert pred == "p" and not isinstance(args[0], str)
+        assert args[0][0] == "sk1"
 
     def test_skolem_function_under_universal(self):
         f = Quantified(
             "!", ("X",), Quantified("?", ("Y",), Atom("r", (Var("X"), Var("Y"))))
         )
         out = clausify([("a1", f)])
-        lit = out[0].literals[0]
-        assert lit.args[1].head == "sk1"
-        assert len(lit.args[1].args) == 1  # depends on the universal variable
+        _, _, args = out[0][0][0]
+        assert args[1][0] == "sk1"
+        assert len(args[1][1]) == 1  # depends on the universal variable
 
     def test_skolem_fresh_against_input_signature(self):
         f = Binary(
@@ -122,10 +122,10 @@ class TestClausify:
         )
         out = clausify([("a1", f)])
         heads = {
-            lit.args[0].head
-            for c in out
-            for lit in c.literals
-            if lit.args and isinstance(lit.args[0], App)
+            args[0][0]
+            for literals, _ in out
+            for _, _, args in literals
+            if args and not isinstance(args[0], str)
         }
         assert "sk1" in heads  # the input one survives
         assert "sk2" in heads  # the fresh one skips the taken name
@@ -137,18 +137,18 @@ class TestClausify:
         ]
         out = clausify(named)
         assert len(out) == 2
-        assert out[0].origins == frozenset({"a1"})
-        assert out[1].origins == frozenset({"a2"})
+        assert out[0][1] == frozenset({"a1"})
+        assert out[1][1] == frozenset({"a2"})
 
     def test_truth_constants(self):
         assert clausify([("a1", Truth(True))]) == ()
         out = clausify([("a1", Truth(False))])
-        assert len(out) == 1 and not out[0].literals
+        assert len(out) == 1 and not out[0][0]
         # p | $true is a tautology: no clauses
         assert clausify([("a1", Binary("|", Atom("p"), Truth(True)))]) == ()
         # p & $false contributes an empty clause
         out = clausify([("a1", Binary("&", Atom("p"), Truth(False)))])
-        assert any(not c.literals for c in out)
+        assert any(not literals for literals, _ in out)
 
     def test_signature_lists_function_symbols_in_pre_order(self):
         """The model finder breaks symmetry by the order of the constants in

@@ -25,8 +25,8 @@ def formulas_of(text):
 
 
 def flat_clause(formula_text):
-    [clause] = clausify(formulas_of(f"fof(a1, axiom, {formula_text})."))
-    return modelfinder._flatten(clause)
+    [(literals, _)] = clausify(formulas_of(f"fof(a1, axiom, {formula_text})."))
+    return modelfinder._flatten(literals)
 
 
 GROUP_AXIOMS = """

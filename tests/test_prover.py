@@ -1,25 +1,24 @@
 """Saturation prover tests: verdicts, used premises, determinism, limits,
 pinned search counts and the forward-subsumption index."""
 
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from proofscope import prover
-from proofscope.clauses import Literal
 from proofscope.engines import EngineLimits
 from proofscope.modelfinder import ModelKind, find_model
-from proofscope.logic import App, Not, Var
+from proofscope.logic import Not
 from proofscope.prover import (
     SearchStats,
     _FeatureIndex,
     _apply_literal,
     _is_tautology,
-    _literal,
     _literals_by_key,
     _subsumes_into,
-    _term,
     normalize,
     prove,
     refute,
@@ -127,6 +126,21 @@ class TestProve:
             "fof(goal, conjecture, q)."
         )
         out = prove(t, EngineLimits(timeout=20, max_clause_count=30))
+        assert out.status == SzsStatus.ResourceOut
+
+    def test_resource_out_on_terms_too_deep_for_the_stack(self):
+        """The same search builds p(f(...f(a)...)) ever deeper; a term too
+        deep for the interpreter's stack ends it as the budget does."""
+        t = mk(
+            "fof(a1, axiom, ! [X] : (p(X) => p(f(X)))). fof(a2, axiom, p(a)). "
+            "fof(goal, conjecture, q)."
+        )
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 200)
+        try:
+            out = prove(t, EngineLimits(timeout=20))
+        finally:
+            sys.setrecursionlimit(limit)
         assert out.status == SzsStatus.ResourceOut
 
 
@@ -289,17 +303,11 @@ def test_puz001_subsumption_tests_stay_indexed(puz001):
 # under the literal-count condition: it only skips matches that must fail.
 
 
-def _form(literals) -> tuple:
-    """Literal objects in the prover's tuple form, converted as
-    _input_clauses converts every input clause."""
-    return tuple(map(_literal, literals))
-
-
 def _instance(rng, literals):
     """literals under a random substitution, plus some random literals."""
-    subst = {v: _term(random_open_term(rng, ("Y0", "Y1"))) for v in ("X0", "X1", "X2")}
+    subst = {v: random_open_term(rng, ("Y0", "Y1")) for v in ("X0", "X1", "X2")}
     image = tuple(_apply_literal(l, subst) for l in literals)
-    return normalize(image + _form(random_literals(rng, 2, ("Y0", "Y1"))))
+    return normalize(image + random_literals(rng, 2, ("Y0", "Y1")))
 
 
 def _brute_force(processed, literals, since=0) -> bool:
@@ -312,8 +320,8 @@ def _brute_force(processed, literals, since=0) -> bool:
 def test_index_keeps_the_literal_count_condition():
     """p(X) | p(a) maps into p(a), but a longer clause never subsumes a
     shorter one here, which keeps factoring's work for the search."""
-    c = normalize(_form((Literal(True, "p", (Var("X"),)), Literal(True, "p", (App("a"),)))))
-    d = _form((Literal(True, "p", (App("a"),)),))
+    c = normalize(((True, "p", ("X",)), (True, "p", (("a", ()),))))
+    d = ((True, "p", (("a", ()),)),)
     index = _FeatureIndex((c, d))
     index.add(0, c, index.vector(c))
     assert _subsumes_into(c, _literals_by_key(d))
@@ -323,8 +331,8 @@ def test_index_keeps_the_literal_count_condition():
 @given(st.integers(0, 2**32))
 def test_index_never_rejects_a_subsumer(n):
     rng = random.Random(n)
-    c = normalize(_form(random_literals(rng)))
-    for d in (_instance(rng, c), normalize(_form(random_literals(rng, 4)))):
+    c = normalize(random_literals(rng))
+    for d in (_instance(rng, c), normalize(random_literals(rng, 4))):
         index = _FeatureIndex((c, d))
         cv, dv = index.vector(c), index.vector(d)
         if _subsumes_into(c, _literals_by_key(d)):
@@ -336,7 +344,7 @@ def test_index_never_rejects_a_subsumer(n):
 @given(st.integers(0, 2**32))
 def test_index_answers_like_a_scan_of_the_processed_clauses(n):
     rng = random.Random(n)
-    processed = [normalize(_form(random_literals(rng))) for _ in range(rng.randint(1, 6))]
+    processed = [normalize(random_literals(rng)) for _ in range(rng.randint(1, 6))]
     query = _instance(rng, rng.choice(processed))
     since = rng.randint(0, len(processed))
     index = _FeatureIndex(processed + [query])
@@ -354,7 +362,7 @@ def test_clause_vector_is_the_or_of_its_literal_vectors(n):
     literal's vector may depend neither on the other literals of its clause
     nor on what the index computed before."""
     rng = random.Random(n)
-    clauses = [normalize(_form(random_literals(rng, 4))) for _ in range(3)]
+    clauses = [normalize(random_literals(rng, 4)) for _ in range(3)]
     index = _FeatureIndex(clauses)
     for other in clauses[1:]:
         index.vector(other)
@@ -396,14 +404,12 @@ def test_input_clauses_are_pinned():
 def test_quoted_constant_and_variable_stay_distinct():
     """'X0' is a constant whose name is the one normalize gives the first
     variable; the tuple form keeps ("X0", ()) apart from the variable "X0"."""
-    const, var = (App("X0"),), (Var("Y"),)
-    clause = normalize(_form((Literal(True, "p", const), Literal(True, "p", var))))
+    const, var = (("X0", ()),), ("Y",)
+    clause = normalize(((True, "p", const), (True, "p", var)))
     assert clause == ((True, "p", ("X0",)), (True, "p", (("X0", ()),)))
-    assert not _is_tautology(
-        normalize(_form((Literal(True, "p", const), Literal(False, "p", var))))
-    )
-    var_unit = normalize(_form((Literal(True, "p", var),)))
-    const_unit = normalize(_form((Literal(True, "p", const),)))
+    assert not _is_tautology(normalize(((True, "p", const), (False, "p", var))))
+    var_unit = normalize(((True, "p", var),))
+    const_unit = normalize(((True, "p", const),))
     assert _subsumes_into(var_unit, _literals_by_key(const_unit))
     assert not _subsumes_into(const_unit, _literals_by_key(var_unit))
     out = prove(mk("fof(a1, axiom, p('X0')). fof(goal, conjecture, ! [X] : p(X))."), LIMITS)
