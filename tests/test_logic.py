@@ -178,6 +178,15 @@ class TestClausify:
             "fof(a1, axiom, (p ~& q) | (p ~| q)).",
             "fof(a1, axiom, a = b).",
             "fof(a1, axiom, ? [X] : X != a).",
+            "fof(a1, axiom, ~(p & q)).",
+            "fof(a1, axiom, ~(p => q)).",
+            "fof(a1, axiom, ~(p <= q)).",
+            "fof(a1, axiom, ~(p <=> q)).",
+            "fof(a1, axiom, ~(p <~> q)).",
+            "fof(a1, axiom, ~(p ~| q) & ~(p ~& q)).",
+            "fof(a1, axiom, ~ ! [X] : ? [Y] : r(X, Y)).",
+            "fof(a1, axiom, ~ ? [X] : (p(X) | ~q(X))).",
+            "fof(a1, axiom, ~ ? [X] : ! [Y] : ~ ! [Z] : (r(X, Y) | r(Y, Z))).",
         ],
     )
     def test_equisatisfiable_at_small_sizes(self, text):
@@ -198,3 +207,206 @@ class TestClausify:
                 for m in enumerate_interpretations(clause_formulas, size)
             )
             assert orig_sat == clause_sat, f"size {size}: {orig_sat} vs {clause_sat}"
+
+
+# The exact clause form of each connective under both polarities, of
+# quantifiers under negation, of truth-constant operands and of a
+# distribution: clauses and literals in order, with the V<n> and sk<n> names.
+# The model finder breaks symmetry by constant order and the prover's search
+# follows clause order, so a clausifier that changes any of this changes
+# their answers or their effort.
+CLAUSIFY_PINS = [
+    (
+        "(! [X] : ? [Y] : r(X, Y)) & (? [Z] : ! [W] : s(Z, W))",
+        [
+            ((True, "r", ("V1", ("sk1", ("V1",)))),),
+            ((True, "s", (("sk2", ()), "V2")),),
+        ],
+    ),
+    (
+        "~((! [X] : ? [Y] : r(X, Y)) & (? [Z] : ! [W] : s(Z, W)))",
+        [
+            ((False, "r", (("sk1", ()), "V1")), (False, "s", ("V2", ("sk2", ("V2",))))),
+        ],
+    ),
+    (
+        "(! [X] : ? [Y] : r(X, Y)) | (? [Z] : ! [W] : s(Z, W))",
+        [
+            ((True, "r", ("V1", ("sk1", ("V1",)))), (True, "s", (("sk2", ()), "V2"))),
+        ],
+    ),
+    (
+        "~((! [X] : ? [Y] : r(X, Y)) | (? [Z] : ! [W] : s(Z, W)))",
+        [
+            ((False, "r", (("sk1", ()), "V1")),),
+            ((False, "s", ("V2", ("sk2", ("V2",)))),),
+        ],
+    ),
+    (
+        "(! [X] : ? [Y] : r(X, Y)) => (? [Z] : ! [W] : s(Z, W))",
+        [
+            ((False, "r", (("sk1", ()), "V1")), (True, "s", (("sk2", ()), "V2"))),
+        ],
+    ),
+    (
+        "~((! [X] : ? [Y] : r(X, Y)) => (? [Z] : ! [W] : s(Z, W)))",
+        [
+            ((True, "r", ("V1", ("sk1", ("V1",)))),),
+            ((False, "s", ("V2", ("sk2", ("V2",)))),),
+        ],
+    ),
+    (
+        "(! [X] : ? [Y] : r(X, Y)) <= (? [Z] : ! [W] : s(Z, W))",
+        [
+            ((True, "r", ("V1", ("sk1", ("V1",)))), (False, "s", ("V2", ("sk2", ("V2",))))),
+        ],
+    ),
+    (
+        "~((! [X] : ? [Y] : r(X, Y)) <= (? [Z] : ! [W] : s(Z, W)))",
+        [
+            ((False, "r", (("sk1", ()), "V1")),),
+            ((True, "s", (("sk2", ()), "V2")),),
+        ],
+    ),
+    (
+        "(! [X] : ? [Y] : r(X, Y)) <=> (? [Z] : ! [W] : s(Z, W))",
+        [
+            ((False, "r", (("sk1", ()), "V1")), (True, "s", (("sk2", ()), "V2"))),
+            ((True, "r", ("V3", ("sk3", ("V3",)))), (False, "s", ("V4", ("sk4", ("V4",))))),
+        ],
+    ),
+    (
+        "~((! [X] : ? [Y] : r(X, Y)) <=> (? [Z] : ! [W] : s(Z, W)))",
+        [
+            ((True, "r", ("V1", ("sk1", ("V1",)))), (False, "r", (("sk3", ()), "V3"))),
+            ((True, "r", ("V1", ("sk1", ("V1",)))), (True, "s", (("sk4", ()), "V4"))),
+            ((False, "s", ("V2", ("sk2", ("V2",)))), (False, "r", (("sk3", ()), "V3"))),
+            ((False, "s", ("V2", ("sk2", ("V2",)))), (True, "s", (("sk4", ()), "V4"))),
+        ],
+    ),
+    (
+        "(! [X] : ? [Y] : r(X, Y)) <~> (? [Z] : ! [W] : s(Z, W))",
+        [
+            ((True, "r", ("V1", ("sk1", ("V1",)))), (False, "r", (("sk3", ()), "V3"))),
+            ((True, "r", ("V1", ("sk1", ("V1",)))), (True, "s", (("sk4", ()), "V4"))),
+            ((False, "s", ("V2", ("sk2", ("V2",)))), (False, "r", (("sk3", ()), "V3"))),
+            ((False, "s", ("V2", ("sk2", ("V2",)))), (True, "s", (("sk4", ()), "V4"))),
+        ],
+    ),
+    (
+        "~((! [X] : ? [Y] : r(X, Y)) <~> (? [Z] : ! [W] : s(Z, W)))",
+        [
+            ((False, "r", (("sk1", ()), "V1")), (True, "s", (("sk2", ()), "V2"))),
+            ((True, "r", ("V3", ("sk3", ("V3",)))), (False, "s", ("V4", ("sk4", ("V4",))))),
+        ],
+    ),
+    (
+        "(! [X] : ? [Y] : r(X, Y)) ~| (? [Z] : ! [W] : s(Z, W))",
+        [
+            ((False, "r", (("sk1", ()), "V1")),),
+            ((False, "s", ("V2", ("sk2", ("V2",)))),),
+        ],
+    ),
+    (
+        "~((! [X] : ? [Y] : r(X, Y)) ~| (? [Z] : ! [W] : s(Z, W)))",
+        [
+            ((True, "r", ("V1", ("sk1", ("V1",)))), (True, "s", (("sk2", ()), "V2"))),
+        ],
+    ),
+    (
+        "(! [X] : ? [Y] : r(X, Y)) ~& (? [Z] : ! [W] : s(Z, W))",
+        [
+            ((False, "r", (("sk1", ()), "V1")), (False, "s", ("V2", ("sk2", ("V2",))))),
+        ],
+    ),
+    (
+        "~((! [X] : ? [Y] : r(X, Y)) ~& (? [Z] : ! [W] : s(Z, W)))",
+        [
+            ((True, "r", ("V1", ("sk1", ("V1",)))),),
+            ((True, "s", (("sk2", ()), "V2")),),
+        ],
+    ),
+    (
+        "~ ! [X] : ? [Y] : r(X, Y)",
+        [
+            ((False, "r", (("sk1", ()), "V1")),),
+        ],
+    ),
+    (
+        "~ ? [X] : ! [Y] : ~ ! [Z] : r(X, Y, Z)",
+        [
+            ((True, "r", ("V1", ("sk1", ("V1",)), "V2")),),
+        ],
+    ),
+    (
+        "((? [X] : p(X)) | $true) & (? [Y] : q(Y))",
+        [
+            ((True, "q", (("sk2", ()),)),),
+        ],
+    ),
+    (
+        "($true | ~ ? [X] : p(X)) & (! [Y] : q(Y))",
+        [
+            ((True, "q", ("V2",)),),
+        ],
+    ),
+    (
+        "(! [X] : p(X)) & $false",
+        [
+            ((True, "p", ("V1",)),),
+            (),
+        ],
+    ),
+    (
+        "~ ($false | ? [X] : p(X))",
+        [
+            ((False, "p", ("V1",)),),
+        ],
+    ),
+    (
+        "(p & q) | (r & s)",
+        [
+            ((True, "p", ()), (True, "r", ())),
+            ((True, "p", ()), (True, "s", ())),
+            ((True, "q", ()), (True, "r", ())),
+            ((True, "q", ()), (True, "s", ())),
+        ],
+    ),
+    (
+        "(p & q) <=> (r | s)",
+        [
+            ((False, "p", ()), (False, "q", ()), (True, "r", ()), (True, "s", ())),
+            ((True, "p", ()), (False, "r", ())),
+            ((True, "p", ()), (False, "s", ())),
+            ((True, "q", ()), (False, "r", ())),
+            ((True, "q", ()), (False, "s", ())),
+        ],
+    ),
+    (
+        "(p | q) | (q | p)",
+        [
+            ((True, "p", ()), (True, "q", ())),
+        ],
+    ),
+    (
+        "p(sk1) & ? [X] : q(X, sk2)",
+        [
+            ((True, "p", (("sk1", ()),)),),
+            ((True, "q", (("sk3", ()), ("sk2", ()))),),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("text, expected", CLAUSIFY_PINS, ids=[p[0] for p in CLAUSIFY_PINS])
+def test_clausify_is_pinned(text, expected):
+    f = mk(f"fof(a1, axiom, {text}).").formulas[0].formula
+    assert clausify([("a1", f)]) == tuple((lits, frozenset({"a1"})) for lits in expected)
+
+
+def test_clausify_names_run_on_across_formulas():
+    t = mk("fof(a1, axiom, ! [X] : ? [Y] : r(X, Y)). fof(a2, axiom, ? [X] : ! [Y] : r(X, Y)).")
+    assert clausify([(f.name, f.formula) for f in t.formulas]) == (
+        (((True, "r", ("V1", ("sk1", ("V1",)))),), frozenset({"a1"})),
+        (((True, "r", (("sk2", ()), "V2")),), frozenset({"a2"})),
+    )
