@@ -1,10 +1,15 @@
-"""The clause form, and origin-tracking clausification (NNF, skolemize,
-distribute).
+"""The clause form, and origin-tracking clausification.
 
 One clause form serves the prover and the model finder.  It is made of
 plain tuples, which hash and compare in C: a variable is its name (a
 `str`), an application is `(head, args)` and a constant `(head, ())`, a
 literal is `(positive, pred, args)` and a clause `(literals, origins)`.
+
+`clausify` makes the clauses of each formula in one walk that carries the
+polarity instead of rewriting negations: a quantifier that is universal
+under its polarity binds fresh variables, an existential one Skolem terms
+over the universals around it, and each connective joins its operands'
+clauses by concatenation (a conjunction) or by product (a disjunction).
 """
 
 from __future__ import annotations
@@ -13,17 +18,15 @@ from typing import Iterable, Sequence
 
 from .logic import (
     AND,
-    EXISTS,
     FORALL,
     IFF,
     IMPLIED_BY,
     IMPLIES,
+    NAND,
     NOR,
     OR,
     XOR,
-    App,
     Atom,
-    Binary,
     Equality,
     Formula,
     Not,
@@ -47,129 +50,22 @@ Clause = tuple[Literals, frozenset[str]]  # (literals, origins)
 ClauseSet = tuple[Clause, ...]
 
 
-def _nnf(f: Formula, positive: bool) -> Formula:
-    """Negation normal form; eliminates every connective except & and |."""
-    if isinstance(f, (Atom, Equality)):
-        return f if positive else Not(f)
-    if isinstance(f, Truth):
-        return Truth(f.value if positive else not f.value)
-    if isinstance(f, Not):
-        return _nnf(f.body, not positive)
-    if isinstance(f, Binary):
-        l, r = f.left, f.right
-        if f.op == AND:
-            op = AND if positive else OR
-            return Binary(op, _nnf(l, positive), _nnf(r, positive))
-        if f.op == OR:
-            op = OR if positive else AND
-            return Binary(op, _nnf(l, positive), _nnf(r, positive))
-        if f.op == IMPLIES:
-            return _nnf(Binary(OR, Not(l), r), positive)
-        if f.op == IMPLIED_BY:
-            return _nnf(Binary(OR, l, Not(r)), positive)
-        if f.op == IFF:
-            both = Binary(AND, Binary(OR, Not(l), r), Binary(OR, l, Not(r)))
-            return _nnf(both, positive)
-        if f.op == XOR:
-            return _nnf(Binary(IFF, l, r), not positive)
-        if f.op == NOR:
-            return _nnf(Binary(OR, l, r), not positive)
-        return _nnf(Binary(AND, l, r), not positive)  # NAND
-    # Quantified
-    kind = f.kind if positive else (EXISTS if f.kind == FORALL else FORALL)
-    return Quantified(kind, f.variables, _nnf(f.body, positive))
+# Each binary connective other than <=> and <~> in positive polarity: whether
+# its clause form is a disjunction, and the polarities of its two operands.
+# Negative polarity swaps & and | and flips both operands.
+_SHAPES = {
+    AND: (False, True, True),
+    OR: (True, True, True),
+    IMPLIES: (True, False, True),
+    IMPLIED_BY: (True, True, False),
+    NOR: (False, False, False),
+    NAND: (True, False, False),
+}
 
 
-def _subst_term(t: Term, subst: dict[str, Term]) -> Term:
-    if isinstance(t, Var):
-        return subst.get(t.name, t)
-    if not t.args:
-        return t
-    return App(t.head, tuple(_subst_term(a, subst) for a in t.args))
-
-
-class _Skolemizer:
-    """Outer (prenex-free, polarity-resolved) skolemization over NNF input."""
-
-    def __init__(self, taken_symbols: set[str]):
-        self.taken = taken_symbols
-        self.sk_counter = 0
-        self.var_counter = 0
-
-    def fresh_skolem(self) -> str:
-        while True:
-            self.sk_counter += 1
-            name = f"sk{self.sk_counter}"
-            if name not in self.taken:
-                self.taken.add(name)
-                return name
-
-    def fresh_var(self) -> str:
-        self.var_counter += 1
-        return f"V{self.var_counter}"
-
-    def walk(self, f: Formula, universals: tuple[Var, ...], subst: dict[str, Term]) -> Formula:
-        if isinstance(f, Atom):
-            return Atom(f.pred, tuple(_subst_term(a, subst) for a in f.args))
-        if isinstance(f, Equality):
-            return Equality(_subst_term(f.left, subst), _subst_term(f.right, subst))
-        if isinstance(f, Truth):
-            return f
-        if isinstance(f, Not):
-            return Not(self.walk(f.body, universals, subst))
-        if isinstance(f, Binary):
-            return Binary(
-                f.op,
-                self.walk(f.left, universals, subst),
-                self.walk(f.right, universals, subst),
-            )
-        # Quantified: NNF guarantees polarity is already resolved.
-        if f.kind == FORALL:
-            fresh = tuple(Var(self.fresh_var()) for _ in f.variables)
-            inner = dict(subst)
-            inner.update({old: new for old, new in zip(f.variables, fresh)})
-            return self.walk(f.body, universals + fresh, inner)
-        inner = dict(subst)
-        for old in f.variables:
-            inner[old] = App(self.fresh_skolem(), universals)
-        return self.walk(f.body, universals, inner)
-
-
-def _clause_term(t: Term) -> ClauseTerm:
-    if isinstance(t, Var):
-        return t.name
-    return (t.head, tuple(_clause_term(a) for a in t.args))
-
-
-def _literal(positive: bool, f: Atom | Equality) -> Literal:
-    if isinstance(f, Atom):
-        return (positive, f.pred, tuple(_clause_term(a) for a in f.args))
-    return (positive, EQUALITY_PRED, (_clause_term(f.left), _clause_term(f.right)))
-
-
-def _distribute(f: Formula) -> list[list[Literal]]:
-    """CNF of a quantifier-free NNF matrix, as lists of literals.
-
-    Truth constants fall out of the representation: a true formula yields no
-    clauses, a false one yields the empty clause.
-    """
-    if isinstance(f, (Atom, Equality)):
-        return [[_literal(True, f)]]
-    if isinstance(f, Truth):
-        return [] if f.value else [[]]
-    if isinstance(f, Not):
-        body = f.body
-        if isinstance(body, (Atom, Equality)):
-            return [[_literal(False, body)]]
-        if isinstance(body, Truth):
-            return [[]] if body.value else []
-        raise ValueError(f"matrix not in NNF: negation of {type(body).__name__}")
-    if isinstance(f, Binary):
-        if f.op == AND:
-            return _distribute(f.left) + _distribute(f.right)
-        if f.op == OR:
-            return [ci + cj for ci in _distribute(f.left) for cj in _distribute(f.right)]
-    raise ValueError(f"matrix contains unexpected node {type(f).__name__}")
+def _join(disjoin: bool, a: list[Literals], b: list[Literals]) -> list[Literals]:
+    """Clauses of the disjunction of a and b, or of their conjunction."""
+    return [x + y for x in a for y in b] if disjoin else a + b
 
 
 def clausify(named: Sequence[tuple[str, Formula]]) -> ClauseSet:
@@ -179,14 +75,62 @@ def clausify(named: Sequence[tuple[str, Formula]]) -> ClauseSet:
     source formula.  Skolem symbols are fresh with respect to the whole input
     signature and numbered deterministically in input order.
     """
-    sk = _Skolemizer({sym for _, f in named for sym, _, _ in symbols(f)})
-    clauses: list[Clause] = []
-    for name, f in named:
-        nnf = _nnf(f, True)
-        matrix = sk.walk(nnf, (), {})
-        for lits in _distribute(matrix):
-            clauses.append((tuple(dict.fromkeys(lits)), frozenset({name})))
-    return tuple(clauses)
+    taken = {sym for _, f in named for sym, _, _ in symbols(f)}
+    var_count = skolem_count = 0
+
+    def term(t: Term, subst: dict[str, ClauseTerm]) -> ClauseTerm:
+        if isinstance(t, Var):
+            return subst.get(t.name, t.name)
+        return (t.head, tuple(term(a, subst) for a in t.args))
+
+    def cnf(
+        f: Formula, positive: bool, universals: tuple[str, ...], subst: dict[str, ClauseTerm]
+    ) -> list[Literals]:
+        """Clauses of f, or of its negation, with the variables in subst
+        replaced; a true formula has none and a false one the empty clause.
+        Names are taken left to right, as in the negation normal form."""
+        nonlocal var_count, skolem_count
+        if isinstance(f, Atom):
+            return [((positive, f.pred, tuple(term(a, subst) for a in f.args)),)]
+        if isinstance(f, Equality):
+            return [((positive, EQUALITY_PRED, (term(f.left, subst), term(f.right, subst))),)]
+        if isinstance(f, Truth):
+            return [] if f.value == positive else [()]
+        if isinstance(f, Not):
+            return cnf(f.body, not positive, universals, subst)
+        if isinstance(f, Quantified):
+            inner = dict(subst)
+            for v in f.variables:
+                if (f.kind == FORALL) == positive:
+                    var_count += 1
+                    inner[v] = f"V{var_count}"
+                    universals += (inner[v],)
+                else:
+                    skolem_count += 1
+                    while f"sk{skolem_count}" in taken:
+                        skolem_count += 1
+                    inner[v] = (f"sk{skolem_count}", universals)
+            return cnf(f.body, positive, universals, inner)
+        l, r = f.left, f.right
+        if f.op in (IFF, XOR):
+            # l <=> r is (~l | r) & (l | ~r); its negation and l <~> r are
+            # (l & ~r) | (~l & r).
+            p = positive == (f.op == IFF)
+            a = _join(p, cnf(l, not p, universals, subst), cnf(r, p, universals, subst))
+            b = _join(p, cnf(l, p, universals, subst), cnf(r, not p, universals, subst))
+            return _join(not p, a, b)
+        disjoin, left, right = _SHAPES[f.op]
+        return _join(
+            disjoin == positive,
+            cnf(l, left == positive, universals, subst),
+            cnf(r, right == positive, universals, subst),
+        )
+
+    return tuple(
+        (tuple(dict.fromkeys(lits)), frozenset({name}))
+        for name, f in named
+        for lits in cnf(f, True, (), {})
+    )
 
 
 def function_symbols(t: ClauseTerm, out: dict[str, int]) -> None:
