@@ -14,6 +14,7 @@ clauses by concatenation (a conjunction) or by product (a disjunction).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from .logic import (
@@ -63,20 +64,27 @@ _SHAPES = {
 }
 
 
-def _join(disjoin: bool, a: list[Literals], b: list[Literals]) -> list[Literals]:
-    """Clauses of the disjunction of a and b, or of their conjunction."""
-    return [x + y for x in a for y in b] if disjoin else a + b
+class TooManyClauses(Exception):
+    """The clause form would hold more clauses than the limit allows."""
 
 
-def clausify(named: Sequence[tuple[str, Formula]]) -> ClauseSet:
+def clausify(named: Sequence[tuple[str, Formula]], limit: float = math.inf) -> ClauseSet:
     """Convert named closed formulas to an equisatisfiable clause set.
 
     Every output clause's origin set is exactly the singleton name of its
     source formula.  Skolem symbols are fresh with respect to the whole input
-    signature and numbered deterministically in input order.
+    signature and numbered deterministically in input order.  Raises
+    TooManyClauses before any clause list, or the whole set, would grow past
+    limit clauses.
     """
     taken = {sym for _, f in named for sym, _, _ in symbols(f)}
     var_count = skolem_count = 0
+
+    def join(disjoin: bool, a: list[Literals], b: list[Literals]) -> list[Literals]:
+        """Clauses of the disjunction of a and b, or of their conjunction."""
+        if (len(a) * len(b) if disjoin else len(a) + len(b)) > limit:
+            raise TooManyClauses
+        return [x + y for x in a for y in b] if disjoin else a + b
 
     def term(t: Term, subst: dict[str, ClauseTerm]) -> ClauseTerm:
         if isinstance(t, Var):
@@ -116,21 +124,23 @@ def clausify(named: Sequence[tuple[str, Formula]]) -> ClauseSet:
             # l <=> r is (~l | r) & (l | ~r); its negation and l <~> r are
             # (l & ~r) | (~l & r).
             p = positive == (f.op == IFF)
-            a = _join(p, cnf(l, not p, universals, subst), cnf(r, p, universals, subst))
-            b = _join(p, cnf(l, p, universals, subst), cnf(r, not p, universals, subst))
-            return _join(not p, a, b)
+            a = join(p, cnf(l, not p, universals, subst), cnf(r, p, universals, subst))
+            b = join(p, cnf(l, p, universals, subst), cnf(r, not p, universals, subst))
+            return join(not p, a, b)
         disjoin, left, right = _SHAPES[f.op]
-        return _join(
+        return join(
             disjoin == positive,
             cnf(l, left == positive, universals, subst),
             cnf(r, right == positive, universals, subst),
         )
 
-    return tuple(
-        (tuple(dict.fromkeys(lits)), frozenset({name}))
-        for name, f in named
-        for lits in cnf(f, True, (), {})
-    )
+    clauses: list[Clause] = []
+    for name, f in named:
+        origins = frozenset({name})
+        clauses.extend((tuple(dict.fromkeys(lits)), origins) for lits in cnf(f, True, (), {}))
+        if len(clauses) > limit:
+            raise TooManyClauses
+    return tuple(clauses)
 
 
 def function_symbols(t: ClauseTerm, out: dict[str, int]) -> None:

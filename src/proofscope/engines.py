@@ -48,10 +48,13 @@ class EngineConfigError(Exception):
 class EngineLimits:
     """Per-call resource limits, the one budget type every engine takes.
 
-    timeout bounds each call's wall-clock seconds, up to MAX_TIMEOUT;
+    timeout bounds each call's wall-clock seconds, up to MAX_TIMEOUT: the
+    prover's search and the model finder's grounding, solving and model
+    verification answer ResourceOut past it;
     max_domain_size is the largest domain the model finder tries;
-    max_clause_count is how many kept clauses the prover may hold before it
-    answers ResourceOut.  Values are checked here, so a bad limit fails before
+    max_clause_count is how many clauses a call may hold: both engines answer
+    ResourceOut when clausifying the query would make more, and the prover
+    when it keeps more.  Values are checked here, so a bad limit fails before
     any engine runs.
     """
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -184,29 +185,29 @@ def _eval_term(m: Interpretation, t: Term, env: dict[str, int]) -> int:
     table = m.functions.get(t.head)
     if table is None:
         raise EvaluationError(f"no function table for {t.head}/{len(t.args)}")
-    args = tuple(_eval_term(m, a, env) for a in t.args)
+    args = tuple([_eval_term(m, a, env) for a in t.args])
     try:
         return table[args]
     except KeyError:
         raise EvaluationError(f"function table for {t.head} not total at {args}") from None
 
 
-def _eval(m: Interpretation, f: Formula, env: dict[str, int]) -> bool:
+def _eval(m: Interpretation, f: Formula, env: dict[str, int], deadline: float | None) -> bool:
     if isinstance(f, Atom):
         table = m.predicates.get(f.pred)
         if table is None:
             raise EvaluationError(f"no predicate table for {f.pred}/{len(f.args)}")
-        args = tuple(_eval_term(m, a, env) for a in f.args)
+        args = tuple([_eval_term(m, a, env) for a in f.args])
         return table.get(args, False)
     if isinstance(f, Equality):
         return _eval_term(m, f.left, env) == _eval_term(m, f.right, env)
     if isinstance(f, Truth):
         return f.value
     if isinstance(f, Not):
-        return not _eval(m, f.body, env)
+        return not _eval(m, f.body, env, deadline)
     if isinstance(f, Binary):
-        a = _eval(m, f.left, env)
-        b = _eval(m, f.right, env)
+        a = _eval(m, f.left, env, deadline)
+        b = _eval(m, f.right, env, deadline)
         if f.op == AND:
             return a and b
         if f.op == OR:
@@ -223,21 +224,27 @@ def _eval(m: Interpretation, f: Formula, env: dict[str, int]) -> bool:
             return not (a or b)
         return not (a and b)  # NAND
     # Quantified
-    domain = range(m.domain_size)
-    if f.kind == FORALL:
-        return all(
-            _eval(m, f.body, {**env, **dict(zip(f.variables, vals))})
-            for vals in itertools.product(domain, repeat=len(f.variables))
-        )
-    return any(
-        _eval(m, f.body, {**env, **dict(zip(f.variables, vals))})
-        for vals in itertools.product(domain, repeat=len(f.variables))
-    )
+    rows = itertools.product(range(m.domain_size), repeat=len(f.variables))
+    if deadline is not None:
+        rows = _until(deadline, rows)
+    bodies = (_eval(m, f.body, env | dict(zip(f.variables, row)), deadline) for row in rows)
+    return all(bodies) if f.kind == FORALL else any(bodies)
 
 
-def evaluate(m: Interpretation, f: Formula) -> bool:
-    """Tarskian truth value of a closed formula under a finite interpretation."""
+def _until(deadline: float, rows: Iterator[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """rows, with TimeoutError for the first one asked for past the deadline."""
+    for row in rows:
+        if time.monotonic() >= deadline:
+            raise TimeoutError
+        yield row
+
+
+def evaluate(m: Interpretation, f: Formula, deadline: float | None = None) -> bool:
+    """Tarskian truth value of a closed formula under a finite interpretation.
+
+    With a deadline (a time.monotonic() value), raises TimeoutError once an
+    assignment to a quantifier's variables is tried past it."""
     fv = free_variables(f)
     if fv:
         raise ValueError(f"formula is not closed; free variables {sorted(fv)}")
-    return _eval(m, f, {})
+    return _eval(m, f, {}, deadline)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
-from .clauses import EQUALITY_PRED, ClauseTerm, Literals, clause_signature, clausify
+from .clauses import EQUALITY_PRED, ClauseTerm, Literals, TooManyClauses, clause_signature, clausify
 from .logic import Formula, Interpretation, evaluate, symbols
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -381,9 +381,12 @@ def _decode(
     return Interpretation(n, predicates, functions)
 
 
-def verify_model(m: Interpretation, formulas: Sequence[Formula]) -> bool:
-    """True iff every formula evaluates to true under the interpretation."""
-    return all(evaluate(m, f) for f in formulas)
+def verify_model(
+    m: Interpretation, formulas: Sequence[Formula], deadline: float | None = None
+) -> bool:
+    """True iff every formula evaluates to true under the interpretation;
+    TimeoutError past the deadline, as for evaluate."""
+    return all(evaluate(m, f, deadline) for f in formulas)
 
 
 def find_model(
@@ -393,7 +396,10 @@ def find_model(
 
     A symbol used at two arities is an input error (ValueError)."""
     deadline = time.monotonic() + limits.timeout
-    clauses = clausify(list(formulas))
+    try:
+        clauses = clausify(list(formulas), limits.max_clause_count)
+    except TooManyClauses:
+        return ModelOutcome(ModelKind.ResourceOut)
     originals = [f for _, f in formulas]
     preds, funcs = clause_signature(clauses)
     constants = [sym for sym, arity in funcs.items() if arity == 0]  # pre-order
@@ -421,7 +427,11 @@ def find_model(
         if result is None:
             continue
         model = _decode(result, layout, n)
-        if not verify_model(model, originals):
+        try:
+            verified = verify_model(model, originals, deadline)
+        except TimeoutError:
+            return ModelOutcome(ModelKind.ResourceOut)
+        if not verified:
             raise RuntimeError("decoded model failed verification; grounding bug")
         return ModelOutcome(ModelKind.ModelFound, model=model)
     return ModelOutcome(ModelKind.ExhaustedUpTo, exhausted_size=limits.max_domain_size)

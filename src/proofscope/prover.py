@@ -17,6 +17,7 @@ vector is the bitwise or of its literals' vectors.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
@@ -30,6 +31,7 @@ from .clauses import (
     ClauseTerm,
     Literal,
     Literals,
+    TooManyClauses,
     clause_signature,
     clausify,
     contains_equality,
@@ -565,9 +567,10 @@ class _Saturation:
         return True
 
 
-def _input_clauses(named: list[tuple[str, object]]) -> ClauseSet:
-    """Clausify, and add congruence axioms if equality occurs."""
-    clauses = clausify(named)  # type: ignore[arg-type]
+def _input_clauses(named: list[tuple[str, object]], limit: float = math.inf) -> ClauseSet:
+    """Clausify (up to limit clauses), and add congruence axioms if equality
+    occurs."""
+    clauses = clausify(named, limit)  # type: ignore[arg-type]
     if contains_equality(clauses):
         clauses = clauses + congruence_axioms(clauses)
     return clauses
@@ -582,7 +585,11 @@ def _search(
 ) -> ProofOutcome:
     """Saturate t's premises plus the goal formulas (the negated conjecture,
     if any); a refutation answers refuted, a closed search saturated."""
-    clauses = _input_clauses([(p.name, p.formula) for p in t.premises] + goal)
+    named = [(p.name, p.formula) for p in t.premises] + goal
+    try:
+        clauses = _input_clauses(named, limits.max_clause_count)
+    except TooManyClauses:
+        return ProofOutcome(SzsStatus.ResourceOut, frozenset(), SearchStats(0, 0, 0, 0))
     sat = _Saturation(clauses, limits)
     try:
         result = sat.run()

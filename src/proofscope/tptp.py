@@ -68,10 +68,12 @@ class IncludeError(TptpError):
 
 
 # Formulas and terms nest at most this deep: each parenthesised formula,
-# negation, quantifier and argument list opens one level.  Clausification,
-# the prover and model verification recurse up to three frames per level,
-# so a problem nested this deep leaves most of the interpreter's default
-# stack of 1000 frames to the callers and to the terms the prover deepens.
+# negation, quantifier and argument list opens one level.  No pass takes more
+# than two frames per level: the parser two per parenthesis, clausification
+# one per formula level, model verification two per quantifier, and the term
+# walkers two per argument list.  Every subcommand on a problem nested this
+# deep peaks near 220 frames, which leaves most of the interpreter's default
+# stack of 1000 to the callers and to the terms the prover deepens.
 MAX_NESTING = 100
 
 

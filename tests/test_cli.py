@@ -681,14 +681,19 @@ class TestUnreadableInput:
 
 class TestNesting:
     """Formulas and terms nested to MAX_NESTING levels run through every
-    subcommand; one level more is a parse error at the token that opens it."""
+    subcommand; one level more is a parse error at the token that opens it.
+    Parentheses alone build no tree depth, so the problem also nests
+    negations, and quantifiers around an argument list, to the limit."""
 
     @staticmethod
     def problem(tmp_path, formula_depth, term_depth):
         path = tmp_path / "deep.p"
+        quantifiers = "".join(f"! [X{i}] : " for i in range(1, MAX_NESTING))
         path.write_text(
             f"fof(a1, axiom, {'(' * formula_depth}p{')' * formula_depth}).\n"
             f"fof(a2, axiom, q = {'f(' * term_depth}c{')' * term_depth}).\n"
+            f"fof(a3, axiom, {'~ ' * MAX_NESTING}p).\n"
+            f"fof(a4, axiom, {quantifiers}r(X1, X{MAX_NESTING - 1})).\n"
             "fof(goal, conjecture, p).\n"
         )
         return str(path)
@@ -711,6 +716,20 @@ class TestNesting:
         code, out, err = run_cli([argv[0], path, *argv[1:], *timeout])
         assert code != 2, err
         assert out
+
+    @pytest.mark.parametrize("command", ["reprove", "consistency"])
+    def test_nested_biconditionals_stop_at_the_clause_limit(self, command, tmp_path):
+        """p <=> (p <=> ...) nested 8 deep multiplies out to far more clauses
+        than the default max_clause_count; each engine stops while
+        clausifying and answers ResourceOut."""
+        formula = "p"
+        for _ in range(8):
+            formula = f"p <=> ({formula})"
+        path = tmp_path / "iff.p"
+        path.write_text(f"fof(a1, axiom, {formula}).\nfof(goal, conjecture, p).\n")
+        code, out, err = run_cli([command, str(path)])
+        assert code != 2, err
+        assert "ResourceOut" in out
 
     @pytest.mark.parametrize(
         "formula_depth, term_depth, line, column",

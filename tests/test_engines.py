@@ -26,6 +26,8 @@ FOUR_PREMISES = (
     "fof(goal, conjecture, p)."
 )
 
+NESTED_IFF_5 = "p <=> (p <=> (p <=> (p <=> (p <=> p))))"
+
 
 class TestParseSzs:
     def test_canonical_line(self):
@@ -239,3 +241,12 @@ class TestBuiltinEngineWrappers:
     def test_model_finder_satisfiable_axioms(self, model_finder, limits):
         v = model_finder.run(mk("fof(a1, axiom, p)."), limits)
         assert v.status == SzsStatus.Satisfiable
+
+    def test_clause_limit_bounds_clausification(self, prover, model_finder):
+        """p <=> (p <=> ...) nested 5 deep has 2,619 clauses.  Under a limit
+        of 1000 both engines stop while clausifying; the model finder would
+        otherwise find a model of size 1."""
+        t = mk(f"fof(a1, axiom, {NESTED_IFF_5}).")
+        limits = EngineLimits(max_clause_count=1000)
+        assert prover.run(t, limits).status == SzsStatus.ResourceOut
+        assert model_finder.run(t, limits).status == SzsStatus.ResourceOut

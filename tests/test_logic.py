@@ -2,7 +2,7 @@
 
 import pytest
 
-from proofscope.clauses import clause_signature, clausify
+from proofscope.clauses import TooManyClauses, clause_signature, clausify
 from proofscope.logic import (
     App,
     Atom,
@@ -160,6 +160,14 @@ class TestClausify:
             ("f", 2), ("a", 0), ("g", 1), ("b", 0), ("c", 0), ("h", 1), ("d", 0),
             ("e", 0), ("k", 2), ("m", 0),
         ]
+
+    def test_limit_stops_before_the_clauses_outgrow_it(self):
+        f = mk("fof(a1, axiom, p <=> (p <=> (p <=> (p <=> (p <=> p))))).").formulas[0].formula
+        assert len(clausify([("a1", f)])) == len(clausify([("a1", f)], 2619)) == 2619
+        with pytest.raises(TooManyClauses):
+            clausify([("a1", f)], 2618)
+        with pytest.raises(TooManyClauses):
+            clausify([("a1", Atom("p")), ("a2", Atom("q"))], 1)
 
     def test_deterministic(self):
         f = Quantified("?", ("X",), Atom("p", (Var("X"),)))

@@ -1,6 +1,7 @@
 """Finite model finder tests: soundness, least sizes, exhaustion, limits."""
 
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -216,6 +217,26 @@ class TestVerifyModel:
     def test_rejects_false(self):
         m = Interpretation(1, {"p": {(): False}}, {})
         assert not verify_model(m, [Atom("p")])
+
+    def test_past_the_deadline_is_a_timeout(self):
+        m = Interpretation(1, {"p": {(0,): True}}, {})
+        f = Quantified("!", ("X",), Atom("p", (Var("X"),)))
+        assert verify_model(m, [f], time.monotonic() + 60)
+        with pytest.raises(TimeoutError):
+            verify_model(m, [f], time.monotonic() - 1)
+
+    def test_verification_keeps_to_the_call_budget(self):
+        """The tautology makes no clause, so grounding never meets its 20
+        variables; verifying the size-2 model tries 2**20 assignments, which
+        takes seconds, and stops at the deadline instead."""
+        xs = ", ".join(f"X{i}" for i in range(20))
+        formulas = formulas_of(
+            f"fof(a1, axiom, a != b). fof(a2, axiom, ! [{xs}] : (p(X0) | ~p(X0)))."
+        )
+        start = time.monotonic()
+        out = find_model(formulas, EngineLimits(timeout=1.0, max_domain_size=2))
+        assert out.kind == ModelKind.ResourceOut
+        assert time.monotonic() - start < 2
 
     def test_every_returned_model_passes(self):
         texts = [
