@@ -96,7 +96,9 @@ def clausify(named: Sequence[tuple[str, Formula]], limit: float = math.inf) -> C
     ) -> list[Literals]:
         """Clauses of f, or of its negation, with the variables in subst
         replaced; a true formula has none and a false one the empty clause.
-        Names are taken left to right, as in the negation normal form."""
+        Operands are walked, and V<n> and sk<n> names taken, in the order
+        the negation normal form of f lists them; the engines' search order
+        follows that numbering."""
         nonlocal var_count, skolem_count
         if isinstance(f, Atom):
             return [((positive, f.pred, tuple(term(a, subst) for a in f.args)),)]
