@@ -11,6 +11,7 @@ from proofscope.analysis import (
     AnalysisError,
     Confirmation,
     IndependenceVerdict,
+    NeededClassification,
     QuerySession,
     brute_force_minima,
     classify_needed,
@@ -24,7 +25,13 @@ from proofscope.analysis import (
 )
 from proofscope.engines import EngineLimits, EngineVerdict
 from proofscope.logic import Atom, Binary, Not
-from proofscope.report import consistency_to_dict
+from proofscope.report import (
+    Report,
+    classification_to_dict,
+    consistency_to_dict,
+    theory_summary,
+    verdict_to_dict,
+)
 from proofscope.tptp import AnnotatedFormula, Theory, parse_file, render_theory
 from proofscope.verdicts import Entailment, ProblemKind, SzsStatus, classify
 
@@ -354,6 +361,95 @@ class _RecordingFinder:
     def run(self, t, limits):
         self.seen.append(render_theory(t))
         return EngineVerdict(self.id, self.status, exhausted_size=self.exhausted_size)
+
+
+class _TableEngine:
+    """A prover that answers each query from a table keyed by the query's
+    premise names, GaveUp for a set not in it, and cites no premises."""
+
+    id = "table"
+    capabilities = frozenset({"proves"})
+
+    def __init__(self, table):
+        self.table = {frozenset(names): status for names, status in table.items()}
+
+    def run(self, t, limits):
+        return EngineVerdict(self.id, self.table.get(frozenset(t.premise_names), SzsStatus.GaveUp))
+
+
+class TestUndecidedAndUncitedAnswers:
+    """Analyses fed answers no built-in engine gives on a small theory."""
+
+    def session(self, text, table):
+        return QuerySession(mk(text), [_TableEngine(table)], limits=LIMITS)
+
+    def test_minimum_whose_deletion_proves_is_not_reported(self):
+        session = self.session(
+            "fof(a1, axiom, p). fof(goal, conjecture, p).",
+            {("a1",): SzsStatus.Theorem, (): SzsStatus.Theorem},
+        )
+        cls = NeededClassification(frozenset({"a1"}), frozenset(), frozenset())
+        report = enumerate_minima(session, cls)
+        assert report.minima == ()
+        assert report.exhaustive
+        assert report.budget_spent == 2
+
+    def test_undetermined_deletion_makes_minima_non_exhaustive(self):
+        session = self.session(
+            "fof(a1, axiom, p). fof(goal, conjecture, p).", {("a1",): SzsStatus.Theorem}
+        )
+        cls = NeededClassification(frozenset({"a1"}), frozenset(), frozenset())
+        report = enumerate_minima(session, cls)
+        assert report.minima == ()
+        assert not report.exhaustive
+
+    def test_semantic_reprove_undetermined(self):
+        session = self.session(
+            "fof(a1, axiom, p). fof(a2, axiom, q). fof(goal, conjecture, p & q).",
+            {("a1",): SzsStatus.CounterSatisfiable, ("a2",): SzsStatus.CounterSatisfiable},
+        )
+        cls, confirmation = semantic_reprove(session)
+        assert cls.needed == {"a1", "a2"}
+        assert confirmation == Confirmation.Undetermined
+
+    def test_proof_citing_nothing_is_one_stage_fixpoint(self):
+        t = mk("fof(a1, axiom, p). fof(a2, axiom, q). fof(goal, conjecture, p).")
+        engine = _TableEngine({("a1", "a2"): SzsStatus.Theorem})
+        trace = syntactic_reprove(QuerySession(t, [engine], limits=LIMITS), engine)
+        assert [s[0] for s in trace.stages] == [("a1", "a2")]
+        assert trace.fixpoint_reached
+
+    @pytest.mark.parametrize("method", [independence_naive, independence_failfast])
+    def test_undetermined_independence_is_inconclusive(self, method):
+        session = self.session("fof(a1, axiom, p). fof(a2, axiom, q).", {})
+        report = method(session)
+        assert report.verdict == IndependenceVerdict.Inconclusive
+        assert report.per_axiom == {"a1": Entailment.Undetermined, "a2": Entailment.Undetermined}
+        assert session.engine_calls == 2
+
+    def test_random_independence_of_one_axiom_skips_every_trial(self):
+        session = self.session("fof(a1, axiom, p).", {})
+        report = independence_random(session, trials=5, seed=0)
+        assert report.verdict == IndependenceVerdict.Inconclusive
+        assert report.per_axiom == {}
+        assert session.engine_calls == 0
+
+    def test_text_report_lists_unknown_premises(self):
+        t = mk("fof(a1, axiom, p). fof(a2, axiom, q). fof(goal, conjecture, p).")
+        engine = _TableEngine(
+            {("a1", "a2"): SzsStatus.Theorem, ("a2",): SzsStatus.CounterSatisfiable}
+        )
+        session = QuerySession(t, [engine], limits=LIMITS)
+        cls, confirmation = semantic_reprove(session)
+        assert cls.unknown == {"a2"}
+        payload = {
+            "method": "semantic",
+            "initial": verdict_to_dict(session.run_engine(frozenset({"a1", "a2"}), engine), t),
+            "classification": classification_to_dict(cls, t),
+            "confirmation": confirmation.value,
+        }
+        report = Report("reprove", "p", theory_summary(t), ["table"], {}, payload, [], 0, 0.0)
+        assert "unknown (1): a2 (classification approximate)" in report.to_text().splitlines()
 
 
 # The outcome of each consistency check (axioms, axioms plus conjecture,

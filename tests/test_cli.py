@@ -262,6 +262,13 @@ class TestReprove:
         assert "needed (2): a1, a2" in out
         assert "UniqueMinimum" in out
 
+    def test_every_premise_needed_is_minimal(self, tmp_path):
+        path = tmp_path / "both.p"
+        path.write_text("fof(a1, axiom, p). fof(a2, axiom, p => q). fof(goal, conjecture, q).")
+        code, out, _ = run_cli(["minimize", str(path)])
+        assert code == 0
+        assert "extended statuses: MinimalPremises, UniqueMinimum" in out
+
     def test_minimize_alias_matches_reprove(self, problems):
         _, a, _ = run_cli(["minimize", problems["chain"], "--json"])
         _, b, _ = run_cli(

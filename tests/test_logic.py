@@ -1,5 +1,8 @@
 """Formula operations, evaluation, and clausification tests."""
 
+import hashlib
+import random
+
 import pytest
 
 from proofscope.clauses import TooManyClauses, clause_signature, clausify
@@ -18,7 +21,15 @@ from proofscope.logic import (
     free_variables,
 )
 
-from conftest import clause_as_formula, enumerate_interpretations, mk
+from proofscope.tptp import parse_file, render_theory, signature_of
+
+from conftest import (
+    PROBLEM_DIR,
+    clause_as_formula,
+    enumerate_interpretations,
+    mk,
+    random_closed_formula,
+)
 
 
 class TestFreeVariables:
@@ -418,3 +429,68 @@ def test_clausify_names_run_on_across_formulas():
         (((True, "r", ("V1", ("sk1", ("V1",)))),), frozenset({"a1"})),
         (((True, "r", (("sk2", ()), "V2")),), frozenset({"a2"})),
     )
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _clausify_or_name(named, limit=5000):
+    try:
+        return clausify(named, limit)
+    except TooManyClauses:
+        return "TooManyClauses"
+
+
+def test_clausify_output_is_pinned_on_random_formulas():
+    """The exact clause sets of 3,000 seeded sets of three random depth-3
+    formulas, by digest."""
+    rng = random.Random(18)
+    out = [
+        _clausify_or_name([(f"a{i}", random_closed_formula(rng, 3)) for i in range(3)])
+        for _ in range(3000)
+    ]
+    assert _digest(out) == "177da701bbe3947ad0424f98ae15f2b2550d965baffff6eba1ad043acd034e22"
+
+
+def test_bundled_problems_render_and_clausify_as_pinned():
+    out = []
+    for path in sorted(PROBLEM_DIR.glob("*.p")):
+        t = parse_file(str(path))
+        clauses = clausify([(f.name, f.formula) for f in t.formulas])
+        out.append((render_theory(t), signature_of(t), clauses))
+    assert _digest(out) == "9359f687a0149d3c4a257ff0a0c170f19993c5058fe1753b31c29f14a009d6f9"
+
+
+def _nested_iff(depth: int, leaf: str) -> str:
+    return "$true <=> (" * depth + leaf + ")" * depth
+
+
+def _a2(n: int):
+    return (((True, "r", ((f"sk{n}", (f"V{n}",)), f"V{n}")),), frozenset({"a2"}))
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (_nested_iff(14, "$true"), (_a2(1),)),
+        (
+            _nested_iff(14, "! [X] : ? [Y] : r(X, Y)"),
+            ((((True, "r", ("V1", ("sk1", ("V1",)))),), frozenset({"a1"})), _a2(16385)),
+        ),
+        (
+            _nested_iff(8, "! [X] : (p(X) <=> ? [Y] : r(X, Y))"),
+            (
+                (((False, "p", ("V1",)), (True, "r", ("V1", ("sk1", ("V1",))))), frozenset({"a1"})),
+                (((True, "p", ("V1",)), (False, "r", ("V1", "V2"))), frozenset({"a1"})),
+                _a2(385),
+            ),
+        ),
+    ],
+    ids=["true", "quantified", "quantified-iff"],
+)
+def test_nested_biconditionals_are_pinned(text, expected):
+    """The clauses of a deep <=> chain, and the V<n>/sk<n> names that its
+    walks take, which run on into the formula after it."""
+    t = mk(f"fof(a1, axiom, {text}). fof(a2, axiom, ! [X] : ? [Y] : r(Y, X)).")
+    assert clausify([(f.name, f.formula) for f in t.formulas]) == expected
