@@ -1,9 +1,11 @@
 """The clause form, and origin-tracking clausification.
 
 One clause form serves the prover and the model finder.  It is made of
-plain tuples, which hash and compare in C: a variable is its name (a
-`str`), an application is `(head, args)` and a constant `(head, ())`, a
-literal is `(positive, pred, args)` and a clause `(literals, origins)`.
+plain tuples, which hash and compare in C, and its terms are the formulas'
+own (`logic.Term`): a variable is its name (a `str`), an application is
+`(head, args)` and a constant `(head, ())`.  A literal is
+`(positive, pred, args)`, an equation the literal of the `logic.EQUALITY`
+predicate, and a clause `(literals, origins)`.
 
 `clausify` makes the clauses of each formula in one walk that carries the
 polarity instead of rewriting negations: a quantifier that is universal
@@ -19,6 +21,7 @@ from typing import Iterable, Sequence
 
 from .logic import (
     AND,
+    EQUALITY,
     FORALL,
     IFF,
     IMPLIED_BY,
@@ -28,24 +31,20 @@ from .logic import (
     OR,
     XOR,
     Atom,
-    Equality,
     Formula,
     Not,
     Quantified,
     Term,
     Truth,
-    Var,
     symbols,
+    term_symbols,
 )
-
-EQUALITY_PRED = "="
 
 # Reserved origin names; TPTP formula names cannot start with '$'.
 ORIGIN_CONJECTURE = "$conjecture"
 ORIGIN_EQUALITY = "$equality"
 
-ClauseTerm = str | tuple[str, tuple["ClauseTerm", ...]]  # variable name, or (head, args)
-Literal = tuple[bool, str, tuple[ClauseTerm, ...]]  # (positive, pred, args)
+Literal = tuple[bool, str, tuple[Term, ...]]  # (positive, pred, args)
 Literals = tuple[Literal, ...]
 Clause = tuple[Literals, frozenset[str]]  # (literals, origins)
 ClauseSet = tuple[Clause, ...]
@@ -86,13 +85,13 @@ def clausify(named: Sequence[tuple[str, Formula]], limit: float = math.inf) -> C
             raise TooManyClauses
         return [x + y for x in a for y in b] if disjoin else a + b
 
-    def term(t: Term, subst: dict[str, ClauseTerm]) -> ClauseTerm:
-        if isinstance(t, Var):
-            return subst.get(t.name, t.name)
-        return (t.head, tuple(term(a, subst) for a in t.args))
+    def term(t: Term, subst: dict[str, Term]) -> Term:
+        if isinstance(t, str):
+            return subst.get(t, t)
+        return (t[0], tuple([term(a, subst) for a in t[1]]))
 
     def cnf(
-        f: Formula, positive: bool, universals: tuple[str, ...], subst: dict[str, ClauseTerm]
+        f: Formula, positive: bool, universals: tuple[str, ...], subst: dict[str, Term]
     ) -> list[Literals]:
         """Clauses of f, or of its negation, with the variables in subst
         replaced; a true formula has none and a false one the empty clause.
@@ -101,9 +100,7 @@ def clausify(named: Sequence[tuple[str, Formula]], limit: float = math.inf) -> C
         follows that numbering."""
         nonlocal var_count, skolem_count
         if isinstance(f, Atom):
-            return [((positive, f.pred, tuple(term(a, subst) for a in f.args)),)]
-        if isinstance(f, Equality):
-            return [((positive, EQUALITY_PRED, (term(f.left, subst), term(f.right, subst))),)]
+            return [((positive, f.pred, tuple([term(a, subst) for a in f.args])),)]
         if isinstance(f, Truth):
             return [] if f.value == positive else [()]
         if isinstance(f, Not):
@@ -145,15 +142,6 @@ def clausify(named: Sequence[tuple[str, Formula]], limit: float = math.inf) -> C
     return tuple(clauses)
 
 
-def function_symbols(t: ClauseTerm, out: dict[str, int]) -> None:
-    """Record each function and constant symbol of t with its arity, in
-    pre-order; a symbol already in out keeps its entry."""
-    if not isinstance(t, str):
-        out.setdefault(t[0], len(t[1]))
-        for a in t[1]:
-            function_symbols(a, out)
-
-
 def clause_signature(clauses: Iterable[Clause]) -> tuple[dict[str, int], dict[str, int]]:
     """Predicate and function symbols (with arities) occurring in clauses,
     each in pre-order of first occurrence."""
@@ -161,12 +149,13 @@ def clause_signature(clauses: Iterable[Clause]) -> tuple[dict[str, int], dict[st
     funcs: dict[str, int] = {}
     for literals, _ in clauses:
         for _, pred, args in literals:
-            if pred != EQUALITY_PRED:
+            if pred != EQUALITY:
                 preds.setdefault(pred, len(args))
             for a in args:
-                function_symbols(a, funcs)
+                for sym, arity, _ in term_symbols(a):
+                    funcs.setdefault(sym, arity)
     return preds, funcs
 
 
 def contains_equality(clauses: Iterable[Clause]) -> bool:
-    return any(pred == EQUALITY_PRED for literals, _ in clauses for _, pred, _ in literals)
+    return any(pred == EQUALITY for literals, _ in clauses for _, pred, _ in literals)

@@ -1,4 +1,11 @@
-"""First-order syntax trees and evaluation over finite interpretations."""
+"""First-order syntax trees and evaluation over finite interpretations.
+
+Terms are the clause form's plain tuples: a variable is its name (a `str`),
+an application is `(head, args)` and a constant `(head, ())`.  An equation
+s = t is the atom `Atom(EQUALITY, (s, t))`, the formula form of the clause
+literal `(positive, EQUALITY, (s, t))`; equality is not a symbol of the
+signature and is interpreted as identity.
+"""
 
 from __future__ import annotations
 
@@ -7,30 +14,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
+Term = str | tuple[str, tuple["Term", ...]]  # variable name, or (head, args)
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True, slots=True)
-class App:
-    """Function application; arity-0 applications are constants."""
-
-    head: str
-    args: tuple["Term", ...] = ()
-
-    def __str__(self) -> str:
-        if not self.args:
-            return self.head
-        return f"{self.head}({','.join(str(a) for a in self.args)})"
-
-
-Term = Var | App
-
+EQUALITY = "="
 
 FORALL = "!"
 EXISTS = "?"
@@ -51,12 +37,6 @@ BINARY_CONNECTIVES = (AND, OR, IMPLIES, IMPLIED_BY, IFF, XOR, NOR, NAND)
 class Atom:
     pred: str
     args: tuple[Term, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class Equality:
-    left: Term
-    right: Term
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,15 +73,15 @@ class Quantified:
             raise ValueError("quantifier with empty variable list")
 
 
-Formula = Atom | Equality | Truth | Not | Binary | Quantified
+Formula = Atom | Truth | Not | Binary | Quantified
 
 
 def term_symbols(t: Term) -> Iterator[tuple[str, int, bool]]:
     """(symbol, arity, False) for every function and constant occurrence in a
     term, in pre-order."""
-    if isinstance(t, App):
-        yield t.head, len(t.args), False
-        for a in t.args:
+    if not isinstance(t, str):
+        yield t[0], len(t[1]), False
+        for a in t[1]:
             yield from term_symbols(a)
 
 
@@ -109,12 +89,10 @@ def symbols(f: Formula) -> Iterator[tuple[str, int, bool]]:
     """(symbol, arity, is_predicate) for every symbol occurrence in a formula,
     in pre-order.  Equality is not a symbol."""
     if isinstance(f, Atom):
-        yield f.pred, len(f.args), True
+        if f.pred != EQUALITY:
+            yield f.pred, len(f.args), True
         for a in f.args:
             yield from term_symbols(a)
-    elif isinstance(f, Equality):
-        yield from term_symbols(f.left)
-        yield from term_symbols(f.right)
     elif isinstance(f, Binary):
         yield from symbols(f.left)
         yield from symbols(f.right)
@@ -123,10 +101,10 @@ def symbols(f: Formula) -> Iterator[tuple[str, int, bool]]:
 
 
 def _term_vars(t: Term, out: set[str]) -> None:
-    if isinstance(t, Var):
-        out.add(t.name)
+    if isinstance(t, str):
+        out.add(t)
     else:
-        for a in t.args:
+        for a in t[1]:
             _term_vars(a, out)
 
 
@@ -139,11 +117,6 @@ def free_variables(f: Formula) -> frozenset[str]:
             acc: set[str] = set()
             for a in g.args:
                 _term_vars(a, acc)
-            out.update(acc - bound)
-        elif isinstance(g, Equality):
-            acc = set()
-            _term_vars(g.left, acc)
-            _term_vars(g.right, acc)
             out.update(acc - bound)
         elif isinstance(g, Truth):
             pass
@@ -177,30 +150,31 @@ class EvaluationError(Exception):
 
 
 def _eval_term(m: Interpretation, t: Term, env: dict[str, int]) -> int:
-    if isinstance(t, Var):
+    if isinstance(t, str):
         try:
-            return env[t.name]
+            return env[t]
         except KeyError:
-            raise EvaluationError(f"unbound variable {t.name}") from None
-    table = m.functions.get(t.head)
+            raise EvaluationError(f"unbound variable {t}") from None
+    head, terms = t
+    table = m.functions.get(head)
     if table is None:
-        raise EvaluationError(f"no function table for {t.head}/{len(t.args)}")
-    args = tuple([_eval_term(m, a, env) for a in t.args])
+        raise EvaluationError(f"no function table for {head}/{len(terms)}")
+    args = tuple([_eval_term(m, a, env) for a in terms])
     try:
         return table[args]
     except KeyError:
-        raise EvaluationError(f"function table for {t.head} not total at {args}") from None
+        raise EvaluationError(f"function table for {head} not total at {args}") from None
 
 
 def _eval(m: Interpretation, f: Formula, env: dict[str, int], deadline: float | None) -> bool:
     if isinstance(f, Atom):
         table = m.predicates.get(f.pred)
-        if table is None:
-            raise EvaluationError(f"no predicate table for {f.pred}/{len(f.args)}")
         args = tuple([_eval_term(m, a, env) for a in f.args])
-        return table.get(args, False)
-    if isinstance(f, Equality):
-        return _eval_term(m, f.left, env) == _eval_term(m, f.right, env)
+        if table is not None:
+            return table.get(args, False)
+        if f.pred == EQUALITY:
+            return args[0] == args[1]
+        raise EvaluationError(f"no predicate table for {f.pred}/{len(f.args)}")
     if isinstance(f, Truth):
         return f.value
     if isinstance(f, Not):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
-from .clauses import EQUALITY_PRED, ClauseTerm, Literals, TooManyClauses, clause_signature, clausify
-from .logic import Formula, Interpretation, evaluate, symbols
+from .clauses import Literals, TooManyClauses, clause_signature, clausify
+from .logic import EQUALITY, Formula, Interpretation, Term, evaluate, symbols
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engines import EngineLimits
@@ -67,7 +67,7 @@ def _flatten(literals: Literals) -> FlatClause:
             var_ids[name] = next(counter)
         return var_ids[name]
 
-    def flat_term(t: ClauseTerm) -> int:
+    def flat_term(t: Term) -> int:
         if isinstance(t, str):
             return var_id(t)
         head, args = t
@@ -81,7 +81,7 @@ def _flatten(literals: Literals) -> FlatClause:
         return aux
 
     for positive, pred, args in literals:
-        if pred == EQUALITY_PRED:
+        if pred == EQUALITY:
             left, right = args
             if isinstance(left, str):
                 left, right = right, left

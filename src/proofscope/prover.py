@@ -23,21 +23,18 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from .clauses import (
-    EQUALITY_PRED,
     ORIGIN_CONJECTURE,
     ORIGIN_EQUALITY,
     Clause,
     ClauseSet,
-    ClauseTerm,
     Literal,
     Literals,
     TooManyClauses,
     clause_signature,
     clausify,
     contains_equality,
-    function_symbols,
 )
-from .logic import Not
+from .logic import EQUALITY, Not, Term, term_symbols
 from .tptp import Theory
 from .verdicts import SzsStatus
 
@@ -73,10 +70,10 @@ class ProofOutcome:
 # ---------------------------------------------------------------------------
 # Substitutions and unification
 
-Subst = dict[str, ClauseTerm]
+Subst = dict[str, Term]
 
 
-def _walk(t: ClauseTerm, subst: Subst) -> ClauseTerm:
+def _walk(t: Term, subst: Subst) -> Term:
     while isinstance(t, str):
         bound = subst.get(t)
         if bound is None:
@@ -85,14 +82,14 @@ def _walk(t: ClauseTerm, subst: Subst) -> ClauseTerm:
     return t
 
 
-def _occurs(name: str, t: ClauseTerm, subst: Subst) -> bool:
+def _occurs(name: str, t: Term, subst: Subst) -> bool:
     t = _walk(t, subst)
     if isinstance(t, str):
         return t == name
     return any(_occurs(name, a, subst) for a in t[1])
 
 
-def _unify(a: ClauseTerm, b: ClauseTerm, subst: Subst) -> bool:
+def _unify(a: Term, b: Term, subst: Subst) -> bool:
     """Extend subst in place to unify a and b; False leaves subst unusable."""
     a = _walk(a, subst)
     b = _walk(b, subst)
@@ -113,13 +110,13 @@ def _unify(a: ClauseTerm, b: ClauseTerm, subst: Subst) -> bool:
     return all(_unify(x, y, subst) for x, y in zip(a[1], b[1]))
 
 
-def _unify_args(xs: tuple[ClauseTerm, ...], ys: tuple[ClauseTerm, ...], subst: Subst) -> bool:
+def _unify_args(xs: tuple[Term, ...], ys: tuple[Term, ...], subst: Subst) -> bool:
     if len(xs) != len(ys):
         return False
     return all(_unify(x, y, subst) for x, y in zip(xs, ys))
 
 
-def _apply(t: ClauseTerm, subst: Subst) -> ClauseTerm:
+def _apply(t: Term, subst: Subst) -> Term:
     t = _walk(t, subst)
     if isinstance(t, str) or not t[1]:
         return t
@@ -131,7 +128,7 @@ def _apply_literal(lit: Literal, subst: Subst) -> Literal:
     return (positive, pred, tuple(_apply(a, subst) for a in args))
 
 
-def _rename_term(t: ClauseTerm, prefix: str) -> ClauseTerm:
+def _rename_term(t: Term, prefix: str) -> Term:
     if isinstance(t, str):
         return prefix + t
     if not t[1]:
@@ -148,7 +145,7 @@ def _rename_literal(lit: Literal, prefix: str) -> Literal:
 # Clause normalization, weight, tautology and subsumption checks
 
 
-def _shape(t: ClauseTerm) -> str:
+def _shape(t: Term) -> str:
     if isinstance(t, str):
         return "*"
     head, args = t
@@ -168,7 +165,7 @@ def normalize(literals: Literals) -> Literals:
     unique.sort(key=_literal_key)
     mapping: dict[str, str] = {}
 
-    def rename(t: ClauseTerm) -> ClauseTerm:
+    def rename(t: Term) -> Term:
         if isinstance(t, str):
             var = mapping.get(t)
             if var is None:
@@ -183,7 +180,7 @@ def normalize(literals: Literals) -> Literals:
     )
 
 
-def _term_weight(t: ClauseTerm) -> int:
+def _term_weight(t: Term) -> int:
     if isinstance(t, str):
         return 1
     return 1 + sum(_term_weight(a) for a in t[1])
@@ -198,7 +195,7 @@ def _is_tautology(literals: Literals) -> bool:
     return any((pred, args) in positive for pos, pred, args in literals if not pos)
 
 
-def _match(pattern: ClauseTerm, target: ClauseTerm, subst: Subst, trail: list[str]) -> bool:
+def _match(pattern: Term, target: Term, subst: Subst, trail: list[str]) -> bool:
     """One-way matching: only pattern variables may be bound.  Each new
     binding's name goes on trail, so a caller can undo it."""
     if isinstance(pattern, str):
@@ -279,13 +276,13 @@ class _FeatureIndex:
     """
 
     def __init__(self, clauses: Iterable[Literals]):
-        funcs: dict[str, int] = {}
+        funcs: set[str] = set()
         arity = {}
         for literals in clauses:
             for positive, pred, args in literals:
                 arity[(pred, positive)] = len(args)
                 for a in args:
-                    function_symbols(a, funcs)
+                    funcs.update(sym for sym, _, _ in term_symbols(a))
         self.symbols = {name: i for i, name in enumerate(sorted(funcs))}
         nsym = len(self.symbols)
         # Per key: the offset of its presence bit; after it come the size,
@@ -370,7 +367,7 @@ def _thermometer(v: int) -> int:
     return (1 << min(v, FEATURE_CAP)) - 1
 
 
-def _term_measures(t: ClauseTerm, symbols: dict[str, int], occurrences: list[int]) -> tuple[int, int]:
+def _term_measures(t: Term, symbols: dict[str, int], occurrences: list[int]) -> tuple[int, int]:
     """Size and depth of t; appends the index of each symbol occurrence."""
     if isinstance(t, str):
         return 1, 1
@@ -391,7 +388,7 @@ def _term_measures(t: ClauseTerm, symbols: dict[str, int], occurrences: list[int
 def congruence_axioms(clauses: ClauseSet) -> ClauseSet:
     preds, funcs = clause_signature(clauses)
     origin = frozenset({ORIGIN_EQUALITY})
-    eq = lambda a, b, pos: (pos, EQUALITY_PRED, (a, b))  # noqa: E731
+    eq = lambda a, b, pos: (pos, EQUALITY, (a, b))  # noqa: E731
     out = [
         ((eq("X0", "X0", True),), origin),
         ((eq("X0", "X1", False), eq("X1", "X0", True)), origin),

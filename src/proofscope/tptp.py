@@ -20,19 +20,17 @@ from typing import Iterator, Sequence
 from .logic import (
     AND,
     BINARY_CONNECTIVES,
+    EQUALITY,
     EXISTS,
     FORALL,
     OR,
-    App,
     Atom,
     Binary,
-    Equality,
     Formula,
     Not,
     Quantified,
     Term,
     Truth,
-    Var,
     symbols,
 )
 
@@ -373,12 +371,12 @@ class _Parser:
         if nxt.kind == "op" and nxt.value in ("=", "!="):
             op = self.next().value
             right = self.parse_term(bound)
-            eq = Equality(term, right)
+            eq = Atom(EQUALITY, (term, right))
             return eq if op == "=" else Not(eq)
-        if isinstance(term, Var):
+        if isinstance(term, str):
             what = "literal" if bound is None else "formula"
             raise self.error(f"a variable is not a {what}", tok)
-        return Atom(term.head, term.args)
+        return Atom(*term)
 
     def parse_term(self, bound: frozenset[str] | None) -> Term:
         """A term; bound is None in a cnf clause, whose variables are all
@@ -391,7 +389,7 @@ class _Parser:
                     self._cnf_vars.append(tok.value)
             elif tok.value not in bound:
                 raise self.error(f"unbound variable {tok.value!r}", tok)
-            return Var(tok.value)
+            return tok.value
         if tok.kind in ("lower", "quoted"):
             self.next()
             head = tok.value if tok.kind == "lower" else _unquote(tok.value)
@@ -406,7 +404,7 @@ class _Parser:
                     break
                 self.expect("op", ")")
                 self.depth -= 1
-            return App(head, tuple(args))
+            return (head, tuple(args))
         got = tok.value if tok.kind != "eof" else "end of input"
         raise self.error(f"expected a term, found {got!r}")
 
@@ -548,12 +546,12 @@ def parse_file(path: str, include_dirs: Sequence[str] = ()) -> Theory:
 
 
 def render_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    head = _quote_if_needed(t.head)
-    if not t.args:
+    if isinstance(t, str):
+        return t
+    head = _quote_if_needed(t[0])
+    if not t[1]:
         return head
-    return f"{head}({','.join(render_term(a) for a in t.args)})"
+    return f"{head}({','.join(render_term(a) for a in t[1])})"
 
 
 def _render_operand(f: Formula) -> str:
@@ -565,17 +563,14 @@ def _render_operand(f: Formula) -> str:
 
 def render_formula(f: Formula) -> str:
     if isinstance(f, Atom):
-        head = _quote_if_needed(f.pred)
-        if not f.args:
-            return head
-        return f"{head}({','.join(render_term(a) for a in f.args)})"
-    if isinstance(f, Equality):
-        return f"{render_term(f.left)} = {render_term(f.right)}"
+        if f.pred == EQUALITY:
+            return " = ".join(map(render_term, f.args))
+        return render_term((f.pred, f.args))
     if isinstance(f, Truth):
         return "$true" if f.value else "$false"
     if isinstance(f, Not):
-        if isinstance(f.body, Equality):
-            return f"{render_term(f.body.left)} != {render_term(f.body.right)}"
+        if isinstance(f.body, Atom) and f.body.pred == EQUALITY:
+            return " != ".join(map(render_term, f.body.args))
         return f"~{_render_operand(f.body)}"
     if isinstance(f, Binary):
         if f.op in (AND, OR):

@@ -18,16 +18,14 @@ from hypothesis import settings
 
 from proofscope.engines import BuiltinModelFinder, BuiltinProver, EngineLimits
 from proofscope.logic import (
-    App,
+    EQUALITY,
     Atom,
     Binary,
-    Equality,
     Formula,
     Interpretation,
     Not,
     Quantified,
     Truth,
-    Var,
     evaluate,
 )
 from proofscope.tptp import Theory, parse_problem
@@ -85,19 +83,17 @@ def formula_signature(formulas) -> tuple[dict[str, int], dict[str, int]]:
     funcs: dict[str, int] = {}
 
     def term(t):
-        if isinstance(t, App):
-            funcs.setdefault(t.head, len(t.args))
-            for a in t.args:
+        if not isinstance(t, str):
+            funcs.setdefault(t[0], len(t[1]))
+            for a in t[1]:
                 term(a)
 
     def walk(f: Formula):
         if isinstance(f, Atom):
-            preds.setdefault(f.pred, len(f.args))
+            if f.pred != EQUALITY:
+                preds.setdefault(f.pred, len(f.args))
             for a in f.args:
                 term(a)
-        elif isinstance(f, Equality):
-            term(f.left)
-            term(f.right)
         elif isinstance(f, Not):
             walk(f.body)
         elif isinstance(f, Binary):
@@ -175,17 +171,13 @@ def prop_entails(premises, conclusion) -> bool:
 
 def clause_as_formula(clause) -> Formula:
     """View a clause as a universally closed disjunction of its literals."""
-    from proofscope.clauses import EQUALITY_PRED
-
     literals, _ = clause
     lits = []
     variables: set[str] = set()
     for positive, pred, args in literals:
-        terms = tuple(_formula_term(a, variables) for a in args)
-        if pred == EQUALITY_PRED:
-            atom: Formula = Equality(terms[0], terms[1])
-        else:
-            atom = Atom(pred, terms)
+        for a in args:
+            _add_variables(a, variables)
+        atom = Atom(pred, args)
         lits.append(atom if positive else Not(atom))
     if not lits:
         return Truth(False)
@@ -197,12 +189,12 @@ def clause_as_formula(clause) -> Formula:
     return body
 
 
-def _formula_term(t, variables: set[str]):
-    """The logic term of a clause-form term; adds its variables to variables."""
+def _add_variables(t, variables: set[str]) -> None:
     if isinstance(t, str):
         variables.add(t)
-        return Var(t)
-    return App(t[0], tuple(_formula_term(a, variables) for a in t[1]))
+    else:
+        for a in t[1]:
+            _add_variables(a, variables)
 
 
 def random_closed_formula(rng, depth: int) -> Formula:
@@ -214,7 +206,7 @@ def random_closed_formula(rng, depth: int) -> Formula:
         if roll < 0.7:
             return Atom("q")
         if roll < 0.9:
-            return Equality(random_term(rng), random_term(rng))
+            return Atom(EQUALITY, (random_term(rng), random_term(rng)))
         return Truth(rng.random() < 0.5)
     roll = rng.random()
     sub = random_closed_formula(rng, depth - 1)
@@ -230,10 +222,10 @@ def random_closed_formula(rng, depth: int) -> Formula:
 def random_term(rng):
     roll = rng.random()
     if roll < 0.5:
-        return App("a")
+        return ("a", ())
     if roll < 0.8:
-        return App("f", (App("a"),))
-    return App("b")
+        return ("f", (("a", ()),))
+    return ("b", ())
 
 
 def random_open_term(rng, variables=("X0", "X1", "X2"), depth: int = 2):
@@ -251,8 +243,6 @@ def random_open_term(rng, variables=("X0", "X1", "X2"), depth: int = 2):
 def random_literals(rng, max_literals: int = 3, variables=("X0", "X1", "X2")):
     """1 to max_literals random clause-form literals over {p/1, q/0, =} whose
     terms come from random_open_term."""
-    from proofscope.clauses import EQUALITY_PRED
-
     out = []
     for _ in range(rng.randint(1, max_literals)):
         positive = rng.random() < 0.5
@@ -264,7 +254,7 @@ def random_literals(rng, max_literals: int = 3, variables=("X0", "X1", "X2")):
             out.append((positive, "q", ()))
         else:
             args = (random_open_term(rng, variables), random_open_term(rng, variables))
-            out.append((positive, EQUALITY_PRED, args))
+            out.append((positive, EQUALITY, args))
     return tuple(out)
 
 
@@ -272,17 +262,17 @@ def _open_over_x(rng, f: Formula) -> Formula:
     """Replace some occurrences of the constant a with the variable X."""
 
     def replace(term):
-        if isinstance(term, App) and term.head == "a" and rng.random() < 0.5:
-            return Var("X")
-        if isinstance(term, App) and term.args:
-            return App(term.head, tuple(replace(t) for t in term.args))
+        if isinstance(term, str):
+            return term
+        if term[0] == "a" and rng.random() < 0.5:
+            return "X"
+        if term[1]:
+            return (term[0], tuple(replace(t) for t in term[1]))
         return term
 
     def walk(g):
         if isinstance(g, Atom):
             return Atom(g.pred, tuple(replace(t) for t in g.args))
-        if isinstance(g, Equality):
-            return Equality(replace(g.left), replace(g.right))
         if isinstance(g, Not):
             return Not(walk(g.body))
         if isinstance(g, Binary):

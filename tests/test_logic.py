@@ -7,16 +7,14 @@ import pytest
 
 from proofscope.clauses import TooManyClauses, clause_signature, clausify
 from proofscope.logic import (
-    App,
+    EQUALITY,
     Atom,
     Binary,
-    Equality,
     EvaluationError,
     Interpretation,
     Not,
     Quantified,
     Truth,
-    Var,
     evaluate,
     free_variables,
 )
@@ -34,18 +32,18 @@ from conftest import (
 
 class TestFreeVariables:
     def test_open_atom(self):
-        assert free_variables(Atom("p", (Var("X"),))) == {"X"}
+        assert free_variables(Atom("p", ("X",))) == {"X"}
 
     def test_closed(self):
-        f = Quantified("!", ("X",), Atom("p", (Var("X"),)))
+        f = Quantified("!", ("X",), Atom("p", ("X",)))
         assert free_variables(f) == frozenset()
 
     def test_partially_bound(self):
-        f = Quantified("!", ("X",), Atom("p", (Var("X"), Var("Y"))))
+        f = Quantified("!", ("X",), Atom("p", ("X", "Y")))
         assert free_variables(f) == {"Y"}
 
     def test_nested_terms(self):
-        f = Equality(App("f", (Var("X"),)), App("a"))
+        f = Atom(EQUALITY, (("f", ("X",)), ("a", ())))
         assert free_variables(f) == {"X"}
 
 
@@ -56,20 +54,20 @@ class TestEvaluate:
 
     def test_forall_false(self):
         m = Interpretation(2, {"p": {(0,): True, (1,): False}}, {})
-        f = Quantified("!", ("X",), Atom("p", (Var("X"),)))
+        f = Quantified("!", ("X",), Atom("p", ("X",)))
         assert evaluate(m, f) is False
 
     def test_two_distinct_elements(self):
         m = Interpretation(2, {}, {})
         f = Quantified(
-            "?", ("X", "Y"), Not(Equality(Var("X"), Var("Y")))
+            "?", ("X", "Y"), Not(Atom(EQUALITY, ("X", "Y")))
         )
         assert evaluate(m, f) is True
         assert evaluate(Interpretation(1, {}, {}), f) is False
 
     def test_function_tables(self):
         m = Interpretation(2, {"p": {(0,): False, (1,): True}}, {"f": {(0,): 1, (1,): 0}, "a": {(): 0}})
-        f = Atom("p", (App("f", (App("a"),)),))
+        f = Atom("p", (("f", (("a", ()),)),))
         assert evaluate(m, f) is True
 
     def test_missing_symbol_raises(self):
@@ -79,13 +77,13 @@ class TestEvaluate:
 
     def test_partial_function_table_raises(self):
         m = Interpretation(2, {}, {"f": {(0,): 1}, "b": {(): 1}})
-        f = Equality(App("f", (App("b"),)), App("b"))
+        f = Atom(EQUALITY, (("f", (("b", ()),)), ("b", ())))
         with pytest.raises(EvaluationError):
             evaluate(m, f)
 
     def test_open_formula_rejected(self):
         with pytest.raises(ValueError):
-            evaluate(Interpretation(1, {"p": {}}, {}), Atom("p", (Var("X"),)))
+            evaluate(Interpretation(1, {"p": {}}, {}), Atom("p", ("X",)))
 
     def test_all_connectives(self):
         m = Interpretation(1, {"p": {(): True}, "q": {(): False}}, {})
@@ -109,7 +107,7 @@ class TestClausify:
         assert preds == {"p", "q"}
 
     def test_skolem_constant(self):
-        f = Quantified("?", ("X",), Atom("p", (Var("X"),)))
+        f = Quantified("?", ("X",), Atom("p", ("X",)))
         out = clausify([("a1", f)])
         assert len(out) == 1
         _, pred, args = out[0][0][0]
@@ -118,7 +116,7 @@ class TestClausify:
 
     def test_skolem_function_under_universal(self):
         f = Quantified(
-            "!", ("X",), Quantified("?", ("Y",), Atom("r", (Var("X"), Var("Y"))))
+            "!", ("X",), Quantified("?", ("Y",), Atom("r", ("X", "Y")))
         )
         out = clausify([("a1", f)])
         _, _, args = out[0][0][0]
@@ -128,8 +126,8 @@ class TestClausify:
     def test_skolem_fresh_against_input_signature(self):
         f = Binary(
             "&",
-            Atom("p", (App("sk1"),)),
-            Quantified("?", ("X",), Atom("q", (Var("X"),))),
+            Atom("p", (("sk1", ()),)),
+            Quantified("?", ("X",), Atom("q", ("X",))),
         )
         out = clausify([("a1", f)])
         heads = {
@@ -143,8 +141,8 @@ class TestClausify:
 
     def test_distinct_origins_per_formula(self):
         named = [
-            ("a1", Quantified("!", ("X",), Binary("|", Atom("p", (Var("X"),)), Atom("q", (Var("X"),))))),
-            ("a2", Not(Atom("p", (App("c"),)))),
+            ("a1", Quantified("!", ("X",), Binary("|", Atom("p", ("X",)), Atom("q", ("X",))))),
+            ("a2", Not(Atom("p", (("c", ()),)))),
         ]
         out = clausify(named)
         assert len(out) == 2
@@ -181,7 +179,7 @@ class TestClausify:
             clausify([("a1", Atom("p")), ("a2", Atom("q"))], 1)
 
     def test_deterministic(self):
-        f = Quantified("?", ("X",), Atom("p", (Var("X"),)))
+        f = Quantified("?", ("X",), Atom("p", ("X",)))
         assert clausify([("a1", f)]) == clausify([("a1", f)])
 
     @pytest.mark.parametrize(
@@ -494,3 +492,4 @@ def test_nested_biconditionals_are_pinned(text, expected):
     walks take, which run on into the formula after it."""
     t = mk(f"fof(a1, axiom, {text}). fof(a2, axiom, ! [X] : ? [Y] : r(Y, X)).")
     assert clausify([(f.name, f.formula) for f in t.formulas]) == expected
+

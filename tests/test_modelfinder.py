@@ -16,7 +16,7 @@ from proofscope.modelfinder import (
     model_to_text,
     verify_model,
 )
-from proofscope.logic import App, Atom, Interpretation, Not, Quantified, Var
+from proofscope.logic import Atom, Interpretation, Not, Quantified
 
 from conftest import enumerate_interpretations, mk, random_closed_formula
 
@@ -133,7 +133,7 @@ class TestFindModel:
 
         monkeypatch.setattr(modelfinder, "_ground", no_grounding)
         formulas = [
-            ("a", Quantified("?", ("X",), Atom("p", (App("f", (Var("X"),)),)))),
+            ("a", Quantified("?", ("X",), Atom("p", (("f", ("X",)),)))),
             ("b", Not(Not(Atom("p")))),
         ]
         with pytest.raises(ValueError, match=r"symbol p used with arity 1 and arity 0"):
@@ -220,7 +220,7 @@ class TestVerifyModel:
 
     def test_past_the_deadline_is_a_timeout(self):
         m = Interpretation(1, {"p": {(0,): True}}, {})
-        f = Quantified("!", ("X",), Atom("p", (Var("X"),)))
+        f = Quantified("!", ("X",), Atom("p", ("X",)))
         assert verify_model(m, [f], time.monotonic() + 60)
         with pytest.raises(TimeoutError):
             verify_model(m, [f], time.monotonic() - 1)

@@ -3,16 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from proofscope.logic import (
-    App,
-    Atom,
-    Binary,
-    Equality,
-    Not,
-    Quantified,
-    Truth,
-    Var,
-)
+from proofscope.logic import EQUALITY, Atom, Binary, Not, Quantified, Truth
 from proofscope.tptp import (
     AnnotatedFormula,
     IncludeError,
@@ -104,8 +95,8 @@ class TestParsing:
 
     def test_equality_and_inequality(self):
         t = mk("fof(a1, axiom, a = b). fof(a2, axiom, a != c).")
-        assert t.formulas[0].formula == Equality(App("a"), App("b"))
-        assert t.formulas[1].formula == Not(Equality(App("a"), App("c")))
+        assert t.formulas[0].formula == Atom(EQUALITY, (("a", ()), ("b", ())))
+        assert t.formulas[1].formula == Not(Atom(EQUALITY, (("a", ()), ("c", ()))))
 
     def test_truth_constants(self):
         t = mk("fof(a1, axiom, $true => $false).")
@@ -237,7 +228,7 @@ class TestRendering:
         assert parse_problem(render_theory(puz001)) == puz001
 
     def test_negated_equality_renders_infix(self):
-        assert render_formula(Not(Equality(App("a"), App("b")))) == "a != b"
+        assert render_formula(Not(Atom(EQUALITY, (("a", ()), ("b", ()))))) == "a != b"
 
     def test_right_nested_chain_keeps_parens(self):
         f = Binary("&", Atom("p"), Binary("&", Atom("q"), Atom("r")))
@@ -254,15 +245,15 @@ _VARS = ("X", "Y", "Z")
 
 def _terms(depth: int):
     leaves = st.one_of(
-        st.sampled_from([App("a"), App("b")]),
-        st.sampled_from([Var(v) for v in _VARS]),
+        st.sampled_from([("a", ()), ("b", ())]),
+        st.sampled_from(_VARS),
     )
     if depth <= 0:
         return leaves
     return st.one_of(
         leaves,
-        st.builds(lambda t: App("f", (t,)), _terms(depth - 1)),
-        st.builds(lambda s, t: App("g", (s, t)), _terms(depth - 1), _terms(depth - 1)),
+        st.builds(lambda t: ("f", (t,)), _terms(depth - 1)),
+        st.builds(lambda s, t: ("g", (s, t)), _terms(depth - 1), _terms(depth - 1)),
     )
 
 
@@ -272,7 +263,7 @@ def _atoms():
         st.builds(lambda: Atom("p0")),
         st.builds(lambda t: Atom("p1", (t,)), term),
         st.builds(lambda s, t: Atom("p2", (s, t)), term, term),
-        st.builds(Equality, term, term),
+        st.builds(lambda s, t: Atom(EQUALITY, (s, t)), term, term),
         st.sampled_from([Truth(True), Truth(False)]),
     )
 
@@ -339,7 +330,7 @@ class TestSignature:
 
     def test_clash_in_memory_theory(self):
         t = Theory((
-            AnnotatedFormula("a1", "axiom", Atom("p", (App("a"),))),
+            AnnotatedFormula("a1", "axiom", Atom("p", (("a", ()),))),
             AnnotatedFormula("a2", "axiom", Atom("a")),
         ))
         with pytest.raises(ParseError, match="'a' used as predicate/0 in 'a2' but as "
