@@ -78,6 +78,10 @@ def clausify(named: Sequence[tuple[str, Formula]], limit: float = math.inf) -> C
     """
     taken = {sym for _, f in named for sym, _, _ in symbols(f)}
     var_count = skolem_count = 0
+    # Walks of <=> and <~> operands that took no V<n> or sk<n> name, by
+    # (operand, polarity, substitution); each entry keeps the operand and the
+    # substitution alive, so their ids stay unique.
+    walks: dict[tuple[int, bool, int], tuple[list[Literals], Formula, dict[str, Term]]] = {}
 
     def join(disjoin: bool, a: list[Literals], b: list[Literals]) -> list[Literals]:
         """Clauses of the disjunction of a and b, or of their conjunction."""
@@ -89,6 +93,21 @@ def clausify(named: Sequence[tuple[str, Formula]], limit: float = math.inf) -> C
         if isinstance(t, str):
             return subst.get(t, t)
         return (t[0], tuple([term(a, subst) for a in t[1]]))
+
+    def operand(
+        f: Formula, positive: bool, universals: tuple[str, ...], subst: dict[str, Term]
+    ) -> list[Literals]:
+        """cnf of an operand of <=> or <~>, which walks each operand under
+        both polarities; reusing a walk that took no name keeps nested
+        biconditionals linear."""
+        key = (id(f), positive, id(subst))
+        if key in walks:
+            return walks[key][0]
+        names = var_count, skolem_count
+        out = cnf(f, positive, universals, subst)
+        if (var_count, skolem_count) == names:
+            walks[key] = (out, f, subst)
+        return out
 
     def cnf(
         f: Formula, positive: bool, universals: tuple[str, ...], subst: dict[str, Term]
@@ -123,8 +142,8 @@ def clausify(named: Sequence[tuple[str, Formula]], limit: float = math.inf) -> C
             # l <=> r is (~l | r) & (l | ~r); its negation and l <~> r are
             # (l & ~r) | (~l & r).
             p = positive == (f.op == IFF)
-            a = join(p, cnf(l, not p, universals, subst), cnf(r, p, universals, subst))
-            b = join(p, cnf(l, p, universals, subst), cnf(r, not p, universals, subst))
+            a = join(p, operand(l, not p, universals, subst), operand(r, p, universals, subst))
+            b = join(p, operand(l, p, universals, subst), operand(r, not p, universals, subst))
             return join(not p, a, b)
         disjoin, left, right = _SHAPES[f.op]
         return join(

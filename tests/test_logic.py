@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -19,7 +20,7 @@ from proofscope.logic import (
     free_variables,
 )
 
-from proofscope.tptp import parse_file, render_theory, signature_of
+from proofscope.tptp import MAX_NESTING, parse_file, render_theory, signature_of
 
 from conftest import (
     PROBLEM_DIR,
@@ -493,3 +494,23 @@ def test_nested_biconditionals_are_pinned(text, expected):
     t = mk(f"fof(a1, axiom, {text}). fof(a2, axiom, ! [X] : ? [Y] : r(Y, X)).")
     assert clausify([(f.name, f.formula) for f in t.formulas]) == expected
 
+
+def test_nested_biconditionals_clausify_in_linear_time():
+    t = mk(f"fof(a1, axiom, {_nested_iff(MAX_NESTING, '$true')}).")
+    start = time.perf_counter()
+    assert clausify([("a1", t.formulas[0].formula)]) == ()
+    assert time.perf_counter() - start < 0.5
+
+
+def test_shared_operand_gets_each_binders_substitution():
+    """One <=> node object under both ! [X] and ? [X]: each of its walks
+    substitutes its own binder's X."""
+    body = Binary("<=>", Atom("q"), Atom("p", ("X",)))
+    f = Binary("&", Quantified("!", ("X",), body), Quantified("?", ("X",), body))
+    sk1 = ("sk1", ())
+    assert [lits for lits, _ in clausify([("a1", f)])] == [
+        ((False, "q", ()), (True, "p", ("V1",))),
+        ((True, "q", ()), (False, "p", ("V1",))),
+        ((False, "q", ()), (True, "p", (sk1,))),
+        ((True, "q", ()), (False, "p", (sk1,))),
+    ]
