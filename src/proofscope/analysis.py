@@ -173,7 +173,7 @@ class QuerySession:
             if c is None or c.name not in names:
                 return t.without_conjecture()
             as_axiom = AnnotatedFormula(c.name, "axiom", c.formula, c.source)
-            return Theory(t.premises + (as_axiom,), origin=t.origin)
+            return Theory(t.premises + (as_axiom,))
         if goal == GOAL_CONJECTURE:
             if c is None:
                 raise AnalysisError("theory has no conjecture")

@@ -100,7 +100,6 @@ class AnnotatedFormula:
 @dataclass(frozen=True)
 class Theory:
     formulas: tuple[AnnotatedFormula, ...]
-    origin: str = field(compare=False, default="<memory>")
 
     def __post_init__(self) -> None:
         names = [f.name for f in self.formulas]
@@ -136,16 +135,16 @@ class Theory:
         kept = tuple(
             f for f in self.formulas if f.role == "conjecture" or f.name in keep
         )
-        return Theory(kept, origin=self.origin)
+        return Theory(kept)
 
     def without_conjecture(self) -> "Theory":
-        return Theory(self.premises, origin=self.origin)
+        return Theory(self.premises)
 
     def with_conjecture(self, goal: AnnotatedFormula) -> "Theory":
         """Replace the conjecture (if any) with the given goal formula."""
         base = tuple(f for f in self.premises if f.name != goal.name)
         conj = AnnotatedFormula(goal.name, "conjecture", goal.formula, goal.source)
-        return Theory(base + (conj,), origin=self.origin)
+        return Theory(base + (conj,))
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +525,7 @@ def parse_problem(
         active.add(os.path.realpath(origin))
     _parse_into(source, origin, include_dirs, formulas, active)
     _check_wellformed(formulas)
-    return Theory(tuple(formulas), origin=origin)
+    return Theory(tuple(formulas))
 
 
 def _read_text(path: str) -> str:
