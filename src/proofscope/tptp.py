@@ -68,12 +68,12 @@ class IncludeError(TptpError):
 # Formulas and terms nest at most this deep: each parenthesised formula,
 # negation, quantifier and argument list opens one level.  No pass takes more
 # than two frames per level: the parser two per parenthesis, clausification
-# two per <=> or <~> (the walk and the reuse of its operands' walks) and one
-# per other formula level, model verification two per quantifier, and the
-# term walkers two per argument list.  Every subcommand on a problem nested
-# this deep, a chain of 100 <=> included, peaks near 220 frames, which leaves
-# most of the interpreter's default stack of 1000 to the callers and to the
-# terms the prover deepens.
+# two per <=> or <~> (the walk and the lookup of its operand's earlier walks)
+# and one per other formula level, model verification two per quantifier,
+# and the term walkers two per argument list.  Every subcommand on a problem
+# nested this deep, a chain of 100 <=> included, peaks near 220 frames, which
+# leaves most of the interpreter's default stack of 1000 to the callers and
+# to the terms the prover deepens.
 MAX_NESTING = 100
 
 
