@@ -1,5 +1,6 @@
 """Finite model finder tests: soundness, least sizes, exhaustion, limits."""
 
+import hashlib
 import random
 import time
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from proofscope import modelfinder
+from proofscope.analysis import QuerySession, consistency_triple
 from proofscope.clauses import clause_signature, clausify, contains_equality
-from proofscope.engines import EngineLimits
+from proofscope.engines import BuiltinModelFinder, EngineLimits
 from proofscope.logic import Not, evaluate
 from proofscope.modelfinder import (
     ModelKind,
@@ -17,8 +19,9 @@ from proofscope.modelfinder import (
     verify_model,
 )
 from proofscope.logic import Atom, Interpretation, Not, Quantified
+from proofscope.tptp import parse_file
 
-from conftest import enumerate_interpretations, mk, random_closed_formula
+from conftest import PUZ001, enumerate_interpretations, mk, random_closed_formula
 
 
 def formulas_of(text):
@@ -35,6 +38,28 @@ fof(assoc, axiom, ![X,Y,Z]: mult(mult(X,Y),Z) = mult(X,mult(Y,Z))).
 fof(left_identity, axiom, ![X]: mult(e,X) = X).
 fof(left_inverse, axiom, ![X]: mult(inv(X),X) = e).
 """
+
+PIGEONHOLE_5_4 = """
+fof(distinct, axiom, p1 != p2 & p1 != p3 & p1 != p4 & p1 != p5
+    & p2 != p3 & p2 != p4 & p2 != p5 & p3 != p4 & p3 != p5 & p4 != p5).
+fof(pigeons, axiom, pigeon(p1) & pigeon(p2) & pigeon(p3)
+    & pigeon(p4) & pigeon(p5)).
+fof(holes, axiom, ![X]: (hole(X) <=> (X = h1 | X = h2 | X = h3 | X = h4))).
+fof(placed, axiom, ![X]: (pigeon(X) => ?[H]: (hole(H) & in(X,H)))).
+fof(no_share, axiom, ![X,Y,H]: ((in(X,H) & in(Y,H)) => X = Y)).
+"""
+
+
+def power(k):
+    """a multiplied by itself k times, as mult(a,mult(a,...))."""
+    return "a" if k == 1 else f"mult(a,{power(k - 1)})"
+
+
+def cyclic_order(k):
+    """Group axioms and an element a of order exactly k: the least model is Z_k."""
+    lines = [f"fof(order, axiom, {power(k)} = e)."]
+    lines += [f"fof(order_{j}, axiom, {power(j)} != e)." for j in range(1, k)]
+    return GROUP_AXIOMS + "\n".join(lines)
 
 
 class TestFlatten:
@@ -180,33 +205,102 @@ class TestTextbookFamilies:
         assert ground_sizes[6] < 60_000  # 235,477 with a variable per side
 
     def test_five_pigeons_do_not_fit_four_holes(self):
-        formulas = formulas_of(
-            """
-            fof(distinct, axiom, p1 != p2 & p1 != p3 & p1 != p4 & p1 != p5
-                & p2 != p3 & p2 != p4 & p2 != p5 & p3 != p4 & p3 != p5 & p4 != p5).
-            fof(pigeons, axiom, pigeon(p1) & pigeon(p2) & pigeon(p3)
-                & pigeon(p4) & pigeon(p5)).
-            fof(holes, axiom, ![X]: (hole(X) <=> (X = h1 | X = h2 | X = h3 | X = h4))).
-            fof(placed, axiom, ![X]: (pigeon(X) => ?[H]: (hole(H) & in(X,H)))).
-            fof(no_share, axiom, ![X,Y,H]: ((in(X,H) & in(Y,H)) => X = Y)).
-            """
-        )
+        formulas = formulas_of(PIGEONHOLE_5_4)
         out = find_model(formulas, EngineLimits(timeout=60, max_domain_size=5))
         assert (out.kind, out.exhausted_size) == (ModelKind.ExhaustedUpTo, 5)
 
     def test_element_of_order_four_needs_four_elements(self):
-        formulas = formulas_of(
-            GROUP_AXIOMS
-            + """
-            fof(order, axiom, mult(a,mult(a,mult(a,a))) = e).
-            fof(order_1, axiom, a != e).
-            fof(order_2, axiom, mult(a,a) != e).
-            fof(order_3, axiom, mult(a,mult(a,a)) != e).
-            """
-        )
+        formulas = formulas_of(cyclic_order(4))
         out = find_model(formulas, EngineLimits(timeout=60, max_domain_size=5))
         assert (out.kind, out.model.domain_size) == (ModelKind.ModelFound, 4)
         assert verify_model(out.model, [f for _, f in formulas])
+
+
+GROUP_COMMUTATIVITY = GROUP_AXIOMS + (
+    "fof(commutative, conjecture, ![X,Y]: mult(X,Y) = mult(Y,X))."
+)
+
+# Per problem: the largest domain searched, the domain sizes its consistency
+# queries ground in order, and the sha256 of the reprs of every _ground output
+# and of every _dpll result, one per line.
+STAGE_PINS = {
+    "cyclic_order_2": (
+        5, [1, 2],
+        "f8556080c78e4d7782847e09dd5965a68b31d8168b3873c12b1025daecfec081",
+        "682b8ea9f7175c89cb328693af1869773b36e88f36aa25c812ea20883a438782",
+    ),
+    "cyclic_order_3": (
+        5, [1, 2, 3],
+        "70d569293ecf2a8e3af44f65bee342b60e9adac7f6fd46df08359fb90ff74b6d",
+        "4b193ad93998150cce93b58de14af631d9cc17398d16e04bbbd8221d5acaaa07",
+    ),
+    "cyclic_order_4": (
+        5, [1, 2, 3, 4],
+        "b58139e5ef561367458d629090b49a90c49bc732171e26a10100dfb3bef380a0",
+        "1999a774b2d20448d7a2fd66be3f87ede0db7f58340da795ebb9ed1106e374bd",
+    ),
+    "cyclic_order_5": (
+        5, [1, 2, 3, 4, 5],
+        "019ad072f9ce506f52d4ecc18e90a673f71dc3799ebae4a8ee1cf23c7d60039a",
+        "640e05679e06493dffa14bafe4f5c7c3b7cbe3fe6752d6a0f64806f1c3565fea",
+    ),
+    "group_commutativity": (
+        6, [1, 1, 1, 2, 3, 4, 5, 6],
+        "ec5890e484046ec8616216c34a0ecf12704d4f64c5915c1072bd94064b12495d",
+        "d7bf377d7b1a8bc2c7f891e2e457de3e92916a320cce8942a0c8cd7f7371b790",
+    ),
+    "pigeonhole_5_4": (
+        5, [1, 2, 3, 4, 5],
+        "f79dfd3dde025d05e95f4b4b67996eece0e79a5fc3e169fd1d442e548239fa22",
+        "9bc2b72de5acdefc8b4b8bc59c0c79826cb5e6ed2eb35451134e395746b482e6",
+    ),
+    "puz001": (
+        4, [1, 2, 3, 1, 2, 3, 1, 2, 3, 4],
+        "abe913c6fe96d973dfe4870b6a0feafef9171a1af44ca6ef94635df9be5c9638",
+        "401cd3a8f6aa472e6ad77b934d8ce4dbf1beb3a4774ac0cd37a49337c5788e01",
+    ),
+}
+
+
+def pinned_theory(name):
+    if name == "group_commutativity":
+        return mk(GROUP_COMMUTATIVITY)
+    if name == "pigeonhole_5_4":
+        return mk(PIGEONHOLE_5_4)
+    if name == "puz001":
+        return parse_file(str(PUZ001))
+    return mk(cyclic_order(int(name.rsplit("_", 1)[1])))
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_PINS))
+def test_grounding_and_solving_are_pinned(name, monkeypatch):
+    """The CNF of every size tried and the DPLL answer on it, for the
+    textbook families and PUZ001's three consistency queries."""
+    max_size, want_sizes, want_cnf, want_dpll = STAGE_PINS[name]
+    sizes, cnfs, answers = [], [], []
+    ground, dpll = modelfinder._ground, modelfinder._dpll
+
+    def ground_spy(flats, layout, *rest):
+        out = ground(flats, layout, *rest)
+        sizes.append(layout.n)
+        cnfs.append(repr(out))
+        return out
+
+    def dpll_spy(*args):
+        out = dpll(*args)
+        answers.append(repr(out))
+        return out
+
+    monkeypatch.setattr(modelfinder, "_ground", ground_spy)
+    monkeypatch.setattr(modelfinder, "_dpll", dpll_spy)
+    limits = EngineLimits(timeout=120, max_domain_size=max_size)
+    session = QuerySession(pinned_theory(name), counters=[BuiltinModelFinder()], limits=limits)
+    consistency_triple(session)
+
+    def digest(lines):
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+    assert (sizes, digest(cnfs), digest(answers)) == (want_sizes, want_cnf, want_dpll)
 
 
 class TestVerifyModel:
