@@ -53,9 +53,9 @@ class EngineLimits:
     verification answer ResourceOut past it;
     max_domain_size is the largest domain the model finder tries;
     max_clause_count is how many clauses a call may hold: both engines answer
-    ResourceOut when clausifying the query would make more, and the prover
-    when it keeps more.  Values are checked here, so a bad limit fails before
-    any engine runs.
+    ResourceOut when clausifying the query would make more, the prover when
+    it keeps more, and the model finder when grounding a domain size would.
+    Values are checked here, so a bad limit fails before any engine runs.
     """
 
     timeout: float = 10.0

@@ -9,6 +9,13 @@ symbols contribute totality and functionality constraints.  Symmetry is
 broken by a canonical constant ordering: with the constants of the clauses
 in pre-order c0, c1, ..., each ci takes a value of at most i, and a value
 d >= 1 only if some earlier constant takes d - 1.
+
+Grounding is compiled once per flattened clause and domain size: each
+literal becomes a linear form in the clause's variables, whose value at an
+assignment is its propositional literal, so the instances of a clause come
+from integer sums instead of per-instance lookups.  A size whose CNF would
+hold more than the call's max_clause_count clauses ends the search with
+ResourceOut.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .clauses import Literals, TooManyClauses, clause_signature, clausify
 from .logic import EQUALITY, Formula, Interpretation, Term, evaluate, symbols
@@ -169,17 +176,58 @@ class _VarLayout:
         return self.func_base[name] + idx * self.n + value
 
 
+# A linear form over a flat clause's variables: (base, stride per variable).
+_Form = tuple[int, list[int]]
+
+
+def _compile(flat: FlatClause, layout: _VarLayout) -> tuple[list[_Form], list[_Form]]:
+    """The literals of a flat clause as linear forms over its variables.
+
+    A form (base, strides) takes the value base + sum(strides[i] * a[i]) under
+    the assignment a.  A pred or func literal's form is its signed
+    propositional literal, the position strides of _VarLayout summed per
+    variable; an eq literal's form is a[i] - a[j], zero where it holds."""
+    n = layout.n
+    literals: list[_Form] = []
+    equations: list[_Form] = []
+    for lit in flat.literals:
+        strides = [0] * flat.nvars
+        if lit[0] == "eq":
+            strides[lit[1]] += 1
+            strides[lit[2]] -= 1
+            equations.append((0, strides))
+            continue
+        if lit[0] == "pred":
+            base, cells, positive = layout.pred_base[lit[1]], lit[2], lit[3]
+        else:
+            base, cells, positive = layout.func_base[lit[1]], lit[2] + (lit[3],), lit[4]
+        for power, var in enumerate(reversed(cells)):
+            strides[var] += n**power
+        sign = 1 if positive else -1
+        literals.append((sign * base, [sign * stride for stride in strides]))
+    return literals, equations
+
+
+def _values(form: _Form, n: int) -> Iterator[int]:
+    """The form's value at every assignment, in itertools.product order."""
+    base, strides = form
+    return map(sum, itertools.product((base,), *([s * v for v in range(n)] for s in strides)))
+
+
 def _ground(
     flats: Sequence[FlatClause],
     layout: _VarLayout,
     constants: Sequence[str],
     deadline: float,
+    max_clauses: int,
 ) -> tuple[list[list[int]], bool, bool]:
-    """Ground clauses over the domain; returns (cnf, trivially_unsat, timed_out).
+    """Ground clauses over the domain; returns (cnf, trivially_unsat, resource_out).
 
     Every model can be renumbered so that the constants, in the given order,
     take their values in order of first appearance: ci is at most i, and
-    ci = d >= 1 only if some cj with j < i is d - 1."""
+    ci = d >= 1 only if some cj with j < i is d - 1.  Past the deadline, or
+    once the CNF holds more than max_clauses clauses, grounding stops with
+    resource_out set; both are checked every 4096 clause instances."""
     n = layout.n
     cnf: list[list[int]] = []
     for i, c in enumerate(constants):
@@ -188,39 +236,28 @@ def _ground(
             if d <= i:
                 clause += [layout.func_var(prev, (), d - 1) for prev in constants[:i]]
             cnf.append(clause)
-    checked = 0
     for flat in flats:
-        for assignment in itertools.product(range(n), repeat=flat.nvars):
-            checked += 1
-            if checked % 4096 == 0 and time.monotonic() >= deadline:
-                return cnf, False, True
-            out: list[int] = []
-            satisfied = False
-            for lit in flat.literals:
-                tag = lit[0]
-                if tag == "eq":
-                    if assignment[lit[1]] == assignment[lit[2]]:
-                        satisfied = True
-                        break
-                    continue  # literal is false under this assignment
-                if tag == "pred":
-                    var = layout.pred_var(lit[1], tuple(assignment[i] for i in lit[2]))
-                    out.append(var if lit[3] else -var)
-                else:  # func cell
-                    var = layout.func_var(
-                        lit[1],
-                        tuple(assignment[i] for i in lit[2]),
-                        assignment[lit[3]],
-                    )
-                    out.append(var if lit[4] else -var)
-            if satisfied:
-                continue
-            if not out:
+        literals, equations = _compile(flat, layout)
+        # An instance where some equation holds is satisfied: keep the others.
+        if equations:
+            kept = map(all, zip(*(_values(e, n) for e in equations)))
+        else:
+            kept = itertools.repeat(True)
+        if not literals:
+            if any(kept):
                 return cnf, True, False
-            uniq_set = set(out)
-            if any(-l in uniq_set for l in uniq_set):
-                continue  # tautological ground clause
-            cnf.append(sorted(uniq_set, key=lambda l: (abs(l), l < 0)))
+            continue
+        rows = zip(*(_values(lit, n) for lit in literals))
+        for _ in range(0, n**flat.nvars, 4096):
+            if len(cnf) > max_clauses or time.monotonic() >= deadline:
+                return cnf, False, True
+            block = itertools.islice(rows, 4096), itertools.islice(kept, 4096)
+            for row in itertools.compress(*block):
+                uniq = set(row)
+                # Two literals on one variable make a tautology; in any other
+                # instance sorting by variable alone gives the clause order.
+                if len({*map(abs, uniq)}) == len(uniq):
+                    cnf.append(sorted(uniq, key=abs))
     # Totality and functionality for every function symbol.
     for name in sorted(layout.funcs):
         arity = layout.funcs[name]
@@ -230,7 +267,7 @@ def _ground(
             for i in range(n):
                 for j in range(i + 1, n):
                     cnf.append([-cells[i], -cells[j]])
-    return cnf, False, False
+    return cnf, False, len(cnf) > max_clauses
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +301,8 @@ def _dpll(clauses: list[list[int]], nvars: int, deadline: float):
     queue: list[int] = []
     ticks = 0
 
-    def value(lit: int) -> int:
-        v = assign[abs(lit)]
-        return v if lit > 0 else -v
-
     def enqueue(lit: int) -> bool:
-        v = value(lit)
+        v = assign[lit] if lit > 0 else -assign[-lit]
         if v == 1:
             return True
         if v == -1:
@@ -294,12 +327,16 @@ def _dpll(clauses: list[list[int]], nvars: int, deadline: float):
             for pos, ci in enumerate(watching):
                 w = watched[ci]
                 other = w[0] if w[1] == falsified else w[1]
-                if value(other) == 1:
+                # The value of a literal is assign[l] for l > 0, -assign[-l] else.
+                v = assign[other] if other > 0 else -assign[-other]
+                if v == 1:
                     keep.append(ci)
                     continue
                 replacement = 0
                 for cand in clauses[ci]:
-                    if cand != other and cand != falsified and value(cand) != -1:
+                    if cand != other and cand != falsified and (
+                        assign[cand] != -1 if cand > 0 else assign[-cand] != 1
+                    ):
                         replacement = cand
                         break
                 if replacement:
@@ -310,10 +347,13 @@ def _dpll(clauses: list[list[int]], nvars: int, deadline: float):
                     watch.setdefault(replacement, []).append(ci)
                     continue
                 keep.append(ci)
-                if not enqueue(other):
+                if v == -1:
                     keep.extend(watching[pos + 1 :])
                     watch[falsified] = keep
                     return False
+                assign[abs(other)] = 1 if other > 0 else -1
+                trail.append(other)
+                queue.append(other)
             watch[falsified] = keep
         return True
 
@@ -416,8 +456,10 @@ def find_model(
         if time.monotonic() >= deadline:
             return ModelOutcome(ModelKind.ResourceOut)
         layout = _VarLayout(preds, funcs, n)
-        cnf, trivially_unsat, timed_out = _ground(flats, layout, constants, deadline)
-        if timed_out:
+        cnf, trivially_unsat, resource_out = _ground(
+            flats, layout, constants, deadline, limits.max_clause_count
+        )
+        if resource_out:
             return ModelOutcome(ModelKind.ResourceOut)
         if trivially_unsat:
             continue

@@ -1,6 +1,7 @@
 """Finite model finder tests: soundness, least sizes, exhaustion, limits."""
 
 import hashlib
+import itertools
 import random
 import time
 
@@ -91,6 +92,58 @@ class TestFlatten:
         flat = flat_clause("![X,Y,Z]: (X != Y | Y != Z | r(X, Z))")
         assert flat.nvars == 1
         assert flat.literals == (("pred", "r", (0, 0), True),)
+
+
+# A signature for random flat clauses: name -> arity.
+FLAT_PREDS = {"p": 0, "q": 1, "r": 2}
+FLAT_FUNCS = {"c": 0, "f": 1, "g": 2}
+
+
+@st.composite
+def flat_clauses(draw):
+    nvars = draw(st.integers(1, 4))
+    var = st.integers(0, nvars - 1)
+    literals = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["pred", "func", "eq"]))
+        if kind == "eq":
+            literals.append(("eq", draw(var), draw(var)))
+            continue
+        table = FLAT_PREDS if kind == "pred" else FLAT_FUNCS
+        name = draw(st.sampled_from(sorted(table)))
+        args = tuple(draw(var) for _ in range(table[name]))
+        if kind == "pred":
+            literals.append(("pred", name, args, draw(st.booleans())))
+        else:
+            literals.append(("func", name, args, draw(var), draw(st.booleans())))
+    return modelfinder.FlatClause(nvars, tuple(literals))
+
+
+@given(flat=flat_clauses(), n=st.integers(1, 4))
+def test_compiled_literals_agree_with_the_layout(flat, n):
+    """At every assignment, a compiled pred or func literal is the signed
+    pred_var or func_var of its instance, and a compiled equation is zero
+    exactly where its two variables are equal."""
+    layout = modelfinder._VarLayout(FLAT_PREDS, FLAT_FUNCS, n)
+    literals, equations = modelfinder._compile(flat, layout)
+    assignments = list(itertools.product(range(n), repeat=flat.nvars))
+    want_literals, want_equations = [], []
+    for lit in flat.literals:
+        if lit[0] == "eq":
+            want_equations.append([a[lit[1]] == a[lit[2]] for a in assignments])
+            continue
+        if lit[0] == "pred":
+            cells = [layout.pred_var(lit[1], tuple(a[i] for i in lit[2])) for a in assignments]
+        else:
+            cells = [
+                layout.func_var(lit[1], tuple(a[i] for i in lit[2]), a[lit[3]])
+                for a in assignments
+            ]
+        want_literals.append([v if lit[-1] else -v for v in cells])
+    assert [list(modelfinder._values(f, n)) for f in literals] == want_literals
+    assert [
+        [v == 0 for v in modelfinder._values(f, n)] for f in equations
+    ] == want_equations
 
 
 class TestFindModel:
@@ -190,8 +243,8 @@ class TestTextbookFamilies:
         ground_sizes = {}
         ground = modelfinder._ground
 
-        def counting_ground(flats, layout, constants, deadline):
-            out = ground(flats, layout, constants, deadline)
+        def counting_ground(flats, layout, *rest):
+            out = ground(flats, layout, *rest)
             ground_sizes[layout.n] = len(out[0])
             return out
 
@@ -301,6 +354,73 @@ def test_grounding_and_solving_are_pinned(name, monkeypatch):
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
     assert (sizes, digest(cnfs), digest(answers)) == (want_sizes, want_cnf, want_dpll)
+
+
+class TestGroundingLimits:
+    """Grounding keeps to the call's clause cap and deadline; the solver
+    keeps to the deadline."""
+
+    def test_a_size_over_the_clause_cap_is_a_resource_out(self, monkeypatch):
+        """Up to the cap the search is unchanged; one clause less and the
+        size-6 CNF is over it, which is ResourceOut, never ExhaustedUpTo."""
+        ground_sizes = {}
+        ground = modelfinder._ground
+
+        def counting_ground(flats, layout, *rest):
+            out = ground(flats, layout, *rest)
+            ground_sizes[layout.n] = len(out[0])
+            return out
+
+        monkeypatch.setattr(modelfinder, "_ground", counting_ground)
+        formulas = formulas_of(
+            GROUP_AXIOMS + "fof(nc, axiom, ~ ![X,Y]: mult(X,Y) = mult(Y,X))."
+        )
+        find_model(formulas, EngineLimits(timeout=60, max_domain_size=6))
+        largest = ground_sizes[6]
+        assert largest == max(ground_sizes.values())
+        at_cap = find_model(
+            formulas, EngineLimits(timeout=60, max_domain_size=6, max_clause_count=largest)
+        )
+        assert (at_cap.kind, at_cap.model.domain_size) == (ModelKind.ModelFound, 6)
+        for cap in (largest - 1, 5_000, 100):
+            limits = EngineLimits(timeout=60, max_domain_size=6, max_clause_count=cap)
+            assert find_model(formulas, limits).kind == ModelKind.ResourceOut, cap
+
+    def test_capped_exhaustion_is_a_resource_out(self):
+        """Pigeonhole 5/4 has no model at any size; with sizes cut off by the
+        cap the search cannot claim to have exhausted them."""
+        formulas = formulas_of(PIGEONHOLE_5_4)
+        limits = EngineLimits(timeout=60, max_domain_size=5, max_clause_count=100)
+        assert len(clausify(formulas)) <= 100
+        assert find_model(formulas, limits).kind == ModelKind.ResourceOut
+
+    def test_grounding_stops_at_the_deadline(self):
+        """Associativity at size 10 has 10**6 instances, seconds of work;
+        grounding stops within the instances after a 50 ms deadline."""
+        flat = flat_clause("![X,Y,Z]: mult(mult(X,Y),Z) = mult(X,mult(Y,Z))")
+        layout = modelfinder._VarLayout({}, {"mult": 2}, 10)
+        start = time.monotonic()
+        cnf, trivially_unsat, resource_out = modelfinder._ground(
+            [flat], layout, [], start + 0.05, 10**9
+        )
+        assert resource_out and not trivially_unsat
+        assert len(cnf) < 10**6
+        assert time.monotonic() - start < 1
+
+    def test_solving_stops_at_the_deadline(self):
+        """Refuting pigeonhole 5/4 at size 5 takes thousands of propagations;
+        past the deadline the solver stops at its next clock check."""
+        formulas = formulas_of(PIGEONHOLE_5_4)
+        clauses = clausify(formulas)
+        preds, funcs = clause_signature(clauses)
+        constants = [sym for sym, arity in funcs.items() if arity == 0]
+        layout = modelfinder._VarLayout(preds, funcs, 5)
+        flats = [modelfinder._flatten(literals) for literals, _ in clauses]
+        cnf, _, _ = modelfinder._ground(flats, layout, constants, time.monotonic() + 60, 10**9)
+        assert modelfinder._dpll(cnf, layout.count, time.monotonic() + 60) is None
+        start = time.monotonic()
+        assert modelfinder._dpll(cnf, layout.count, start) == modelfinder._TIMEOUT
+        assert time.monotonic() - start < 0.5
 
 
 class TestVerifyModel:
