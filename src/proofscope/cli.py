@@ -8,6 +8,7 @@ Exit codes: 0 success/clean, 1 finding (hapax/dependent), 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import dataclass, field
@@ -48,7 +49,10 @@ NEEDED_CAPABILITY = {
 CONFIG_KEYS = ("include_dirs", "timeout", "parallelism", "max_domain_size", "unsat_mode")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and each parse starts from a fresh namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("problem", help="TPTP problem file")
     common.add_argument(

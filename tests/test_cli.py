@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 import proofscope
-from proofscope import analysis
+from proofscope import analysis, cli
 from proofscope.cli import main
 from proofscope.tptp import MAX_NESTING
 
@@ -174,6 +174,32 @@ class TestUsageErrors:
         assert error == f"proofscope {argv[0]}: error: unrecognized arguments: " + " ".join(
             argv[1:]
         )
+
+
+    def test_repeated_usage_error_keeps_the_subcommand_usage(self, problems, capsys):
+        """The parser is built once per process; every use of it reports a
+        foreign flag in the subcommand's own words."""
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["minimize", problems["chain"], "--seed", "1"])
+            assert exc.value.code == 2
+            usage, *_, error = capsys.readouterr().err.splitlines()
+            assert usage.startswith("usage: proofscope minimize [-h]")
+            assert error == "proofscope minimize: error: unrecognized arguments: --seed 1"
+
+    def test_defaults_survive_other_calls(self, problems):
+        """minimize is reprove with its own defaults; calls of either through
+        the one parser leave the other's defaults, and the empty lists that
+        repeatable flags start from, as they were."""
+        p = problems["chain"]
+        for _ in range(2):
+            args = cli._parse_args(["reprove", p, "--method", "syntactic", "-I", "inc"])
+            assert (args.method, args.chain_minima) == ("syntactic", False)
+            args = cli._parse_args(["minimize", p, "--engine", "builtin-prover"])
+            assert (args.method, args.chain_minima) == ("semantic", True)
+            args = cli._parse_args(["reprove", p])
+            assert (args.method, args.chain_minima) == ("semantic", False)
+            assert (args.engine_ids, args.include_dirs) == ([], [])
 
 
 SUBCOMMANDS = ["symbols", "reprove", "minimize", "independence", "consistency"]
