@@ -175,7 +175,6 @@ class TestUsageErrors:
             argv[1:]
         )
 
-
     def test_repeated_usage_error_keeps_the_subcommand_usage(self, problems, capsys):
         """The parser is built once per process; every use of it reports a
         foreign flag in the subcommand's own words."""

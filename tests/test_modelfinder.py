@@ -238,20 +238,27 @@ class TestFindModel:
         assert verify_model(out.model, [f for _, f in axioms])
 
 
+def record_ground_sizes(monkeypatch):
+    """A dict that fills with the CNF size _ground returns per domain size."""
+    ground_sizes = {}
+    ground = modelfinder._ground
+
+    def counting_ground(flats, layout, *rest):
+        out = ground(flats, layout, *rest)
+        ground_sizes[layout.n] = len(out[0])
+        return out
+
+    monkeypatch.setattr(modelfinder, "_ground", counting_ground)
+    return ground_sizes
+
+
+NON_ABELIAN = GROUP_AXIOMS + "fof(nc, axiom, ~ ![X,Y]: mult(X,Y) = mult(Y,X))."
+
+
 class TestTextbookFamilies:
     def test_least_non_abelian_group_has_six_elements(self, monkeypatch):
-        ground_sizes = {}
-        ground = modelfinder._ground
-
-        def counting_ground(flats, layout, *rest):
-            out = ground(flats, layout, *rest)
-            ground_sizes[layout.n] = len(out[0])
-            return out
-
-        monkeypatch.setattr(modelfinder, "_ground", counting_ground)
-        formulas = formulas_of(
-            GROUP_AXIOMS + "fof(nc, axiom, ~ ![X,Y]: mult(X,Y) = mult(Y,X))."
-        )
+        ground_sizes = record_ground_sizes(monkeypatch)
+        formulas = formulas_of(NON_ABELIAN)
         out = find_model(formulas, EngineLimits(timeout=60, max_domain_size=6))
         assert (out.kind, out.model.domain_size) == (ModelKind.ModelFound, 6)
         assert verify_model(out.model, [f for _, f in formulas])
@@ -363,18 +370,8 @@ class TestGroundingLimits:
     def test_a_size_over_the_clause_cap_is_a_resource_out(self, monkeypatch):
         """Up to the cap the search is unchanged; one clause less and the
         size-6 CNF is over it, which is ResourceOut, never ExhaustedUpTo."""
-        ground_sizes = {}
-        ground = modelfinder._ground
-
-        def counting_ground(flats, layout, *rest):
-            out = ground(flats, layout, *rest)
-            ground_sizes[layout.n] = len(out[0])
-            return out
-
-        monkeypatch.setattr(modelfinder, "_ground", counting_ground)
-        formulas = formulas_of(
-            GROUP_AXIOMS + "fof(nc, axiom, ~ ![X,Y]: mult(X,Y) = mult(Y,X))."
-        )
+        ground_sizes = record_ground_sizes(monkeypatch)
+        formulas = formulas_of(NON_ABELIAN)
         find_model(formulas, EngineLimits(timeout=60, max_domain_size=6))
         largest = ground_sizes[6]
         assert largest == max(ground_sizes.values())
