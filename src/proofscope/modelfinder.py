@@ -16,6 +16,12 @@ assignment is its propositional literal, so the instances of a clause come
 from integer sums instead of per-instance lookups.  A size whose CNF would
 hold more than the call's max_clause_count clauses ends the search with
 ResourceOut.
+
+The solver is DPLL with conflict-driven clause learning: first-UIP learned
+clauses and backjumping, with fixed branching (least unassigned variable,
+true first) and no restarts.  It finds the same model as chronological
+DPLL, the lexicographically greatest one, so learning changes only how
+fast a size is refuted, never which model comes back.
 """
 
 from __future__ import annotations
@@ -271,127 +277,167 @@ def _ground(
 
 
 # ---------------------------------------------------------------------------
-# DPLL with two watched literals, first-unassigned branching, positive first
+# DPLL with clause learning: two watched literals, first-UIP learning and
+# backjumping, least-unassigned branching, positive first, no restarts
 
 
 _TIMEOUT = "timeout"
 
 
 def _dpll(clauses: list[list[int]], nvars: int, deadline: float):
-    """Returns a complete assignment (list indexed 1..nvars), None, or _TIMEOUT."""
-    for c in clauses:
-        if not c:
-            return None
-    assign = [0] * (nvars + 1)  # 0 unassigned, 1 true, -1 false
-    watch: dict[int, list[int]] = {}
-    watched: list[list[int]] = []
-    units: list[int] = []
-    for ci, c in enumerate(clauses):
-        if len(c) == 1:
-            units.append(c[0])
-            watched.append([c[0], c[0]])
-        else:
-            watched.append([c[0], c[1]])
-            watch.setdefault(c[0], []).append(ci)
-            watch.setdefault(c[1], []).append(ci)
+    """Returns a complete assignment (list indexed 1..nvars), None, or _TIMEOUT.
 
+    Conflict-driven clause learning (Marques-Silva & Sakallah 1999): a
+    conflict is analysed to its first unique implication point, the learned
+    clause is watched like the input clauses, and the search backjumps to the
+    learned clause's second-highest level, where the clause asserts its UIP
+    literal.  It branches on the least unassigned variable, true first, with
+    no restarts, activity, phase saving or clause deletion.  The literals of
+    a clause must be on distinct variables, as _ground emits them; the
+    caller's lists are left as they are.
+
+    The answer is that of chronological DPLL with the same branching: None
+    exactly when the clauses are unsatisfiable, otherwise their
+    lexicographically greatest model in variable order, M.  Learned clauses
+    follow from the input, so M satisfies them, and every literal that
+    propagation derives from literals agreeing with M agrees with M.  A
+    decision x = true where M has x false is wrong: every smaller variable
+    is already assigned, so a model below it would agree with M up to x and
+    have x true, greater than M.  No complete assignment lies below a wrong
+    decision, and the search ends (each learned clause asserts a literal and
+    nothing restarts), so the solver must backjump below the first one; after
+    the backjump every literal on the trail still agrees with M.  A complete
+    assignment has no wrong decision and is therefore M.  The clock is
+    checked every 2048 propagated literals."""
+    if not all(clauses):
+        return None
+    clauses = [c[:] for c in clauses]  # each copy keeps its watches first
+    # Per literal l, indexed by l itself: a negative l counts from the end.
+    size = 2 * nvars + 1
+    value = [0] * size  # 1 true, -1 false, 0 unassigned
+    watch: list[list[int]] = [[] for _ in range(size)]  # clauses watching l
+    level = [0] * size  # decision level of a true literal
+    reason = [0] * size  # the clause that implied a true literal
+    seen = [False] * size  # true literals met in conflict analysis
     trail: list[int] = []
-    levels: list[int] = []  # trail length at each decision
-    decisions: list[tuple[int, bool]] = []  # (var, second_phase_tried)
-    queue: list[int] = []
-    ticks = 0
+    limits: list[int] = []  # trail length at each decision
+    for ci, c in enumerate(clauses):
+        if len(c) > 1:
+            watch[c[0]].append(ci)
+            watch[c[1]].append(ci)
+        elif value[c[0]] == -1:
+            return None
+        elif not value[c[0]]:
+            value[c[0]], value[-c[0]] = 1, -1
+            trail.append(c[0])
 
-    def enqueue(lit: int) -> bool:
-        v = assign[lit] if lit > 0 else -assign[-lit]
-        if v == 1:
-            return True
-        if v == -1:
-            return False
-        assign[abs(lit)] = 1 if lit > 0 else -1
-        trail.append(lit)
-        queue.append(lit)
-        return True
-
-    def propagate() -> bool:
-        nonlocal ticks
-        while queue:
-            lit = queue.pop()
+    head = ticks = 0
+    next_var = 1
+    while True:
+        conflict = None
+        while head < len(trail):
+            lit = trail[head]
+            head += 1
             ticks += 1
             if ticks % 2048 == 0 and time.monotonic() >= deadline:
-                raise TimeoutError
+                return _TIMEOUT
             falsified = -lit
-            watching = watch.get(falsified)
+            watching = watch[falsified]
             if not watching:
                 continue
+            depth = len(limits)
             keep: list[int] = []
             for pos, ci in enumerate(watching):
-                w = watched[ci]
-                other = w[0] if w[1] == falsified else w[1]
-                # The value of a literal is assign[l] for l > 0, -assign[-l] else.
-                v = assign[other] if other > 0 else -assign[-other]
+                c = clauses[ci]
+                other = c[0]
+                if other == falsified:
+                    other = c[0] = c[1]
+                    c[1] = falsified
+                v = value[other]
                 if v == 1:
                     keep.append(ci)
                     continue
-                replacement = 0
-                for cand in clauses[ci]:
-                    if cand != other and cand != falsified and (
-                        assign[cand] != -1 if cand > 0 else assign[-cand] != 1
-                    ):
-                        replacement = cand
+                for k in range(2, len(c)):
+                    cand = c[k]
+                    if value[cand] != -1:
+                        c[1], c[k] = cand, falsified
+                        watch[cand].append(ci)
                         break
-                if replacement:
-                    if w[0] == falsified:
-                        w[0] = replacement
-                    else:
-                        w[1] = replacement
-                    watch.setdefault(replacement, []).append(ci)
-                    continue
-                keep.append(ci)
-                if v == -1:
-                    keep.extend(watching[pos + 1 :])
-                    watch[falsified] = keep
-                    return False
-                assign[abs(other)] = 1 if other > 0 else -1
-                trail.append(other)
-                queue.append(other)
+                else:
+                    keep.append(ci)
+                    if v == -1:
+                        keep.extend(watching[pos + 1 :])
+                        conflict = c
+                        break
+                    value[other], value[-other] = 1, -1
+                    level[other], reason[other] = depth, ci
+                    trail.append(other)
             watch[falsified] = keep
-        return True
+            if conflict:
+                break
 
-    for u in units:
-        if not enqueue(u):
-            return None
-
-    next_var = 1
-    while True:
-        try:
-            ok = propagate()
-        except TimeoutError:
-            return _TIMEOUT
-        if ok:
-            while next_var <= nvars and assign[next_var] != 0:
+        if not conflict:
+            while next_var <= nvars and value[next_var]:
                 next_var += 1
             if next_var > nvars:
-                return assign
-            levels.append(len(trail))
-            decisions.append((next_var, False))
-            enqueue(next_var)  # positive polarity first
+                return value[: nvars + 1]
+            limits.append(len(trail))
+            value[next_var], value[-next_var] = 1, -1
+            level[next_var] = len(limits)
+            trail.append(next_var)
             continue
-        # Conflict: backtrack chronologically.
-        queue.clear()
-        while decisions and decisions[-1][1]:
-            mark = levels.pop()
-            decisions.pop()
-            while len(trail) > mark:
-                assign[abs(trail.pop())] = 0
-        if not decisions:
+        if not limits:
             return None
-        var, _ = decisions[-1]
-        mark = levels[-1]
-        while len(trail) > mark:
-            assign[abs(trail.pop())] = 0
-        decisions[-1] = (var, True)
-        enqueue(-var)
-        next_var = var  # every variable below var was assigned before it
+
+        # First-UIP analysis: resolve the conflict clause with the reasons of
+        # its current-level literals, latest first, until one is left.
+        depth = len(limits)
+        learned = [0]
+        pending = 0
+        index = len(trail)
+        lits = conflict
+        while True:
+            for q in lits:
+                t = -q
+                if not seen[t] and level[t]:  # level 0 is false for good
+                    seen[t] = True
+                    if level[t] == depth:
+                        pending += 1
+                    else:
+                        learned.append(q)
+            index -= 1
+            while not seen[trail[index]]:
+                index -= 1
+            uip = trail[index]
+            seen[uip] = False
+            pending -= 1
+            if not pending:
+                break
+            lits = clauses[reason[uip]][1:]  # its first literal is uip
+        learned[0] = -uip
+        back = 0
+        for k in range(1, len(learned)):
+            seen[-learned[k]] = False
+            if level[-learned[k]] > back:
+                back = level[-learned[k]]
+                learned[1], learned[k] = learned[k], learned[1]
+
+        # Backjump; the decision of level back + 1 is the least variable undone.
+        mark = limits[back]
+        next_var = trail[mark]
+        for lit in trail[mark:]:
+            value[lit] = value[-lit] = 0
+        del trail[mark:], limits[back:]
+        head = mark
+        lit = learned[0]
+        value[lit], value[-lit] = 1, -1
+        level[lit] = back
+        trail.append(lit)
+        if len(learned) > 1:
+            reason[lit] = len(clauses)
+            watch[lit].append(len(clauses))
+            watch[learned[1]].append(len(clauses))
+            clauses.append(learned)
 
 
 # ---------------------------------------------------------------------------

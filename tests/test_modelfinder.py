@@ -6,7 +6,7 @@ import random
 import time
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from proofscope import modelfinder
 from proofscope.analysis import QuerySession, consistency_triple
@@ -337,13 +337,15 @@ def test_grounding_and_solving_are_pinned(name, monkeypatch):
     """The CNF of every size tried and the DPLL answer on it, for the
     textbook families and PUZ001's three consistency queries."""
     max_size, want_sizes, want_cnf, want_dpll = STAGE_PINS[name]
-    sizes, cnfs, answers = [], [], []
+    sizes, cnfs, answers, repeats = [], [], [], []
     ground, dpll = modelfinder._ground, modelfinder._dpll
 
     def ground_spy(flats, layout, *rest):
         out = ground(flats, layout, *rest)
         sizes.append(layout.n)
         cnfs.append(repr(out))
+        # The solver's watches need the literals of a clause on distinct variables.
+        repeats.extend(c for c in out[0] if len({*map(abs, c)}) < len(c))
         return out
 
     def dpll_spy(*args):
@@ -361,6 +363,46 @@ def test_grounding_and_solving_are_pinned(name, monkeypatch):
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
     assert (sizes, digest(cnfs), digest(answers)) == (want_sizes, want_cnf, want_dpll)
+    assert repeats == []
+
+
+def random_cnf(rng):
+    """Up to 30 clauses over at most 10 variables; each clause has 1-4
+    literals on distinct variables, as _ground emits them.  Two in three are
+    dense enough for the solver to learn clauses, often."""
+    if rng.random() < 1 / 3:
+        nvars, nclauses, lengths = rng.randint(1, 10), rng.randint(0, 30), (1, 2, 3, 4)
+    else:
+        nvars, nclauses, lengths = rng.randint(6, 10), rng.randint(20, 30), (2, 3, 3, 4)
+    clauses = []
+    for _ in range(nclauses):
+        variables = rng.sample(range(1, nvars + 1), min(rng.choice(lengths), nvars))
+        clauses.append([v if rng.random() < 0.5 else -v for v in variables])
+    return clauses, nvars
+
+
+def greatest_model(clauses, nvars):
+    """The lexicographically greatest model, variable 1 first and true before
+    false, by enumeration; None if there is none."""
+    for values in itertools.product((1, -1), repeat=nvars):
+        assign = [0, *values]
+        if all(any(assign[abs(lit)] * lit > 0 for lit in c) for c in clauses):
+            return assign
+    return None
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32 - 1))
+def test_solver_finds_the_greatest_model(seed):
+    """Clause learning changes which conflicts the solver meets, not its
+    answer: None exactly when no model exists, else the model chronological
+    DPLL finds.  The caller's clause lists are left as they were."""
+    clauses, nvars = random_cnf(random.Random(seed))
+    before = [c[:] for c in clauses]
+    assert modelfinder._dpll(clauses, nvars, time.monotonic() + 60) == greatest_model(
+        clauses, nvars
+    )
+    assert clauses == before
 
 
 class TestGroundingLimits:
@@ -405,8 +447,9 @@ class TestGroundingLimits:
         assert time.monotonic() - start < 1
 
     def test_solving_stops_at_the_deadline(self):
-        """Refuting pigeonhole 5/4 at size 5 takes thousands of propagations;
-        past the deadline the solver stops at its next clock check."""
+        """Refuting pigeonhole 5/4 at size 5 propagates between 2048 and 4095
+        literals, so it passes one clock check; past the deadline the solver
+        stops there."""
         formulas = formulas_of(PIGEONHOLE_5_4)
         clauses = clausify(formulas)
         preds, funcs = clause_signature(clauses)
