@@ -6,9 +6,10 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from proofscope import prover
+from proofscope.clauses import clausify, contains_equality
 from proofscope.engines import EngineLimits
 from proofscope.modelfinder import ModelKind, find_model
 from proofscope.logic import Not
@@ -447,3 +448,21 @@ def test_saturation_subsumption_equals_a_full_scan(n):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(prover, "_FeatureIndex", _CheckedIndex)
         prove(Theory(premises + (goal,)), EngineLimits(timeout=10, max_clause_count=150))
+
+
+@given(
+    seeds=st.lists(st.integers(0, 2**16), min_size=2, max_size=4),
+    depth=st.integers(1, 2),
+)
+def test_prover_and_finder_never_contradict(seeds, depth):
+    """On small random theories with equality, no query is both a Theorem of
+    the prover and a ModelFound of the finder, whose models are verified.
+    The clause cap stops the saturations that equality makes endless."""
+    formulas = [random_closed_formula(random.Random(s), depth) for s in seeds]
+    premises = tuple(AnnotatedFormula(f"a{i}", "axiom", f) for i, f in enumerate(formulas[:-1]))
+    goal = AnnotatedFormula("goal", "conjecture", formulas[-1])
+    query = [(p.name, p.formula) for p in premises] + [("$neg", Not(goal.formula))]
+    assume(contains_equality(clausify(query)))
+    proof = prove(Theory(premises + (goal,)), EngineLimits(timeout=10, max_clause_count=150))
+    found = find_model(query, EngineLimits(timeout=10, max_domain_size=3))
+    assert not (proof.status == SzsStatus.Theorem and found.kind == ModelKind.ModelFound)
