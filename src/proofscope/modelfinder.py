@@ -311,7 +311,10 @@ def _dpll(clauses: list[list[int]], nvars: int, deadline: float):
     checked every 2048 propagated literals."""
     if not all(clauses):
         return None
-    clauses = [c[:] for c in clauses]  # each copy keeps its watches first
+    clauses = list(clauses)  # learned clauses are added to this copy
+    # The two literals each clause is watched on; a unit clause is not watched.
+    first = [c[0] for c in clauses]
+    second = [c[-1] for c in clauses]
     # Per literal l, indexed by l itself: a negative l counts from the end.
     size = 2 * nvars + 1
     value = [0] * size  # 1 true, -1 false, 0 unassigned
@@ -324,7 +327,7 @@ def _dpll(clauses: list[list[int]], nvars: int, deadline: float):
     for ci, c in enumerate(clauses):
         if len(c) > 1:
             watch[c[0]].append(ci)
-            watch[c[1]].append(ci)
+            watch[c[-1]].append(ci)
         elif value[c[0]] == -1:
             return None
         elif not value[c[0]]:
@@ -348,26 +351,25 @@ def _dpll(clauses: list[list[int]], nvars: int, deadline: float):
             depth = len(limits)
             keep: list[int] = []
             for pos, ci in enumerate(watching):
-                c = clauses[ci]
-                other = c[0]
-                if other == falsified:
-                    other = c[0] = c[1]
-                    c[1] = falsified
+                if first[ci] == falsified:
+                    other, moved = second[ci], first
+                else:
+                    other, moved = first[ci], second
                 v = value[other]
                 if v == 1:
                     keep.append(ci)
                     continue
-                for k in range(2, len(c)):
-                    cand = c[k]
-                    if value[cand] != -1:
-                        c[1], c[k] = cand, falsified
+                # A false candidate is never taken, so neither is falsified.
+                for cand in clauses[ci]:
+                    if cand != other and value[cand] != -1:
+                        moved[ci] = cand
                         watch[cand].append(ci)
                         break
                 else:
                     keep.append(ci)
                     if v == -1:
                         keep.extend(watching[pos + 1 :])
-                        conflict = c
+                        conflict = clauses[ci]
                         break
                     value[other], value[-other] = 1, -1
                     level[other], reason[other] = depth, ci
@@ -396,10 +398,12 @@ def _dpll(clauses: list[list[int]], nvars: int, deadline: float):
         pending = 0
         index = len(trail)
         lits = conflict
+        uip = 0
         while True:
             for q in lits:
                 t = -q
-                if not seen[t] and level[t]:  # level 0 is false for good
+                # Level 0 is false for good; uip is the literal lits implied.
+                if not seen[t] and level[t] and q != uip:
                     seen[t] = True
                     if level[t] == depth:
                         pending += 1
@@ -413,7 +417,7 @@ def _dpll(clauses: list[list[int]], nvars: int, deadline: float):
             pending -= 1
             if not pending:
                 break
-            lits = clauses[reason[uip]][1:]  # its first literal is uip
+            lits = clauses[reason[uip]]
         learned[0] = -uip
         back = 0
         for k in range(1, len(learned)):
@@ -437,6 +441,8 @@ def _dpll(clauses: list[list[int]], nvars: int, deadline: float):
             reason[lit] = len(clauses)
             watch[lit].append(len(clauses))
             watch[learned[1]].append(len(clauses))
+            first.append(lit)
+            second.append(learned[1])
             clauses.append(learned)
 
 
