@@ -369,7 +369,7 @@ def test_grounding_and_solving_are_pinned(name, monkeypatch):
 def random_cnf(rng):
     """Up to 30 clauses over at most 10 variables; each clause has 1-4
     literals on distinct variables, as _ground emits them.  Two in three are
-    dense enough for the solver to learn clauses, often."""
+    dense; about a quarter of all the CNFs make the solver learn clauses."""
     if rng.random() < 1 / 3:
         nvars, nclauses, lengths = rng.randint(1, 10), rng.randint(0, 30), (1, 2, 3, 4)
     else:
