@@ -52,9 +52,10 @@ class EngineLimits:
     prover's search and the model finder's grounding, solving and model
     verification answer ResourceOut past it;
     max_domain_size is the largest domain the model finder tries;
-    max_clause_count is how many clauses a call may hold: both engines answer
+    max_clause_count bounds the clauses a call holds: both engines answer
     ResourceOut when clausifying the query would make more, the prover when
-    it keeps more, and the model finder when grounding a domain size would.
+    it keeps more, and the model finder when grounding a domain size would
+    make more or its solver would learn more on one size.
     Values are checked here, so a bad limit fails before any engine runs.
     """
 

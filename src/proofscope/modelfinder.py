@@ -15,7 +15,7 @@ literal becomes a linear form in the clause's variables, whose value at an
 assignment is its propositional literal, so the instances of a clause come
 from integer sums instead of per-instance lookups.  A size whose CNF would
 hold more than the call's max_clause_count clauses ends the search with
-ResourceOut.
+ResourceOut, and so does a solver that would learn more clauses than that.
 
 The solver is DPLL with conflict-driven clause learning: first-UIP learned
 clauses and backjumping, with fixed branching (least unassigned variable,
@@ -282,10 +282,13 @@ def _ground(
 
 
 _TIMEOUT = "timeout"
+_TOO_MANY_LEARNED = "too many learned clauses"
 
 
-def _dpll(clauses: list[list[int]], nvars: int, deadline: float):
-    """Returns a complete assignment (list indexed 1..nvars), None, or _TIMEOUT.
+def _dpll(clauses: list[list[int]], nvars: int, deadline: float, max_learned: int):
+    """Returns a complete assignment (list indexed 1..nvars), None, _TIMEOUT
+    past the deadline, or _TOO_MANY_LEARNED when a conflict would make it
+    hold more than max_learned learned clauses.
 
     Conflict-driven clause learning (Marques-Silva & Sakallah 1999): a
     conflict is analysed to its first unique implication point, the learned
@@ -311,6 +314,7 @@ def _dpll(clauses: list[list[int]], nvars: int, deadline: float):
     checked every 2048 propagated literals."""
     if not all(clauses):
         return None
+    full = len(clauses) + max_learned  # clause count with max_learned learned
     clauses = list(clauses)  # learned clauses are added to this copy
     # The two literals each clause is watched on; a unit clause is not watched.
     first = [c[0] for c in clauses]
@@ -438,6 +442,8 @@ def _dpll(clauses: list[list[int]], nvars: int, deadline: float):
         level[lit] = back
         trail.append(lit)
         if len(learned) > 1:
+            if len(clauses) == full:
+                return _TOO_MANY_LEARNED
             reason[lit] = len(clauses)
             watch[lit].append(len(clauses))
             watch[learned[1]].append(len(clauses))
@@ -515,8 +521,8 @@ def find_model(
             return ModelOutcome(ModelKind.ResourceOut)
         if trivially_unsat:
             continue
-        result = _dpll(cnf, layout.count, deadline)
-        if result == _TIMEOUT:
+        result = _dpll(cnf, layout.count, deadline, limits.max_clause_count)
+        if result == _TIMEOUT or result == _TOO_MANY_LEARNED:
             return ModelOutcome(ModelKind.ResourceOut)
         if result is None:
             continue

@@ -50,6 +50,17 @@ fof(placed, axiom, ![X]: (pigeon(X) => ?[H]: (hole(H) & in(X,H)))).
 fof(no_share, axiom, ![X,Y,H]: ((in(X,H) & in(Y,H)) => X = Y)).
 """
 
+PIGEONHOLE_6_5 = """
+fof(distinct, axiom, p1 != p2 & p1 != p3 & p1 != p4 & p1 != p5 & p1 != p6
+    & p2 != p3 & p2 != p4 & p2 != p5 & p2 != p6 & p3 != p4 & p3 != p5
+    & p3 != p6 & p4 != p5 & p4 != p6 & p5 != p6).
+fof(pigeons, axiom, pigeon(p1) & pigeon(p2) & pigeon(p3)
+    & pigeon(p4) & pigeon(p5) & pigeon(p6)).
+fof(holes, axiom, ![X]: (hole(X) <=> (X = h1 | X = h2 | X = h3 | X = h4 | X = h5))).
+fof(placed, axiom, ![X]: (pigeon(X) => ?[H]: (hole(H) & in(X,H)))).
+fof(no_share, axiom, ![X,Y,H]: ((in(X,H) & in(Y,H)) => X = Y)).
+"""
+
 
 def power(k):
     """a multiplied by itself k times, as mult(a,mult(a,...))."""
@@ -399,7 +410,7 @@ def test_solver_finds_the_greatest_model(seed):
     DPLL finds.  The caller's clause lists are left as they were."""
     clauses, nvars = random_cnf(random.Random(seed))
     before = [c[:] for c in clauses]
-    assert modelfinder._dpll(clauses, nvars, time.monotonic() + 60) == greatest_model(
+    assert modelfinder._dpll(clauses, nvars, time.monotonic() + 60, 10**9) == greatest_model(
         clauses, nvars
     )
     assert clauses == before
@@ -407,7 +418,7 @@ def test_solver_finds_the_greatest_model(seed):
 
 class TestGroundingLimits:
     """Grounding keeps to the call's clause cap and deadline; the solver
-    keeps to the deadline."""
+    keeps to the deadline and learns at most as many clauses as the cap."""
 
     def test_a_size_over_the_clause_cap_is_a_resource_out(self, monkeypatch):
         """Up to the cap the search is unchanged; one clause less and the
@@ -450,17 +461,42 @@ class TestGroundingLimits:
         """Refuting pigeonhole 5/4 at size 5 propagates between 2048 and 4095
         literals, so it passes one clock check; past the deadline the solver
         stops there."""
-        formulas = formulas_of(PIGEONHOLE_5_4)
-        clauses = clausify(formulas)
-        preds, funcs = clause_signature(clauses)
-        constants = [sym for sym, arity in funcs.items() if arity == 0]
-        layout = modelfinder._VarLayout(preds, funcs, 5)
-        flats = [modelfinder._flatten(literals) for literals, _ in clauses]
-        cnf, _, _ = modelfinder._ground(flats, layout, constants, time.monotonic() + 60, 10**9)
-        assert modelfinder._dpll(cnf, layout.count, time.monotonic() + 60) is None
+        cnf, nvars = pigeonhole_5_4_at_size_5()
+        assert modelfinder._dpll(cnf, nvars, time.monotonic() + 60, 10**9) is None
         start = time.monotonic()
-        assert modelfinder._dpll(cnf, layout.count, start) == modelfinder._TIMEOUT
+        assert modelfinder._dpll(cnf, nvars, start, 10**9) == modelfinder._TIMEOUT
         assert time.monotonic() - start < 0.5
+
+    def test_solving_stops_at_the_learned_clause_cap(self):
+        """Refuting pigeonhole 5/4 at size 5 learns 160 clauses of more than
+        one literal; allowed one fewer, the solver stops."""
+        cnf, nvars = pigeonhole_5_4_at_size_5()
+        deadline = time.monotonic() + 60
+        assert modelfinder._dpll(cnf, nvars, deadline, 160) is None
+        assert modelfinder._dpll(cnf, nvars, deadline, 159) == modelfinder._TOO_MANY_LEARNED
+
+    def test_learning_past_the_clause_cap_is_a_resource_out(self, monkeypatch):
+        """Refuting pigeonhole 6/5 at size 6 learns more clauses than the
+        largest CNF holds, so a cap that admits every CNF but not what is
+        learned ends the search with ResourceOut, never ExhaustedUpTo."""
+        ground_sizes = record_ground_sizes(monkeypatch)
+        formulas = formulas_of(PIGEONHOLE_6_5)
+        exhausted = find_model(formulas, EngineLimits(timeout=60, max_domain_size=6))
+        assert exhausted.kind == ModelKind.ExhaustedUpTo
+        cap = max(ground_sizes.values())
+        limits = EngineLimits(timeout=60, max_domain_size=6, max_clause_count=cap)
+        assert find_model(formulas, limits).kind == ModelKind.ResourceOut
+
+
+def pigeonhole_5_4_at_size_5():
+    """The ground CNF of pigeonhole 5/4 at size 5 and its variable count."""
+    clauses = clausify(formulas_of(PIGEONHOLE_5_4))
+    preds, funcs = clause_signature(clauses)
+    constants = [sym for sym, arity in funcs.items() if arity == 0]
+    layout = modelfinder._VarLayout(preds, funcs, 5)
+    flats = [modelfinder._flatten(literals) for literals, _ in clauses]
+    cnf, _, _ = modelfinder._ground(flats, layout, constants, time.monotonic() + 60, 10**9)
+    return cnf, layout.count
 
 
 class TestVerifyModel:
