@@ -159,20 +159,10 @@ def _literal_key(lit: Literal) -> tuple:
     return (pred, not positive, tuple(_shape(a) for a in args))
 
 
-class _LiteralKeys(dict):
-    """Each literal's normalize sort key, built on first use; one per saturation."""
-
-    def __missing__(self, lit: Literal) -> tuple:
-        key = self[lit] = _literal_key(lit)
-        return key
-
-
-def normalize(literals: Literals, keys: _LiteralKeys | None = None) -> Literals:
-    """Dedupe, sort by a variable-blind key, and rename variables canonically.
-
-    keys, when given, memoizes the sort keys across calls."""
+def normalize(literals: Literals) -> Literals:
+    """Dedupe, sort by a variable-blind key, and rename variables canonically."""
     unique = list(dict.fromkeys(literals))
-    unique.sort(key=_literal_key if keys is None else keys.__getitem__)
+    unique.sort(key=_literal_key)
     mapping: dict[str, str] = {}
 
     def rename(t: Term) -> Term:
@@ -442,14 +432,13 @@ class _Saturation:
         self.index: dict[tuple[str, bool], list[tuple[int, int]]] = {}
         self.features = _FeatureIndex(literals for literals, _ in initial)
         self.seen: set[Literals] = set()
-        self.literal_keys = _LiteralKeys()
         self.generated = 0
         self.kept = 0
         self.empty: frozenset[str] | None = None  # the empty clause's origins
         self.out_of_resources = False
         self._tick = 0
         for literals, origins in initial:
-            self._insert(normalize(literals, self.literal_keys), origins)
+            self._insert(normalize(literals), origins)
             if self.empty is not None:
                 return
 
@@ -550,7 +539,7 @@ class _Saturation:
                 resolvent = tuple(_apply_literal(l, subst) for l in rest) + tuple(
                     _apply_literal(l, subst) for i, l in enumerate(renamed) if i != mi
                 )
-                self._insert(normalize(resolvent, self.literal_keys), origins | partner_origins)
+                self._insert(normalize(resolvent), origins | partner_origins)
                 if self.empty is not None or self.out_of_resources:
                     return False
                 self._tick += 1
@@ -569,7 +558,7 @@ class _Saturation:
                 if not _unify_args(la[2], lb[2], subst):
                     continue
                 factor = tuple(_apply_literal(l, subst) for l in literals)
-                self._insert(normalize(factor, self.literal_keys), origins)
+                self._insert(normalize(factor), origins)
                 if self.empty is not None or self.out_of_resources:
                     return False
         return True
