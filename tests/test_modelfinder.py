@@ -292,42 +292,50 @@ GROUP_COMMUTATIVITY = GROUP_AXIOMS + (
 )
 
 # Per problem: the largest domain searched, the domain sizes its consistency
-# queries ground in order, and the sha256 of the reprs of every _ground output
-# and of every _dpll result, one per line.
+# queries ground in order, and the sha256 of the reprs of every _ground output,
+# of every _dpll result and of every _dpll result cut to the variables of the
+# signature's cells and atoms, one per line.
 STAGE_PINS = {
     "cyclic_order_2": (
         5, [1, 2],
         "f8556080c78e4d7782847e09dd5965a68b31d8168b3873c12b1025daecfec081",
+        "682b8ea9f7175c89cb328693af1869773b36e88f36aa25c812ea20883a438782",
         "682b8ea9f7175c89cb328693af1869773b36e88f36aa25c812ea20883a438782",
     ),
     "cyclic_order_3": (
         5, [1, 2, 3],
         "70d569293ecf2a8e3af44f65bee342b60e9adac7f6fd46df08359fb90ff74b6d",
         "4b193ad93998150cce93b58de14af631d9cc17398d16e04bbbd8221d5acaaa07",
+        "4b193ad93998150cce93b58de14af631d9cc17398d16e04bbbd8221d5acaaa07",
     ),
     "cyclic_order_4": (
         5, [1, 2, 3, 4],
         "b58139e5ef561367458d629090b49a90c49bc732171e26a10100dfb3bef380a0",
+        "1999a774b2d20448d7a2fd66be3f87ede0db7f58340da795ebb9ed1106e374bd",
         "1999a774b2d20448d7a2fd66be3f87ede0db7f58340da795ebb9ed1106e374bd",
     ),
     "cyclic_order_5": (
         5, [1, 2, 3, 4, 5],
         "019ad072f9ce506f52d4ecc18e90a673f71dc3799ebae4a8ee1cf23c7d60039a",
         "640e05679e06493dffa14bafe4f5c7c3b7cbe3fe6752d6a0f64806f1c3565fea",
+        "640e05679e06493dffa14bafe4f5c7c3b7cbe3fe6752d6a0f64806f1c3565fea",
     ),
     "group_commutativity": (
         6, [1, 1, 1, 2, 3, 4, 5, 6],
         "ec5890e484046ec8616216c34a0ecf12704d4f64c5915c1072bd94064b12495d",
+        "d7bf377d7b1a8bc2c7f891e2e457de3e92916a320cce8942a0c8cd7f7371b790",
         "d7bf377d7b1a8bc2c7f891e2e457de3e92916a320cce8942a0c8cd7f7371b790",
     ),
     "pigeonhole_5_4": (
         5, [1, 2, 3, 4, 5],
         "f79dfd3dde025d05e95f4b4b67996eece0e79a5fc3e169fd1d442e548239fa22",
         "9bc2b72de5acdefc8b4b8bc59c0c79826cb5e6ed2eb35451134e395746b482e6",
+        "9bc2b72de5acdefc8b4b8bc59c0c79826cb5e6ed2eb35451134e395746b482e6",
     ),
     "puz001": (
         4, [1, 2, 3, 1, 2, 3, 1, 2, 3, 4],
         "abe913c6fe96d973dfe4870b6a0feafef9171a1af44ca6ef94635df9be5c9638",
+        "401cd3a8f6aa472e6ad77b934d8ce4dbf1beb3a4774ac0cd37a49337c5788e01",
         "401cd3a8f6aa472e6ad77b934d8ce4dbf1beb3a4774ac0cd37a49337c5788e01",
     ),
 }
@@ -345,15 +353,18 @@ def pinned_theory(name):
 
 @pytest.mark.parametrize("name", sorted(STAGE_PINS))
 def test_grounding_and_solving_are_pinned(name, monkeypatch):
-    """The CNF of every size tried and the DPLL answer on it, for the
-    textbook families and PUZ001's three consistency queries."""
-    max_size, want_sizes, want_cnf, want_dpll = STAGE_PINS[name]
-    sizes, cnfs, answers, repeats = [], [], [], []
+    """The CNF of every size tried and the DPLL answer on it, whole and cut
+    to the signature's variables, for the textbook families and PUZ001's
+    three consistency queries."""
+    max_size, want_sizes, want_cnf, want_dpll, want_models = STAGE_PINS[name]
+    sizes, cnfs, answers, models, repeats = [], [], [], [], []
+    layouts = []
     ground, dpll = modelfinder._ground, modelfinder._dpll
 
     def ground_spy(flats, layout, *rest):
         out = ground(flats, layout, *rest)
         sizes.append(layout.n)
+        layouts.append(layout)
         cnfs.append(repr(out))
         # The solver's watches need the literals of a clause on distinct variables.
         repeats.extend(c for c in out[0] if len({*map(abs, c)}) < len(c))
@@ -362,6 +373,8 @@ def test_grounding_and_solving_are_pinned(name, monkeypatch):
     def dpll_spy(*args):
         out = dpll(*args)
         answers.append(repr(out))
+        cut = out[: signature_variables(layouts[-1]) + 1] if isinstance(out, list) else out
+        models.append(repr(cut))
         return out
 
     monkeypatch.setattr(modelfinder, "_ground", ground_spy)
@@ -374,7 +387,17 @@ def test_grounding_and_solving_are_pinned(name, monkeypatch):
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
     assert (sizes, digest(cnfs), digest(answers)) == (want_sizes, want_cnf, want_dpll)
+    assert digest(models) == want_models
     assert repeats == []
+
+
+def signature_variables(layout):
+    """How many propositional variables the function cells and predicate
+    atoms of the layout's signature take; they are numbered first."""
+    n = layout.n
+    return sum(n ** (a + 1) for a in layout.funcs.values()) + sum(
+        n**a for a in layout.preds.values()
+    )
 
 
 def random_cnf(rng):
