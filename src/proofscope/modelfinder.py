@@ -10,6 +10,24 @@ broken by a canonical constant ordering: with the constants of the clauses
 in pre-order c0, c1, ..., each ci takes a value of at most i, and a value
 d >= 1 only if some earlier constant takes d - 1.
 
+Each flattened clause is then split (Claessen & Sorensson 2003) before it
+is grounded: a clause A | B, with A its literals on one variable, becomes
+A | s(S) and ~s(S) | B for a fresh predicate s over the variables S that A
+and B share, while both halves lack a variable of the clause (see _split).
+Associativity's six variables become two clauses of five, and a clause
+with a ground term nested d deep, which flattening gives d + 1 variables,
+becomes pieces of at most two.  The split atoms are numbered after every
+function cell and predicate atom of the signature, and the model found is
+the same.  Every model of the split CNF restricts to a model of the
+original, since resolving the halves on s gives back each instance of
+A | B.  Every model M of the original extends to the split CNF by making
+s(S) true exactly where some instance of A is false: an instance of B with
+the same values of S, joined with that instance of A, is an instance of
+A | B, which M satisfies.  So the greatest model of the split CNF, which
+the solver returns, restricts to a model at least as great as the greatest
+original model (the signature's variables come first), hence to that
+model, and _decode reads only the signature's cells and atoms.
+
 Grounding is compiled once per flattened clause and domain size: each
 literal becomes a linear form in the clause's variables, whose value at an
 assignment is its propositional literal, so the instances of a clause come
@@ -146,13 +164,126 @@ def _substitute(lits: list[FlatLiteral], disequal: list[tuple[int, int]]) -> Fla
 
 
 # ---------------------------------------------------------------------------
+# Clause splitting
+
+
+def _variables(lit: FlatLiteral) -> frozenset[int]:
+    if lit[0] == "eq":
+        return frozenset(lit[1:])
+    if lit[0] == "pred":
+        return frozenset(lit[2])
+    return frozenset((*lit[2], lit[3]))
+
+
+class _Piece:
+    """A part of a clause being split: its literals, by index, and for each
+    of its variables x the cut at x, which takes the literals on x as A and
+    the rest as B.  A cut's size is (|vars A|, how many variables occur only
+    in A); |vars B| is the piece's variable count less the second number."""
+
+    def __init__(self, ids: set[int], on: dict[int, set[int]], variables: list[frozenset[int]]):
+        self.ids = ids
+        self.on = on  # variable -> indices of the piece's literals on it
+        self.variables = variables  # literal index -> its variables
+        self.size: dict[int, tuple[int, int]] = {}
+        self.by_size: dict[tuple[int, int], set[int]] = {}
+        for x in on:
+            self.measure(x)
+
+    def measure(self, x: int) -> None:
+        self.forget(x)
+        mine = self.on[x]
+        reach = frozenset().union(*map(self.variables.__getitem__, mine))
+        size = len(reach), sum(mine.issuperset(self.on[u]) for u in reach)
+        self.size[x] = size
+        self.by_size.setdefault(size, set()).add(x)
+
+    def forget(self, x: int) -> None:
+        if x in self.size:
+            self.by_size[self.size.pop(x)].discard(x)
+
+    def best(self) -> int | None:
+        """The variable of the valid cut of least (max(|vars A|, |vars B|),
+        |vars A| + |vars B|), the least variable on ties; None if no cut is
+        valid.  A cut is valid when vars A lacks a variable of the piece:
+        then B is not empty, and vars B always lacks x."""
+        n = len(self.on)
+        cuts = [
+            (max(a, n - only), a + n - only, min(xs))
+            for (a, only), xs in self.by_size.items()
+            if xs and a < n
+        ]
+        return min(cuts)[2] if cuts else None
+
+
+def _split(flat: FlatClause, splits: dict[str, int]) -> list[FlatClause]:
+    """The flat clause as pieces with fewer variables each, linked by fresh
+    split atoms; splits gets each new atom's name and arity.
+
+    A piece A | B whose best cut (see _Piece.best) is at x, with A the
+    literals on x, becomes A | s(S) and ~s(S) | B for a fresh s and S the
+    variables A and B share, until no piece has a valid cut.  Variables keep
+    their numbers in the clause until the pieces are final, which numbers
+    each densely.  A clause with a literal on all its variables has no valid
+    cut and comes back at once."""
+    n = flat.nvars
+    if n < 2 or any(len(_variables(lit)) == n for lit in flat.literals):
+        return [flat]
+    literals = list(flat.literals)
+    variables = [_variables(lit) for lit in literals]
+    on: dict[int, set[int]] = {}
+    for i, vs in enumerate(variables):
+        for v in vs:
+            on.setdefault(v, set()).add(i)
+    done: list[set[int]] = []
+    work = [_Piece(set(range(len(literals))), on, variables)]
+    while work:
+        piece = work.pop()
+        x = piece.best()
+        if x is None:
+            done.append(piece.ids)
+            continue
+        inside = piece.on[x]
+        reach = frozenset().union(*map(variables.__getitem__, inside))
+        only = {u for u in reach if inside.issuperset(piece.on[u])}
+        shared = reach - only
+        name = f"$split{len(splits)}"
+        splits[name] = len(shared)
+        args = tuple(sorted(shared))
+        literals += [("pred", name, args, True), ("pred", name, args, False)]
+        variables += [shared, shared]
+        pos, neg = len(literals) - 2, len(literals) - 1
+        part = {u: piece.on[u] & inside for u in reach}
+        for u in shared:
+            part[u].add(pos)
+        # The piece itself becomes ~s(S) | B.  Only the shared variables'
+        # cuts change: any other variable of B has all its literals in B.
+        piece.ids -= inside
+        piece.ids.add(neg)
+        for u in only:
+            del piece.on[u]
+            piece.forget(u)
+        for u in shared:
+            piece.on[u] = (piece.on[u] - inside) | {neg}
+        for u in shared:
+            piece.measure(u)
+        work += [piece, _Piece(inside | {pos}, part, variables)]
+    if len(done) == 1:
+        return [flat]
+    return [_substitute([literals[i] for i in sorted(ids)], []) for ids in done]
+
+
+# ---------------------------------------------------------------------------
 # Propositional variable layout
 
 
 class _VarLayout:
-    """Deterministic numbering of predicate atoms and function cells."""
+    """Deterministic numbering of predicate atoms and function cells, and
+    after all of them the atoms of the split predicates (see _split)."""
 
-    def __init__(self, preds: dict[str, int], funcs: dict[str, int], n: int):
+    def __init__(
+        self, preds: dict[str, int], funcs: dict[str, int], splits: dict[str, int], n: int
+    ):
         self.n = n
         self.pred_base: dict[str, int] = {}
         self.func_base: dict[str, int] = {}
@@ -165,6 +296,9 @@ class _VarLayout:
         for name in sorted(preds):
             self.pred_base[name] = next_id
             next_id += n ** preds[name]
+        for name, arity in splits.items():
+            self.pred_base[name] = next_id
+            next_id += n**arity
         self.count = next_id - 1
         self.preds = preds
         self.funcs = funcs
@@ -492,7 +626,9 @@ def find_model(
 ) -> ModelOutcome:
     """Search domains of increasing size for a verified model of the formulas.
 
-    A symbol used at two arities is an input error (ValueError)."""
+    A symbol used at two arities, or one whose name starts with '$' (the
+    parser rejects those, and split predicates use them), is an input
+    error (ValueError)."""
     deadline = time.monotonic() + limits.timeout
     try:
         clauses = clausify(list(formulas), limits.max_clause_count)
@@ -506,14 +642,17 @@ def find_model(
     # functions are fresh, so a clash of arities is in the input.
     for f in originals:
         for sym, arity, is_predicate in symbols(f):
+            if sym.startswith("$"):
+                raise ValueError(f"symbol {sym} is reserved ('$'-prefixed names are internal)")
             table = preds if is_predicate else funcs
             if table.setdefault(sym, arity) != arity:
                 raise ValueError(f"symbol {sym} used with arity {table[sym]} and arity {arity}")
-    flats = [_flatten(literals) for literals, _ in clauses]
+    splits: dict[str, int] = {}
+    flats = [piece for literals, _ in clauses for piece in _split(_flatten(literals), splits)]
     for n in range(1, limits.max_domain_size + 1):
         if time.monotonic() >= deadline:
             return ModelOutcome(ModelKind.ResourceOut)
-        layout = _VarLayout(preds, funcs, n)
+        layout = _VarLayout(preds, funcs, splits, n)
         cnf, trivially_unsat, resource_out = _ground(
             flats, layout, constants, deadline, limits.max_clause_count
         )

@@ -111,11 +111,11 @@ FLAT_FUNCS = {"c": 0, "f": 1, "g": 2}
 
 
 @st.composite
-def flat_clauses(draw):
-    nvars = draw(st.integers(1, 4))
+def flat_clauses(draw, max_vars=4, max_literals=4):
+    nvars = draw(st.integers(1, max_vars))
     var = st.integers(0, nvars - 1)
     literals = []
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, max_literals))):
         kind = draw(st.sampled_from(["pred", "func", "eq"]))
         if kind == "eq":
             literals.append(("eq", draw(var), draw(var)))
@@ -135,7 +135,7 @@ def test_compiled_literals_agree_with_the_layout(flat, n):
     """At every assignment, a compiled pred or func literal is the signed
     pred_var or func_var of its instance, and a compiled equation is zero
     exactly where its two variables are equal."""
-    layout = modelfinder._VarLayout(FLAT_PREDS, FLAT_FUNCS, n)
+    layout = modelfinder._VarLayout(FLAT_PREDS, FLAT_FUNCS, {}, n)
     literals, equations = modelfinder._compile(flat, layout)
     assignments = list(itertools.product(range(n), repeat=flat.nvars))
     want_literals, want_equations = [], []
@@ -155,6 +155,94 @@ def test_compiled_literals_agree_with_the_layout(flat, n):
     assert [
         [v == 0 for v in modelfinder._values(f, n)] for f in equations
     ] == want_equations
+
+
+def split_by_definition(flat):
+    """_split's rule with every cut worked out again from the literals, as
+    (pieces, splits)."""
+    literals = list(flat.literals)
+    variables = [modelfinder._variables(lit) for lit in literals]
+    splits, done, work = {}, [], [list(range(len(literals)))]
+    while work:
+        ids = work.pop()
+        every = set().union(*(variables[i] for i in ids))
+        cuts = []
+        for x in sorted(every):
+            a = [i for i in ids if x in variables[i]]
+            b = [i for i in ids if x not in variables[i]]
+            va = set().union(*(variables[i] for i in a))
+            vb = set().union(*(variables[i] for i in b))
+            if a and b and len(va) < len(every) and len(vb) < len(every):
+                cuts.append((max(len(va), len(vb)), len(va) + len(vb), x, a, b, va & vb))
+        if not cuts:
+            done.append(ids)
+            continue
+        *_, a, b, shared = min(cuts)
+        name, args = f"$split{len(splits)}", tuple(sorted(shared))
+        splits[name] = len(args)
+        literals += [("pred", name, args, True), ("pred", name, args, False)]
+        variables += [shared, shared]
+        work += [b + [len(literals) - 1], a + [len(literals) - 2]]
+    if len(done) == 1:
+        return [flat], splits
+    pieces = [modelfinder._substitute([literals[i] for i in sorted(ids)], []) for ids in done]
+    return pieces, splits
+
+
+class TestSplit:
+    """Clause splitting: a cut at the variable x takes the literals on x as
+    A, the rest as B, and links A | s(S) and ~s(S) | B by the variables S
+    they share."""
+
+    def test_associativity_becomes_two_five_variable_clauses(self):
+        flat = flat_clause("![X,Y,Z]: mult(mult(X,Y),Z) = mult(X,mult(Y,Z))")
+        splits = {}
+        pieces = modelfinder._split(flat, splits)
+        assert [piece.nvars for piece in pieces] == [5, 5]
+        assert splits == {"$split0": 4}
+
+    def test_a_literal_on_every_variable_leaves_the_clause_whole(self):
+        flat = flat_clause("![X]: mult(e,X) = X")
+        splits = {}
+        assert modelfinder._split(flat, splits) == [flat]
+        assert splits == {}
+
+    def test_a_wide_clause_splits_without_recursion(self):
+        """2,000 literals on as many variables come apart one literal per
+        cut, 1,999 cuts deep."""
+        flat = modelfinder.FlatClause(2000, tuple(("pred", "q", (i,), True) for i in range(2000)))
+        splits = {}
+        start = time.monotonic()
+        pieces = modelfinder._split(flat, splits)
+        assert time.monotonic() - start < 1
+        assert (len(pieces), max(piece.nvars for piece in pieces)) == (2000, 1)
+        assert list(splits.values()) == [0] * 1999
+
+    @settings(max_examples=300)
+    @given(flat=flat_clauses(max_vars=7, max_literals=8))
+    def test_split_follows_its_rule(self, flat):
+        """_split keeps each cut's size up to date as pieces come off; the
+        definition works every cut out afresh."""
+        splits = {}
+        assert (modelfinder._split(flat, splits), splits) == split_by_definition(flat)
+
+    @given(flat=flat_clauses(), n=st.integers(1, 3))
+    def test_split_keeps_the_greatest_model(self, flat, n):
+        """Every piece has fewer variables than its clause.  The pieces have
+        a model at size n exactly when the clause has one, and the solver's
+        model agrees on the signature's variables, which come first."""
+        splits = {}
+        pieces = modelfinder._split(flat, splits)
+        if pieces != [flat]:
+            assert all(piece.nvars < flat.nvars for piece in pieces)
+        deadline = time.monotonic() + 60
+        answers = []
+        for flats, split in (([flat], {}), (pieces, splits)):
+            layout = modelfinder._VarLayout(FLAT_PREDS, FLAT_FUNCS, split, n)
+            cnf, trivially_unsat, _ = modelfinder._ground(flats, layout, [], deadline, 10**9)
+            answer = None if trivially_unsat else modelfinder._dpll(cnf, layout.count, deadline, 10**9)
+            answers.append(answer and answer[: signature_variables(layout) + 1])
+        assert answers[0] == answers[1]
 
 
 class TestFindModel:
@@ -228,6 +316,25 @@ class TestFindModel:
         with pytest.raises(ValueError, match=r"symbol p used with arity 1 and arity 0"):
             find_model(formulas, EngineLimits(timeout=10, max_domain_size=3))
 
+    def test_dollar_symbol_is_an_input_error(self):
+        """The parser rejects '$'-prefixed symbols, the library API does not;
+        the finder names its own split predicates that way."""
+        formulas = [("a", Atom("$split0", ("c",)))]
+        with pytest.raises(ValueError, match=r"symbol \$split0 is reserved"):
+            find_model(formulas, EngineLimits(timeout=10, max_domain_size=3))
+
+    @pytest.mark.parametrize("depth", [20, 100])
+    def test_a_deep_ground_term_is_found_at_once(self, depth):
+        """Flattening gives q = f(...f(c)...) depth + 1 variables, so the
+        clause has 2**(depth + 1) instances at size 2; split, none of its
+        pieces has more than two variables."""
+        term = "c"
+        for _ in range(depth):
+            term = f"f({term})"
+        formulas = formulas_of(f"fof(a1, axiom, q = {term}). fof(a2, axiom, c != q).")
+        out = find_model(formulas, EngineLimits(timeout=1, max_domain_size=2))
+        assert (out.kind, out.model.domain_size) == (ModelKind.ModelFound, 2)
+
     def test_determinism(self):
         formulas = formulas_of(
             "fof(a1, axiom, ! [X] : (p(X) | q(X))). fof(a2, axiom, ? [X] : ~p(X))."
@@ -273,7 +380,8 @@ class TestTextbookFamilies:
         out = find_model(formulas, EngineLimits(timeout=60, max_domain_size=6))
         assert (out.kind, out.model.domain_size) == (ModelKind.ModelFound, 6)
         assert verify_model(out.model, [f for _, f in formulas])
-        assert ground_sizes[6] < 60_000  # 235,477 with a variable per side
+        # 235,477 with a variable per side, 45,123 with associativity unsplit
+        assert ground_sizes[6] < 20_000
 
     def test_five_pigeons_do_not_fit_four_holes(self):
         formulas = formulas_of(PIGEONHOLE_5_4)
@@ -298,32 +406,32 @@ GROUP_COMMUTATIVITY = GROUP_AXIOMS + (
 STAGE_PINS = {
     "cyclic_order_2": (
         5, [1, 2],
-        "f8556080c78e4d7782847e09dd5965a68b31d8168b3873c12b1025daecfec081",
-        "682b8ea9f7175c89cb328693af1869773b36e88f36aa25c812ea20883a438782",
+        "012e4088aa6a9b537f2da92e2feacd264b1fc201b80ae83380b9e5c988b7f5d5",
+        "ec453df02bac548c054dfd28390840b18686d5dadbe2de4c8fc3728830b20ce7",
         "682b8ea9f7175c89cb328693af1869773b36e88f36aa25c812ea20883a438782",
     ),
     "cyclic_order_3": (
         5, [1, 2, 3],
-        "70d569293ecf2a8e3af44f65bee342b60e9adac7f6fd46df08359fb90ff74b6d",
-        "4b193ad93998150cce93b58de14af631d9cc17398d16e04bbbd8221d5acaaa07",
+        "3b371bd1024221b1d9d99bbae2ee3f3675536058b13b4299873432ebd862134f",
+        "5501c6b40b86e87563b32c6ad1ad9242cccc40a328814cbc9af9936c84bce5a9",
         "4b193ad93998150cce93b58de14af631d9cc17398d16e04bbbd8221d5acaaa07",
     ),
     "cyclic_order_4": (
         5, [1, 2, 3, 4],
-        "b58139e5ef561367458d629090b49a90c49bc732171e26a10100dfb3bef380a0",
-        "1999a774b2d20448d7a2fd66be3f87ede0db7f58340da795ebb9ed1106e374bd",
+        "16db554cd39adabb0ab6491927fb24a7f16b5c3d7a87078def168b1871c89333",
+        "2cc09323915fc1c523a59a4346992a21821778084e4b606e84dc9bf639c16e72",
         "1999a774b2d20448d7a2fd66be3f87ede0db7f58340da795ebb9ed1106e374bd",
     ),
     "cyclic_order_5": (
         5, [1, 2, 3, 4, 5],
-        "019ad072f9ce506f52d4ecc18e90a673f71dc3799ebae4a8ee1cf23c7d60039a",
-        "640e05679e06493dffa14bafe4f5c7c3b7cbe3fe6752d6a0f64806f1c3565fea",
+        "9075e5a2de5fcf3231d93f470a7f369f47ef753b259f06111cb93edfbe1dcdf0",
+        "41033f787f07cbb9533fb9dc888b10cf13b30b717d2d4f75f8298e6587d730d2",
         "640e05679e06493dffa14bafe4f5c7c3b7cbe3fe6752d6a0f64806f1c3565fea",
     ),
     "group_commutativity": (
         6, [1, 1, 1, 2, 3, 4, 5, 6],
-        "ec5890e484046ec8616216c34a0ecf12704d4f64c5915c1072bd94064b12495d",
-        "d7bf377d7b1a8bc2c7f891e2e457de3e92916a320cce8942a0c8cd7f7371b790",
+        "1bc852ca48d2c47e90130870f7d40cc32bcaabf44919ef47d3c073d03ea9d48d",
+        "b363702909924c3354d22095d20e92d17b22f267d2fa7f797243d8f732263f5c",
         "d7bf377d7b1a8bc2c7f891e2e457de3e92916a320cce8942a0c8cd7f7371b790",
     ),
     "pigeonhole_5_4": (
@@ -334,8 +442,8 @@ STAGE_PINS = {
     ),
     "puz001": (
         4, [1, 2, 3, 1, 2, 3, 1, 2, 3, 4],
-        "abe913c6fe96d973dfe4870b6a0feafef9171a1af44ca6ef94635df9be5c9638",
-        "401cd3a8f6aa472e6ad77b934d8ce4dbf1beb3a4774ac0cd37a49337c5788e01",
+        "7c3d721511eafcce7e7307320e19254365a3c05ad20f8a8fa53ac9e67879079a",
+        "b34008df49170d846526cc75f07ad76fdd9dd81548357fee680f4d74219f6d62",
         "401cd3a8f6aa472e6ad77b934d8ce4dbf1beb3a4774ac0cd37a49337c5788e01",
     ),
 }
@@ -471,7 +579,7 @@ class TestGroundingLimits:
         """Associativity at size 10 has 10**6 instances, seconds of work;
         grounding stops within the instances after a 50 ms deadline."""
         flat = flat_clause("![X,Y,Z]: mult(mult(X,Y),Z) = mult(X,mult(Y,Z))")
-        layout = modelfinder._VarLayout({}, {"mult": 2}, 10)
+        layout = modelfinder._VarLayout({}, {"mult": 2}, {}, 10)
         start = time.monotonic()
         cnf, trivially_unsat, resource_out = modelfinder._ground(
             [flat], layout, [], start + 0.05, 10**9
@@ -516,7 +624,7 @@ def pigeonhole_5_4_at_size_5():
     clauses = clausify(formulas_of(PIGEONHOLE_5_4))
     preds, funcs = clause_signature(clauses)
     constants = [sym for sym, arity in funcs.items() if arity == 0]
-    layout = modelfinder._VarLayout(preds, funcs, 5)
+    layout = modelfinder._VarLayout(preds, funcs, {}, 5)
     flats = [modelfinder._flatten(literals) for literals, _ in clauses]
     cnf, _, _ = modelfinder._ground(flats, layout, constants, time.monotonic() + 60, 10**9)
     return cnf, layout.count
