@@ -256,8 +256,10 @@ def _split(flat: FlatClause, splits: dict[str, int]) -> list[FlatClause]:
         part = {u: piece.on[u] & inside for u in reach}
         for u in shared:
             part[u].add(pos)
-        # The piece itself becomes ~s(S) | B.  Only the shared variables'
-        # cuts change: any other variable of B has all its literals in B.
+        # The piece itself becomes ~s(S) | B and keeps its tables, so a wide
+        # clause that sheds a small A per cut is not measured afresh each
+        # time.  Only the shared variables' cuts change: any other variable
+        # of B has all its literals in B.
         piece.ids -= inside
         piece.ids.add(neg)
         for u in only:
