@@ -16,9 +16,10 @@ A | s(S) and ~s(S) | B for a fresh predicate s over the variables S that A
 and B share, while both halves lack a variable of the clause (see _split).
 Associativity's six variables become two clauses of five, and a clause
 with a ground term nested d deep, which flattening gives d + 1 variables,
-becomes pieces of at most two.  The split atoms are numbered after every
-function cell and predicate atom of the signature, and the model found is
-the same.  Every model of the split CNF restricts to a model of the
+becomes pieces of at most two.  A split predicate is named by its index,
+an int, which no input symbol (a str) can equal.  The split atoms are
+numbered after every function cell and predicate atom of the signature,
+and the model found is the same.  Every model of the split CNF restricts to a model of the
 original, since resolving the halves on s gives back each instance of
 A | B.  Every model M of the original extends to the split CNF by making
 s(S) true exactly where some instance of A is false: an instance of B with
@@ -216,9 +217,10 @@ class _Piece:
         return min(cuts)[2] if cuts else None
 
 
-def _split(flat: FlatClause, splits: dict[str, int]) -> list[FlatClause]:
+def _split(flat: FlatClause, splits: list[int]) -> list[FlatClause]:
     """The flat clause as pieces with fewer variables each, linked by fresh
-    split atoms; splits gets each new atom's name and arity.
+    split atoms; splits gets each new atom's arity, and the atom's name is
+    its index there.
 
     A piece A | B whose best cut (see _Piece.best) is at x, with A the
     literals on x, becomes A | s(S) and ~s(S) | B for a fresh s and S the
@@ -247,8 +249,8 @@ def _split(flat: FlatClause, splits: dict[str, int]) -> list[FlatClause]:
         reach = frozenset().union(*map(variables.__getitem__, inside))
         only = {u for u in reach if inside.issuperset(piece.on[u])}
         shared = reach - only
-        name = f"$split{len(splits)}"
-        splits[name] = len(shared)
+        name = len(splits)
+        splits.append(len(shared))
         args = tuple(sorted(shared))
         literals += [("pred", name, args, True), ("pred", name, args, False)]
         variables += [shared, shared]
@@ -284,10 +286,10 @@ class _VarLayout:
     after all of them the atoms of the split predicates (see _split)."""
 
     def __init__(
-        self, preds: dict[str, int], funcs: dict[str, int], splits: dict[str, int], n: int
+        self, preds: dict[str, int], funcs: dict[str, int], splits: list[int], n: int
     ):
         self.n = n
-        self.pred_base: dict[str, int] = {}
+        self.pred_base: dict[str | int, int] = {}
         self.func_base: dict[str, int] = {}
         next_id = 1  # DIMACS-style 1-based variables
         # Function cells first: deciding them early lets the clause
@@ -298,14 +300,14 @@ class _VarLayout:
         for name in sorted(preds):
             self.pred_base[name] = next_id
             next_id += n ** preds[name]
-        for name, arity in splits.items():
+        for name, arity in enumerate(splits):
             self.pred_base[name] = next_id
             next_id += n**arity
         self.count = next_id - 1
         self.preds = preds
         self.funcs = funcs
 
-    def pred_var(self, name: str, args: tuple[int, ...]) -> int:
+    def pred_var(self, name: str | int, args: tuple[int, ...]) -> int:
         idx = 0
         for a in args:
             idx = idx * self.n + a
@@ -628,9 +630,7 @@ def find_model(
 ) -> ModelOutcome:
     """Search domains of increasing size for a verified model of the formulas.
 
-    A symbol used at two arities, or one whose name starts with '$' (the
-    parser rejects those, and split predicates use them), is an input
-    error (ValueError)."""
+    A symbol used at two arities is an input error (ValueError)."""
     deadline = time.monotonic() + limits.timeout
     try:
         clauses = clausify(list(formulas), limits.max_clause_count)
@@ -644,12 +644,10 @@ def find_model(
     # functions are fresh, so a clash of arities is in the input.
     for f in originals:
         for sym, arity, is_predicate in symbols(f):
-            if sym.startswith("$"):
-                raise ValueError(f"symbol {sym} is reserved ('$'-prefixed names are internal)")
             table = preds if is_predicate else funcs
             if table.setdefault(sym, arity) != arity:
                 raise ValueError(f"symbol {sym} used with arity {table[sym]} and arity {arity}")
-    splits: dict[str, int] = {}
+    splits: list[int] = []
     flats = [piece for literals, _ in clauses for piece in _split(_flatten(literals), splits)]
     for n in range(1, limits.max_domain_size + 1):
         if time.monotonic() >= deadline:

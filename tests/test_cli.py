@@ -389,6 +389,16 @@ class TestConsistency:
         assert code == 0
         assert "may be inconsistent" in out
 
+    def test_quoted_dollar_constant_gets_a_model(self, tmp_path):
+        """A quoted functor may start with '$'; the model finder takes it as
+        any other constant."""
+        path = tmp_path / "dollar.p"
+        path.write_text("fof(a1, axiom, p('$a')).\n")
+        code, out, _ = run_cli(["consistency", str(path)])
+        assert code == 0
+        assert "axioms: ModelFound" in out
+        assert "$a = 0" in out
+
     @pytest.mark.parametrize(
         "mode, outcome, negated",
         [

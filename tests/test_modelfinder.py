@@ -135,7 +135,7 @@ def test_compiled_literals_agree_with_the_layout(flat, n):
     """At every assignment, a compiled pred or func literal is the signed
     pred_var or func_var of its instance, and a compiled equation is zero
     exactly where its two variables are equal."""
-    layout = modelfinder._VarLayout(FLAT_PREDS, FLAT_FUNCS, {}, n)
+    layout = modelfinder._VarLayout(FLAT_PREDS, FLAT_FUNCS, [], n)
     literals, equations = modelfinder._compile(flat, layout)
     assignments = list(itertools.product(range(n), repeat=flat.nvars))
     want_literals, want_equations = [], []
@@ -162,7 +162,7 @@ def split_by_definition(flat):
     (pieces, splits)."""
     literals = list(flat.literals)
     variables = [modelfinder._variables(lit) for lit in literals]
-    splits, done, work = {}, [], [list(range(len(literals)))]
+    splits, done, work = [], [], [list(range(len(literals)))]
     while work:
         ids = work.pop()
         every = set().union(*(variables[i] for i in ids))
@@ -178,8 +178,8 @@ def split_by_definition(flat):
             done.append(ids)
             continue
         *_, a, b, shared = min(cuts)
-        name, args = f"$split{len(splits)}", tuple(sorted(shared))
-        splits[name] = len(args)
+        name, args = len(splits), tuple(sorted(shared))
+        splits.append(len(args))
         literals += [("pred", name, args, True), ("pred", name, args, False)]
         variables += [shared, shared]
         work += [b + [len(literals) - 1], a + [len(literals) - 2]]
@@ -196,28 +196,28 @@ class TestSplit:
 
     def test_associativity_becomes_two_five_variable_clauses(self):
         flat = flat_clause("![X,Y,Z]: mult(mult(X,Y),Z) = mult(X,mult(Y,Z))")
-        splits = {}
+        splits = []
         pieces = modelfinder._split(flat, splits)
         assert [piece.nvars for piece in pieces] == [5, 5]
-        assert splits == {"$split0": 4}
+        assert splits == [4]
 
     def test_a_wide_clause_splits_without_recursion(self):
         """2,000 literals on as many variables come apart one literal per
         cut, 1,999 cuts deep."""
         flat = modelfinder.FlatClause(2000, tuple(("pred", "q", (i,), True) for i in range(2000)))
-        splits = {}
+        splits = []
         start = time.monotonic()
         pieces = modelfinder._split(flat, splits)
         assert time.monotonic() - start < 1
         assert (len(pieces), max(piece.nvars for piece in pieces)) == (2000, 1)
-        assert list(splits.values()) == [0] * 1999
+        assert splits == [0] * 1999
 
     @settings(max_examples=300)
     @given(flat=flat_clauses(max_vars=7, max_literals=8))
     def test_split_follows_its_rule(self, flat):
         """_split keeps each cut's size up to date as pieces come off; the
         definition works every cut out afresh."""
-        splits = {}
+        splits = []
         assert (modelfinder._split(flat, splits), splits) == split_by_definition(flat)
 
     @given(flat=flat_clauses(), n=st.integers(1, 3))
@@ -225,13 +225,13 @@ class TestSplit:
         """Every piece has fewer variables than its clause.  The pieces have
         a model at size n exactly when the clause has one, and the solver's
         model agrees on the signature's variables, which come first."""
-        splits = {}
+        splits = []
         pieces = modelfinder._split(flat, splits)
         if pieces != [flat]:
             assert all(piece.nvars < flat.nvars for piece in pieces)
         deadline = time.monotonic() + 60
         answers = []
-        for flats, split in (([flat], {}), (pieces, splits)):
+        for flats, split in (([flat], []), (pieces, splits)):
             layout = modelfinder._VarLayout(FLAT_PREDS, FLAT_FUNCS, split, n)
             cnf, trivially_unsat, _ = modelfinder._ground(flats, layout, [], deadline, 10**9)
             if trivially_unsat:
@@ -313,12 +313,20 @@ class TestFindModel:
         with pytest.raises(ValueError, match=r"symbol p used with arity 1 and arity 0"):
             find_model(formulas, EngineLimits(timeout=10, max_domain_size=3))
 
-    def test_dollar_symbol_is_an_input_error(self):
-        """The parser rejects '$'-prefixed symbols, the library API does not;
-        the finder names its own split predicates that way."""
-        formulas = [("a", Atom("$split0", ("c",)))]
-        with pytest.raises(ValueError, match=r"symbol \$split0 is reserved"):
-            find_model(formulas, EngineLimits(timeout=10, max_domain_size=3))
+    def test_input_symbols_never_meet_split_atoms(self):
+        """A split predicate is named by an int, so no input symbol shares its
+        atoms, '$'-prefixed ones from the library API included."""
+        assoc = "![X,Y,Z]: mult(mult(X,Y),Z) = mult(X,mult(Y,Z))"
+        splits = []
+        modelfinder._split(flat_clause(assoc), splits)
+        layout = modelfinder._VarLayout({"$split0": 4, "0": 4}, {"mult": 2}, splits, 2)
+        assert layout.pred_base == {"$split0": 9, "0": 25, 0: 41}
+        # Were the split atom's table that of $split0, this would leave
+        # associativity's first piece without its split literal: no model.
+        empty = Quantified("!", ("X", "Y", "Z", "W"), Not(Atom("$split0", ("X", "Y", "Z", "W"))))
+        formulas = formulas_of(f"fof(assoc, axiom, {assoc}).") + [("a", empty)]
+        outcome = find_model(formulas, EngineLimits(timeout=10, max_domain_size=2))
+        assert outcome.kind is ModelKind.ModelFound
 
     @pytest.mark.parametrize("depth", [20, 100])
     def test_a_deep_ground_term_is_found_at_once(self, depth):
@@ -576,7 +584,7 @@ class TestGroundingLimits:
         """Associativity at size 10 has 10**6 instances, seconds of work;
         grounding stops within the instances after a 50 ms deadline."""
         flat = flat_clause("![X,Y,Z]: mult(mult(X,Y),Z) = mult(X,mult(Y,Z))")
-        layout = modelfinder._VarLayout({}, {"mult": 2}, {}, 10)
+        layout = modelfinder._VarLayout({}, {"mult": 2}, [], 10)
         start = time.monotonic()
         cnf, trivially_unsat, resource_out = modelfinder._ground(
             [flat], layout, [], start + 0.05, 10**9
@@ -621,7 +629,7 @@ def pigeonhole_5_4_at_size_5():
     clauses = clausify(formulas_of(PIGEONHOLE_5_4))
     preds, funcs = clause_signature(clauses)
     constants = [sym for sym, arity in funcs.items() if arity == 0]
-    layout = modelfinder._VarLayout(preds, funcs, {}, 5)
+    layout = modelfinder._VarLayout(preds, funcs, [], 5)
     flats = [modelfinder._flatten(literals) for literals, _ in clauses]
     cnf, _, _ = modelfinder._ground(flats, layout, constants, time.monotonic() + 60, 10**9)
     return cnf, layout.count
