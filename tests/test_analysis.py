@@ -1,6 +1,8 @@
 """Analysis procedure tests: reproving, minima, independence, consistency."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -806,6 +808,78 @@ def test_chain_engine_calls_pinned(prover, model_finder):
     report = independence_failfast(axioms)
     assert report.witness == ("x5", frozenset({"x2", "x3"}))
     assert axioms.engine_calls == 21
+
+
+class _RecordingEngine:
+    """Runs an engine and records (engine id, goal, sorted premise names) for
+    each call.  The goal is read off the query theory: none without a
+    conjecture, the session theory's own conjecture, or a premise as the
+    target."""
+
+    def __init__(self, engine, calls: list, conjecture: str | None):
+        self.engine, self.calls, self.conjecture = engine, calls, conjecture
+        self.id, self.capabilities = engine.id, engine.capabilities
+
+    def run(self, t, limits):
+        c = t.conjecture
+        if c is None:
+            goal = ["unsat"]
+        elif c.name == self.conjecture:
+            goal = ["conjecture"]
+        else:
+            goal = ["axiom", c.name]
+        self.calls.append([self.id, goal, sorted(t.premise_names)])
+        return self.engine.run(t, limits)
+
+
+def _recording_session(t: Theory, provers, counters, limits) -> tuple[QuerySession, list]:
+    calls: list = []
+    conjecture = t.conjecture.name if t.conjecture else None
+    provers, counters = (
+        [_RecordingEngine(e, calls, conjecture) for e in group] for group in (provers, counters)
+    )
+    return QuerySession(t, provers, counters, limits), calls
+
+
+def _digest(calls: list) -> str:
+    return hashlib.sha256(json.dumps(calls).encode()).hexdigest()
+
+
+class TestEngineCallSequencePinned:
+    """Every engine call of three CLI analyses, in order, as (engine id, goal,
+    premise set), pinned by length and sha256 digest.  Each run follows its
+    cmd_* function in the CLI."""
+
+    def test_minimize_two_provers_in_one_phase(self, model_finder, limits):
+        t = parse_file(str(PROBLEM_DIR / "two_minima.p"))
+        provers = [stub_spec("theorem", engine_id="stub-yes"), stub_spec("garbage")]
+        session, calls = _recording_session(t, provers, [model_finder], limits)
+        full = frozenset(t.premise_names)
+        assert session.decide(full, prefer="prove") == Entailment.Proves
+        session.run_engine(full, session.provers[0])
+        cls, _ = semantic_reprove(session)
+        enumerate_minima(session, cls)
+        assert (len(calls), _digest(calls)) == (
+            16,
+            "79b23bf902365425666879ceb320b81a6d6c4c5a0ae6716ff8f013a867ff3c6d",
+        )
+
+    def test_independence_naive(self, prover, model_finder, limits):
+        t = parse_file(str(PROBLEM_DIR / "dependent_axioms.p")).without_conjecture()
+        session, calls = _recording_session(t, [prover], [model_finder], limits)
+        independence_naive(session)
+        assert (len(calls), _digest(calls)) == (
+            5,
+            "9e2db2ab72139442eeb0786909852311e7cec2c01c834ebdaa8fe2df7efb3c23",
+        )
+
+    def test_consistency_puz001(self, prover, model_finder, puz001, limits):
+        session, calls = _recording_session(puz001, [prover], [model_finder], limits)
+        consistency_triple(session)
+        assert (len(calls), _digest(calls)) == (
+            3,
+            "448358c904e527cec7eef8403c9364e587cbeab0a9e5c4a60f18cb07ee98436c",
+        )
 
 
 def _oracle(prover, t, names, goal, limits=LIMITS) -> Entailment:
