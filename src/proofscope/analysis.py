@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -138,13 +137,11 @@ class QuerySession:
         provers: Sequence = (),
         counters: Sequence = (),
         limits: EngineLimits | None = None,
-        parallelism: int = 1,
     ):
         self.theory = theory
         self.provers = list(provers)
         self.counters = list(counters)
         self.limits = limits or EngineLimits()
-        self.parallelism = max(1, parallelism)
         self.engine_calls = 0
         self._verdicts: dict[tuple, EngineVerdict] = {}
         self._proving: dict[tuple, list[frozenset[str]]] = {}
@@ -189,35 +186,25 @@ class QuerySession:
     def run_engine(
         self, names: frozenset[str], engine, goal: tuple | None = None
     ) -> EngineVerdict:
-        """One engine's verdict on "do these premises yield the goal?"."""
-        return self._run(names, [engine], goal or self.default_goal())[0]
-
-    def _run(self, names: frozenset[str], engines: Sequence, goal: tuple) -> list[EngineVerdict]:
-        """The engines' verdicts on one premise set, in order.  Each engine id
-        not cached for the set yet runs once, side by side up to parallelism."""
-        fresh = {e.id: e for e in engines if (goal, names, e.id) not in self._verdicts}
-
-        def call(engine):
-            return engine.run(self.query_theory(names, goal), self.limits)
-
-        if len(fresh) > 1 and self.parallelism > 1:
-            with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-                verdicts = list(pool.map(call, fresh.values()))
-        else:
-            verdicts = map(call, fresh.values())
-        kind = self.kind_for(goal)
-        for engine_id, verdict in zip(fresh, verdicts):
-            self.engine_calls += 1
-            self._verdicts[(goal, names, engine_id)] = verdict
-            ent = classify(verdict.status, kind)
-            recorded = names
-            if ent == Entailment.Proves and verdict.premises_exact:
-                # The premises the proof used prove the goal on their own.
-                recorded = verdict.used_premises & names
-            elif ent == Entailment.DoesNotProve and verdict.model is not None:
-                recorded = self._grow(names, verdict.model)
-            self._note(goal, recorded, ent)
-        return [self._verdicts[(goal, names, e.id)] for e in engines]
+        """One engine's verdict on "do these premises yield the goal?".  Each
+        (goal, premise set, engine id) runs the engine once; later asks read
+        the cache."""
+        goal = goal or self.default_goal()
+        key = (goal, names, engine.id)
+        if key in self._verdicts:
+            return self._verdicts[key]
+        verdict = engine.run(self.query_theory(names, goal), self.limits)
+        self.engine_calls += 1
+        self._verdicts[key] = verdict
+        ent = classify(verdict.status, self.kind_for(goal))
+        recorded = names
+        if ent == Entailment.Proves and verdict.premises_exact:
+            # The premises the proof used prove the goal on their own.
+            recorded = verdict.used_premises & names
+        elif ent == Entailment.DoesNotProve and verdict.model is not None:
+            recorded = self._grow(names, verdict.model)
+        self._note(goal, recorded, ent)
+        return verdict
 
     def _grow(self, names: frozenset[str], model: Interpretation) -> frozenset[str]:
         """names plus every other premise true in the model, extended to the
@@ -295,7 +282,9 @@ class QuerySession:
         kind = self.kind_for(goal)
         collected: list[Entailment] = []
         for phase in phases:
-            collected.extend(classify(v.status, kind) for v in self._run(names, phase, goal))
+            collected.extend(
+                classify(self.run_engine(names, engine, goal).status, kind) for engine in phase
+            )
             if combine(collected) != Entailment.Undetermined:
                 break
         return combine(collected)

@@ -46,7 +46,7 @@ NEEDED_CAPABILITY = {
     "consistency": (CAP_FINDS_MODELS, "a model-finding engine"),
 }
 # The settings a report's config lists: those of them the subcommand takes.
-CONFIG_KEYS = ("include_dirs", "timeout", "parallelism", "max_domain_size", "unsat_mode")
+CONFIG_KEYS = ("include_dirs", "timeout", "max_domain_size", "unsat_mode")
 
 
 @functools.cache
@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     engine.add_argument("--engine-config", help="JSON file mapping engine ids to specs")
     engine.add_argument("--timeout", type=float, default=10.0, help="seconds per engine call")
     engine.add_argument(
-        "--parallel", type=int, default=1, dest="parallelism", help="concurrent engine calls"
+        "--parallel", type=int, default=1, help="accepted for existing command lines; only 1"
     )
     engine.add_argument("--max-domain-size", type=int, default=4, help="model search bound")
     runs_engines = [common, engine]
@@ -147,8 +147,8 @@ def _check_args(args: argparse.Namespace) -> None:
     capability, engine = NEEDED_CAPABILITY[args.command]
     if not any(capability in e.capabilities for e in args.engines):
         raise EngineConfigError(f"{args.command} needs {engine}")
-    if args.parallelism < 1:
-        raise ValueError("parallelism must be at least 1")
+    if args.parallel != 1:
+        raise ValueError("--parallel takes only 1: engines run one call at a time")
     method = getattr(args, "method", None)
     chain_minima = getattr(args, "chain_minima", False)
     if method == "syntactic" and chain_minima:
@@ -174,7 +174,6 @@ def _session(args: argparse.Namespace, theory: Theory) -> tuple[QuerySession, li
         provers=[e for e in args.engines if CAP_PROVES in e.capabilities],
         counters=[e for e in args.engines if CAP_FINDS_MODELS in e.capabilities],
         limits=args.limits,
-        parallelism=args.parallelism,
     )
     return session, [e.id for e in args.engines]
 

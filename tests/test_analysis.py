@@ -606,12 +606,11 @@ class TestQuerySessionPruning:
 
     def test_engine_given_twice_runs_once(self, prover):
         """Each (goal, premise set, engine id) runs at most once, also when a
-        phase lists one engine twice and runs on the pool."""
+        phase lists one engine twice."""
         t = mk("fof(a1, axiom, p). fof(a2, axiom, q). fof(goal, conjecture, p).")
         unknown = stub_spec("garbage")
         session = QuerySession(
-            t, provers=[unknown, unknown], counters=[prover, prover],
-            limits=LIMITS, parallelism=2,
+            t, provers=[unknown, unknown], counters=[prover, prover], limits=LIMITS
         )
         full = frozenset(t.premise_names)
         assert session.decide(full) == Entailment.Proves

@@ -1,5 +1,6 @@
 """Command-line front end tests: exit codes, report formats, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import jsonschema
 import pytest
 
 import proofscope
-from proofscope import analysis, cli
+from proofscope import cli
 from proofscope.cli import main
 from proofscope.tptp import MAX_NESTING
 
@@ -93,6 +94,7 @@ FLAG_ERRORS = [
     ["minimize", "{chain}", "--timeout", "1e10"],
     ["minimize", "{chain}", "--timeout", "1e300"],
     ["minimize", "{chain}", "--parallel", "0"],
+    ["minimize", "{chain}", "--parallel", "2"],
     ["minimize", "{chain}", "--max-domain-size", "0"],
     ["consistency", "{chain}", "--max-domain-size", "0"],
     ["minimize", "{chain}", "--subset-budget", "0"],
@@ -491,7 +493,7 @@ class TestJsonContract:
         ["consistency", "{chain}", "--json"],
         ["consistency", "{chain}", "--timeout", "0.5", "--json"],
     ]
-    ENGINE_CONFIG = ["include_dirs", "max_domain_size", "parallelism", "timeout"]
+    ENGINE_CONFIG = ["include_dirs", "max_domain_size", "timeout"]
     # Each subcommand's run, the config keys its report lists (the settings the
     # run reads) and the subset budget its minima report, if any.
     CONFIG_KEYS = [
@@ -584,25 +586,6 @@ class TestDeterminism:
         _, b, _ = run_cli(argv)
         assert _scrub(a) == _scrub(b)
 
-    def test_parallel_dispatch_same_report(self, problems):
-        """Results are independent of the parallelism setting; only the
-        echoed configuration may differ.  On two_minima.p the proof found for
-        one deletion set answers a later one, in any parallelism."""
-        for argv in (
-            ["minimize", problems["chain"]],
-            ["minimize", str(PROBLEM_DIR / "two_minima.p")],
-            ["minimize", str(PROBLEM_DIR / "dependent_axioms.p"), "--unsat-mode"],
-            ["reprove", problems["chain"], "--method", "syntactic"],
-            ["independence", problems["dep"], "--method", "naive"],
-            ["consistency", problems["chain"]],
-        ):
-            _, serial, _ = run_cli(argv + ["--json"])
-            _, parallel, _ = run_cli(argv + ["--json", "--parallel", "4"])
-            a, b = json.loads(serial), json.loads(parallel)
-            a.pop("config")
-            b.pop("config")
-            assert _scrub(json.dumps(a)) == _scrub(json.dumps(b)), argv[0]
-
 
 class TestEngineConflict:
     def test_contradicting_stubs_exit_five(self, problems, tmp_path):
@@ -638,10 +621,11 @@ class TestEngineConflict:
         assert "conflict" in err
 
 
-class TestParallelPool:
-    def test_one_phase_on_the_pool_same_report(self, problems, tmp_path, monkeypatch):
-        """Two external provers sit in one phase, so with --parallel 2 they
-        run side by side on each premise set; the report is the serial one."""
+class TestTwoProversInOnePhase:
+    def test_report_and_engine_calls_pinned(self, problems, tmp_path):
+        """Two external provers sit in one phase, so each premise set that
+        reaches the provers runs both, one after the other.  The report apart
+        from its problem path and config is pinned by sha256 digest."""
         config = {
             "engines": {
                 "stub-yes": {
@@ -658,31 +642,28 @@ class TestParallelPool:
         }
         cfg_path = tmp_path / "engines.json"
         cfg_path.write_text(json.dumps(config))
-        pools = []
-
-        class CountingPool(analysis.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(analysis, "ThreadPoolExecutor", CountingPool)
         engines = [
             "--engine", "stub-yes", "--engine", "stub-unknown",
             "--engine", "builtin-model-finder", "--engine-config", str(cfg_path),
         ]
-        for argv in (
-            ["minimize", problems["chain"]],
-            ["independence", problems["dep"], "--method", "naive"],
+        for argv, engine_calls, digest in (
+            (
+                ["minimize", problems["chain"]],
+                7,
+                "a0b3f3c01b37831847d99fe84926392a372983f9ffc8f371caff245660d23b44",
+            ),
+            (
+                ["independence", problems["dep"], "--method", "naive"],
+                7,
+                "62a454d1ae056036a54052ff0709e110bdbc71a3c0122435677adc91b98cacf3",
+            ),
         ):
-            pools.clear()
-            _, serial, _ = run_cli(argv + engines + ["--json", "--parallel", "1"])
-            assert pools == []
-            _, parallel, _ = run_cli(argv + engines + ["--json", "--parallel", "2"])
-            assert pools and set(pools) == {2}
-            a, b = json.loads(serial), json.loads(parallel)
-            assert a.pop("config") != b.pop("config")
-            assert a["engine_calls"] > 0
-            assert _scrub(json.dumps(a)) == _scrub(json.dumps(b)), argv[0]
+            _, out, _ = run_cli(argv + engines + ["--json"])
+            report = json.loads(_scrub(out))
+            del report["problem"], report["config"]
+            assert report["engine_calls"] == engine_calls, argv[0]
+            text = json.dumps(report, sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, argv[0]
 
 
 class TestIncludeDirs:

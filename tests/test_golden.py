@@ -1,10 +1,10 @@
 """Golden reports: the output of the bundled problems must not drift.
 
 Each ``<case>.json`` file in tests/golden/ is the report of one case below,
-run from the repository root with ``--json``, and with ``--parallel 1
---timeout 30`` on every subcommand but ``symbols``, which takes no engine
-flags; each ``<case>.txt`` file is the text report of a case in TEXT_CASES,
-run without ``--json``.  ``exit_codes.json`` holds the exit code of every case.  A fresh
+run from the repository root with ``--json``, and with ``--timeout 30``
+on every subcommand but ``symbols``, which takes no engine flags; each
+``<case>.txt`` file is the text report of a case in TEXT_CASES, run without
+``--json``.  ``exit_codes.json`` holds the exit code of every case.  A fresh
 report must equal its file apart from the elapsed time, so a change that
 alters a verdict, a minimum, a witness, an engine-call count or the text
 layout shows up here.  When a change alters a report on purpose, regenerate
@@ -71,7 +71,6 @@ CASES = {
     "PUZ001+1.symbols": ["symbols", PUZ001],
     "PUZ001+1.consistency": ["consistency", PUZ001],
 }
-SMALL_CASES = [case for case in CASES if not case.startswith("PUZ001")]
 # One text report per subcommand on each small problem, and two on PUZ001.
 TEXT_CASES = [
     f"{problem}.{shape}"
@@ -83,19 +82,15 @@ TEXT_CASES = [
 ELAPSED = re.compile(r"elapsed: \d+\.\d\ds$", re.MULTILINE)
 
 
-def run(case: str, parallel: int = 1, json_output: bool = True) -> tuple[int, str]:
+def run(case: str, json_output: bool = True) -> tuple[int, str]:
     """The exit code and standard output of one case.  Run from the
     repository root: the report echoes the problem path."""
     argv = CASES[case]
     if argv[0] != "symbols":
-        argv = argv + ["--parallel", str(parallel), "--timeout", "30"]
+        argv = argv + ["--timeout", "30"]
     out = io.StringIO()
     code = main(argv + ["--json"] if json_output else argv, out=out, err=io.StringIO())
     return code, out.getvalue()
-
-
-def report(case: str, parallel: int = 1) -> dict:
-    return json.loads(run(case, parallel)[1])
 
 
 def golden(case: str) -> dict:
@@ -137,18 +132,6 @@ def test_text_report_matches_golden(at_root, case):
     code, out = run(case, json_output=False)
     assert ELAPSED.sub("elapsed: *s", out) == golden_text(case)
     assert code == golden_exit_code(case)
-
-
-@pytest.mark.parametrize("case", SMALL_CASES)
-def test_parallel_report_matches_golden(at_root, case):
-    """Each decision sees every answer recorded before it, so the report on
-    the thread pool is the serial one, engine calls included; only the
-    echoed parallelism differs.  symbols runs no engine and echoes none."""
-    expected = without_elapsed(golden(case))
-    got = without_elapsed(report(case, parallel=2))
-    for data in (expected, got):
-        data["config"].pop("parallelism", None)
-    assert got == expected
 
 
 if __name__ == "__main__":
