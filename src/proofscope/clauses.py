@@ -63,8 +63,9 @@ _SHAPES = {
 }
 
 
-class TooManyClauses(Exception):
-    """The clause form would hold more clauses than the limit allows."""
+class OutOfBudget(Exception):
+    """An engine call's budget ran out: the deadline passed, or the call
+    would hold more clauses than its limit."""
 
 
 def clausify(named: Sequence[tuple[str, Formula]], limit: float = math.inf) -> ClauseSet:
@@ -73,7 +74,7 @@ def clausify(named: Sequence[tuple[str, Formula]], limit: float = math.inf) -> C
     Every output clause's origin set is exactly the singleton name of its
     source formula.  Skolem symbols are fresh with respect to the whole input
     signature and numbered deterministically in input order.  Raises
-    TooManyClauses before any clause list, or the whole set, would grow past
+    OutOfBudget before any clause list, or the whole set, would grow past
     limit clauses.
     """
     taken = {sym for _, f in named for sym, _, _ in symbols(f)}
@@ -84,9 +85,13 @@ def clausify(named: Sequence[tuple[str, Formula]], limit: float = math.inf) -> C
     walks: dict[tuple[int, bool, int], tuple[list[Literals], Formula, dict[str, Term]]] = {}
 
     def join(disjoin: bool, a: list[Literals], b: list[Literals]) -> list[Literals]:
-        """Clauses of the disjunction of a and b, or of their conjunction."""
+        """Clauses of the disjunction of a and b, or of their conjunction.
+        A list that holds the empty clause is exactly [()], so a conjunction
+        with it is [()]."""
+        if not disjoin and (a == [()] or b == [()]):
+            return [()]
         if (len(a) * len(b) if disjoin else len(a) + len(b)) > limit:
-            raise TooManyClauses
+            raise OutOfBudget
         return [x + y for x in a for y in b] if disjoin else a + b
 
     def term(t: Term, subst: dict[str, Term]) -> Term:
@@ -157,7 +162,7 @@ def clausify(named: Sequence[tuple[str, Formula]], limit: float = math.inf) -> C
         origins = frozenset({name})
         clauses.extend((tuple(dict.fromkeys(lits)), origins) for lits in cnf(f, True, (), {}))
         if len(clauses) > limit:
-            raise TooManyClauses
+            raise OutOfBudget
     return tuple(clauses)
 
 

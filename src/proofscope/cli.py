@@ -265,8 +265,6 @@ def cmd_independence(theory: Theory, args: argparse.Namespace, err) -> Outcome:
             "proofscope: warning: conjecture ignored for independence analysis\n"
         )
     axioms = theory.without_conjecture()
-    if not axioms.premises:
-        raise AnalysisError("independence needs at least one axiom")
     session, engines = _session(args, axioms)
     payload: dict = {"method": args.method}
     if args.method == "naive":

@@ -34,7 +34,9 @@ literal becomes a linear form in the clause's variables, whose value at an
 assignment is its propositional literal, so the instances of a clause come
 from integer sums instead of per-instance lookups.  A size whose CNF would
 hold more than the call's max_clause_count clauses ends the search with
-ResourceOut, and so does a solver that would learn more clauses than that.
+ResourceOut, and so does a solver that would learn more clauses than that:
+each raises clauses.OutOfBudget where the budget runs out, and find_model
+alone reads it as ResourceOut.
 
 The solver is DPLL with conflict-driven clause learning: first-UIP learned
 clauses and backjumping, with fixed branching (least unassigned variable,
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .clauses import Literals, TooManyClauses, clause_signature, clausify
+from .clauses import Literals, OutOfBudget, clause_signature, clausify
 from .logic import EQUALITY, Formula, Interpretation, Term, evaluate, symbols
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -364,14 +366,16 @@ def _ground(
     constants: Sequence[str],
     deadline: float,
     max_clauses: int,
-) -> tuple[list[list[int]], bool, bool]:
-    """Ground clauses over the domain; returns (cnf, trivially_unsat, resource_out).
+) -> list[list[int]]:
+    """The CNF of the clauses' instances over the domain.
 
     Every model can be renumbered so that the constants, in the given order,
     take their values in order of first appearance: ci is at most i, and
-    ci = d >= 1 only if some cj with j < i is d - 1.  Past the deadline, or
-    once the CNF holds more than max_clauses clauses, grounding stops with
-    resource_out set; both are checked every 4096 clause instances."""
+    ci = d >= 1 only if some cj with j < i is d - 1.  An instance with no
+    literal left falsifies its clause: grounding stops there, and the CNF
+    ends with the empty clause.  Past the deadline, or once the CNF holds
+    more than max_clauses clauses, grounding raises OutOfBudget; both are
+    checked every 4096 clause instances."""
     n = layout.n
     cnf: list[list[int]] = []
     for i, c in enumerate(constants):
@@ -389,12 +393,13 @@ def _ground(
             kept = itertools.repeat(True)
         if not literals:
             if any(kept):
-                return cnf, True, False
+                cnf.append([])
+                return cnf
             continue
         rows = zip(*(_values(lit, n) for lit in literals))
         for _ in range(0, n**flat.nvars, 4096):
             if len(cnf) > max_clauses or time.monotonic() >= deadline:
-                return cnf, False, True
+                raise OutOfBudget
             block = itertools.islice(rows, 4096), itertools.islice(kept, 4096)
             for row in itertools.compress(*block):
                 uniq = set(row)
@@ -411,7 +416,9 @@ def _ground(
             for i in range(n):
                 for j in range(i + 1, n):
                     cnf.append([-cells[i], -cells[j]])
-    return cnf, False, len(cnf) > max_clauses
+    if len(cnf) > max_clauses:
+        raise OutOfBudget
+    return cnf
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +426,12 @@ def _ground(
 # backjumping, least-unassigned branching, positive first, no restarts
 
 
-_TIMEOUT = "timeout"
-_TOO_MANY_LEARNED = "too many learned clauses"
-
-
-def _dpll(clauses: list[list[int]], nvars: int, deadline: float, max_learned: int):
-    """Returns a complete assignment (list indexed 1..nvars), None, _TIMEOUT
-    past the deadline, or _TOO_MANY_LEARNED when a conflict would make it
-    hold more than max_learned learned clauses.
+def _dpll(
+    clauses: list[list[int]], nvars: int, deadline: float, max_learned: int
+) -> list[int] | None:
+    """Returns a complete assignment (list indexed 1..nvars) or None; raises
+    OutOfBudget past the deadline, or when a conflict would make it hold
+    more than max_learned learned clauses.
 
     Conflict-driven clause learning (Marques-Silva & Sakallah 1999): a
     conflict is analysed to its first unique implication point, the learned
@@ -485,7 +490,7 @@ def _dpll(clauses: list[list[int]], nvars: int, deadline: float, max_learned: in
             head += 1
             ticks += 1
             if ticks % 2048 == 0 and time.monotonic() >= deadline:
-                return _TIMEOUT
+                raise OutOfBudget
             falsified = -lit
             watching = watch[falsified]
             if not watching:
@@ -581,7 +586,7 @@ def _dpll(clauses: list[list[int]], nvars: int, deadline: float, max_learned: in
         trail.append(lit)
         if len(learned) > 1:
             if len(clauses) == full:
-                return _TOO_MANY_LEARNED
+                raise OutOfBudget
             reason[lit] = len(clauses)
             watch[lit].append(len(clauses))
             watch[learned[1]].append(len(clauses))
@@ -630,49 +635,41 @@ def find_model(
 ) -> ModelOutcome:
     """Search domains of increasing size for a verified model of the formulas.
 
-    A symbol used at two arities is an input error (ValueError)."""
+    The call's budget running out while clausifying, grounding, solving or
+    verifying ends the search with ResourceOut.  A symbol used at two
+    arities is an input error (ValueError)."""
     deadline = time.monotonic() + limits.timeout
     try:
         clauses = clausify(list(formulas), limits.max_clause_count)
-    except TooManyClauses:
+        originals = [f for _, f in formulas]
+        preds, funcs = clause_signature(clauses)
+        constants = [sym for sym, arity in funcs.items() if arity == 0]  # pre-order
+        # Clauses can drop tautological parts; decoded models must still
+        # cover every symbol of the original formulas for verification.
+        # Skolem functions are fresh, so a clash of arities is in the input.
+        for f in originals:
+            for sym, arity, is_predicate in symbols(f):
+                table = preds if is_predicate else funcs
+                if table.setdefault(sym, arity) != arity:
+                    raise ValueError(
+                        f"symbol {sym} used with arity {table[sym]} and arity {arity}"
+                    )
+        splits: list[int] = []
+        flats = [p for literals, _ in clauses for p in _split(_flatten(literals), splits)]
+        for n in range(1, limits.max_domain_size + 1):
+            if time.monotonic() >= deadline:
+                raise OutOfBudget
+            layout = _VarLayout(preds, funcs, splits, n)
+            cnf = _ground(flats, layout, constants, deadline, limits.max_clause_count)
+            result = _dpll(cnf, layout.count, deadline, limits.max_clause_count)
+            if result is None:
+                continue
+            model = _decode(result, layout, n)
+            if not verify_model(model, originals, deadline):
+                raise RuntimeError("decoded model failed verification; grounding bug")
+            return ModelOutcome(ModelKind.ModelFound, model=model)
+    except (OutOfBudget, TimeoutError):  # evaluate's own signal, under verify_model
         return ModelOutcome(ModelKind.ResourceOut)
-    originals = [f for _, f in formulas]
-    preds, funcs = clause_signature(clauses)
-    constants = [sym for sym, arity in funcs.items() if arity == 0]  # pre-order
-    # Clauses can drop tautological parts; decoded models must still cover
-    # every symbol of the original formulas for verification.  Skolem
-    # functions are fresh, so a clash of arities is in the input.
-    for f in originals:
-        for sym, arity, is_predicate in symbols(f):
-            table = preds if is_predicate else funcs
-            if table.setdefault(sym, arity) != arity:
-                raise ValueError(f"symbol {sym} used with arity {table[sym]} and arity {arity}")
-    splits: list[int] = []
-    flats = [piece for literals, _ in clauses for piece in _split(_flatten(literals), splits)]
-    for n in range(1, limits.max_domain_size + 1):
-        if time.monotonic() >= deadline:
-            return ModelOutcome(ModelKind.ResourceOut)
-        layout = _VarLayout(preds, funcs, splits, n)
-        cnf, trivially_unsat, resource_out = _ground(
-            flats, layout, constants, deadline, limits.max_clause_count
-        )
-        if resource_out:
-            return ModelOutcome(ModelKind.ResourceOut)
-        if trivially_unsat:
-            continue
-        result = _dpll(cnf, layout.count, deadline, limits.max_clause_count)
-        if result == _TIMEOUT or result == _TOO_MANY_LEARNED:
-            return ModelOutcome(ModelKind.ResourceOut)
-        if result is None:
-            continue
-        model = _decode(result, layout, n)
-        try:
-            verified = verify_model(model, originals, deadline)
-        except TimeoutError:
-            return ModelOutcome(ModelKind.ResourceOut)
-        if not verified:
-            raise RuntimeError("decoded model failed verification; grounding bug")
-        return ModelOutcome(ModelKind.ModelFound, model=model)
     return ModelOutcome(ModelKind.ExhaustedUpTo, exhausted_size=limits.max_domain_size)
 
 

@@ -29,7 +29,7 @@ from .clauses import (
     ClauseSet,
     Literal,
     Literals,
-    TooManyClauses,
+    OutOfBudget,
     clause_signature,
     clausify,
     contains_equality,
@@ -413,8 +413,18 @@ def congruence_axioms(clauses: ClauseSet) -> ClauseSet:
 # Saturation
 
 
+class _Refuted(Exception):
+    """The search derived the empty clause, from the input clauses of these
+    origins."""
+
+    def __init__(self, origins: frozenset[str]):
+        super().__init__()
+        self.origins = origins
+
+
 class _Saturation:
     def __init__(self, initial: ClauseSet, limits: EngineLimits):
+        self.initial = initial
         self.max_clause_count = limits.max_clause_count
         self.deadline = time.monotonic() + limits.timeout
         self.heap: list[tuple[int, int, int]] = []  # (weight, age, slot)
@@ -434,19 +444,12 @@ class _Saturation:
         self.seen: set[Literals] = set()
         self.generated = 0
         self.kept = 0
-        self.empty: frozenset[str] | None = None  # the empty clause's origins
-        self.out_of_resources = False
         self._tick = 0
-        for literals, origins in initial:
-            self._insert(normalize(literals), origins)
-            if self.empty is not None:
-                return
 
     def _insert(self, literals: Literals, origins: frozenset[str]) -> None:
         self.generated += 1
         if not literals:
-            self.empty = origins
-            return
+            raise _Refuted(origins)
         if _is_tautology(literals):
             return
         if literals in self.seen:
@@ -463,10 +466,11 @@ class _Saturation:
         heapq.heappush(self.heap, (_weight(literals), slot, slot))
         self.kept += 1
         if self.kept > self.max_clause_count:
-            self.out_of_resources = True
+            raise OutOfBudget
 
-    def _time_up(self) -> bool:
-        return time.monotonic() >= self.deadline
+    def _check_deadline(self) -> None:
+        if time.monotonic() >= self.deadline:
+            raise OutOfBudget
 
     def _pop_oldest(self) -> int | None:
         """Select the oldest unprocessed slot, if any."""
@@ -490,21 +494,22 @@ class _Saturation:
             if not self.done[slot]:
                 self.done[slot] = True
                 return slot
-        # Heap exhausted; fall back to any remaining aged clauses.
-        return self._pop_oldest()
+        # Every kept slot goes on the heap and leaves it only when popped,
+        # which marks it done: with the heap empty, no slot is left.
+        return None
 
-    def run(self) -> str:
-        """Returns one of 'refutation', 'closure', 'resource'."""
-        if self.empty is not None:
-            return "refutation"
-        if self.out_of_resources:
-            return "resource"
+    def run(self) -> None:
+        """Saturate the input clauses.  Returns when no unprocessed clause
+        is left; raises _Refuted on deriving the empty clause, and
+        OutOfBudget past the deadline or once more than max_clause_count
+        clauses are kept."""
+        for literals, origins in self.initial:
+            self._insert(normalize(literals), origins)
         while True:
-            if self._time_up():
-                return "resource"
+            self._check_deadline()
             slot = self._pop_given()
             if slot is None:
-                break
+                return
             literals, origins = self.slots[slot]
             # A popped clause may have become redundant since its insertion.
             vec = self.vectors[slot]
@@ -516,17 +521,10 @@ class _Saturation:
             self.features.add(gidx, literals, vec)
             for li, (positive, pred, _) in enumerate(literals):
                 self.index.setdefault((pred, positive), []).append((gidx, li))
-            if not self._infer(literals, origins):
-                if self.empty is not None:
-                    return "refutation"
-                return "resource"
-        return "closure"
+            self._infer(literals, origins)
 
-    def _infer(self, literals: Literals, origins: frozenset[str]) -> bool:
-        """Generate resolvents and positive factors of the given clause.
-
-        Returns False when the search must stop (refutation or resources).
-        """
+    def _infer(self, literals: Literals, origins: frozenset[str]) -> None:
+        """Generate resolvents and positive factors of the given clause."""
         # Binary resolution against processed clauses (including given itself).
         for li, (positive, pred, args) in enumerate(literals):
             partners = self.index.get((pred, not positive), ())
@@ -540,12 +538,9 @@ class _Saturation:
                     _apply_literal(l, subst) for i, l in enumerate(renamed) if i != mi
                 )
                 self._insert(normalize(resolvent), origins | partner_origins)
-                if self.empty is not None or self.out_of_resources:
-                    return False
                 self._tick += 1
-                if self._tick % 256 == 0 and self._time_up():
-                    self.out_of_resources = True
-                    return False
+                if self._tick % 256 == 0:
+                    self._check_deadline()
         # Positive factoring on the given clause.
         positives = [i for i, l in enumerate(literals) if l[0]]
         for a in range(len(positives)):
@@ -559,9 +554,6 @@ class _Saturation:
                     continue
                 factor = tuple(_apply_literal(l, subst) for l in literals)
                 self._insert(normalize(factor), origins)
-                if self.empty is not None or self.out_of_resources:
-                    return False
-        return True
 
 
 def _input_clauses(named: list[tuple[str, object]], limit: float = math.inf) -> ClauseSet:
@@ -581,31 +573,26 @@ def _search(
     saturated: SzsStatus,
 ) -> ProofOutcome:
     """Saturate t's premises plus the goal formulas (the negated conjecture,
-    if any); a refutation answers refuted, a closed search saturated."""
+    if any); a refutation answers refuted, a closed search saturated, and
+    an exhausted budget ResourceOut."""
     named = [(p.name, p.formula) for p in t.premises] + goal
+    sat = None
+    used: frozenset[str] = frozenset()
     try:
-        clauses = _input_clauses(named, limits.max_clause_count)
-    except TooManyClauses:
-        return ProofOutcome(SzsStatus.ResourceOut, frozenset(), SearchStats(0, 0, 0, 0))
-    sat = _Saturation(clauses, limits)
-    try:
-        result = sat.run()
-    except RecursionError:
+        sat = _Saturation(_input_clauses(named, limits.max_clause_count), limits)
+        sat.run()
+        status = saturated
+    except _Refuted as refutation:
+        status, used = refuted, refutation.origins - {ORIGIN_CONJECTURE, ORIGIN_EQUALITY}
+    except (OutOfBudget, RecursionError):
         # Resolution can build terms deeper than the input's without bound;
         # one too deep for the interpreter's stack ends the search as its
         # budget does.
-        result = "resource"
-    stats = SearchStats(
-        sat.generated, sat.kept, len(sat.processed), sat.features.tests
-    )
-    if result == "refutation":
-        assert sat.empty is not None
-        return ProofOutcome(
-            refuted, sat.empty - {ORIGIN_CONJECTURE, ORIGIN_EQUALITY}, stats
-        )
-    if result == "closure":
-        return ProofOutcome(saturated, frozenset(), stats)
-    return ProofOutcome(SzsStatus.ResourceOut, frozenset(), stats)
+        status = SzsStatus.ResourceOut
+    if sat is None:  # clausifying ran out
+        return ProofOutcome(status, used, SearchStats(0, 0, 0, 0))
+    stats = SearchStats(sat.generated, sat.kept, len(sat.processed), sat.features.tests)
+    return ProofOutcome(status, used, stats)
 
 
 def prove(t: Theory, limits: EngineLimits) -> ProofOutcome:

@@ -200,6 +200,20 @@ class TestBruteForce:
         t = mk("fof(a1, axiom, p). fof(goal, conjecture, q | ~q).")
         assert brute_force_minima(t, prover, LIMITS).minima == (frozenset(),)
 
+    def test_conjecture_free_minima_are_the_unsatisfiable_cores(self, prover, model_finder):
+        """Without a conjecture the oracle refutes each subset; its minima
+        are those enumerate_minima finds in unsat mode."""
+        t = mk(
+            "fof(a1, axiom, p). fof(a2, axiom, ~p). fof(a3, axiom, q). "
+            "fof(a4, axiom, ~q | ~p)."
+        )
+        oracle = brute_force_minima(t, prover, LIMITS)
+        assert set(oracle.minima) == {frozenset({"a1", "a2"}), frozenset({"a1", "a3", "a4"})}
+        session = QuerySession(t, [prover], [model_finder], LIMITS)
+        report = enumerate_minima(session, classify_needed(session))
+        assert report.exhaustive
+        assert set(report.minima) == set(oracle.minima)
+
     def test_guard(self, prover):
         formulas = " ".join(f"fof(a{i}, axiom, p{i})." for i in range(13))
         t = mk(formulas + " fof(goal, conjecture, p0).")

@@ -377,6 +377,25 @@ class TestIndependence:
         code, _, err = run_cli(["independence", problems["chain"]])
         assert "warning" in err
 
+    @pytest.mark.parametrize(
+        "method, message",
+        [
+            ("naive", "independence needs at least one axiom"),
+            ("failfast", "fail-fast independence needs at least two axioms"),
+            ("random", "independence needs at least one axiom"),
+        ],
+    )
+    def test_no_axiom_is_an_input_error(self, method, message, tmp_path):
+        """Each analysis rejects a problem that holds only a conjecture."""
+        path = tmp_path / "conjecture.p"
+        path.write_text("fof(goal, conjecture, p).\n")
+        code, out, err = run_cli(["independence", str(path), "--method", method])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "proofscope: warning: conjecture ignored for independence analysis",
+            f"proofscope: {message}",
+        ]
+
 
 class TestConsistency:
     def test_three_rows(self, problems):
@@ -753,6 +772,18 @@ class TestNesting:
         code, out, err = run_cli([command, str(path)])
         assert code != 2, err
         assert "ResourceOut" in out
+
+    @pytest.mark.parametrize("depth", [18, 40])
+    def test_biconditionals_with_true_prove_their_innermost_operand(self, depth, tmp_path):
+        """$true <=> (... p) is p.  A conjunction with the empty clause is
+        the empty clause alone, so the negative walk does not multiply out
+        2**depth clauses and stop at the clause limit."""
+        formula = "$true <=> (" * depth + "p" + ")" * depth
+        path = tmp_path / "iff.p"
+        path.write_text(f"fof(a1, axiom, {formula}).\nfof(goal, conjecture, p).\n")
+        code, out, err = run_cli(["reprove", str(path), "--method", "syntactic"])
+        assert code == 0, err
+        assert "initial verdict: Theorem [builtin-prover] used=a1" in out
 
     @pytest.mark.parametrize(
         "formula_depth, term_depth, line, column",

@@ -194,6 +194,7 @@ class TestEngineConfig:
                 '{"e": {"executable": "x", "args": ["{problem}", 3]}}',
                 "engine 'e': 'args' must be a list of strings",
             ),
+            ('{"e": {"executable": "x"}}', "engine 'e': missing key 'args'"),
         ],
     )
     def test_malformed_config_is_config_error(self, text, message, tmp_path):

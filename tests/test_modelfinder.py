@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from proofscope import modelfinder
 from proofscope.analysis import QuerySession, consistency_triple
-from proofscope.clauses import clause_signature, clausify, contains_equality
+from proofscope.clauses import OutOfBudget, clause_signature, clausify, contains_equality
 from proofscope.engines import BuiltinModelFinder, EngineLimits
 from proofscope.logic import Not, evaluate
 from proofscope.modelfinder import (
@@ -233,10 +233,7 @@ class TestSplit:
         answers = []
         for flats, split in (([flat], []), (pieces, splits)):
             layout = modelfinder._VarLayout(FLAT_PREDS, FLAT_FUNCS, split, n)
-            cnf, trivially_unsat, _ = modelfinder._ground(flats, layout, [], deadline, 10**9)
-            if trivially_unsat:
-                answers.append(None)
-                continue
+            cnf = modelfinder._ground(flats, layout, [], deadline, 10**9)
             answer = modelfinder._dpll(cnf, layout.count, deadline, 10**9)
             answers.append(answer and answer[: signature_variables(layout) + 1])
         assert answers[0] == answers[1]
@@ -367,9 +364,9 @@ def record_ground_sizes(monkeypatch):
     ground = modelfinder._ground
 
     def counting_ground(flats, layout, *rest):
-        out = ground(flats, layout, *rest)
-        ground_sizes[layout.n] = len(out[0])
-        return out
+        cnf = ground(flats, layout, *rest)
+        ground_sizes[layout.n] = len(cnf)
+        return cnf
 
     monkeypatch.setattr(modelfinder, "_ground", counting_ground)
     return ground_sizes
@@ -407,7 +404,10 @@ GROUP_COMMUTATIVITY = GROUP_AXIOMS + (
 # Per problem: the largest domain searched, the domain sizes its consistency
 # queries ground in order, and the sha256 of the reprs of every _ground output,
 # of every _dpll result and of every _dpll result cut to the variables of the
-# signature's cells and atoms, one per line.
+# signature's cells and atoms, one per line.  The digests were taken when
+# _ground returned (cnf, falsified, resource_out) and the solver did not run
+# on a falsified CNF, so a CNF that ends with the empty clause is recorded
+# without it as falsified, and the solver's answer on it is left out.
 STAGE_PINS = {
     "cyclic_order_2": (
         5, [1, 2],
@@ -475,16 +475,19 @@ def test_grounding_and_solving_are_pinned(name, monkeypatch):
     ground, dpll = modelfinder._ground, modelfinder._dpll
 
     def ground_spy(flats, layout, *rest):
-        out = ground(flats, layout, *rest)
+        cnf = ground(flats, layout, *rest)
         sizes.append(layout.n)
         layouts.append(layout)
-        cnfs.append(repr(out))
+        falsified = falsifies(cnf)
+        cnfs.append(repr((cnf[:-1] if falsified else cnf, falsified, False)))
         # The solver's watches need the literals of a clause on distinct variables.
-        repeats.extend(c for c in out[0] if len({*map(abs, c)}) < len(c))
-        return out
+        repeats.extend(c for c in cnf if len({*map(abs, c)}) < len(c))
+        return cnf
 
-    def dpll_spy(*args):
-        out = dpll(*args)
+    def dpll_spy(clauses, *rest):
+        out = dpll(clauses, *rest)
+        if falsifies(clauses):
+            return out
         answers.append(repr(out))
         cut = out[: signature_variables(layouts[-1]) + 1] if isinstance(out, list) else out
         models.append(repr(cut))
@@ -502,6 +505,12 @@ def test_grounding_and_solving_are_pinned(name, monkeypatch):
     assert (sizes, digest(cnfs), digest(answers)) == (want_sizes, want_cnf, want_dpll)
     assert digest(models) == want_models
     assert repeats == []
+
+
+def falsifies(cnf):
+    """Whether grounding stopped at a falsified clause, which leaves the
+    empty clause last."""
+    return bool(cnf) and not cnf[-1]
 
 
 def signature_variables(layout):
@@ -586,12 +595,21 @@ class TestGroundingLimits:
         flat = flat_clause("![X,Y,Z]: mult(mult(X,Y),Z) = mult(X,mult(Y,Z))")
         layout = modelfinder._VarLayout({}, {"mult": 2}, [], 10)
         start = time.monotonic()
-        cnf, trivially_unsat, resource_out = modelfinder._ground(
-            [flat], layout, [], start + 0.05, 10**9
-        )
-        assert resource_out and not trivially_unsat
-        assert len(cnf) < 10**6
+        with pytest.raises(OutOfBudget):
+            modelfinder._ground([flat], layout, [], start + 0.05, 10**9)
         assert time.monotonic() - start < 1
+
+    def test_a_falsified_instance_ends_the_cnf(self):
+        """![X,Y]: X = Y has no literal but its equation.  At size 1 every
+        instance holds; at size 2 X = 0, Y = 1 falsifies it, so grounding
+        stops with the empty clause and the solver answers None."""
+        flat = flat_clause("![X,Y]: X = Y")
+        deadline = time.monotonic() + 60
+        for n, want in ((1, []), (2, [[]])):
+            layout = modelfinder._VarLayout({}, {}, [], n)
+            cnf = modelfinder._ground([flat], layout, [], deadline, 10**9)
+            assert cnf == want
+        assert modelfinder._dpll(cnf, layout.count, deadline, 10**9) is None
 
     def test_solving_stops_at_the_deadline(self):
         """Refuting pigeonhole 5/4 at size 5 propagates between 2048 and 4095
@@ -600,7 +618,8 @@ class TestGroundingLimits:
         cnf, nvars = pigeonhole_5_4_at_size_5()
         assert modelfinder._dpll(cnf, nvars, time.monotonic() + 60, 10**9) is None
         start = time.monotonic()
-        assert modelfinder._dpll(cnf, nvars, start, 10**9) == modelfinder._TIMEOUT
+        with pytest.raises(OutOfBudget):
+            modelfinder._dpll(cnf, nvars, start, 10**9)
         assert time.monotonic() - start < 0.5
 
     def test_solving_stops_at_the_learned_clause_cap(self):
@@ -609,7 +628,8 @@ class TestGroundingLimits:
         cnf, nvars = pigeonhole_5_4_at_size_5()
         deadline = time.monotonic() + 60
         assert modelfinder._dpll(cnf, nvars, deadline, 160) is None
-        assert modelfinder._dpll(cnf, nvars, deadline, 159) == modelfinder._TOO_MANY_LEARNED
+        with pytest.raises(OutOfBudget):
+            modelfinder._dpll(cnf, nvars, deadline, 159)
 
     def test_learning_past_the_clause_cap_is_a_resource_out(self, monkeypatch):
         """Refuting pigeonhole 6/5 at size 6 learns more clauses than the
@@ -631,7 +651,7 @@ def pigeonhole_5_4_at_size_5():
     constants = [sym for sym, arity in funcs.items() if arity == 0]
     layout = modelfinder._VarLayout(preds, funcs, [], 5)
     flats = [modelfinder._flatten(literals) for literals, _ in clauses]
-    cnf, _, _ = modelfinder._ground(flats, layout, constants, time.monotonic() + 60, 10**9)
+    cnf = modelfinder._ground(flats, layout, constants, time.monotonic() + 60, 10**9)
     return cnf, layout.count
 
 

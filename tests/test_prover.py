@@ -129,6 +129,15 @@ class TestProve:
         out = prove(t, EngineLimits(timeout=20, max_clause_count=30))
         assert out.status == SzsStatus.ResourceOut
 
+    def test_input_clauses_past_the_cap_stop_at_once(self):
+        """The clause form fits the cap of 3, and the congruence axioms
+        added after it do not: the search stops at the first kept clause
+        past the cap, before inserting the other input clauses."""
+        t = mk("fof(a1, axiom, a = b). fof(goal, conjecture, p(a) | ~p(b)).")
+        out = prove(t, EngineLimits(timeout=20, max_clause_count=3))
+        assert out.status == SzsStatus.ResourceOut
+        assert out.stats == SearchStats(4, 4, 0, 0)
+
     def test_resource_out_on_terms_too_deep_for_the_stack(self):
         """The same search builds p(f(...f(a)...)) ever deeper; a term too
         deep for the interpreter's stack ends it as the budget does."""

@@ -74,6 +74,29 @@ class TestParsing:
             "<memory>:2:1: symbol 'p' used as predicate/2 in 'a2' but as predicate/1 in 'a1'"
         )
 
+    @pytest.mark.parametrize(
+        "text, column, message",
+        [
+            ("fof(a1, axiom, p # q).", 18, "unexpected character '#'"),
+            ("p(a).", 1, "expected 'fof', 'cnf' or 'include'"),
+            ("fof(A1, axiom, p).", 5, "expected a formula name"),
+            ("include(foo).", 9, "expected a quoted include file name"),
+            ("fof(a1, axiom, ! [x] : p).", 19, "expected a variable (uppercase word)"),
+            ("fof(a1, axiom, $foo).", 16, "unsupported defined symbol '$foo'"),
+            ("fof(a1, axiom, p(,)).", 18, "expected a term, found ','"),
+        ],
+        ids=[
+            "character", "statement", "name", "include", "variable", "defined", "term",
+        ],
+    )
+    def test_syntax_error_positioned(self, text, column, message):
+        """Each syntax error names the line and column of the offending
+        token, here on the second line."""
+        with pytest.raises(ParseError) as exc:
+            mk(f"fof(ok, axiom, q).\n{text}")
+        assert (exc.value.line, exc.value.column) == (2, column)
+        assert str(exc.value) == f"<memory>:2:{column}: {message}"
+
     def test_unbound_variable_rejected(self):
         with pytest.raises(ParseError, match="unbound"):
             mk("fof(a1, axiom, p(X)).")
