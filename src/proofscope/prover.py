@@ -1,13 +1,19 @@
 """Given-clause refutation prover (binary resolution + positive factoring).
 
 Clause selection picks the lowest-weight unprocessed clause with FIFO
-tie-break by age; forward subsumption and tautology deletion are applied to
-generated clauses.  Forward subsumption looks up candidate subsumers in a
-feature-vector index over the processed clauses (Schulz 2013), which only
-skips matches that must fail, and re-checks a selected clause only against
-clauses processed after it was kept.  Equality is handled by appending
-congruence axioms under the reserved origin name "$equality", which is
-excluded from used premises.
+tie-break by age.  Tautology and duplicate deletion apply to generated clauses,
+which then go straight into the passive heap; forward subsumption is checked
+when a clause is selected, as in the DISCOUNT loop (Denzinger, Kronenburg &
+Schulz 1997).  A popped clause that a clause processed before its insertion
+subsumes is dropped without using up a pick; one that a clause processed
+since subsumes is dropped and uses one up.  The given clauses are therefore
+those that checking at insertion would give, and `kept` counts the clauses
+that entered the passive set, which `max_clause_count` bounds.  The clauses
+held share equal literals and origin sets.  Forward subsumption looks up
+candidate subsumers in a feature-vector index over the processed clauses
+(Schulz 2013), which only skips matches that must fail.  Equality is handled
+by appending congruence axioms under the reserved origin name "$equality",
+which is excluded from used premises.
 
 The search runs on the plain-tuple clause form of `clauses`, as `clausify`
 returns it.  The index memoizes each literal's feature vector; a clause's
@@ -50,9 +56,10 @@ PICK_GIVEN_RATIO = 4
 
 @dataclass(frozen=True)
 class SearchStats:
-    """generated counts inserted clauses, kept those that survived deletion,
-    given those selected and processed, and subsumption_tests the full
-    matcher's calls that the feature-vector index let through."""
+    """generated counts inserted clauses, kept those that entered the
+    passive set (they survived tautology and duplicate deletion), given those
+    selected and processed, and subsumption_tests the full matcher's calls
+    that the feature-vector index let through at selection."""
 
     generated: int
     kept: int
@@ -298,7 +305,8 @@ class _FeatureIndex:
             self.presence |= 1 << offset
             offset += 1 + (2 + nsym) * FEATURE_CAP + n * nsym + n * (n - 1) // 2
         # Processed clauses bucketed by their presence bits (their key set);
-        # each entry is (processed index, literal count, vector, literals).
+        # each entry is (processed index, literal count, vector, literals),
+        # added in processing order.
         self.buckets: dict[int, list[tuple[int, int, int, Literals]]] = {}
         self.literal_vectors: dict[Literal, int] = {}
         self.tests = 0
@@ -344,16 +352,18 @@ class _FeatureIndex:
         entry = (gidx, len(literals), vec, literals)
         self.buckets.setdefault(vec & self.presence, []).append(entry)
 
-    def subsumed(self, literals: Literals, vec: int, since: int = 0) -> bool:
-        """True if a clause processed at index since or later, with no more
-        literals than literals, subsumes them."""
+    def subsumed(self, literals: Literals, vec: int, start: int, stop: int) -> bool:
+        """True if a clause processed at an index in [start, stop), with no
+        more literals than literals, subsumes them."""
         nlits = len(literals)
         by_key = None
         for mask, entries in self.buckets.items():
             if mask & vec != mask:
                 continue
             for gidx, n, v, c_literals in entries:
-                if gidx < since or n > nlits or v & vec != v:
+                if gidx >= stop:
+                    break
+                if gidx < start or n > nlits or v & vec != v:
                     continue
                 if by_key is None:
                     by_key = _literals_by_key(literals)
@@ -429,10 +439,8 @@ class _Saturation:
         self.deadline = time.monotonic() + limits.timeout
         self.heap: list[tuple[int, int, int]] = []  # (weight, age, slot)
         self.slots: list[Clause] = []
-        self.done: list[bool] = []  # slot already selected as given
-        # Per slot: the clause's feature vector, and how many clauses were
-        # processed when it was kept (those already failed to subsume it).
-        self.vectors: list[int] = []
+        self.done: list[bool] = []  # slot already popped
+        # Per slot: how many clauses were processed when it was inserted.
         self.kept_at: list[int] = []
         self.age_cursor = 0
         self.picks = 0
@@ -442,44 +450,51 @@ class _Saturation:
         self.index: dict[tuple[str, bool], list[tuple[int, int]]] = {}
         self.features = _FeatureIndex(literals for literals, _ in initial)
         self.seen: set[Literals] = set()
+        # Most held clauses are never selected; they share one object per
+        # distinct literal and per origin set to keep their memory down.
+        self.shared_literals: dict[Literal, Literal] = {}
+        self.shared_origins: dict[frozenset[str], frozenset[str]] = {}
         self.generated = 0
-        self.kept = 0
         self._tick = 0
 
     def _insert(self, literals: Literals, origins: frozenset[str]) -> None:
         self.generated += 1
         if not literals:
             raise _Refuted(origins)
-        if _is_tautology(literals):
+        if _is_tautology(literals) or literals in self.seen:
             return
-        if literals in self.seen:
-            return
-        vec = self.features.vector(literals)
-        if self.features.subsumed(literals, vec):
-            return
+        shared = self.shared_literals
+        literals = tuple([shared.setdefault(lit, lit) for lit in literals])
         self.seen.add(literals)
         slot = len(self.slots)
-        self.slots.append((literals, origins))
+        self.slots.append((literals, self.shared_origins.setdefault(origins, origins)))
         self.done.append(False)
-        self.vectors.append(vec)
         self.kept_at.append(len(self.processed))
         heapq.heappush(self.heap, (_weight(literals), slot, slot))
-        self.kept += 1
-        if self.kept > self.max_clause_count:
+        if len(self.slots) > self.max_clause_count:
             raise OutOfBudget
 
     def _check_deadline(self) -> None:
         if time.monotonic() >= self.deadline:
             raise OutOfBudget
 
+    def _take(self, slot: int) -> bool:
+        """Mark a popped slot done; False if a clause processed before its
+        insertion subsumes it.  That is the check insertion leaves out; a
+        clause it drops uses up no pick, so the given clauses are those that
+        checking at insertion would give."""
+        self.done[slot] = True
+        literals = self.slots[slot][0]
+        vec = self.features.vector(literals)
+        return not self.features.subsumed(literals, vec, 0, self.kept_at[slot])
+
     def _pop_oldest(self) -> int | None:
-        """Select the oldest unprocessed slot, if any."""
-        while self.age_cursor < len(self.slots) and self.done[self.age_cursor]:
-            self.age_cursor += 1
-        if self.age_cursor < len(self.slots):
+        """Select the oldest unprocessed slot that _take keeps, if any."""
+        while self.age_cursor < len(self.slots):
             slot = self.age_cursor
-            self.done[slot] = True
-            return slot
+            self.age_cursor += 1
+            if not self.done[slot] and self._take(slot):
+                return slot
         return None
 
     def _pop_given(self) -> int | None:
@@ -491,18 +506,17 @@ class _Saturation:
                 return slot
         while self.heap:
             _, _, slot = heapq.heappop(self.heap)
-            if not self.done[slot]:
-                self.done[slot] = True
+            if not self.done[slot] and self._take(slot):
                 return slot
-        # Every kept slot goes on the heap and leaves it only when popped,
-        # which marks it done: with the heap empty, no slot is left.
+        # Every slot goes on the heap and leaves it only when popped, which
+        # marks it done: with the heap empty, no slot is left.
         return None
 
     def run(self) -> None:
         """Saturate the input clauses.  Returns when no unprocessed clause
         is left; raises _Refuted on deriving the empty clause, and
         OutOfBudget past the deadline or once more than max_clause_count
-        clauses are kept."""
+        clauses are held."""
         for literals, origins in self.initial:
             self._insert(normalize(literals), origins)
         while True:
@@ -511,11 +525,11 @@ class _Saturation:
             if slot is None:
                 return
             literals, origins = self.slots[slot]
-            # A popped clause may have become redundant since its insertion.
-            vec = self.vectors[slot]
-            if self.features.subsumed(literals, vec, self.kept_at[slot]):
-                continue
+            # A selected clause may have become redundant since its insertion.
             gidx = len(self.processed)
+            vec = self.features.vector(literals)
+            if self.features.subsumed(literals, vec, self.kept_at[slot], gidx):
+                continue
             renamed = tuple(_rename_literal(l, "r_") for l in literals)
             self.processed.append((renamed, origins))
             self.features.add(gidx, literals, vec)
@@ -591,7 +605,7 @@ def _search(
         status = SzsStatus.ResourceOut
     if sat is None:  # clausifying ran out
         return ProofOutcome(status, used, SearchStats(0, 0, 0, 0))
-    stats = SearchStats(sat.generated, sat.kept, len(sat.processed), sat.features.tests)
+    stats = SearchStats(sat.generated, len(sat.slots), len(sat.processed), sat.features.tests)
     return ProofOutcome(status, used, stats)
 
 

@@ -224,7 +224,10 @@ class TestAgainstTruthTables:
 # generated, kept, given, subsumption tests).  Generated and kept were
 # generated with the first-literal bucket scan that the feature-vector index
 # replaced; given and subsumption tests with the index over Literal and App
-# objects, before the prover switched to plain tuples.
+# objects, before the prover switched to plain tuples.  When forward
+# subsumption moved from insertion to selection, kept came to count the
+# clauses that enter the passive set, and only PUZ001's kept (2403 before)
+# and subsumption tests (10,987 before) changed.
 
 SEARCH_PINS = [
     ("chain_with_distractor", "Theorem", ("a1", "a2"), 7, 6, 5, 0),
@@ -263,9 +266,9 @@ SEARCH_PINS = [
         ("pel55_1", "pel55_10", "pel55_11", "pel55_3", "pel55_4",
          "pel55_5", "pel55_6", "pel55_7", "pel55_8", "pel55_9"),
         6036,
-        2403,
+        4353,
         187,
-        10987,
+        180,
     ),
     ("dependent_axioms", "Satisfiable", (), 3, 3, 2, 1),
     ("two_minima", "Theorem", ("route_a", "route_a_works"), 8, 7, 5, 0),
@@ -299,13 +302,98 @@ def test_search_is_pinned(name, status, used, generated, kept, given, tests):
     assert out.stats == SearchStats(generated, kept, given, tests)
 
 
+# ---------------------------------------------------------------------------
+# Forward subsumption checked at selection gives the search that checking at
+# insertion gave: the same given clauses, in the same order.
+
+
+class _EagerSaturation(prover._Saturation):
+    """Rejects a generated clause that a processed clause subsumes when it
+    is inserted, as the search did before the check moved to selection."""
+
+    def _insert(self, literals, origins):
+        if literals and not _is_tautology(literals) and literals not in self.seen:
+            vec = self.features.vector(literals)
+            if self.features.subsumed(literals, vec, 0, len(self.processed)):
+                self.generated += 1
+                return
+        super()._insert(literals, origins)
+
+
+def _saturate(t, limits, saturation):
+    """The outcome of searching t with this saturation class, and the
+    saturation (None if clausifying ran out)."""
+    runs = []
+
+    class Recorded(saturation):
+        def run(self):
+            runs.append(self)
+            super().run()
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(prover, "_Saturation", Recorded)
+        out = (prove if t.conjecture is not None else refute)(t, limits)
+    return out, runs[0] if runs else None
+
+
+def _same_search(t, limits):
+    """Assert that both checks give the same search, unless a budget ended
+    either (the clause cap counts more clauses at selection).  Returns the
+    eager outcome, or None if nothing was compared."""
+    eager, eager_sat = _saturate(t, limits, _EagerSaturation)
+    lazy, lazy_sat = _saturate(t, limits, prover._Saturation)
+    if SzsStatus.ResourceOut in (eager.status, lazy.status):
+        return None
+    assert lazy.status == eager.status
+    assert lazy.used_premises == eager.used_premises
+    assert lazy.stats.generated == eager.stats.generated
+    assert lazy.stats.given == eager.stats.given
+    assert lazy_sat.processed == eager_sat.processed
+    return eager
+
+
+# PUZ001's kept column as it read when subsumption was checked at insertion.
+_KEPT_AT_INSERTION = {"PUZ001+1": 2403}
+
+
+@pytest.mark.parametrize(
+    "name,kept", [(r[0], r[4]) for r in SEARCH_PINS], ids=[r[0] for r in SEARCH_PINS]
+)
+def test_selection_check_gives_the_insertion_check_search(name, kept):
+    eager = _same_search(_pinned_theory(name), EngineLimits(timeout=60))
+    assert eager is not None
+    assert eager.stats.kept == _KEPT_AT_INSERTION.get(name, kept)
+
+
+@given(seeds=st.lists(st.integers(0, 2**16), min_size=2, max_size=3))
+def test_selection_check_gives_the_insertion_check_search_with_equality(seeds):
+    formulas = [random_closed_formula(random.Random(s), 1) for s in seeds]
+    premises = tuple(AnnotatedFormula(f"a{i}", "axiom", f) for i, f in enumerate(formulas[:-1]))
+    goal = AnnotatedFormula("goal", "conjecture", formulas[-1])
+    query = [(p.name, p.formula) for p in premises] + [("$neg", Not(goal.formula))]
+    assume(contains_equality(clausify(query)))
+    _same_search(Theory(premises + (goal,)), EngineLimits(timeout=10, max_clause_count=300))
+
+
+def test_held_clauses_share_literals_and_origin_sets(puz001):
+    """Passive clauses stay held until selected, so the clauses held use one
+    object per distinct origin set and per distinct literal."""
+    _, sat = _saturate(puz001, EngineLimits(timeout=60), prover._Saturation)
+    origins = [o for _, o in sat.slots]
+    literals = [lit for lits, _ in sat.slots for lit in lits]
+    assert len(set(origins)) < len(origins)
+    assert len(set(map(id, origins))) == len(set(origins))
+    assert len(set(map(id, literals))) == len(set(literals))
+
+
 def test_puz001_subsumption_tests_stay_indexed(puz001):
     """The full PUZ001 proof runs the full matcher on few candidates.  The
     first-literal bucket scan that the feature-vector index replaced made
-    131,421 matcher calls here; the index makes about 11,000."""
+    131,421 matcher calls here; the index, checking at insertion, made
+    10,987; checking at selection it makes 180."""
     out = prove(puz001, EngineLimits(timeout=60))
-    assert (out.stats.generated, out.stats.kept, out.stats.given) == (6036, 2403, 187)
-    assert out.stats.subsumption_tests <= 30_000
+    assert (out.stats.generated, out.stats.kept, out.stats.given) == (6036, 4353, 187)
+    assert out.stats.subsumption_tests <= 1_000
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +408,10 @@ def _instance(rng, literals):
     return normalize(image + random_literals(rng, 2, ("Y0", "Y1")))
 
 
-def _brute_force(processed, literals, since=0) -> bool:
+def _brute_force(processed, literals, start, stop) -> bool:
     by_key = _literals_by_key(literals)
     return any(
-        len(c) <= len(literals) and _subsumes_into(c, by_key) for c in processed[since:]
+        len(c) <= len(literals) and _subsumes_into(c, by_key) for c in processed[start:stop]
     )
 
 
@@ -335,7 +423,7 @@ def test_index_keeps_the_literal_count_condition():
     index = _FeatureIndex((c, d))
     index.add(0, c, index.vector(c))
     assert _subsumes_into(c, _literals_by_key(d))
-    assert not index.subsumed(d, index.vector(d))
+    assert not index.subsumed(d, index.vector(d), 0, 1)
 
 
 @given(st.integers(0, 2**32))
@@ -348,7 +436,7 @@ def test_index_never_rejects_a_subsumer(n):
         if _subsumes_into(c, _literals_by_key(d)):
             assert cv & dv == cv
         index.add(0, c, cv)
-        assert index.subsumed(d, dv) == _brute_force([c], d)
+        assert index.subsumed(d, dv, 0, 1) == _brute_force([c], d, 0, 1)
 
 
 @given(st.integers(0, 2**32))
@@ -356,14 +444,13 @@ def test_index_answers_like_a_scan_of_the_processed_clauses(n):
     rng = random.Random(n)
     processed = [normalize(random_literals(rng)) for _ in range(rng.randint(1, 6))]
     query = _instance(rng, rng.choice(processed))
-    since = rng.randint(0, len(processed))
+    start, stop = sorted(rng.randint(0, len(processed)) for _ in range(2))
     index = _FeatureIndex(processed + [query])
     for gidx, literals in enumerate(processed):
         index.add(gidx, literals, index.vector(literals))
     vec = index.vector(query)
-    for start in (0, since):
-        got = index.subsumed(query, vec, start)
-        assert got == _brute_force(processed, query, start)
+    for span in ((0, len(processed)), (0, start), (start, stop), (stop, len(processed))):
+        assert index.subsumed(query, vec, *span) == _brute_force(processed, query, *span)
 
 
 @given(st.integers(0, 2**32))
@@ -429,7 +516,7 @@ def test_quoted_constant_and_variable_stay_distinct():
 
 
 class _CheckedIndex(_FeatureIndex):
-    """Checks every answer against a scan of all processed clauses."""
+    """Checks every answer against a scan of the processed clauses queried."""
 
     def __init__(self, clauses):
         super().__init__(clauses)
@@ -439,11 +526,9 @@ class _CheckedIndex(_FeatureIndex):
         super().add(gidx, literals, vec)
         self.processed.append(literals)
 
-    def subsumed(self, literals, vec, since=0):
-        got = super().subsumed(literals, vec, since)
-        # Clauses processed before `since` already failed to subsume these
-        # literals when they were kept, so the full scan must agree.
-        assert got == _brute_force(self.processed, literals)
+    def subsumed(self, literals, vec, start, stop):
+        got = super().subsumed(literals, vec, start, stop)
+        assert got == _brute_force(self.processed, literals, start, stop)
         return got
 
 
