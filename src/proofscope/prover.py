@@ -9,15 +9,15 @@ subsumes is dropped without using up a pick; one that a clause processed
 since subsumes is dropped and uses one up.  The given clauses are therefore
 those that checking at insertion would give, and `kept` counts the clauses
 that entered the passive set, which `max_clause_count` bounds.  The clauses
-held share equal literals and origin sets.  Forward subsumption looks up
-candidate subsumers in a feature-vector index over the processed clauses
-(Schulz 2013), which only skips matches that must fail.  Equality is handled
-by appending congruence axioms under the reserved origin name "$equality",
-which is excluded from used premises.
+held share equal literals and origin sets.  Forward subsumption scans the
+processed clauses in order and runs the full matcher only on those whose
+predicate signs and argument head symbols are a subset of the selected
+clause's, a filter that only skips matches that must fail.  Equality is
+handled by appending congruence axioms under the reserved origin name
+"$equality", which is excluded from used premises.
 
 The search runs on the plain-tuple clause form of `clauses`, as `clausify`
-returns it.  The index memoizes each literal's feature vector; a clause's
-vector is the bitwise or of its literals' vectors.
+returns it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .clauses import (
     ORIGIN_CONJECTURE,
@@ -40,7 +40,7 @@ from .clauses import (
     clausify,
     contains_equality,
 )
-from .logic import EQUALITY, Not, Term, term_symbols
+from .logic import EQUALITY, Not, Term
 from .tptp import Theory
 from .verdicts import SzsStatus
 
@@ -59,7 +59,7 @@ class SearchStats:
     """generated counts inserted clauses, kept those that entered the
     passive set (they survived tautology and duplicate deletion), given those
     selected and processed, and subsumption_tests the full matcher's calls
-    that the feature-vector index let through at selection."""
+    that the feature filter let through at selection."""
 
     generated: int
     kept: int
@@ -256,139 +256,20 @@ def _subsumes_into(
     return backtrack(0)
 
 
-# ---------------------------------------------------------------------------
-# Feature-vector index for forward subsumption (Schulz 2013, "Simple and
-# Efficient Clause Subsumption with Feature Vector Indexing")
-#
-# C can subsume D only if C's feature vector is componentwise <= D's.  Since
-# _subsumes_into may map two literals of C onto one literal of D, a feature
-# counted over several literals would be unsound; each feature is instead a
-# maximum, over the literals of one (predicate, sign) key, of a measure that
-# a substitution can only grow: term size, term depth, the occurrences of
-# each function symbol, whether a given symbol heads a given argument, and
-# whether two given arguments are the same term.
-#
-# The vector is packed into one int.  A measure v takes min(v, FEATURE_CAP)
-# low bits of its field (thermometer code), so v <= w exactly when v's bits
-# are a subset of w's, and the maximum over literals is the bitwise or of
-# their vectors.  The whole <= test is then (c & d) == c.
-
-FEATURE_CAP = 8
-
-
-class _FeatureIndex:
-    """The processed clauses, by feature vector, for forward subsumption.
-
-    The signature is fixed from the input clauses; inference adds no symbol.
-    """
-
-    def __init__(self, clauses: Iterable[Literals]):
-        funcs: set[str] = set()
-        arity = {}
-        for literals in clauses:
-            for positive, pred, args in literals:
-                arity[(pred, positive)] = len(args)
-                for a in args:
-                    funcs.update(sym for sym, _, _ in term_symbols(a))
-        self.symbols = {name: i for i, name in enumerate(sorted(funcs))}
-        nsym = len(self.symbols)
-        # Per key: the offset of its presence bit; after it come the size,
-        # depth and per-symbol count fields, one bit per (argument, symbol)
-        # for the symbol heading that argument, and one bit per pair of
-        # arguments for the two being equal.
-        self.offsets: dict[tuple[str, bool], int] = {}
-        self.presence = 0
-        offset = 0
-        for key in sorted(arity):
-            n = arity[key]
-            self.offsets[key] = offset
-            self.presence |= 1 << offset
-            offset += 1 + (2 + nsym) * FEATURE_CAP + n * nsym + n * (n - 1) // 2
-        # Processed clauses bucketed by their presence bits (their key set);
-        # each entry is (processed index, literal count, vector, literals),
-        # added in processing order.
-        self.buckets: dict[int, list[tuple[int, int, int, Literals]]] = {}
-        self.literal_vectors: dict[Literal, int] = {}
-        self.tests = 0
-
-    def vector(self, literals: Literals) -> int:
-        """The feature vector of a clause with these literals."""
-        memo = self.literal_vectors
-        vec = 0
-        for lit in literals:
-            v = memo.get(lit)
-            if v is None:
-                v = memo[lit] = self._literal_vector(lit)
-            vec |= v
-        return vec
-
-    def _literal_vector(self, lit: Literal) -> int:
-        positive, pred, args = lit
-        symbols = self.symbols
-        nsym = len(symbols)
-        base = self.offsets[(pred, positive)]
-        occurrences: list[int] = []
-        size = depth = 0
-        heads = base + 1 + (2 + nsym) * FEATURE_CAP
-        pair = heads + len(args) * nsym
-        vec = 0
+def _features(literals: Literals, shared: dict[tuple, tuple]) -> frozenset:
+    """Each literal's (predicate, sign), and (predicate, sign, i, head) for
+    each argument i that is not a variable; equal features share the object
+    kept in shared.  A substitution keeps every feature, so a clause can
+    subsume another only if its features are a subset of the other's."""
+    out = set()
+    for positive, pred, args in literals:
+        key = (pred, positive)
+        out.add(shared.setdefault(key, key))
         for i, arg in enumerate(args):
             if not isinstance(arg, str):
-                vec |= 1 << (heads + i * nsym + symbols[arg[0]])
-            s, d = _term_measures(arg, symbols, occurrences)
-            size += s
-            depth = max(depth, d)
-            for other in args[i + 1 :]:
-                if arg == other:
-                    vec |= 1 << pair
-                pair += 1
-        vec |= 1 << base | _thermometer(size) << base + 1
-        vec |= _thermometer(depth) << base + 1 + FEATURE_CAP
-        for j in set(occurrences):
-            vec |= _thermometer(occurrences.count(j)) << base + 1 + (2 + j) * FEATURE_CAP
-        return vec
-
-    def add(self, gidx: int, literals: Literals, vec: int) -> None:
-        entry = (gidx, len(literals), vec, literals)
-        self.buckets.setdefault(vec & self.presence, []).append(entry)
-
-    def subsumed(self, literals: Literals, vec: int, start: int, stop: int) -> bool:
-        """True if a clause processed at an index in [start, stop), with no
-        more literals than literals, subsumes them."""
-        nlits = len(literals)
-        by_key = None
-        for mask, entries in self.buckets.items():
-            if mask & vec != mask:
-                continue
-            for gidx, n, v, c_literals in entries:
-                if gidx >= stop:
-                    break
-                if gidx < start or n > nlits or v & vec != v:
-                    continue
-                if by_key is None:
-                    by_key = _literals_by_key(literals)
-                self.tests += 1
-                if _subsumes_into(c_literals, by_key):
-                    return True
-        return False
-
-
-def _thermometer(v: int) -> int:
-    return (1 << min(v, FEATURE_CAP)) - 1
-
-
-def _term_measures(t: Term, symbols: dict[str, int], occurrences: list[int]) -> tuple[int, int]:
-    """Size and depth of t; appends the index of each symbol occurrence."""
-    if isinstance(t, str):
-        return 1, 1
-    occurrences.append(symbols[t[0]])
-    size = 1
-    depth = 0
-    for a in t[1]:
-        s, d = _term_measures(a, symbols, occurrences)
-        size += s
-        depth = max(depth, d)
-    return size, depth + 1
+                feature = (pred, positive, i, arg[0])
+                out.add(shared.setdefault(feature, feature))
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +326,18 @@ class _Saturation:
         self.age_cursor = 0
         self.picks = 0
         # Per processed clause: its literals renamed apart for resolution,
-        # and its origins.
-        self.processed: list[Clause] = []
+        # its origins, and its features.
+        self.processed: list[tuple[Literals, frozenset[str], frozenset]] = []
         self.index: dict[tuple[str, bool], list[tuple[int, int]]] = {}
-        self.features = _FeatureIndex(literals for literals, _ in initial)
         self.seen: set[Literals] = set()
         # Most held clauses are never selected; they share one object per
-        # distinct literal and per origin set to keep their memory down.
+        # distinct literal and per origin set to keep their memory down, and
+        # the processed clauses' feature sets one per distinct feature.
         self.shared_literals: dict[Literal, Literal] = {}
         self.shared_origins: dict[frozenset[str], frozenset[str]] = {}
+        self.shared_features: dict[tuple, tuple] = {}
         self.generated = 0
+        self.subsumption_tests = 0
         self._tick = 0
 
     def _insert(self, literals: Literals, origins: frozenset[str]) -> None:
@@ -478,36 +361,57 @@ class _Saturation:
         if time.monotonic() >= self.deadline:
             raise OutOfBudget
 
-    def _take(self, slot: int) -> bool:
-        """Mark a popped slot done; False if a clause processed before its
-        insertion subsumes it.  That is the check insertion leaves out; a
-        clause it drops uses up no pick, so the given clauses are those that
-        checking at insertion would give."""
+    def _subsumed(self, literals: Literals, features: frozenset, start: int, stop: int) -> bool:
+        """True if a clause processed at an index in [start, stop), with no
+        more literals than literals, subsumes them.  features are theirs; a
+        clause whose features are not a subset cannot subsume them."""
+        nlits = len(literals)
+        by_key = None
+        for gidx in range(start, stop):
+            c_literals, _, c_features = self.processed[gidx]
+            if len(c_literals) > nlits or not c_features <= features:
+                continue
+            if by_key is None:
+                by_key = _literals_by_key(literals)
+            self.subsumption_tests += 1
+            if _subsumes_into(c_literals, by_key):
+                return True
+        return False
+
+    def _take(self, slot: int) -> frozenset | None:
+        """Mark a popped slot done and return its clause's features; None if
+        a clause processed before its insertion subsumes it.  That is the
+        check insertion leaves out; a clause it drops uses up no pick, so the
+        given clauses are those that checking at insertion would give."""
         self.done[slot] = True
         literals = self.slots[slot][0]
-        vec = self.features.vector(literals)
-        return not self.features.subsumed(literals, vec, 0, self.kept_at[slot])
+        features = _features(literals, self.shared_features)
+        if self._subsumed(literals, features, 0, self.kept_at[slot]):
+            return None
+        return features
 
-    def _pop_oldest(self) -> int | None:
-        """Select the oldest unprocessed slot that _take keeps, if any."""
+    def _pop_oldest(self) -> tuple[int, frozenset] | None:
+        """Select the oldest unprocessed slot that _take keeps, if any, with
+        its features."""
         while self.age_cursor < len(self.slots):
             slot = self.age_cursor
             self.age_cursor += 1
-            if not self.done[slot] and self._take(slot):
-                return slot
+            if not self.done[slot] and (features := self._take(slot)) is not None:
+                return slot, features
         return None
 
-    def _pop_given(self) -> int | None:
-        """Select the next given clause slot: weight order with an age interleave."""
+    def _pop_given(self) -> tuple[int, frozenset] | None:
+        """Select the next given clause slot, with its features: weight
+        order with an age interleave."""
         self.picks += 1
         if self.picks % PICK_GIVEN_RATIO == 0:
-            slot = self._pop_oldest()
-            if slot is not None:
-                return slot
+            popped = self._pop_oldest()
+            if popped is not None:
+                return popped
         while self.heap:
             _, _, slot = heapq.heappop(self.heap)
-            if not self.done[slot] and self._take(slot):
-                return slot
+            if not self.done[slot] and (features := self._take(slot)) is not None:
+                return slot, features
         # Every slot goes on the heap and leaves it only when popped, which
         # marks it done: with the heap empty, no slot is left.
         return None
@@ -521,18 +425,17 @@ class _Saturation:
             self._insert(normalize(literals), origins)
         while True:
             self._check_deadline()
-            slot = self._pop_given()
-            if slot is None:
+            popped = self._pop_given()
+            if popped is None:
                 return
+            slot, features = popped
             literals, origins = self.slots[slot]
             # A selected clause may have become redundant since its insertion.
             gidx = len(self.processed)
-            vec = self.features.vector(literals)
-            if self.features.subsumed(literals, vec, self.kept_at[slot], gidx):
+            if self._subsumed(literals, features, self.kept_at[slot], gidx):
                 continue
             renamed = tuple(_rename_literal(l, "r_") for l in literals)
-            self.processed.append((renamed, origins))
-            self.features.add(gidx, literals, vec)
+            self.processed.append((renamed, origins, features))
             for li, (positive, pred, _) in enumerate(literals):
                 self.index.setdefault((pred, positive), []).append((gidx, li))
             self._infer(literals, origins)
@@ -544,7 +447,7 @@ class _Saturation:
             partners = self.index.get((pred, not positive), ())
             rest = literals[:li] + literals[li + 1 :]
             for pidx, mi in partners:
-                renamed, partner_origins = self.processed[pidx]
+                renamed, partner_origins, _ = self.processed[pidx]
                 subst: Subst = {}
                 if not _unify_args(args, renamed[mi][2], subst):
                     continue
@@ -605,7 +508,7 @@ def _search(
         status = SzsStatus.ResourceOut
     if sat is None:  # clausifying ran out
         return ProofOutcome(status, used, SearchStats(0, 0, 0, 0))
-    stats = SearchStats(sat.generated, len(sat.slots), len(sat.processed), sat.features.tests)
+    stats = SearchStats(sat.generated, len(sat.slots), len(sat.processed), sat.subsumption_tests)
     return ProofOutcome(status, used, stats)
 
 

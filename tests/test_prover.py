@@ -1,5 +1,5 @@
 """Saturation prover tests: verdicts, used premises, determinism, limits,
-pinned search counts and the forward-subsumption index."""
+pinned search counts and the forward-subsumption filter."""
 
 import inspect
 import random
@@ -15,8 +15,8 @@ from proofscope.modelfinder import ModelKind, find_model
 from proofscope.logic import Not
 from proofscope.prover import (
     SearchStats,
-    _FeatureIndex,
     _apply_literal,
+    _features,
     _is_tautology,
     _literals_by_key,
     _subsumes_into,
@@ -227,7 +227,9 @@ class TestAgainstTruthTables:
 # objects, before the prover switched to plain tuples.  When forward
 # subsumption moved from insertion to selection, kept came to count the
 # clauses that enter the passive set, and only PUZ001's kept (2403 before)
-# and subsumption tests (10,987 before) changed.
+# and subsumption tests (10,987 before) changed.  When a head-symbol filter
+# over the processed clauses replaced the index, only PUZ001's subsumption
+# tests changed (180 before).
 
 SEARCH_PINS = [
     ("chain_with_distractor", "Theorem", ("a1", "a2"), 7, 6, 5, 0),
@@ -268,7 +270,7 @@ SEARCH_PINS = [
         6036,
         4353,
         187,
-        180,
+        309,
     ),
     ("dependent_axioms", "Satisfiable", (), 3, 3, 2, 1),
     ("two_minima", "Theorem", ("route_a", "route_a_works"), 8, 7, 5, 0),
@@ -313,8 +315,8 @@ class _EagerSaturation(prover._Saturation):
 
     def _insert(self, literals, origins):
         if literals and not _is_tautology(literals) and literals not in self.seen:
-            vec = self.features.vector(literals)
-            if self.features.subsumed(literals, vec, 0, len(self.processed)):
+            features = _features(literals, self.shared_features)
+            if self._subsumed(literals, features, 0, len(self.processed)):
                 self.generated += 1
                 return
         super()._insert(literals, origins)
@@ -377,28 +379,34 @@ def test_selection_check_gives_the_insertion_check_search_with_equality(seeds):
 
 def test_held_clauses_share_literals_and_origin_sets(puz001):
     """Passive clauses stay held until selected, so the clauses held use one
-    object per distinct origin set and per distinct literal."""
+    object per distinct origin set and per distinct literal; the processed
+    clauses' feature sets use one per distinct feature."""
     _, sat = _saturate(puz001, EngineLimits(timeout=60), prover._Saturation)
     origins = [o for _, o in sat.slots]
     literals = [lit for lits, _ in sat.slots for lit in lits]
+    features = [f for _, _, fs in sat.processed for f in fs]
     assert len(set(origins)) < len(origins)
     assert len(set(map(id, origins))) == len(set(origins))
     assert len(set(map(id, literals))) == len(set(literals))
+    assert len(set(features)) < len(features)
+    assert len(set(map(id, features))) == len(set(features))
 
 
-def test_puz001_subsumption_tests_stay_indexed(puz001):
+def test_puz001_subsumption_tests_stay_filtered(puz001):
     """The full PUZ001 proof runs the full matcher on few candidates.  The
-    first-literal bucket scan that the feature-vector index replaced made
+    first-literal bucket scan that a feature-vector index replaced made
     131,421 matcher calls here; the index, checking at insertion, made
-    10,987; checking at selection it makes 180."""
+    10,987, and checking at selection 180.  The head-symbol filter that
+    replaced the index makes 309."""
     out = prove(puz001, EngineLimits(timeout=60))
     assert (out.stats.generated, out.stats.kept, out.stats.given) == (6036, 4353, 187)
     assert out.stats.subsumption_tests <= 1_000
 
 
 # ---------------------------------------------------------------------------
-# The feature-vector index answers exactly what the full matcher answers
-# under the literal-count condition: it only skips matches that must fail.
+# Forward subsumption answers exactly what the full matcher answers under the
+# literal-count condition: the feature filter only skips matches that must
+# fail.
 
 
 def _instance(rng, literals):
@@ -415,60 +423,49 @@ def _brute_force(processed, literals, start, stop) -> bool:
     )
 
 
-def test_index_keeps_the_literal_count_condition():
+def _saturation_with(processed):
+    """A saturation whose processed clauses are these."""
+    sat = prover._Saturation((), LIMITS)
+    sat.processed = [(c, frozenset(), _features(c, {})) for c in processed]
+    return sat
+
+
+def test_features_are_predicate_signs_and_argument_heads():
+    c = ((True, "p", ("X0", ("f", ("X1",)))), (False, "q", (("a", ()),)))
+    expected = {("p", True), ("p", True, 1, "f"), ("q", False), ("q", False, 0, "a")}
+    assert _features(c, {}) == expected
+
+
+@given(st.integers(0, 2**32))
+def test_features_of_a_subsumer_are_a_subset(n):
+    rng = random.Random(n)
+    c = normalize(random_literals(rng))
+    for d in (_instance(rng, c), normalize(random_literals(rng, 4))):
+        if _subsumes_into(c, _literals_by_key(d)):
+            assert _features(c, {}) <= _features(d, {})
+        got = _saturation_with([c])._subsumed(d, _features(d, {}), 0, 1)
+        assert got == _brute_force([c], d, 0, 1)
+
+
+def test_subsumed_keeps_the_literal_count_condition():
     """p(X) | p(a) maps into p(a), but a longer clause never subsumes a
     shorter one here, which keeps factoring's work for the search."""
     c = normalize(((True, "p", ("X",)), (True, "p", (("a", ()),))))
     d = ((True, "p", (("a", ()),)),)
-    index = _FeatureIndex((c, d))
-    index.add(0, c, index.vector(c))
     assert _subsumes_into(c, _literals_by_key(d))
-    assert not index.subsumed(d, index.vector(d), 0, 1)
+    assert not _saturation_with([c])._subsumed(d, _features(d, {}), 0, 1)
 
 
 @given(st.integers(0, 2**32))
-def test_index_never_rejects_a_subsumer(n):
-    rng = random.Random(n)
-    c = normalize(random_literals(rng))
-    for d in (_instance(rng, c), normalize(random_literals(rng, 4))):
-        index = _FeatureIndex((c, d))
-        cv, dv = index.vector(c), index.vector(d)
-        if _subsumes_into(c, _literals_by_key(d)):
-            assert cv & dv == cv
-        index.add(0, c, cv)
-        assert index.subsumed(d, dv, 0, 1) == _brute_force([c], d, 0, 1)
-
-
-@given(st.integers(0, 2**32))
-def test_index_answers_like_a_scan_of_the_processed_clauses(n):
+def test_subsumed_answers_like_a_scan_of_the_processed_clauses(n):
     rng = random.Random(n)
     processed = [normalize(random_literals(rng)) for _ in range(rng.randint(1, 6))]
     query = _instance(rng, rng.choice(processed))
     start, stop = sorted(rng.randint(0, len(processed)) for _ in range(2))
-    index = _FeatureIndex(processed + [query])
-    for gidx, literals in enumerate(processed):
-        index.add(gidx, literals, index.vector(literals))
-    vec = index.vector(query)
+    sat = _saturation_with(processed)
     for span in ((0, len(processed)), (0, start), (start, stop), (stop, len(processed))):
-        assert index.subsumed(query, vec, *span) == _brute_force(processed, query, *span)
-
-
-@given(st.integers(0, 2**32))
-def test_clause_vector_is_the_or_of_its_literal_vectors(n):
-    """The index memoizes one vector per literal and ors them, so a
-    literal's vector may depend neither on the other literals of its clause
-    nor on what the index computed before."""
-    rng = random.Random(n)
-    clauses = [normalize(random_literals(rng, 4)) for _ in range(3)]
-    index = _FeatureIndex(clauses)
-    for other in clauses[1:]:
-        index.vector(other)
-    c = clauses[0]
-    expected = 0
-    for lit in c:
-        expected |= _FeatureIndex(clauses).vector((lit,))
-    assert index.vector(c) == expected
-    assert index.vector(c[::-1]) == expected
+        got = sat._subsumed(query, _features(query, {}), *span)
+        assert got == _brute_force(processed, query, *span)
 
 
 def test_input_clauses_are_pinned():
@@ -515,20 +512,14 @@ def test_quoted_constant_and_variable_stay_distinct():
     assert out.status == SzsStatus.Theorem
 
 
-class _CheckedIndex(_FeatureIndex):
-    """Checks every answer against a scan of the processed clauses queried."""
+class _CheckedSaturation(prover._Saturation):
+    """Checks every forward-subsumption answer against a scan of the
+    processed clauses queried."""
 
-    def __init__(self, clauses):
-        super().__init__(clauses)
-        self.processed = []
-
-    def add(self, gidx, literals, vec):
-        super().add(gidx, literals, vec)
-        self.processed.append(literals)
-
-    def subsumed(self, literals, vec, start, stop):
-        got = super().subsumed(literals, vec, start, stop)
-        assert got == _brute_force(self.processed, literals, start, stop)
+    def _subsumed(self, literals, features, start, stop):
+        got = super()._subsumed(literals, features, start, stop)
+        processed = [c for c, _, _ in self.processed]
+        assert got == _brute_force(processed, literals, start, stop)
         return got
 
 
@@ -539,9 +530,8 @@ def test_saturation_subsumption_equals_a_full_scan(n):
         AnnotatedFormula(f"a{i}", "axiom", random_closed_formula(rng, 1)) for i in range(2)
     )
     goal = AnnotatedFormula("goal", "conjecture", random_closed_formula(rng, 1))
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(prover, "_FeatureIndex", _CheckedIndex)
-        prove(Theory(premises + (goal,)), EngineLimits(timeout=10, max_clause_count=150))
+    limits = EngineLimits(timeout=10, max_clause_count=150)
+    _saturate(Theory(premises + (goal,)), limits, _CheckedSaturation)
 
 
 @given(
