@@ -139,6 +139,8 @@ class QuerySession:
         limits: EngineLimits | None = None,
     ):
         self.theory = theory
+        # Theory.conjecture scans the formulas, and every decide needs the goal.
+        self._default_goal = GOAL_UNSAT if theory.conjecture is None else GOAL_CONJECTURE
         self.provers = list(provers)
         self.counters = list(counters)
         self.limits = limits or EngineLimits()
@@ -179,7 +181,7 @@ class QuerySession:
         return t.with_conjecture(self.theory[goal[1]])
 
     def default_goal(self) -> tuple:
-        return GOAL_UNSAT if self.theory.conjecture is None else GOAL_CONJECTURE
+        return self._default_goal
 
     # -- engine invocation ---------------------------------------------------
 

@@ -54,9 +54,11 @@ class EngineLimits:
     max_domain_size is the largest domain the model finder tries;
     max_clause_count bounds the clauses a call holds: both engines answer
     ResourceOut when clausifying the query would make more, the prover when
-    more clauses enter its passive set (it checks forward subsumption only
-    when it selects a clause), and the model finder when grounding a domain
-    size would make more or its solver would learn more on one size.
+    more clauses enter its passive set (every generated clause that is not a
+    tautology, duplicates included: it deletes duplicates and checks forward
+    subsumption only when it selects a clause), and the model finder when
+    grounding a domain size would make more or its solver would learn more
+    on one size.
     Values are checked here, so a bad limit fails before any engine runs.
     """
 

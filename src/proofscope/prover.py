@@ -1,17 +1,23 @@
 """Given-clause refutation prover (binary resolution + positive factoring).
 
 Clause selection picks the lowest-weight unprocessed clause with FIFO
-tie-break by age.  Tautology and duplicate deletion apply to generated clauses,
-which then go straight into the passive heap; forward subsumption is checked
-when a clause is selected, as in the DISCOUNT loop (Denzinger, Kronenburg &
-Schulz 1997).  A popped clause that a clause processed before its insertion
-subsumes is dropped without using up a pick; one that a clause processed
-since subsumes is dropped and uses one up.  The given clauses are therefore
-those that checking at insertion would give, and `kept` counts the clauses
-that entered the passive set, which `max_clause_count` bounds.  The clauses
-held share equal literals and origin sets.  Forward subsumption scans the
-processed clauses in order and runs the full matcher only on those whose
-predicate signs and argument head symbols are a subset of the selected
+tie-break by age.  A generated clause loses its repeated literals and,
+unless it is a tautology, goes straight into the passive heap as it was
+generated; normalization, duplicate deletion and forward subsumption wait
+until it is selected, as in the DISCOUNT loop (Denzinger, Kronenburg &
+Schulz 1997).  Weight and tautology do not change under variable renaming or
+literal order, so they are read off the raw clause.  A popped clause whose
+normal form an earlier popped clause had is dropped without using up a pick:
+it has the same weight as that clause and a later slot, so weight order and
+the age interleave both pop that clause first.  A popped clause that a
+clause processed before its insertion subsumes is also dropped without using
+up a pick; one that a clause processed since subsumes is dropped and uses
+one up.  The given clauses are therefore those that normalizing and checking
+at insertion would give, and `kept` counts every clause that entered the
+passive set, duplicates included, which `max_clause_count` bounds.  The
+clauses held share equal literals and origin sets.  Forward subsumption
+scans the processed clauses in order and runs the full matcher only on those
+whose predicate signs and argument head symbols are a subset of the selected
 clause's, a filter that only skips matches that must fail.  Equality is
 handled by appending congruence axioms under the reserved origin name
 "$equality", which is excluded from used premises.
@@ -25,6 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -57,9 +64,10 @@ PICK_GIVEN_RATIO = 4
 @dataclass(frozen=True)
 class SearchStats:
     """generated counts inserted clauses, kept those that entered the
-    passive set (they survived tautology and duplicate deletion), given those
-    selected and processed, and subsumption_tests the full matcher's calls
-    that the feature filter let through at selection."""
+    passive set (every one that is not a tautology, duplicates included:
+    they are deleted at selection), given those selected and processed, and
+    subsumption_tests the full matcher's calls that the feature filter let
+    through at selection."""
 
     generated: int
     kept: int
@@ -193,8 +201,22 @@ def _term_weight(t: Term) -> int:
     return 1 + sum(_term_weight(a) for a in t[1])
 
 
-def _weight(literals: Literals) -> int:
-    return sum(1 + sum(_term_weight(a) for a in args) for _, _, args in literals)
+def _is_ground(t: Term) -> bool:
+    if isinstance(t, str):
+        return False
+    return all(_is_ground(a) for a in t[1])
+
+
+def _instantiate(
+    literals: Literals, ground: tuple[bool, ...], subst: Subst, skip: int = -1
+) -> list[Literal]:
+    """literals under subst, leaving out index skip; a ground literal is
+    passed through as it is."""
+    return [
+        lit if g else _apply_literal(lit, subst)
+        for i, (lit, g) in enumerate(zip(literals, ground))
+        if i != skip
+    ]
 
 
 def _is_tautology(literals: Literals) -> bool:
@@ -319,6 +341,8 @@ class _Saturation:
         self.max_clause_count = limits.max_clause_count
         self.deadline = time.monotonic() + limits.timeout
         self.heap: list[tuple[int, int, int]] = []  # (weight, age, slot)
+        # Held clauses as generated; _take writes a popped one's normal form
+        # back into its slot.
         self.slots: list[Clause] = []
         self.done: list[bool] = []  # slot already popped
         # Per slot: how many clauses were processed when it was inserted.
@@ -326,34 +350,48 @@ class _Saturation:
         self.age_cursor = 0
         self.picks = 0
         # Per processed clause: its literals renamed apart for resolution,
-        # its origins, and its features.
-        self.processed: list[tuple[Literals, frozenset[str], frozenset]] = []
+        # its origins, its features, and which of its literals are ground.
+        self.processed: list[tuple[Literals, frozenset[str], frozenset, tuple[bool, ...]]] = []
         self.index: dict[tuple[str, bool], list[tuple[int, int]]] = {}
-        self.seen: set[Literals] = set()
+        self.seen: set[Literals] = set()  # normal forms of the popped clauses
         # Most held clauses are never selected; they share one object per
-        # distinct literal and per origin set to keep their memory down, and
-        # the processed clauses' feature sets one per distinct feature.
-        self.shared_literals: dict[Literal, Literal] = {}
+        # distinct literal (kept with its weight) and per origin set to keep
+        # their memory down, and the processed clauses' feature sets one per
+        # distinct feature.
+        self.shared_literals: dict[Literal, tuple[Literal, int]] = {}
         self.shared_origins: dict[frozenset[str], frozenset[str]] = {}
         self.shared_features: dict[tuple, tuple] = {}
         self.generated = 0
         self.subsumption_tests = 0
         self._tick = 0
 
-    def _insert(self, literals: Literals, origins: frozenset[str]) -> None:
+    def _share(self, literals: Iterable[Literal]) -> tuple[Literals, int]:
+        """literals, each replaced by the one object held for equal
+        literals, and their weight."""
+        table = self.shared_literals
+        out = []
+        weight = 0
+        for lit in literals:
+            entry = table.get(lit)
+            if entry is None:
+                entry = table[lit] = (lit, 1 + sum(_term_weight(a) for a in lit[2]))
+            out.append(entry[0])
+            weight += entry[1]
+        return tuple(out), weight
+
+    def _insert(self, literals: Sequence[Literal], origins: frozenset[str]) -> None:
         self.generated += 1
         if not literals:
             raise _Refuted(origins)
-        if _is_tautology(literals) or literals in self.seen:
+        literals = dict.fromkeys(literals)
+        if _is_tautology(literals):
             return
-        shared = self.shared_literals
-        literals = tuple([shared.setdefault(lit, lit) for lit in literals])
-        self.seen.add(literals)
+        literals, weight = self._share(literals)
         slot = len(self.slots)
         self.slots.append((literals, self.shared_origins.setdefault(origins, origins)))
         self.done.append(False)
         self.kept_at.append(len(self.processed))
-        heapq.heappush(self.heap, (_weight(literals), slot, slot))
+        heapq.heappush(self.heap, (weight, slot, slot))
         if len(self.slots) > self.max_clause_count:
             raise OutOfBudget
 
@@ -368,7 +406,7 @@ class _Saturation:
         nlits = len(literals)
         by_key = None
         for gidx in range(start, stop):
-            c_literals, _, c_features = self.processed[gidx]
+            c_literals, _, c_features, _ = self.processed[gidx]
             if len(c_literals) > nlits or not c_features <= features:
                 continue
             if by_key is None:
@@ -379,12 +417,20 @@ class _Saturation:
         return False
 
     def _take(self, slot: int) -> frozenset | None:
-        """Mark a popped slot done and return its clause's features; None if
-        a clause processed before its insertion subsumes it.  That is the
-        check insertion leaves out; a clause it drops uses up no pick, so the
-        given clauses are those that checking at insertion would give."""
+        """Mark a popped slot done, write its clause's normal form back, and
+        return the clause's features; None if an earlier popped clause had
+        the same normal form, or a clause processed before its insertion
+        subsumes it.  Those are the checks insertion leaves out; a clause
+        they drop uses up no pick, so the given clauses are those that
+        checking at insertion would give."""
         self.done[slot] = True
-        literals = self.slots[slot][0]
+        literals, origins = self.slots[slot]
+        literals = normalize(literals)
+        if literals in self.seen:
+            return None
+        literals = self._share(literals)[0]
+        self.seen.add(literals)
+        self.slots[slot] = (literals, origins)
         features = _features(literals, self.shared_features)
         if self._subsumed(literals, features, 0, self.kept_at[slot]):
             return None
@@ -422,7 +468,7 @@ class _Saturation:
         OutOfBudget past the deadline or once more than max_clause_count
         clauses are held."""
         for literals, origins in self.initial:
-            self._insert(normalize(literals), origins)
+            self._insert(literals, origins)
         while True:
             self._check_deadline()
             popped = self._pop_given()
@@ -434,27 +480,31 @@ class _Saturation:
             gidx = len(self.processed)
             if self._subsumed(literals, features, self.kept_at[slot], gidx):
                 continue
-            renamed = tuple(_rename_literal(l, "r_") for l in literals)
-            self.processed.append((renamed, origins, features))
+            ground = tuple(all(_is_ground(a) for a in args) for _, _, args in literals)
+            renamed = tuple(
+                lit if g else _rename_literal(lit, "r_") for lit, g in zip(literals, ground)
+            )
+            self.processed.append((renamed, origins, features, ground))
             for li, (positive, pred, _) in enumerate(literals):
                 self.index.setdefault((pred, positive), []).append((gidx, li))
-            self._infer(literals, origins)
+            self._infer(literals, origins, ground)
 
-    def _infer(self, literals: Literals, origins: frozenset[str]) -> None:
-        """Generate resolvents and positive factors of the given clause."""
+    def _infer(
+        self, literals: Literals, origins: frozenset[str], ground: tuple[bool, ...]
+    ) -> None:
+        """Generate resolvents and positive factors of the given clause;
+        ground flags which of its literals are ground."""
         # Binary resolution against processed clauses (including given itself).
         for li, (positive, pred, args) in enumerate(literals):
             partners = self.index.get((pred, not positive), ())
-            rest = literals[:li] + literals[li + 1 :]
             for pidx, mi in partners:
-                renamed, partner_origins, _ = self.processed[pidx]
+                renamed, partner_origins, _, partner_ground = self.processed[pidx]
                 subst: Subst = {}
                 if not _unify_args(args, renamed[mi][2], subst):
                     continue
-                resolvent = tuple(_apply_literal(l, subst) for l in rest) + tuple(
-                    _apply_literal(l, subst) for i, l in enumerate(renamed) if i != mi
-                )
-                self._insert(normalize(resolvent), origins | partner_origins)
+                resolvent = _instantiate(literals, ground, subst, li)
+                resolvent += _instantiate(renamed, partner_ground, subst, mi)
+                self._insert(resolvent, origins | partner_origins)
                 self._tick += 1
                 if self._tick % 256 == 0:
                     self._check_deadline()
@@ -469,8 +519,7 @@ class _Saturation:
                 subst = {}
                 if not _unify_args(la[2], lb[2], subst):
                     continue
-                factor = tuple(_apply_literal(l, subst) for l in literals)
-                self._insert(normalize(factor), origins)
+                self._insert(_instantiate(literals, ground, subst), origins)
 
 
 def _input_clauses(named: list[tuple[str, object]], limit: float = math.inf) -> ClauseSet:

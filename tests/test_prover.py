@@ -229,16 +229,19 @@ class TestAgainstTruthTables:
 # clauses that enter the passive set, and only PUZ001's kept (2403 before)
 # and subsumption tests (10,987 before) changed.  When a head-symbol filter
 # over the processed clauses replaced the index, only PUZ001's subsumption
-# tests changed (180 before).
+# tests changed (180 before).  When normalization and duplicate deletion
+# moved from insertion to selection, kept came to count the duplicates held
+# too, and only the kept of shortcut_implication (9 before), duplicate_axiom
+# (3), full_square (8) and PUZ001 (4353) changed.
 
 SEARCH_PINS = [
     ("chain_with_distractor", "Theorem", ("a1", "a2"), 7, 6, 5, 0),
     ("two_routes", "Theorem", ("a1", "a2"), 8, 7, 5, 0),
     ("disjunctive_goal", "Theorem", ("a1",), 5, 4, 3, 0),
     ("conjunctive_goal", "Theorem", ("a1", "a2"), 7, 6, 5, 0),
-    ("shortcut_implication", "Theorem", ("a1", "a2", "a3"), 11, 9, 6, 0),
+    ("shortcut_implication", "Theorem", ("a1", "a2", "a3"), 11, 10, 6, 0),
     ("tautology_goal", "Theorem", (), 5, 4, 4, 0),
-    ("duplicate_axiom", "Theorem", ("a1",), 5, 3, 3, 0),
+    ("duplicate_axiom", "Theorem", ("a1",), 5, 4, 3, 0),
     ("inconsistent_premises", "Theorem", ("a1", "a2"), 5, 4, 2, 0),
     ("biconditional", "Theorem", ("a1", "a2"), 8, 7, 5, 0),
     ("exclusive_or", "Theorem", ("a1", "a2"), 10, 7, 5, 1),
@@ -260,7 +263,7 @@ SEARCH_PINS = [
     ("covered_disjunction", "Unsatisfiable", ("a1", "a2", "a3"), 6, 5, 4, 0),
     ("contradiction_plus_noise", "Unsatisfiable", ("a1", "a2"), 4, 3, 2, 0),
     ("broken_implication", "Unsatisfiable", ("a1", "a2", "a3"), 7, 6, 5, 0),
-    ("full_square", "Unsatisfiable", ("a1", "a2", "a3", "a4"), 19, 8, 7, 0),
+    ("full_square", "Unsatisfiable", ("a1", "a2", "a3", "a4"), 19, 14, 7, 0),
     ("three_way", "Unsatisfiable", ("a1", "a2", "a3"), 6, 5, 4, 0),
     (
         "PUZ001+1",
@@ -268,7 +271,7 @@ SEARCH_PINS = [
         ("pel55_1", "pel55_10", "pel55_11", "pel55_3", "pel55_4",
          "pel55_5", "pel55_6", "pel55_7", "pel55_8", "pel55_9"),
         6036,
-        4353,
+        5693,
         187,
         309,
     ),
@@ -305,20 +308,30 @@ def test_search_is_pinned(name, status, used, generated, kept, given, tests):
 
 
 # ---------------------------------------------------------------------------
-# Forward subsumption checked at selection gives the search that checking at
-# insertion gave: the same given clauses, in the same order.
+# Normalization, duplicate deletion and forward subsumption checked at
+# selection give the search that checking at insertion gave: the same given
+# clauses, in the same order.
 
 
 class _EagerSaturation(prover._Saturation):
-    """Rejects a generated clause that a processed clause subsumes when it
-    is inserted, as the search did before the check moved to selection."""
+    """Normalizes a generated clause when it is inserted, and rejects it
+    there if it repeats an earlier insertion or a processed clause subsumes
+    it, as the search did before these checks moved to selection."""
+
+    def __init__(self, initial, limits):
+        super().__init__(initial, limits)
+        self.inserted = set()
 
     def _insert(self, literals, origins):
-        if literals and not _is_tautology(literals) and literals not in self.seen:
+        literals = normalize(literals)
+        if literals and not _is_tautology(literals):
             features = _features(literals, self.shared_features)
-            if self._subsumed(literals, features, 0, len(self.processed)):
+            if literals in self.inserted or self._subsumed(
+                literals, features, 0, len(self.processed)
+            ):
                 self.generated += 1
                 return
+            self.inserted.add(literals)
         super()._insert(literals, origins)
 
 
@@ -354,8 +367,14 @@ def _same_search(t, limits):
     return eager
 
 
-# PUZ001's kept column as it read when subsumption was checked at insertion.
-_KEPT_AT_INSERTION = {"PUZ001+1": 2403}
+# The kept column as it read when duplicates and subsumed clauses were
+# rejected at insertion, where it differs from SEARCH_PINS.
+_KEPT_AT_INSERTION = {
+    "shortcut_implication": 9,
+    "duplicate_axiom": 3,
+    "full_square": 8,
+    "PUZ001+1": 2403,
+}
 
 
 @pytest.mark.parametrize(
@@ -384,7 +403,7 @@ def test_held_clauses_share_literals_and_origin_sets(puz001):
     _, sat = _saturate(puz001, EngineLimits(timeout=60), prover._Saturation)
     origins = [o for _, o in sat.slots]
     literals = [lit for lits, _ in sat.slots for lit in lits]
-    features = [f for _, _, fs in sat.processed for f in fs]
+    features = [f for _, _, fs, _ in sat.processed for f in fs]
     assert len(set(origins)) < len(origins)
     assert len(set(map(id, origins))) == len(set(origins))
     assert len(set(map(id, literals))) == len(set(literals))
@@ -397,9 +416,10 @@ def test_puz001_subsumption_tests_stay_filtered(puz001):
     first-literal bucket scan that a feature-vector index replaced made
     131,421 matcher calls here; the index, checking at insertion, made
     10,987, and checking at selection 180.  The head-symbol filter that
-    replaced the index makes 309."""
+    replaced the index makes 309.  Since duplicates are deleted at
+    selection, kept counts them too (4353 before)."""
     out = prove(puz001, EngineLimits(timeout=60))
-    assert (out.stats.generated, out.stats.kept, out.stats.given) == (6036, 4353, 187)
+    assert (out.stats.generated, out.stats.kept, out.stats.given) == (6036, 5693, 187)
     assert out.stats.subsumption_tests <= 1_000
 
 
@@ -426,7 +446,7 @@ def _brute_force(processed, literals, start, stop) -> bool:
 def _saturation_with(processed):
     """A saturation whose processed clauses are these."""
     sat = prover._Saturation((), LIMITS)
-    sat.processed = [(c, frozenset(), _features(c, {})) for c in processed]
+    sat.processed = [(c, frozenset(), _features(c, {}), ()) for c in processed]
     return sat
 
 
@@ -512,13 +532,41 @@ def test_quoted_constant_and_variable_stay_distinct():
     assert out.status == SzsStatus.Theorem
 
 
+def _term_sum_weight(literals) -> int:
+    """A clause's weight: one per literal and one per symbol or variable
+    occurrence in its arguments."""
+
+    def term(t) -> int:
+        return 1 if isinstance(t, str) else 1 + sum(term(a) for a in t[1])
+
+    return sum(1 + sum(term(a) for a in args) for _, _, args in literals)
+
+
+@given(st.integers(0, 2**32))
+def test_raw_clause_weight_and_tautology_match_its_normal_form(n):
+    """Insertion reads weight and tautology off the raw clause, with repeated
+    literals dropped, and leaves normalizing to selection.  Renaming and
+    reordering change neither, and normalizing twice changes nothing."""
+    rng = random.Random(n)
+    literals = random_literals(rng, 4, ("Y0", "Y1", "Z"))
+    raw = literals + tuple(rng.choice(literals) for _ in range(rng.randint(0, 2)))
+    raw = tuple(rng.sample(raw, len(raw)))
+    unique = tuple(dict.fromkeys(raw))
+    normal = normalize(raw)
+    shared, weight = prover._Saturation((), LIMITS)._share(unique)
+    assert shared == unique
+    assert weight == _term_sum_weight(normal)
+    assert _is_tautology(unique) == _is_tautology(normal)
+    assert normalize(normal) == normal
+
+
 class _CheckedSaturation(prover._Saturation):
     """Checks every forward-subsumption answer against a scan of the
     processed clauses queried."""
 
     def _subsumed(self, literals, features, start, stop):
         got = super()._subsumed(literals, features, start, stop)
-        processed = [c for c, _, _ in self.processed]
+        processed = [c for c, *_ in self.processed]
         assert got == _brute_force(processed, literals, start, stop)
         return got
 
