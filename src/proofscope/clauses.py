@@ -166,6 +166,21 @@ def clausify(named: Sequence[tuple[str, Formula]], limit: float = math.inf) -> C
     return tuple(clauses)
 
 
+def formula_signature(formulas: Iterable[Formula]) -> tuple[dict[str, int], dict[str, int]]:
+    """Predicate and function symbols (with arities) occurring in formulas,
+    each in pre-order of first occurrence.  A symbol used at two arities is
+    an input error (ValueError): the parser rejects such a theory, the
+    library API does not, and neither engine can answer it soundly."""
+    preds: dict[str, int] = {}
+    funcs: dict[str, int] = {}
+    for f in formulas:
+        for sym, arity, is_predicate in symbols(f):
+            table = preds if is_predicate else funcs
+            if table.setdefault(sym, arity) != arity:
+                raise ValueError(f"symbol {sym} used with arity {table[sym]} and arity {arity}")
+    return preds, funcs
+
+
 def clause_signature(clauses: Iterable[Clause]) -> tuple[dict[str, int], dict[str, int]]:
     """Predicate and function symbols (with arities) occurring in clauses,
     each in pre-order of first occurrence."""

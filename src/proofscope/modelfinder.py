@@ -53,8 +53,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .clauses import Literals, OutOfBudget, clause_signature, clausify
-from .logic import EQUALITY, Formula, Interpretation, Term, evaluate, symbols
+from .clauses import Literals, OutOfBudget, clause_signature, clausify, formula_signature
+from .logic import EQUALITY, Formula, Interpretation, Term, evaluate
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engines import EngineLimits
@@ -639,21 +639,18 @@ def find_model(
     verifying ends the search with ResourceOut.  A symbol used at two
     arities is an input error (ValueError)."""
     deadline = time.monotonic() + limits.timeout
+    originals = [f for _, f in formulas]
+    input_signature = formula_signature(originals)
     try:
         clauses = clausify(list(formulas), limits.max_clause_count)
-        originals = [f for _, f in formulas]
         preds, funcs = clause_signature(clauses)
         constants = [sym for sym, arity in funcs.items() if arity == 0]  # pre-order
         # Clauses can drop tautological parts; decoded models must still
         # cover every symbol of the original formulas for verification.
-        # Skolem functions are fresh, so a clash of arities is in the input.
-        for f in originals:
-            for sym, arity, is_predicate in symbols(f):
-                table = preds if is_predicate else funcs
-                if table.setdefault(sym, arity) != arity:
-                    raise ValueError(
-                        f"symbol {sym} used with arity {table[sym]} and arity {arity}"
-                    )
+        # Skolem functions are fresh, so they clash with no input symbol.
+        for table, extra in zip((preds, funcs), input_signature):
+            for sym, arity in extra.items():
+                table.setdefault(sym, arity)
         splits: list[int] = []
         flats = [p for literals, _ in clauses for p in _split(_flatten(literals), splits)]
         for n in range(1, limits.max_domain_size + 1):

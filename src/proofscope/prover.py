@@ -23,7 +23,13 @@ handled by appending congruence axioms under the reserved origin name
 "$equality", which is excluded from used premises.
 
 The search runs on the plain-tuple clause form of `clauses`, as `clausify`
-returns it.
+returns it.  Substitutions stay triangular: a binding may hold variables
+that are bound elsewhere in the same dict, and `_unify`, `_occurs` and
+`_apply` follow such chains inline.  The occurs check runs only when a
+variable is bound to a term with arguments; after walking, the other side of
+any other binding is a different unbound variable or a constant, which
+cannot close a cycle.  A symbol used at two arities is an input error
+(ValueError), as in the model finder.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -46,6 +52,7 @@ from .clauses import (
     clause_signature,
     clausify,
     contains_equality,
+    formula_signature,
 )
 from .logic import EQUALITY, Not, Term
 from .tptp import Theory
@@ -88,59 +95,82 @@ class ProofOutcome:
 Subst = dict[str, Term]
 
 
-def _walk(t: Term, subst: Subst) -> Term:
-    while isinstance(t, str):
-        bound = subst.get(t)
-        if bound is None:
-            return t
-        t = bound
-    return t
-
-
 def _occurs(name: str, t: Term, subst: Subst) -> bool:
-    t = _walk(t, subst)
-    if isinstance(t, str):
-        return t == name
-    return any(_occurs(name, a, subst) for a in t[1])
+    """True if the unbound variable name occurs in t under subst."""
+    while type(t) is str:
+        if t == name:
+            return True
+        t = subst.get(t)
+        if t is None:
+            return False
+    for a in t[1]:
+        if _occurs(name, a, subst):
+            return True
+    return False
 
 
 def _unify(a: Term, b: Term, subst: Subst) -> bool:
-    """Extend subst in place to unify a and b; False leaves subst unusable."""
-    a = _walk(a, subst)
-    b = _walk(b, subst)
-    if isinstance(a, str):
+    """Extend subst in place to unify a and b; False leaves subst unusable.
+
+    subst stays triangular: a binding may hold variables bound elsewhere in
+    it.  Both sides are first walked to an unbound variable or a non-variable
+    term.  Binding a variable to a different unbound variable or to a
+    constant cannot close a cycle, so the occurs check runs only when the
+    term bound to has arguments."""
+    while type(a) is str:
+        bound = subst.get(a)
+        if bound is None:
+            break
+        a = bound
+    while type(b) is str:
+        bound = subst.get(b)
+        if bound is None:
+            break
+        b = bound
+    if type(a) is str:
         if a == b:
             return True
-        if _occurs(a, b, subst):
+        if type(b) is not str and b[1] and _occurs(a, b, subst):
             return False
         subst[a] = b
         return True
-    if isinstance(b, str):
-        if _occurs(b, a, subst):
+    if type(b) is str:
+        if a[1] and _occurs(b, a, subst):
             return False
         subst[b] = a
         return True
-    if a[0] != b[0] or len(a[1]) != len(b[1]):
+    if a[0] != b[0]:
         return False
-    return all(_unify(x, y, subst) for x, y in zip(a[1], b[1]))
+    xs = a[1]
+    ys = b[1]
+    if len(xs) != len(ys):
+        return False
+    for x, y in zip(xs, ys):
+        if not _unify(x, y, subst):
+            return False
+    return True
 
 
 def _unify_args(xs: tuple[Term, ...], ys: tuple[Term, ...], subst: Subst) -> bool:
     if len(xs) != len(ys):
         return False
-    return all(_unify(x, y, subst) for x, y in zip(xs, ys))
+    for x, y in zip(xs, ys):
+        if not _unify(x, y, subst):
+            return False
+    return True
 
 
 def _apply(t: Term, subst: Subst) -> Term:
-    t = _walk(t, subst)
-    if isinstance(t, str) or not t[1]:
+    """t under the triangular subst, with every bound variable replaced
+    through its chain of bindings.  The occurs check in _unify keeps the
+    bindings acyclic, so this ends."""
+    if type(t) is str:
+        bound = subst.get(t)
+        return t if bound is None else _apply(bound, subst)
+    args = t[1]
+    if not args:
         return t
-    return (t[0], tuple(_apply(a, subst) for a in t[1]))
-
-
-def _apply_literal(lit: Literal, subst: Subst) -> Literal:
-    positive, pred, args = lit
-    return (positive, pred, tuple(_apply(a, subst) for a in args))
+    return (t[0], tuple([_apply(a, subst) for a in args]))
 
 
 def _rename_term(t: Term, prefix: str) -> Term:
@@ -213,15 +243,19 @@ def _instantiate(
     """literals under subst, leaving out index skip; a ground literal is
     passed through as it is."""
     return [
-        lit if g else _apply_literal(lit, subst)
+        lit if g else (lit[0], lit[1], tuple([_apply(a, subst) for a in lit[2]]))
         for i, (lit, g) in enumerate(zip(literals, ground))
         if i != skip
     ]
 
 
-def _is_tautology(literals: Literals) -> bool:
-    positive = {(pred, args) for pos, pred, args in literals if pos}
-    return any((pred, args) in positive for pos, pred, args in literals if not pos)
+def _is_tautology(literals: Collection[Literal]) -> bool:
+    """True if literals hold some literal and its complement; a dict keyed
+    by literal, as _insert holds them, answers each lookup by hashing."""
+    for positive, pred, args in literals:
+        if (not positive, pred, args) in literals:
+            return True
+    return False
 
 
 def _match(pattern: Term, target: Term, subst: Subst, trail: list[str]) -> bool:
@@ -494,17 +528,19 @@ class _Saturation:
     ) -> None:
         """Generate resolvents and positive factors of the given clause;
         ground flags which of its literals are ground."""
+        processed = self.processed
+        insert = self._insert
         # Binary resolution against processed clauses (including given itself).
         for li, (positive, pred, args) in enumerate(literals):
             partners = self.index.get((pred, not positive), ())
             for pidx, mi in partners:
-                renamed, partner_origins, _, partner_ground = self.processed[pidx]
+                renamed, partner_origins, _, partner_ground = processed[pidx]
                 subst: Subst = {}
                 if not _unify_args(args, renamed[mi][2], subst):
                     continue
                 resolvent = _instantiate(literals, ground, subst, li)
                 resolvent += _instantiate(renamed, partner_ground, subst, mi)
-                self._insert(resolvent, origins | partner_origins)
+                insert(resolvent, origins | partner_origins)
                 self._tick += 1
                 if self._tick % 256 == 0:
                     self._check_deadline()
@@ -519,7 +555,7 @@ class _Saturation:
                 subst = {}
                 if not _unify_args(la[2], lb[2], subst):
                     continue
-                self._insert(_instantiate(literals, ground, subst), origins)
+                insert(_instantiate(literals, ground, subst), origins)
 
 
 def _input_clauses(named: list[tuple[str, object]], limit: float = math.inf) -> ClauseSet:
@@ -542,6 +578,7 @@ def _search(
     if any); a refutation answers refuted, a closed search saturated, and
     an exhausted budget ResourceOut."""
     named = [(p.name, p.formula) for p in t.premises] + goal
+    formula_signature(f for _, f in named)  # a symbol at two arities raises ValueError
     sat = None
     used: frozenset[str] = frozenset()
     try:

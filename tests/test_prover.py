@@ -1,6 +1,8 @@
 """Saturation prover tests: verdicts, used premises, determinism, limits,
-pinned search counts and the forward-subsumption filter."""
+pinned searches, the term kernels against the walk-based ones they replaced,
+and the forward-subsumption filter."""
 
+import hashlib
 import inspect
 import random
 import sys
@@ -12,14 +14,16 @@ from proofscope import prover
 from proofscope.clauses import clausify, contains_equality
 from proofscope.engines import EngineLimits
 from proofscope.modelfinder import ModelKind, find_model
-from proofscope.logic import Not
+from proofscope.logic import Atom, Binary, Not, Quantified
 from proofscope.prover import (
     SearchStats,
-    _apply_literal,
+    _apply,
     _features,
+    _instantiate,
     _is_tautology,
     _literals_by_key,
     _subsumes_into,
+    _unify,
     normalize,
     prove,
     refute,
@@ -72,6 +76,27 @@ class TestProve:
     def test_requires_conjecture(self):
         with pytest.raises(ValueError):
             prove(mk("fof(a1, axiom, p)."), LIMITS)
+
+    def test_symbol_at_two_arities_is_an_input_error(self):
+        """p/1 and p/2, which only the library API lets through.  Without
+        the check, the matcher, which zips arguments without comparing their
+        counts, lets p(X) "subsume" p(a,b) | q, and the prover answers
+        CounterSatisfiable although q follows from the last two axioms."""
+        ab = (("a", ()), ("b", ()))
+        premises = (
+            AnnotatedFormula("a1", "axiom", Quantified("!", ("X",), Atom("p", ("X",)))),
+            AnnotatedFormula("a2", "axiom", Binary("|", Atom("p", ab), Atom("q"))),
+            AnnotatedFormula("a3", "axiom", Not(Atom("p", ab))),
+        )
+        goal = AnnotatedFormula("goal", "conjecture", Atom("q"))
+        clash = r"symbol p used with arity 1 and arity 2"
+        with pytest.raises(ValueError, match=clash):
+            prove(Theory(premises + (goal,)), LIMITS)
+        with pytest.raises(ValueError, match=clash):
+            refute(Theory(premises), LIMITS)
+        query = [(f.name, f.formula) for f in premises] + [("$neg", Not(goal.formula))]
+        with pytest.raises(ValueError, match=clash):
+            find_model(query, EngineLimits(timeout=10, max_domain_size=2))
 
     def test_used_premises_subset_of_inputs(self, puz001):
         out = prove(puz001, EngineLimits(timeout=60))
@@ -232,39 +257,42 @@ class TestAgainstTruthTables:
 # tests changed (180 before).  When normalization and duplicate deletion
 # moved from insertion to selection, kept came to count the duplicates held
 # too, and only the kept of shortcut_implication (9 before), duplicate_axiom
-# (3), full_square (8) and PUZ001 (4353) changed.
+# (3), full_square (8) and PUZ001 (4353) changed.  The last column pins the
+# search itself, not only its counts: the first 16 hex digits of
+# _processed_digest, recorded with the walk-based term kernels, before
+# _unify and _apply followed bindings inline.
 
 SEARCH_PINS = [
-    ("chain_with_distractor", "Theorem", ("a1", "a2"), 7, 6, 5, 0),
-    ("two_routes", "Theorem", ("a1", "a2"), 8, 7, 5, 0),
-    ("disjunctive_goal", "Theorem", ("a1",), 5, 4, 3, 0),
-    ("conjunctive_goal", "Theorem", ("a1", "a2"), 7, 6, 5, 0),
-    ("shortcut_implication", "Theorem", ("a1", "a2", "a3"), 11, 10, 6, 0),
-    ("tautology_goal", "Theorem", (), 5, 4, 4, 0),
-    ("duplicate_axiom", "Theorem", ("a1",), 5, 4, 3, 0),
-    ("inconsistent_premises", "Theorem", ("a1", "a2"), 5, 4, 2, 0),
-    ("biconditional", "Theorem", ("a1", "a2"), 8, 7, 5, 0),
-    ("exclusive_or", "Theorem", ("a1", "a2"), 10, 7, 5, 1),
-    ("nand_connective", "Theorem", ("a1", "a2"), 7, 6, 5, 0),
-    ("nor_connective", "Theorem", ("a1",), 5, 4, 4, 0),
-    ("single_relevant_fact", "Theorem", ("a3",), 7, 6, 6, 0),
-    ("long_chain", "Theorem", ("a1", "a2", "a3", "a4", "a5"), 16, 15, 11, 0),
-    ("conjunction_trigger", "Theorem", ("a1", "a2", "a3"), 10, 9, 6, 0),
-    ("case_split", "Theorem", ("a1", "a2", "a3"), 12, 11, 7, 0),
-    ("modus_tollens", "Theorem", ("a1", "a2"), 7, 6, 5, 0),
-    ("implied_by", "Theorem", ("a1", "a2"), 6, 5, 4, 0),
-    ("universal_instantiation", "Theorem", ("a1", "a2"), 8, 7, 5, 0),
-    ("existential_witnesses", "Theorem", ("a1",), 5, 4, 4, 0),
-    ("forall_to_exists", "Theorem", ("a1",), 4, 3, 3, 0),
-    ("stratified_rules", "Theorem", ("a1", "a2", "a3"), 10, 9, 6, 0),
-    ("monadic_cover", "Theorem", ("a1", "a2"), 7, 6, 5, 0),
-    ("negative_literal_premise", "Theorem", ("a1", "a2"), 7, 6, 5, 0),
-    ("direct_contradiction", "Unsatisfiable", ("a1", "a2"), 3, 2, 2, 0),
-    ("covered_disjunction", "Unsatisfiable", ("a1", "a2", "a3"), 6, 5, 4, 0),
-    ("contradiction_plus_noise", "Unsatisfiable", ("a1", "a2"), 4, 3, 2, 0),
-    ("broken_implication", "Unsatisfiable", ("a1", "a2", "a3"), 7, 6, 5, 0),
-    ("full_square", "Unsatisfiable", ("a1", "a2", "a3", "a4"), 19, 14, 7, 0),
-    ("three_way", "Unsatisfiable", ("a1", "a2", "a3"), 6, 5, 4, 0),
+    ("chain_with_distractor", "Theorem", ("a1", "a2"), 7, 6, 5, 0, "72360f5bc79e3d2c"),
+    ("two_routes", "Theorem", ("a1", "a2"), 8, 7, 5, 0, "881f6a4457ae62f0"),
+    ("disjunctive_goal", "Theorem", ("a1",), 5, 4, 3, 0, "d7ee535b9cde7e02"),
+    ("conjunctive_goal", "Theorem", ("a1", "a2"), 7, 6, 5, 0, "d58de78d4981148a"),
+    ("shortcut_implication", "Theorem", ("a1", "a2", "a3"), 11, 10, 6, 0, "e954066bb7e48ead"),
+    ("tautology_goal", "Theorem", (), 5, 4, 4, 0, "79e946bd840c966b"),
+    ("duplicate_axiom", "Theorem", ("a1",), 5, 4, 3, 0, "b2dc2cc79bc09913"),
+    ("inconsistent_premises", "Theorem", ("a1", "a2"), 5, 4, 2, 0, "f64b34f71bb8648e"),
+    ("biconditional", "Theorem", ("a1", "a2"), 8, 7, 5, 0, "b12e2165502f01c6"),
+    ("exclusive_or", "Theorem", ("a1", "a2"), 10, 7, 5, 1, "68f073fa82240084"),
+    ("nand_connective", "Theorem", ("a1", "a2"), 7, 6, 5, 0, "161eaecdb7587508"),
+    ("nor_connective", "Theorem", ("a1",), 5, 4, 4, 0, "79fbe130e36cfc54"),
+    ("single_relevant_fact", "Theorem", ("a3",), 7, 6, 6, 0, "e8ddd52d5c240e47"),
+    ("long_chain", "Theorem", ("a1", "a2", "a3", "a4", "a5"), 16, 15, 11, 0, "cd76415cc192aab7"),
+    ("conjunction_trigger", "Theorem", ("a1", "a2", "a3"), 10, 9, 6, 0, "a649dc8dbdb4ab07"),
+    ("case_split", "Theorem", ("a1", "a2", "a3"), 12, 11, 7, 0, "d694415f22b75c19"),
+    ("modus_tollens", "Theorem", ("a1", "a2"), 7, 6, 5, 0, "a770abc7bac274b1"),
+    ("implied_by", "Theorem", ("a1", "a2"), 6, 5, 4, 0, "f82b019fea6121ba"),
+    ("universal_instantiation", "Theorem", ("a1", "a2"), 8, 7, 5, 0, "ab73f315b149af07"),
+    ("existential_witnesses", "Theorem", ("a1",), 5, 4, 4, 0, "4bf4ada9b83a9f99"),
+    ("forall_to_exists", "Theorem", ("a1",), 4, 3, 3, 0, "ab2f12672571f915"),
+    ("stratified_rules", "Theorem", ("a1", "a2", "a3"), 10, 9, 6, 0, "892acc6b4db37d1f"),
+    ("monadic_cover", "Theorem", ("a1", "a2"), 7, 6, 5, 0, "ac1f65640fe36e30"),
+    ("negative_literal_premise", "Theorem", ("a1", "a2"), 7, 6, 5, 0, "927ebd412124ede7"),
+    ("direct_contradiction", "Unsatisfiable", ("a1", "a2"), 3, 2, 2, 0, "f64b34f71bb8648e"),
+    ("covered_disjunction", "Unsatisfiable", ("a1", "a2", "a3"), 6, 5, 4, 0, "bf3d05b4c765b3af"),
+    ("contradiction_plus_noise", "Unsatisfiable", ("a1", "a2"), 4, 3, 2, 0, "f64b34f71bb8648e"),
+    ("broken_implication", "Unsatisfiable", ("a1", "a2", "a3"), 7, 6, 5, 0, "07fde2c87a20a2b7"),
+    ("full_square", "Unsatisfiable", ("a1", "a2", "a3", "a4"), 19, 14, 7, 0, "f350e1dc5ca8bd04"),
+    ("three_way", "Unsatisfiable", ("a1", "a2", "a3"), 6, 5, 4, 0, "4ad255675d9ebfda"),
     (
         "PUZ001+1",
         "Theorem",
@@ -274,9 +302,10 @@ SEARCH_PINS = [
         5693,
         187,
         309,
+        "1ef387acced8ef26",
     ),
-    ("dependent_axioms", "Satisfiable", (), 3, 3, 2, 1),
-    ("two_minima", "Theorem", ("route_a", "route_a_works"), 8, 7, 5, 0),
+    ("dependent_axioms", "Satisfiable", (), 3, 3, 2, 1, "995aafd2fd72a9e6"),
+    ("two_minima", "Theorem", ("route_a", "route_a_works"), 8, 7, 5, 0, "79ac399a04feea56"),
 ]
 
 _THEORY_TEXTS = dict(ORACLE_THEORIES + UNSAT_CLAUSE_SETS)
@@ -293,18 +322,24 @@ def test_search_pins_cover_the_corpus_and_bundled_problems():
     assert {row[0] for row in SEARCH_PINS} == set(_THEORY_TEXTS) | bundled
 
 
+def _processed_digest(sat) -> str:
+    """sha1 over the repr of each processed clause's literals, as renamed
+    apart, with its sorted origins, in processing order."""
+    clauses = [(literals, sorted(origins)) for literals, origins, *_ in sat.processed]
+    return hashlib.sha1(repr(clauses).encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
-    "name,status,used,generated,kept,given,tests",
+    "name,status,used,generated,kept,given,tests,digest",
     SEARCH_PINS,
     ids=[r[0] for r in SEARCH_PINS],
 )
-def test_search_is_pinned(name, status, used, generated, kept, given, tests):
-    t = _pinned_theory(name)
-    search = prove if t.conjecture is not None else refute
-    out = search(t, EngineLimits(timeout=60))
+def test_search_is_pinned(name, status, used, generated, kept, given, tests, digest):
+    out, sat = _saturate(_pinned_theory(name), EngineLimits(timeout=60), prover._Saturation)
     assert out.status.value == status
     assert out.used_premises == frozenset(used)
     assert out.stats == SearchStats(generated, kept, given, tests)
+    assert _processed_digest(sat)[:16] == digest
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +459,134 @@ def test_puz001_subsumption_tests_stay_filtered(puz001):
 
 
 # ---------------------------------------------------------------------------
+# The term kernels follow bindings inline and run the occurs check only for
+# a binding to a term with arguments.  The walk-based kernels they replaced
+# are kept here as the reference: both bind exactly alike, so the search
+# does not change.
+
+
+def _ref_walk(t, subst):
+    while isinstance(t, str):
+        bound = subst.get(t)
+        if bound is None:
+            return t
+        t = bound
+    return t
+
+
+def _ref_occurs(name, t, subst) -> bool:
+    t = _ref_walk(t, subst)
+    if isinstance(t, str):
+        return t == name
+    return any(_ref_occurs(name, a, subst) for a in t[1])
+
+
+def _ref_unify(a, b, subst) -> bool:
+    a = _ref_walk(a, subst)
+    b = _ref_walk(b, subst)
+    if isinstance(a, str):
+        if a == b:
+            return True
+        if _ref_occurs(a, b, subst):
+            return False
+        subst[a] = b
+        return True
+    if isinstance(b, str):
+        if _ref_occurs(b, a, subst):
+            return False
+        subst[b] = a
+        return True
+    if a[0] != b[0] or len(a[1]) != len(b[1]):
+        return False
+    return all(_ref_unify(x, y, subst) for x, y in zip(a[1], b[1]))
+
+
+def _ref_apply(t, subst):
+    t = _ref_walk(t, subst)
+    if isinstance(t, str) or not t[1]:
+        return t
+    return (t[0], tuple(_ref_apply(a, subst) for a in t[1]))
+
+
+def _ref_apply_literal(lit, subst):
+    positive, pred, args = lit
+    return (positive, pred, tuple(_ref_apply(a, subst) for a in args))
+
+
+def _ref_is_tautology(literals) -> bool:
+    positive = {(pred, args) for pos, pred, args in literals if pos}
+    return any((pred, args) in positive for pos, pred, args in literals if not pos)
+
+
+def _unify_like_the_reference(pairs):
+    """Unify each pair in turn into one substitution with both kernels, and
+    check that they agree at every step.  Returns the substitution, or None
+    if some pair does not unify."""
+    subst, ref = {}, {}
+    for x, y in pairs:
+        ok = _unify(x, y, subst)
+        assert ok == _ref_unify(x, y, ref)
+        assert subst == ref
+        if not ok:
+            return None
+        assert _apply(x, subst) == _apply(y, subst) == _ref_apply(x, ref) == _ref_apply(y, ref)
+    for x, y in pairs:
+        assert _apply(x, subst) == _apply(y, subst)
+    return subst
+
+
+_A = ("a", ())
+# Binds every variable that random_open_term uses: a literal is ground iff
+# this leaves it as it is.
+_GROUNDING = {"X0": _A, "X1": _A, "X2": _A}
+
+
+def _f(t):
+    return ("f", (t,))
+
+
+@pytest.mark.parametrize(
+    "pairs,unifiable",
+    [
+        ([("X0", _f("X0"))], False),
+        ([(_f(_f("X0")), "X0")], False),
+        ([("X0", "X1"), ("X1", _f("X0"))], False),  # occurs through a binding
+        ([("X0", "X1"), ("X1", _A), ("X0", _A)], True),  # X0 -> X1 -> a
+        ([("X0", "X1"), ("X1", _A), ("X0", ("b", ()))], False),
+        ([("X0", "X1"), ("X1", "X0")], True),  # both walk to X1
+        ([("X0", _f("X1")), ("X1", _A), ("X0", _f(_A))], True),
+        ([("X0", "X1"), ("X1", "X2"), ("X2", _f("X0"))], False),
+    ],
+)
+def test_unify_cases_that_need_the_occurs_check_or_a_binding_chain(pairs, unifiable):
+    assert (_unify_like_the_reference(pairs) is not None) == unifiable
+
+
+@given(st.integers(0, 2**32))
+def test_unify_and_instantiate_match_the_walk_based_kernels(n):
+    rng = random.Random(n)
+    pairs = [(random_open_term(rng), random_open_term(rng)) for _ in range(rng.randint(1, 4))]
+    subst = _unify_like_the_reference(pairs)
+    if subst is None:
+        return
+    literals = random_literals(rng, 4)
+    ground = tuple(lit == _ref_apply_literal(lit, _GROUNDING) for lit in literals)
+    skip = rng.randrange(-1, len(literals))
+    assert _instantiate(literals, ground, subst, skip) == [
+        _ref_apply_literal(lit, subst) for i, lit in enumerate(literals) if i != skip
+    ]
+
+
+@given(st.integers(0, 2**32))
+def test_tautology_lookup_answers_like_the_set_based_check(n):
+    rng = random.Random(n)
+    literals = random_literals(rng, 4)
+    planted = rng.sample(literals, rng.randint(0, 1))
+    literals += tuple((not positive, pred, args) for positive, pred, args in planted)
+    assert _is_tautology(dict.fromkeys(literals)) == _ref_is_tautology(literals)
+
+
+# ---------------------------------------------------------------------------
 # Forward subsumption answers exactly what the full matcher answers under the
 # literal-count condition: the feature filter only skips matches that must
 # fail.
@@ -432,7 +595,7 @@ def test_puz001_subsumption_tests_stay_filtered(puz001):
 def _instance(rng, literals):
     """literals under a random substitution, plus some random literals."""
     subst = {v: random_open_term(rng, ("Y0", "Y1")) for v in ("X0", "X1", "X2")}
-    image = tuple(_apply_literal(l, subst) for l in literals)
+    image = tuple(_ref_apply_literal(l, subst) for l in literals)
     return normalize(image + random_literals(rng, 2, ("Y0", "Y1")))
 
 
