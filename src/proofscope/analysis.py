@@ -10,7 +10,8 @@ from enum import Enum
 from typing import Sequence
 
 from .engines import EngineLimits, EngineVerdict
-from .logic import Binary, Formula, Interpretation, Not, Quantified, evaluate, symbols
+from .clauses import formula_signature
+from .logic import Binary, Formula, Interpretation, Not, Quantified, evaluate
 from .tptp import AnnotatedFormula, Theory
 from .verdicts import Entailment, ProblemKind, SzsStatus, classify, combine
 
@@ -100,6 +101,9 @@ GOAL_UNSAT = ("unsat",)
 # assignments; above this many it is left out of the grown set.
 GROW_EVAL_CAP = 4096
 
+# The engine calls enumerate_minima may make unless its caller sets a budget.
+DEFAULT_SUBSET_BUDGET = 4096
+
 
 def _bound_depth(f: Formula) -> int:
     """Variables bound along the formula's deepest quantifier path."""
@@ -128,7 +132,8 @@ class QuerySession:
     model, so external engines never grow.  A theory without a conjecture is
     an Unsatisfiable-mode task: the default goal refutes its premises.  Cache
     hits and pruned queries consume no engine calls, so reports are
-    deterministic for a fixed order of queries.
+    deterministic for a fixed order of queries.  A symbol used at two arities
+    is an input error (ValueError), raised when the session is built.
     """
 
     def __init__(
@@ -149,11 +154,7 @@ class QuerySession:
         self._proving: dict[tuple, list[frozenset[str]]] = {}
         self._not_proving: dict[tuple, list[frozenset[str]]] = {}
         # Symbol arities and quantifier depths for growing non-proving sets.
-        self._preds: dict[str, int] = {}
-        self._funcs: dict[str, int] = {}
-        for f in theory.formulas:
-            for sym, arity, is_predicate in symbols(f.formula):
-                (self._preds if is_predicate else self._funcs).setdefault(sym, arity)
+        self._preds, self._funcs = formula_signature(f.formula for f in theory.formulas)
         self._depth = {p.name: _bound_depth(p.formula) for p in theory.premises}
 
     # -- query construction -------------------------------------------------
@@ -368,7 +369,7 @@ def semantic_reprove(session: QuerySession) -> tuple[NeededClassification, Confi
 
 
 def enumerate_minima(
-    session: QuerySession, cls: NeededClassification, subset_budget: int = 4096
+    session: QuerySession, cls: NeededClassification, subset_budget: int = DEFAULT_SUBSET_BUDGET
 ) -> MinimaReport:
     """Search candidate subsets needed ∪ E over E ⊆ eliminable for minima.
 

@@ -33,6 +33,7 @@ from .logic import (
     Atom,
     Formula,
     Not,
+    OutOfBudget,
     Quantified,
     Term,
     Truth,
@@ -61,11 +62,6 @@ _SHAPES = {
     NOR: (False, False, False),
     NAND: (True, False, False),
 }
-
-
-class OutOfBudget(Exception):
-    """An engine call's budget ran out: the deadline passed, or the call
-    would hold more clauses than its limit."""
 
 
 def clausify(named: Sequence[tuple[str, Formula]], limit: float = math.inf) -> ClauseSet:

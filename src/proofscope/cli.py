@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import analysis, report as rpt
-from .analysis import AnalysisError, IndependenceVerdict, QuerySession
+from .analysis import DEFAULT_SUBSET_BUDGET, AnalysisError, IndependenceVerdict, QuerySession
 from .engines import (
     BUILTIN_MODEL_FINDER_ID,
     BUILTIN_PROVER_ID,
@@ -37,7 +37,6 @@ EXIT_CONFLICT = 5
 
 DEFAULT_ENGINES = [BUILTIN_PROVER_ID, BUILTIN_MODEL_FINDER_ID]
 DEFAULT_TRIALS = 50
-DEFAULT_SUBSET_BUDGET = 4096
 # The engine capability each subcommand that runs engines needs, as its error names it.
 NEEDED_CAPABILITY = {
     "reprove": (CAP_PROVES, "at least one proving engine"),
@@ -67,11 +66,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "(eprover, vampire, paradox), or an id from --engine-config (repeatable)",
     )
     engine.add_argument("--engine-config", help="JSON file mapping engine ids to specs")
-    engine.add_argument("--timeout", type=float, default=10.0, help="seconds per engine call")
+    engine.add_argument(
+        "--timeout", type=float, default=EngineLimits.timeout, help="seconds per engine call"
+    )
     engine.add_argument(
         "--parallel", type=int, default=1, help="accepted for existing command lines; only 1"
     )
-    engine.add_argument("--max-domain-size", type=int, default=4, help="model search bound")
+    engine.add_argument(
+        "--max-domain-size", type=int, default=EngineLimits.max_domain_size,
+        help="model search bound",
+    )
     runs_engines = [common, engine]
 
     parser = argparse.ArgumentParser(

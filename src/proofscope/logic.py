@@ -149,6 +149,11 @@ class EvaluationError(Exception):
     """A symbol required by the formula is missing from the interpretation."""
 
 
+class OutOfBudget(Exception):
+    """A call's budget ran out: the deadline passed, or the call would hold
+    more clauses than its limit."""
+
+
 def _eval_term(m: Interpretation, t: Term, env: dict[str, int]) -> int:
     if isinstance(t, str):
         try:
@@ -206,17 +211,17 @@ def _eval(m: Interpretation, f: Formula, env: dict[str, int], deadline: float | 
 
 
 def _until(deadline: float, rows: Iterator[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
-    """rows, with TimeoutError for the first one asked for past the deadline."""
+    """rows, with OutOfBudget for the first one asked for past the deadline."""
     for row in rows:
         if time.monotonic() >= deadline:
-            raise TimeoutError
+            raise OutOfBudget
         yield row
 
 
 def evaluate(m: Interpretation, f: Formula, deadline: float | None = None) -> bool:
     """Tarskian truth value of a closed formula under a finite interpretation.
 
-    With a deadline (a time.monotonic() value), raises TimeoutError once an
+    With a deadline (a time.monotonic() value), raises OutOfBudget once an
     assignment to a quantifier's variables is tried past it."""
     fv = free_variables(f)
     if fv:

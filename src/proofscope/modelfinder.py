@@ -35,8 +35,8 @@ assignment is its propositional literal, so the instances of a clause come
 from integer sums instead of per-instance lookups.  A size whose CNF would
 hold more than the call's max_clause_count clauses ends the search with
 ResourceOut, and so does a solver that would learn more clauses than that:
-each raises clauses.OutOfBudget where the budget runs out, and find_model
-alone reads it as ResourceOut.
+each raises OutOfBudget where the budget runs out, as evaluate does past its
+deadline, and find_model alone reads it as ResourceOut.
 
 The solver is DPLL with conflict-driven clause learning: first-UIP learned
 clauses and backjumping, with fixed branching (least unassigned variable,
@@ -626,7 +626,7 @@ def verify_model(
     m: Interpretation, formulas: Sequence[Formula], deadline: float | None = None
 ) -> bool:
     """True iff every formula evaluates to true under the interpretation;
-    TimeoutError past the deadline, as for evaluate."""
+    OutOfBudget past the deadline, as for evaluate."""
     return all(evaluate(m, f, deadline) for f in formulas)
 
 
@@ -665,7 +665,7 @@ def find_model(
             if not verify_model(model, originals, deadline):
                 raise RuntimeError("decoded model failed verification; grounding bug")
             return ModelOutcome(ModelKind.ModelFound, model=model)
-    except (OutOfBudget, TimeoutError):  # evaluate's own signal, under verify_model
+    except OutOfBudget:
         return ModelOutcome(ModelKind.ResourceOut)
     return ModelOutcome(ModelKind.ExhaustedUpTo, exhausted_size=limits.max_domain_size)
 

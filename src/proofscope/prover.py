@@ -1,26 +1,22 @@
 """Given-clause refutation prover (binary resolution + positive factoring).
 
 Clause selection picks the lowest-weight unprocessed clause with FIFO
-tie-break by age.  A generated clause loses its repeated literals and,
-unless it is a tautology, goes straight into the passive heap as it was
-generated; normalization, duplicate deletion and forward subsumption wait
-until it is selected, as in the DISCOUNT loop (Denzinger, Kronenburg &
-Schulz 1997).  Weight and tautology do not change under variable renaming or
-literal order, so they are read off the raw clause.  A popped clause whose
-normal form an earlier popped clause had is dropped without using up a pick:
-it has the same weight as that clause and a later slot, so weight order and
-the age interleave both pop that clause first.  A popped clause that a
-clause processed before its insertion subsumes is also dropped without using
-up a pick; one that a clause processed since subsumes is dropped and uses
-one up.  The given clauses are therefore those that normalizing and checking
-at insertion would give, and `kept` counts every clause that entered the
-passive set, duplicates included, which `max_clause_count` bounds.  The
-clauses held share equal literals and origin sets.  Forward subsumption
-scans the processed clauses in order and runs the full matcher only on those
-whose predicate signs and argument head symbols are a subset of the selected
-clause's, a filter that only skips matches that must fail.  Equality is
-handled by appending congruence axioms under the reserved origin name
-"$equality", which is excluded from used premises.
+tie-break by age, and on every PICK_GIVEN_RATIO-th pick the oldest.  A
+generated clause loses its repeated literals and, unless it is a tautology,
+goes straight into the passive heap as it was generated; normalization,
+duplicate deletion and forward subsumption wait until it is selected, as in
+the DISCOUNT loop (Denzinger, Kronenburg & Schulz 1997).  Weight and
+tautology do not change under variable renaming or literal order, so they
+are read off the raw clause.  The given clauses are those that checking at
+insertion would give (see `_Saturation.run`), and `kept` counts every clause
+that entered the passive set, duplicates included, which `max_clause_count`
+bounds.  Each held clause is one record, and the clauses held share equal
+literals and origin sets.  Forward subsumption scans the processed clauses
+in order and runs the full matcher only on those whose predicate signs and
+argument head symbols are a subset of the selected clause's, a filter that
+only skips matches that must fail.  Equality is handled by appending
+congruence axioms under the reserved origin name "$equality", which is
+excluded from used premises.
 
 The search runs on the plain-tuple clause form of `clauses`, as `clausify`
 returns it.  Substitutions stay triangular: a binding may hold variables
@@ -44,7 +40,6 @@ from typing import TYPE_CHECKING
 from .clauses import (
     ORIGIN_CONJECTURE,
     ORIGIN_EQUALITY,
-    Clause,
     ClauseSet,
     Literal,
     Literals,
@@ -374,13 +369,10 @@ class _Saturation:
         self.initial = initial
         self.max_clause_count = limits.max_clause_count
         self.deadline = time.monotonic() + limits.timeout
-        self.heap: list[tuple[int, int, int]] = []  # (weight, age, slot)
-        # Held clauses as generated; _take writes a popped one's normal form
-        # back into its slot.
-        self.slots: list[Clause] = []
-        self.done: list[bool] = []  # slot already popped
-        # Per slot: how many clauses were processed when it was inserted.
-        self.kept_at: list[int] = []
+        self.heap: list[tuple[int, int]] = []  # (weight, slot); the slot is the age
+        # Per slot: the clause as _insert held it, its origins, and how many
+        # clauses were processed at its insertion; None once popped.
+        self.slots: list[tuple[Literals, frozenset[str], int] | None] = []
         self.age_cursor = 0
         self.picks = 0
         # Per processed clause: its literals renamed apart for resolution,
@@ -422,10 +414,9 @@ class _Saturation:
             return
         literals, weight = self._share(literals)
         slot = len(self.slots)
-        self.slots.append((literals, self.shared_origins.setdefault(origins, origins)))
-        self.done.append(False)
-        self.kept_at.append(len(self.processed))
-        heapq.heappush(self.heap, (weight, slot, slot))
+        origins = self.shared_origins.setdefault(origins, origins)
+        self.slots.append((literals, origins, len(self.processed)))
+        heapq.heappush(self.heap, (weight, slot))
         if len(self.slots) > self.max_clause_count:
             raise OutOfBudget
 
@@ -450,70 +441,54 @@ class _Saturation:
                 return True
         return False
 
-    def _take(self, slot: int) -> frozenset | None:
-        """Mark a popped slot done, write its clause's normal form back, and
-        return the clause's features; None if an earlier popped clause had
-        the same normal form, or a clause processed before its insertion
-        subsumes it.  Those are the checks insertion leaves out; a clause
-        they drop uses up no pick, so the given clauses are those that
-        checking at insertion would give."""
-        self.done[slot] = True
-        literals, origins = self.slots[slot]
-        literals = normalize(literals)
-        if literals in self.seen:
-            return None
-        literals = self._share(literals)[0]
-        self.seen.add(literals)
-        self.slots[slot] = (literals, origins)
-        features = _features(literals, self.shared_features)
-        if self._subsumed(literals, features, 0, self.kept_at[slot]):
-            return None
-        return features
-
-    def _pop_oldest(self) -> tuple[int, frozenset] | None:
-        """Select the oldest unprocessed slot that _take keeps, if any, with
-        its features."""
-        while self.age_cursor < len(self.slots):
-            slot = self.age_cursor
-            self.age_cursor += 1
-            if not self.done[slot] and (features := self._take(slot)) is not None:
-                return slot, features
-        return None
-
-    def _pop_given(self) -> tuple[int, frozenset] | None:
-        """Select the next given clause slot, with its features: weight
-        order with an age interleave."""
-        self.picks += 1
-        if self.picks % PICK_GIVEN_RATIO == 0:
-            popped = self._pop_oldest()
-            if popped is not None:
-                return popped
-        while self.heap:
-            _, _, slot = heapq.heappop(self.heap)
-            if not self.done[slot] and (features := self._take(slot)) is not None:
-                return slot, features
-        # Every slot goes on the heap and leaves it only when popped, which
-        # marks it done: with the heap empty, no slot is left.
-        return None
+    def _select(self) -> tuple[Literals, frozenset[str], frozenset] | None:
+        """The next given clause, normalized, with its origins and features;
+        None once no clause is held."""
+        while True:
+            self._check_deadline()
+            self.picks += 1
+            by_age = self.picks % PICK_GIVEN_RATIO == 0
+            while True:
+                if by_age and (slot := self.age_cursor) < len(self.slots):
+                    self.age_cursor += 1
+                elif self.heap:
+                    slot = heapq.heappop(self.heap)[1]
+                else:  # every held slot is on the heap
+                    return None
+                held, self.slots[slot] = self.slots[slot], None
+                if held is None:
+                    continue
+                literals, origins, kept_at = held
+                literals = normalize(literals)
+                if literals in self.seen:
+                    continue
+                literals = self._share(literals)[0]
+                self.seen.add(literals)
+                features = _features(literals, self.shared_features)
+                if not self._subsumed(literals, features, 0, kept_at):
+                    break
+            if not self._subsumed(literals, features, kept_at, len(self.processed)):
+                return literals, origins, features
 
     def run(self) -> None:
         """Saturate the input clauses.  Returns when no unprocessed clause
         is left; raises _Refuted on deriving the empty clause, and
         OutOfBudget past the deadline or once more than max_clause_count
-        clauses are held."""
+        clauses are held.
+
+        A pick pops clauses until one is kept.  It drops a clause whose
+        normal form an earlier popped clause had: that clause had the same
+        weight and an earlier slot, so weight order and the age interleave
+        both popped it first.  It also drops a clause that a clause processed
+        before its insertion subsumes.  A clause that a clause processed
+        since subsumes is dropped and uses up the pick.  The given clauses
+        are therefore those that normalizing and checking at insertion would
+        give."""
         for literals, origins in self.initial:
             self._insert(literals, origins)
-        while True:
-            self._check_deadline()
-            popped = self._pop_given()
-            if popped is None:
-                return
-            slot, features = popped
-            literals, origins = self.slots[slot]
-            # A selected clause may have become redundant since its insertion.
+        while (selected := self._select()) is not None:
+            literals, origins, features = selected
             gidx = len(self.processed)
-            if self._subsumed(literals, features, self.kept_at[slot], gidx):
-                continue
             ground = tuple(all(_is_ground(a) for a in args) for _, _, args in literals)
             renamed = tuple(
                 lit if g else _rename_literal(lit, "r_") for lit, g in zip(literals, ground)

@@ -586,6 +586,19 @@ class TestUnknownClassification:
 
 
 class TestQuerySessionPruning:
+    def test_symbol_at_two_arities_is_rejected_when_the_session_is_built(
+        self, prover, model_finder
+    ):
+        """The parser rejects such a theory; one built through the library
+        is rejected by the session before any engine runs."""
+        premises = (
+            AnnotatedFormula("a1", "axiom", Atom("p", (("a", ()),))),
+            AnnotatedFormula("a2", "axiom", Binary("=>", Atom("p"), Atom("q"))),
+        )
+        t = Theory(premises + (AnnotatedFormula("goal", "conjecture", Atom("q")),))
+        with pytest.raises(ValueError, match=r"symbol p used with arity 1 and arity 0"):
+            QuerySession(t, provers=[prover], counters=[model_finder], limits=LIMITS)
+
     def test_monotone_pruning_saves_calls(self, prover, model_finder):
         t = mk(
             "fof(a1, axiom, p). fof(a2, axiom, p => q). fof(a3, axiom, r). "

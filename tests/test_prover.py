@@ -436,8 +436,9 @@ def test_held_clauses_share_literals_and_origin_sets(puz001):
     object per distinct origin set and per distinct literal; the processed
     clauses' feature sets use one per distinct feature."""
     _, sat = _saturate(puz001, EngineLimits(timeout=60), prover._Saturation)
-    origins = [o for _, o in sat.slots]
-    literals = [lit for lits, _ in sat.slots for lit in lits]
+    held = [clause for clause in sat.slots if clause is not None]
+    origins = [o for _, o, _ in held]
+    literals = [lit for lits, _, _ in held for lit in lits]
     features = [f for _, _, fs, _ in sat.processed for f in fs]
     assert len(set(origins)) < len(origins)
     assert len(set(map(id, origins))) == len(set(origins))
@@ -456,6 +457,55 @@ def test_puz001_subsumption_tests_stay_filtered(puz001):
     out = prove(puz001, EngineLimits(timeout=60))
     assert (out.stats.generated, out.stats.kept, out.stats.given) == (6036, 5693, 187)
     assert out.stats.subsumption_tests <= 1_000
+
+
+class _PickRecorder(prover._Saturation):
+    """Records the pick count and the predicate of each given clause, and
+    infers nothing, so the given clauses are the selection's alone."""
+
+    def __init__(self, initial, limits):
+        super().__init__(initial, limits)
+        self.given = []
+
+    def _infer(self, literals, origins, ground):
+        self.given.append((self.picks, literals[0][1]))
+
+
+def test_pick_rule():
+    """Every PICK_GIVEN_RATIO-th pick takes the oldest held clause; a popped
+    duplicate is dropped within its pick; a clause that a clause processed
+    after its insertion subsumes uses up its pick."""
+    a = ("a", ())
+
+    def f(n):
+        return a if n == 0 else ("f", (f(n - 1),))
+
+    def unit(pred, arg):
+        return ((True, pred, (arg,)),)
+
+    # In insertion order, with weights 5, 2, 2, 2, 6, 2, 2, 4, 3, 4.
+    clauses = [
+        unit("s", f(3)),
+        unit("p", "X"),
+        unit("r", "X"),
+        unit("r", "Y"),  # the normal form of r(X)
+        unit("t", f(4)),
+        unit("u", a),
+        unit("v", a),
+        unit("p", a) + unit("q", a),  # subsumed by p(X), processed after it was inserted
+        unit("x", f(1)),
+        unit("y", f(2)),
+    ]
+    sat = _PickRecorder(tuple((c, frozenset({"a1"})) for c in clauses), LIMITS)
+    sat.run()
+    assert prover.PICK_GIVEN_RATIO == 4
+    # Pick 3 pops r(Y) and drops it, then gives u(a).  Picks 4 and 8 take the
+    # oldest held clauses, s and t, over the lighter u, v, x and y.  Pick 7
+    # pops p(a) | q(a) and gives nothing.  Pick 10 finds nothing held.
+    assert sat.given == [
+        (1, "p"), (2, "r"), (3, "u"), (4, "s"), (5, "v"), (6, "x"), (8, "t"), (9, "y")
+    ]
+    assert sat.picks == 10
 
 
 # ---------------------------------------------------------------------------
