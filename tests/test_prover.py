@@ -500,8 +500,8 @@ def test_pick_rule():
     sat.run()
     assert prover.PICK_GIVEN_RATIO == 4
     # Pick 3 pops r(Y) and drops it, then gives u(a).  Picks 4 and 8 take the
-    # oldest held clauses, s and t, over the lighter u, v, x and y.  Pick 7
-    # pops p(a) | q(a) and gives nothing.  Pick 10 finds nothing held.
+    # oldest held clauses, s and t, though the lighter v and y are held.
+    # Pick 7 pops p(a) | q(a) and gives nothing.  Pick 10 finds nothing held.
     assert sat.given == [
         (1, "p"), (2, "r"), (3, "u"), (4, "s"), (5, "v"), (6, "x"), (8, "t"), (9, "y")
     ]
