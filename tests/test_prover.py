@@ -260,7 +260,15 @@ class TestAgainstTruthTables:
 # (3), full_square (8) and PUZ001 (4353) changed.  The last column pins the
 # search itself, not only its counts: the first 16 hex digits of
 # _processed_digest, recorded with the walk-based term kernels, before
-# _unify and _apply followed bindings inline.
+# _unify and _apply followed bindings inline.  The two PUZ001+1 query rows,
+# the other prover queries that analyses of PUZ001+1 make, were recorded
+# while resolvents were still instantiated, deduplicated, checked for
+# tautology and shared in separate passes.
+
+_PUZ001_USED = (
+    "pel55_1", "pel55_10", "pel55_11", "pel55_3", "pel55_4",
+    "pel55_5", "pel55_6", "pel55_7", "pel55_8", "pel55_9",
+)
 
 SEARCH_PINS = [
     ("chain_with_distractor", "Theorem", ("a1", "a2"), 7, 6, 5, 0, "72360f5bc79e3d2c"),
@@ -296,13 +304,32 @@ SEARCH_PINS = [
     (
         "PUZ001+1",
         "Theorem",
-        ("pel55_1", "pel55_10", "pel55_11", "pel55_3", "pel55_4",
-         "pel55_5", "pel55_6", "pel55_7", "pel55_8", "pel55_9"),
+        _PUZ001_USED,
         6036,
         5693,
         187,
         309,
         "1ef387acced8ef26",
+    ),
+    (
+        "PUZ001+1 from its used premises",
+        "Theorem",
+        _PUZ001_USED,
+        7408,
+        7108,
+        221,
+        325,
+        "865f4a3cb382eb09",
+    ),
+    (
+        "pel55_2_1 from the other PUZ001+1 axioms",
+        "Theorem",
+        _PUZ001_USED,
+        6342,
+        6010,
+        191,
+        286,
+        "c39f18619429a737",
     ),
     ("dependent_axioms", "Satisfiable", (), 3, 3, 2, 1, "995aafd2fd72a9e6"),
     ("two_minima", "Theorem", ("route_a", "route_a_works"), 8, 7, 5, 0, "79ac399a04feea56"),
@@ -311,15 +338,32 @@ SEARCH_PINS = [
 _THEORY_TEXTS = dict(ORACLE_THEORIES + UNSAT_CLAUSE_SETS)
 
 
+def _puz001_query(name: str) -> Theory:
+    """The PUZ001+1 prover queries that analyses make besides the full
+    proof: `reprove --method syntactic` stage 2, and `independence --method
+    naive` on pel55_2_1, built as `QuerySession.query_theory` builds them."""
+    puz = parse_file(str(PROBLEM_DIR / "PUZ001+1.p"))
+    if name == "PUZ001+1 from its used premises":
+        return puz.restrict(_PUZ001_USED)
+    others = frozenset(puz.premise_names) - {"pel55_2_1"}
+    return puz.restrict(others).with_conjecture(puz["pel55_2_1"])
+
+
+_PUZ001_QUERIES = ("PUZ001+1 from its used premises", "pel55_2_1 from the other PUZ001+1 axioms")
+
+
 def _pinned_theory(name: str) -> Theory:
     if name in _THEORY_TEXTS:
         return mk(_THEORY_TEXTS[name])
+    if name in _PUZ001_QUERIES:
+        return _puz001_query(name)
     return parse_file(str(PROBLEM_DIR / f"{name}.p"))
 
 
 def test_search_pins_cover_the_corpus_and_bundled_problems():
     bundled = {p.stem for p in PROBLEM_DIR.glob("*.p")}
-    assert {row[0] for row in SEARCH_PINS} == set(_THEORY_TEXTS) | bundled
+    expected = set(_THEORY_TEXTS) | bundled | set(_PUZ001_QUERIES)
+    assert {row[0] for row in SEARCH_PINS} == expected
 
 
 def _processed_digest(sat) -> str:
@@ -409,6 +453,8 @@ _KEPT_AT_INSERTION = {
     "duplicate_axiom": 3,
     "full_square": 8,
     "PUZ001+1": 2403,
+    "PUZ001+1 from its used premises": 3180,
+    "pel55_2_1 from the other PUZ001+1 axioms": 2476,
 }
 
 
