@@ -11,7 +11,23 @@ are read off the raw clause.  The given clauses are those that checking at
 insertion would give (see `_Saturation.run`), and `kept` counts every clause
 that entered the passive set, duplicates included, which `max_clause_count`
 bounds.  Each held clause is one record, and the clauses held share equal
-literals and origin sets.  Forward subsumption scans the processed clauses
+literals and origin sets.
+
+Every clause the search holds, whether input clause, resolvent or factor,
+goes through one routine, `_Saturation._insert`, in one pass over its
+literals.  Each literal is built under the unifier and looked up once in a
+shared literal table, whose entry holds the shared object, the literal's
+weight and an integer code; a literal's code and its complement's differ
+only in the lowest bit, so a repeated literal is a code already seen and a
+tautology a code whose `code ^ 1` was seen.  A literal none of whose
+variables the unifier binds keeps the entry computed when its parent clause
+was processed, and an argument that is an unbound variable or a constant is
+kept as it is.  The union of the two parents' origin sets is computed once
+per pair of shared origin sets.  The codes follow the order the table was
+filled in, and the search reads them only for these tests, so it does not
+depend on the hash seed.
+
+Forward subsumption scans the processed clauses
 in order and runs the full matcher only on those whose predicate signs and
 argument head symbols are a subset of the selected clause's, a filter that
 only skips matches that must fail.  Equality is handled by appending
@@ -33,7 +49,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -226,31 +241,20 @@ def _term_weight(t: Term) -> int:
     return 1 + sum(_term_weight(a) for a in t[1])
 
 
-def _is_ground(t: Term) -> bool:
-    if isinstance(t, str):
-        return False
-    return all(_is_ground(a) for a in t[1])
+def _variables(lit: Literal) -> tuple[str, ...]:
+    """The distinct variables of lit, in order of first occurrence."""
+    found: dict[str, None] = {}
 
+    def walk(t: Term) -> None:
+        if type(t) is str:
+            found[t] = None
+        else:
+            for a in t[1]:
+                walk(a)
 
-def _instantiate(
-    literals: Literals, ground: tuple[bool, ...], subst: Subst, skip: int = -1
-) -> list[Literal]:
-    """literals under subst, leaving out index skip; a ground literal is
-    passed through as it is."""
-    return [
-        lit if g else (lit[0], lit[1], tuple([_apply(a, subst) for a in lit[2]]))
-        for i, (lit, g) in enumerate(zip(literals, ground))
-        if i != skip
-    ]
-
-
-def _is_tautology(literals: Collection[Literal]) -> bool:
-    """True if literals hold some literal and its complement; a dict keyed
-    by literal, as _insert holds them, answers each lookup by hashing."""
-    for positive, pred, args in literals:
-        if (not positive, pred, args) in literals:
-            return True
-    return False
+    for a in lit[2]:
+        walk(a)
+    return tuple(found)
 
 
 def _match(pattern: Term, target: Term, subst: Subst, trail: list[str]) -> bool:
@@ -364,6 +368,17 @@ class _Refuted(Exception):
         self.origins = origins
 
 
+# A literal of a clause as _Saturation._insert reads it: its entry in the
+# shared literal table, (literal, weight, code), and its variables.
+_Entry = tuple[Literal, int, int]
+_Part = tuple[_Entry, tuple[str, ...]]
+
+
+def _rests(parts: tuple[_Part, ...]) -> tuple[tuple[_Part, ...], ...]:
+    """Per index i, parts without their i-th part."""
+    return tuple(parts[:i] + parts[i + 1 :] for i in range(len(parts)))
+
+
 class _Saturation:
     def __init__(self, initial: ClauseSet, limits: EngineLimits):
         self.initial = initial
@@ -376,46 +391,92 @@ class _Saturation:
         self.age_cursor = 0
         self.picks = 0
         # Per processed clause: its literals renamed apart for resolution,
-        # its origins, its features, and which of its literals are ground.
-        self.processed: list[tuple[Literals, frozenset[str], frozenset, tuple[bool, ...]]] = []
+        # its origins, its features, and per literal the parts of the others.
+        self.processed: list[
+            tuple[Literals, frozenset[str], frozenset, tuple[tuple[_Part, ...], ...]]
+        ] = []
         self.index: dict[tuple[str, bool], list[tuple[int, int]]] = {}
         self.seen: set[Literals] = set()  # normal forms of the popped clauses
         # Most held clauses are never selected; they share one object per
-        # distinct literal (kept with its weight) and per origin set to keep
-        # their memory down, and the processed clauses' feature sets one per
-        # distinct feature.
-        self.shared_literals: dict[Literal, tuple[Literal, int]] = {}
+        # distinct literal and per origin set to keep their memory down, and
+        # the processed clauses' feature sets one per distinct feature.  A
+        # literal's entry also holds its weight and its code, an int that
+        # differs from its complement's only in the lowest bit, so that
+        # _insert finds repeated literals and tautologies by int lookups.
+        self.shared_literals: dict[Literal, _Entry] = {}
         self.shared_origins: dict[frozenset[str], frozenset[str]] = {}
         self.shared_features: dict[tuple, tuple] = {}
+        # The shared union of two shared origin sets, per pair of them.
+        self.origin_unions: dict[frozenset[str], dict[frozenset[str], frozenset[str]]] = {}
         self.generated = 0
         self.subsumption_tests = 0
         self._tick = 0
 
-    def _share(self, literals: Iterable[Literal]) -> tuple[Literals, int]:
-        """literals, each replaced by the one object held for equal
-        literals, and their weight."""
+    def _entry(self, lit: Literal) -> _Entry:
+        """lit's entry in the shared literal table: the one object held for
+        literals equal to lit, its weight and its code.  A new literal takes
+        its complement's code with the lowest bit flipped if the table holds
+        the complement, else an even code that no entry has."""
         table = self.shared_literals
-        out = []
-        weight = 0
-        for lit in literals:
-            entry = table.get(lit)
-            if entry is None:
-                entry = table[lit] = (lit, 1 + sum(_term_weight(a) for a in lit[2]))
-            out.append(entry[0])
-            weight += entry[1]
-        return tuple(out), weight
+        entry = table.get(lit)
+        if entry is None:
+            positive, pred, args = lit
+            twin = table.get((not positive, pred, args))
+            code = 2 * len(table) if twin is None else twin[2] ^ 1
+            entry = table[lit] = (lit, 1 + sum(_term_weight(a) for a in args), code)
+        return entry
 
-    def _insert(self, literals: Sequence[Literal], origins: frozenset[str]) -> None:
+    def _parts(self, literals: Literals) -> tuple[_Part, ...]:
+        return tuple([(self._entry(lit), _variables(lit)) for lit in literals])
+
+    def _insert(
+        self,
+        first: tuple[_Part, ...],
+        second: tuple[_Part, ...],
+        subst: Subst,
+        origins: frozenset[str],
+    ) -> None:
+        """Hold the clause of the literals of first and then second under
+        subst, with origins, a shared origin set: raise _Refuted if it is
+        empty, and drop it if it is a tautology.  A literal none of whose
+        variables subst binds keeps its entry; any other is built and
+        looked up in the table once.  A repeated literal is left out, and
+        the clause's weight is the sum of its literals' weights."""
+        table = self.shared_literals
+        held: dict[int, Literal] = {}  # by code
+        weight = 0
+        tautology = False
+        for parts in (first, second):
+            for entry, variables in parts:
+                for var in variables:
+                    if var in subst:
+                        positive, pred, args = entry[0]
+                        built = []
+                        for a in args:
+                            if type(a) is str:
+                                bound = subst.get(a)
+                                if bound is not None:
+                                    a = _apply(bound, subst)
+                            elif a[1]:
+                                a = _apply(a, subst)
+                            built.append(a)
+                        lit = (positive, pred, tuple(built))
+                        entry = table.get(lit) or self._entry(lit)
+                        break
+                code = entry[2]
+                if code in held:
+                    continue
+                if code ^ 1 in held:
+                    tautology = True
+                held[code] = entry[0]
+                weight += entry[1]
         self.generated += 1
-        if not literals:
+        if not held:
             raise _Refuted(origins)
-        literals = dict.fromkeys(literals)
-        if _is_tautology(literals):
+        if tautology:
             return
-        literals, weight = self._share(literals)
         slot = len(self.slots)
-        origins = self.shared_origins.setdefault(origins, origins)
-        self.slots.append((literals, origins, len(self.processed)))
+        self.slots.append((tuple(held.values()), origins, len(self.processed)))
         heapq.heappush(self.heap, (weight, slot))
         if len(self.slots) > self.max_clause_count:
             raise OutOfBudget
@@ -462,7 +523,7 @@ class _Saturation:
                 literals = normalize(literals)
                 if literals in self.seen:
                     continue
-                literals = self._share(literals)[0]
+                literals = tuple([self._entry(lit)[0] for lit in literals])
                 self.seen.add(literals)
                 features = _features(literals, self.shared_features)
                 if not self._subsumed(literals, features, 0, kept_at):
@@ -485,37 +546,44 @@ class _Saturation:
         are therefore those that normalizing and checking at insertion would
         give."""
         for literals, origins in self.initial:
-            self._insert(literals, origins)
+            origins = self.shared_origins.setdefault(origins, origins)
+            self._insert(self._parts(literals), (), {}, origins)
         while (selected := self._select()) is not None:
             literals, origins, features = selected
             gidx = len(self.processed)
-            ground = tuple(all(_is_ground(a) for a in args) for _, _, args in literals)
+            parts = self._parts(literals)
             renamed = tuple(
-                lit if g else _rename_literal(lit, "r_") for lit, g in zip(literals, ground)
+                _rename_literal(lit, "r_") if variables else lit
+                for lit, (_, variables) in zip(literals, parts)
             )
-            self.processed.append((renamed, origins, features, ground))
+            self.processed.append((renamed, origins, features, _rests(self._parts(renamed))))
             for li, (positive, pred, _) in enumerate(literals):
                 self.index.setdefault((pred, positive), []).append((gidx, li))
-            self._infer(literals, origins, ground)
+            self._infer(literals, origins, parts)
 
     def _infer(
-        self, literals: Literals, origins: frozenset[str], ground: tuple[bool, ...]
+        self, literals: Literals, origins: frozenset[str], parts: tuple[_Part, ...]
     ) -> None:
         """Generate resolvents and positive factors of the given clause;
-        ground flags which of its literals are ground."""
+        parts are its literals' parts."""
         processed = self.processed
         insert = self._insert
+        rests = _rests(parts)
+        unions = self.origin_unions.setdefault(origins, {})
         # Binary resolution against processed clauses (including given itself).
         for li, (positive, pred, args) in enumerate(literals):
             partners = self.index.get((pred, not positive), ())
+            rest = rests[li]
             for pidx, mi in partners:
-                renamed, partner_origins, _, partner_ground = processed[pidx]
+                renamed, partner_origins, _, partner_rests = processed[pidx]
                 subst: Subst = {}
                 if not _unify_args(args, renamed[mi][2], subst):
                     continue
-                resolvent = _instantiate(literals, ground, subst, li)
-                resolvent += _instantiate(renamed, partner_ground, subst, mi)
-                insert(resolvent, origins | partner_origins)
+                union = unions.get(partner_origins)
+                if union is None:
+                    union = origins | partner_origins
+                    union = unions[partner_origins] = self.shared_origins.setdefault(union, union)
+                insert(rest, partner_rests[mi], subst, union)
                 self._tick += 1
                 if self._tick % 256 == 0:
                     self._check_deadline()
@@ -530,7 +598,7 @@ class _Saturation:
                 subst = {}
                 if not _unify_args(la[2], lb[2], subst):
                     continue
-                insert(_instantiate(literals, ground, subst), origins)
+                insert(parts, (), subst, origins)
 
 
 def _input_clauses(named: list[tuple[str, object]], limit: float = math.inf) -> ClauseSet:

@@ -1,11 +1,14 @@
 """Saturation prover tests: verdicts, used premises, determinism, limits,
-pinned searches, the term kernels against the walk-based ones they replaced,
-and the forward-subsumption filter."""
+pinned searches, the term kernels and the one-pass clause insertion against
+the code they replaced, and the forward-subsumption filter."""
 
 import hashlib
 import inspect
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -19,9 +22,8 @@ from proofscope.prover import (
     SearchStats,
     _apply,
     _features,
-    _instantiate,
-    _is_tautology,
     _literals_by_key,
+    _rests,
     _subsumes_into,
     _unify,
     normalize,
@@ -395,15 +397,17 @@ def test_search_is_pinned(name, status, used, generated, kept, given, tests, dig
 class _EagerSaturation(prover._Saturation):
     """Normalizes a generated clause when it is inserted, and rejects it
     there if it repeats an earlier insertion or a processed clause subsumes
-    it, as the search did before these checks moved to selection."""
+    it, as the search did before these checks moved to selection.  It builds
+    the clause with the reference kernels and hands its normal form on."""
 
     def __init__(self, initial, limits):
         super().__init__(initial, limits)
         self.inserted = set()
 
-    def _insert(self, literals, origins):
+    def _insert(self, first, second, subst, origins):
+        literals = [_ref_apply_literal(entry[0], subst) for entry, _ in first + second]
         literals = normalize(literals)
-        if literals and not _is_tautology(literals):
+        if literals and not _ref_is_tautology(literals):
             features = _features(literals, self.shared_features)
             if literals in self.inserted or self._subsumed(
                 literals, features, 0, len(self.processed)
@@ -411,7 +415,7 @@ class _EagerSaturation(prover._Saturation):
                 self.generated += 1
                 return
             self.inserted.add(literals)
-        super()._insert(literals, origins)
+        super()._insert(self._parts(literals), (), {}, origins)
 
 
 def _saturate(t, limits, saturation):
@@ -430,6 +434,16 @@ def _saturate(t, limits, saturation):
     return out, runs[0] if runs else None
 
 
+def _without_codes(processed):
+    """The processed clauses with every literal code left out of their
+    parts: codes number the literal table in the order it was filled, which
+    differs between the two checks."""
+    return [
+        (literals, origins, features, [[(e[:2], vs) for e, vs in rest] for rest in rests])
+        for literals, origins, features, rests in processed
+    ]
+
+
 def _same_search(t, limits):
     """Assert that both checks give the same search, unless a budget ended
     either (the clause cap counts more clauses at selection).  Returns the
@@ -442,7 +456,7 @@ def _same_search(t, limits):
     assert lazy.used_premises == eager.used_premises
     assert lazy.stats.generated == eager.stats.generated
     assert lazy.stats.given == eager.stats.given
-    assert lazy_sat.processed == eager_sat.processed
+    assert _without_codes(lazy_sat.processed) == _without_codes(eager_sat.processed)
     return eager
 
 
@@ -513,7 +527,7 @@ class _PickRecorder(prover._Saturation):
         super().__init__(initial, limits)
         self.given = []
 
-    def _infer(self, literals, origins, ground):
+    def _infer(self, literals, origins, parts):
         self.given.append((self.picks, literals[0][1]))
 
 
@@ -632,9 +646,9 @@ def _unify_like_the_reference(pairs):
 
 
 _A = ("a", ())
-# Binds every variable that random_open_term uses: a literal is ground iff
-# this leaves it as it is.
+# Binds every variable that random_open_term uses by default.
 _GROUNDING = {"X0": _A, "X1": _A, "X2": _A}
+_Y = ("Y0", "Y1", "Y2")
 
 
 def _f(t):
@@ -658,6 +672,47 @@ def test_unify_cases_that_need_the_occurs_check_or_a_binding_chain(pairs, unifia
     assert (_unify_like_the_reference(pairs) is not None) == unifiable
 
 
+# ---------------------------------------------------------------------------
+# _insert builds each generated clause, drops its repeated literals, checks it
+# for tautology and shares its literals in one pass over integer literal
+# codes.  The separate passes it replaced are kept here as the reference:
+# instantiate every literal, drop repeats with dict.fromkeys, check for a
+# complementary pair on a set, and share each literal through the table.
+
+
+def _held(sat, first, second, subst):
+    """The literals and weight of the clause that sat._insert holds for
+    these parts under subst, or None if it holds none."""
+    slot = len(sat.slots)
+    sat._insert(first, second, subst, frozenset({"a1"}))
+    if len(sat.slots) == slot:
+        return None
+    weight = next(w for w, s in sat.heap if s == slot)
+    return sat.slots[slot][0], weight
+
+
+def _ref_held(table, literals, subst):
+    """What the separate passes held for literals under subst, sharing
+    through table, or None for a tautology."""
+    unique = dict.fromkeys(_ref_apply_literal(lit, subst) for lit in literals)
+    if _ref_is_tautology(unique):
+        return None
+    return tuple(table[lit][0] for lit in unique), _term_sum_weight(unique)
+
+
+def _assert_held_like_the_separate_passes(sat, first, second, literals, subst):
+    """first and second are the parts of literals, in order."""
+    if not literals:
+        with pytest.raises(prover._Refuted):
+            sat._insert(first, second, subst, frozenset({"a1"}))
+        return
+    got = _held(sat, first, second, subst)
+    want = _ref_held(sat.shared_literals, literals, subst)
+    assert got == want
+    if got is not None:
+        assert all(a is b for a, b in zip(got[0], want[0]))
+
+
 @given(st.integers(0, 2**32))
 def test_unify_and_instantiate_match_the_walk_based_kernels(n):
     rng = random.Random(n)
@@ -666,11 +721,43 @@ def test_unify_and_instantiate_match_the_walk_based_kernels(n):
     if subst is None:
         return
     literals = random_literals(rng, 4)
-    ground = tuple(lit == _ref_apply_literal(lit, _GROUNDING) for lit in literals)
+    sat = prover._Saturation((), LIMITS)
+    parts = sat._parts(literals)
+    for lit, (entry, variables) in zip(literals, parts):
+        assert entry[0] == lit
+        assert _ref_apply_literal(lit, dict.fromkeys(variables, _A)) == _ref_apply_literal(
+            lit, _GROUNDING
+        )
     skip = rng.randrange(-1, len(literals))
-    assert _instantiate(literals, ground, subst, skip) == [
-        _ref_apply_literal(lit, subst) for i, lit in enumerate(literals) if i != skip
-    ]
+    if skip >= 0:
+        parts = _rests(parts)[skip]
+        literals = literals[:skip] + literals[skip + 1 :]
+    _assert_held_like_the_separate_passes(sat, parts, (), literals, subst)
+
+
+@given(st.integers(0, 2**32))
+def test_insert_holds_what_the_separate_passes_held(n):
+    """Two clauses apart, as a resolvent's parents are.  The second holds a
+    copy of a literal of the first, over other variables and perhaps
+    negated, and the substitution unifies the two, so that the clause
+    repeats that literal or holds its complement; sometimes it also unifies
+    random terms of both sides."""
+    rng = random.Random(n)
+    first = random_literals(rng, 3)
+    positive, pred, args = rng.choice(first)
+    renaming = dict(zip(_GROUNDING, _Y))
+    copy = (positive != (rng.random() < 0.5), pred, tuple(_ref_apply(a, renaming) for a in args))
+    second = list(random_literals(rng, 3, _Y))
+    second.insert(rng.randint(0, len(second)), copy)
+    planted = list(zip(args, copy[2]))
+    extra = [(random_open_term(rng), random_open_term(rng, _Y)) for _ in range(rng.randint(0, 2))]
+    subst = _unify_like_the_reference(planted + extra) or _unify_like_the_reference(planted)
+    assert subst is not None
+    sat = prover._Saturation((), LIMITS)
+    literals = first + tuple(second)
+    _assert_held_like_the_separate_passes(
+        sat, sat._parts(first), sat._parts(second), literals, subst
+    )
 
 
 @given(st.integers(0, 2**32))
@@ -679,7 +766,62 @@ def test_tautology_lookup_answers_like_the_set_based_check(n):
     literals = random_literals(rng, 4)
     planted = rng.sample(literals, rng.randint(0, 1))
     literals += tuple((not positive, pred, args) for positive, pred, args in planted)
-    assert _is_tautology(dict.fromkeys(literals)) == _ref_is_tautology(literals)
+    sat = prover._Saturation((), LIMITS)
+    assert (_held(sat, sat._parts(literals), (), {}) is None) == _ref_is_tautology(literals)
+
+
+def test_unit_resolvent_is_refuted_with_both_origin_sets():
+    """p(a) and ~p(X) resolve to the empty clause, whose origins are the
+    union of both parents' origin sets."""
+    clauses = (
+        (((True, "p", (_A,)),), frozenset({"a1"})),
+        (((False, "p", ("X",)),), frozenset({"a2", "a3"})),
+    )
+    sat = prover._Saturation(clauses, LIMITS)
+    with pytest.raises(prover._Refuted) as refuted:
+        sat.run()
+    assert refuted.value.origins == {"a1", "a2", "a3"}
+    assert sat.generated == 3
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 2, 3), (0, 2, 3, 1), (3, 1, 2, 0)])
+def test_a_complement_code_differs_in_the_lowest_bit(order):
+    """Whichever of a complementary pair the table sees first, and whatever
+    it sees between them, their codes differ only in the lowest bit, and no
+    other literal's code is either."""
+    p, not_p = (True, "p", ("X0",)), (False, "p", ("X0",))
+    q, not_r = (True, "q", ()), (False, "r", (_A,))
+    literals = [(p, not_p, q, not_r)[i] for i in order]
+    sat = prover._Saturation((), LIMITS)
+    codes = {lit: sat._entry(lit)[2] for lit in literals}
+    assert codes[not_p] == codes[p] ^ 1
+    assert len(set(codes.values())) == 4
+    assert codes[q] ^ 1 not in codes.values()
+    assert codes[not_r] ^ 1 not in codes.values()
+    assert {lit: sat._entry(lit)[2] for lit in literals} == codes
+
+
+def test_search_does_not_depend_on_the_hash_seed():
+    """Literal codes follow the order the literal table was filled in, and
+    origin sets are sets of strings: the full PUZ001+1 search gives the
+    same SearchStats and processed clauses under two hash seeds as here."""
+    out, sat = _saturate(_pinned_theory("PUZ001+1"), EngineLimits(timeout=60), prover._Saturation)
+    expected = f"{out.stats} {_processed_digest(sat)}\n"
+    script = (
+        "from test_prover import EngineLimits, _pinned_theory, _processed_digest, _saturate, prover\n"
+        "out, sat = _saturate(_pinned_theory('PUZ001+1'), EngineLimits(timeout=60), prover._Saturation)\n"
+        "print(out.stats, _processed_digest(sat))\n"
+    )
+    src = str(Path(prover.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, str(Path(__file__).resolve().parent)])
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +922,9 @@ def test_quoted_constant_and_variable_stay_distinct():
     const, var = (("X0", ()),), ("Y",)
     clause = normalize(((True, "p", const), (True, "p", var)))
     assert clause == ((True, "p", ("X0",)), (True, "p", (("X0", ()),)))
-    assert not _is_tautology(normalize(((True, "p", const), (False, "p", var))))
+    sat = prover._Saturation((), LIMITS)
+    mixed = normalize(((True, "p", const), (False, "p", var)))
+    assert _held(sat, sat._parts(mixed), (), {}) is not None
     var_unit = normalize(((True, "p", var),))
     const_unit = normalize(((True, "p", const),))
     assert _subsumes_into(var_unit, _literals_by_key(const_unit))
@@ -812,10 +956,12 @@ def test_raw_clause_weight_and_tautology_match_its_normal_form(n):
     raw = tuple(rng.sample(raw, len(raw)))
     unique = tuple(dict.fromkeys(raw))
     normal = normalize(raw)
-    shared, weight = prover._Saturation((), LIMITS)._share(unique)
-    assert shared == unique
-    assert weight == _term_sum_weight(normal)
-    assert _is_tautology(unique) == _is_tautology(normal)
+    sat = prover._Saturation((), LIMITS)
+    held = _held(sat, sat._parts(raw), (), {})
+    assert sum(sat.shared_literals[lit][1] for lit in unique) == _term_sum_weight(normal)
+    assert (held is None) == _ref_is_tautology(normal)
+    if held is not None:
+        assert held == (unique, _term_sum_weight(normal))
     assert normalize(normal) == normal
 
 
