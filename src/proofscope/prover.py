@@ -17,15 +17,15 @@ Every clause the search holds, whether input clause, resolvent or factor,
 goes through one routine, `_Saturation._insert`, in one pass over its
 literals.  Each literal is built under the unifier and looked up once in a
 shared literal table, whose entry holds the shared object, the literal's
-weight and an integer code; a literal's code and its complement's differ
-only in the lowest bit, so a repeated literal is a code already seen and a
-tautology a code whose `code ^ 1` was seen.  A literal none of whose
-variables the unifier binds keeps the entry computed when its parent clause
-was processed, and an argument that is an unbound variable or a constant is
-kept as it is.  The union of the two parents' origin sets is computed once
-per pair of shared origin sets.  The codes follow the order the table was
-filled in, and the search reads them only for these tests, so it does not
-depend on the hash seed.
+weight, its variables and an integer code; a literal's code and its
+complement's differ only in the lowest bit, so a repeated literal is a code
+already seen and a tautology a code whose `code ^ 1` was seen.  A literal
+none of whose variables the unifier binds keeps the entry its parent clause
+looked up when it was processed, and an argument that is an unbound
+variable or a constant is kept as it is.  The union of the two parents'
+origin sets is computed once per pair of shared origin sets.  The codes
+follow the order the table was filled in, and the search reads them only
+for these tests, so it does not depend on the hash seed.
 
 Forward subsumption scans the processed clauses
 in order and runs the full matcher only on those whose predicate signs and
@@ -241,19 +241,22 @@ def _term_weight(t: Term) -> int:
     return 1 + sum(_term_weight(a) for a in t[1])
 
 
+def _add_variables(t: Term, found: dict[str, None]) -> None:
+    if type(t) is str:
+        found[t] = None
+    else:
+        for a in t[1]:
+            _add_variables(a, found)
+
+
 def _variables(lit: Literal) -> tuple[str, ...]:
     """The distinct variables of lit, in order of first occurrence."""
     found: dict[str, None] = {}
-
-    def walk(t: Term) -> None:
-        if type(t) is str:
-            found[t] = None
-        else:
-            for a in t[1]:
-                walk(a)
-
     for a in lit[2]:
-        walk(a)
+        if type(a) is str:
+            found[a] = None
+        elif a[1]:
+            _add_variables(a, found)
     return tuple(found)
 
 
@@ -368,15 +371,14 @@ class _Refuted(Exception):
         self.origins = origins
 
 
-# A literal of a clause as _Saturation._insert reads it: its entry in the
-# shared literal table, (literal, weight, code), and its variables.
-_Entry = tuple[Literal, int, int]
-_Part = tuple[_Entry, tuple[str, ...]]
+# An entry of the shared literal table: the literal, its weight, its code
+# and its variables.
+_Entry = tuple[Literal, int, int, tuple[str, ...]]
 
 
-def _rests(parts: tuple[_Part, ...]) -> tuple[tuple[_Part, ...], ...]:
-    """Per index i, parts without their i-th part."""
-    return tuple(parts[:i] + parts[i + 1 :] for i in range(len(parts)))
+def _rests(entries: tuple[_Entry, ...]) -> tuple[tuple[_Entry, ...], ...]:
+    """Per index i, entries without their i-th entry."""
+    return tuple([entries[:i] + entries[i + 1 :] for i in range(len(entries))])
 
 
 class _Saturation:
@@ -391,18 +393,20 @@ class _Saturation:
         self.age_cursor = 0
         self.picks = 0
         # Per processed clause: its literals renamed apart for resolution,
-        # its origins, its features, and per literal the parts of the others.
+        # its origins, its features, and per literal the entries of the
+        # others.
         self.processed: list[
-            tuple[Literals, frozenset[str], frozenset, tuple[tuple[_Part, ...], ...]]
+            tuple[Literals, frozenset[str], frozenset, tuple[tuple[_Entry, ...], ...]]
         ] = []
         self.index: dict[tuple[str, bool], list[tuple[int, int]]] = {}
         self.seen: set[Literals] = set()  # normal forms of the popped clauses
         # Most held clauses are never selected; they share one object per
         # distinct literal and per origin set to keep their memory down, and
         # the processed clauses' feature sets one per distinct feature.  A
-        # literal's entry also holds its weight and its code, an int that
-        # differs from its complement's only in the lowest bit, so that
-        # _insert finds repeated literals and tautologies by int lookups.
+        # literal's entry also holds its weight, its variables and its code,
+        # an int that differs from its complement's only in the lowest bit,
+        # so that _insert finds repeated literals and tautologies by int
+        # lookups.
         self.shared_literals: dict[Literal, _Entry] = {}
         self.shared_origins: dict[frozenset[str], frozenset[str]] = {}
         self.shared_features: dict[tuple, tuple] = {}
@@ -414,25 +418,29 @@ class _Saturation:
 
     def _entry(self, lit: Literal) -> _Entry:
         """lit's entry in the shared literal table: the one object held for
-        literals equal to lit, its weight and its code.  A new literal takes
-        its complement's code with the lowest bit flipped if the table holds
-        the complement, else an even code that no entry has."""
+        literals equal to lit, its weight, its code and its variables.  A new
+        literal takes its complement's code with the lowest bit flipped if
+        the table holds the complement, else an even code that no entry
+        has."""
         table = self.shared_literals
         entry = table.get(lit)
         if entry is None:
             positive, pred, args = lit
             twin = table.get((not positive, pred, args))
             code = 2 * len(table) if twin is None else twin[2] ^ 1
-            entry = table[lit] = (lit, 1 + sum(_term_weight(a) for a in args), code)
+            weight = 1 + sum(_term_weight(a) for a in args)
+            entry = table[lit] = (lit, weight, code, _variables(lit))
         return entry
 
-    def _parts(self, literals: Literals) -> tuple[_Part, ...]:
-        return tuple([(self._entry(lit), _variables(lit)) for lit in literals])
+    def _entries(self, literals: Literals) -> tuple[_Entry, ...]:
+        """The table entries of literals."""
+        get = self.shared_literals.get
+        return tuple([get(lit) or self._entry(lit) for lit in literals])
 
     def _insert(
         self,
-        first: tuple[_Part, ...],
-        second: tuple[_Part, ...],
+        first: tuple[_Entry, ...],
+        second: tuple[_Entry, ...],
         subst: Subst,
         origins: frozenset[str],
     ) -> None:
@@ -446,9 +454,9 @@ class _Saturation:
         held: dict[int, Literal] = {}  # by code
         weight = 0
         tautology = False
-        for parts in (first, second):
-            for entry, variables in parts:
-                for var in variables:
+        for entries in (first, second):
+            for entry in entries:
+                for var in entry[3]:
                     if var in subst:
                         positive, pred, args = entry[0]
                         built = []
@@ -502,9 +510,11 @@ class _Saturation:
                 return True
         return False
 
-    def _select(self) -> tuple[Literals, frozenset[str], frozenset] | None:
-        """The next given clause, normalized, with its origins and features;
-        None once no clause is held."""
+    def _select(
+        self,
+    ) -> tuple[Literals, frozenset[str], frozenset, tuple[_Entry, ...]] | None:
+        """The next given clause, normalized, with its origins, features and
+        literal entries; None once no clause is held."""
         while True:
             self._check_deadline()
             self.picks += 1
@@ -523,13 +533,14 @@ class _Saturation:
                 literals = normalize(literals)
                 if literals in self.seen:
                     continue
-                literals = tuple([self._entry(lit)[0] for lit in literals])
+                entries = self._entries(literals)
+                literals = tuple([entry[0] for entry in entries])
                 self.seen.add(literals)
                 features = _features(literals, self.shared_features)
                 if not self._subsumed(literals, features, 0, kept_at):
                     break
             if not self._subsumed(literals, features, kept_at, len(self.processed)):
-                return literals, origins, features
+                return literals, origins, features, entries
 
     def run(self) -> None:
         """Saturate the input clauses.  Returns when no unprocessed clause
@@ -547,33 +558,33 @@ class _Saturation:
         give."""
         for literals, origins in self.initial:
             origins = self.shared_origins.setdefault(origins, origins)
-            self._insert(self._parts(literals), (), {}, origins)
+            self._insert(self._entries(literals), (), {}, origins)
         while (selected := self._select()) is not None:
-            literals, origins, features = selected
+            literals, origins, features, entries = selected
             gidx = len(self.processed)
-            parts = self._parts(literals)
             renamed = tuple(
-                _rename_literal(lit, "r_") if variables else lit
-                for lit, (_, variables) in zip(literals, parts)
+                _rename_literal(lit, "r_") if entry[3] else lit
+                for lit, entry in zip(literals, entries)
             )
-            self.processed.append((renamed, origins, features, _rests(self._parts(renamed))))
+            self.processed.append((renamed, origins, features, _rests(self._entries(renamed))))
             for li, (positive, pred, _) in enumerate(literals):
                 self.index.setdefault((pred, positive), []).append((gidx, li))
-            self._infer(literals, origins, parts)
+            self._infer(literals, origins, entries)
 
     def _infer(
-        self, literals: Literals, origins: frozenset[str], parts: tuple[_Part, ...]
+        self, literals: Literals, origins: frozenset[str], entries: tuple[_Entry, ...]
     ) -> None:
         """Generate resolvents and positive factors of the given clause;
-        parts are its literals' parts."""
+        entries are its literals' entries."""
         processed = self.processed
         insert = self._insert
-        rests = _rests(parts)
         unions = self.origin_unions.setdefault(origins, {})
         # Binary resolution against processed clauses (including given itself).
         for li, (positive, pred, args) in enumerate(literals):
-            partners = self.index.get((pred, not positive), ())
-            rest = rests[li]
+            partners = self.index.get((pred, not positive))
+            if not partners:
+                continue
+            rest = entries[:li] + entries[li + 1 :]
             for pidx, mi in partners:
                 renamed, partner_origins, _, partner_rests = processed[pidx]
                 subst: Subst = {}
@@ -598,7 +609,7 @@ class _Saturation:
                 subst = {}
                 if not _unify_args(la[2], lb[2], subst):
                     continue
-                insert(parts, (), subst, origins)
+                insert(entries, (), subst, origins)
 
 
 def _input_clauses(named: list[tuple[str, object]], limit: float = math.inf) -> ClauseSet:

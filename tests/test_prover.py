@@ -405,7 +405,7 @@ class _EagerSaturation(prover._Saturation):
         self.inserted = set()
 
     def _insert(self, first, second, subst, origins):
-        literals = [_ref_apply_literal(entry[0], subst) for entry, _ in first + second]
+        literals = [_ref_apply_literal(entry[0], subst) for entry in first + second]
         literals = normalize(literals)
         if literals and not _ref_is_tautology(literals):
             features = _features(literals, self.shared_features)
@@ -415,7 +415,7 @@ class _EagerSaturation(prover._Saturation):
                 self.generated += 1
                 return
             self.inserted.add(literals)
-        super()._insert(self._parts(literals), (), {}, origins)
+        super()._insert(self._entries(literals), (), {}, origins)
 
 
 def _saturate(t, limits, saturation):
@@ -435,11 +435,11 @@ def _saturate(t, limits, saturation):
 
 
 def _without_codes(processed):
-    """The processed clauses with every literal code left out of their
-    parts: codes number the literal table in the order it was filled, which
-    differs between the two checks."""
+    """The processed clauses with the code left out of every literal entry
+    they hold: codes number the literal table in the order it was filled,
+    which differs between the two checks."""
     return [
-        (literals, origins, features, [[(e[:2], vs) for e, vs in rest] for rest in rests])
+        (literals, origins, features, [[e[:2] + e[3:] for e in rest] for rest in rests])
         for literals, origins, features, rests in processed
     ]
 
@@ -527,7 +527,7 @@ class _PickRecorder(prover._Saturation):
         super().__init__(initial, limits)
         self.given = []
 
-    def _infer(self, literals, origins, parts):
+    def _infer(self, literals, origins, entries):
         self.given.append((self.picks, literals[0][1]))
 
 
@@ -682,7 +682,7 @@ def test_unify_cases_that_need_the_occurs_check_or_a_binding_chain(pairs, unifia
 
 def _held(sat, first, second, subst):
     """The literals and weight of the clause that sat._insert holds for
-    these parts under subst, or None if it holds none."""
+    these entries under subst, or None if it holds none."""
     slot = len(sat.slots)
     sat._insert(first, second, subst, frozenset({"a1"}))
     if len(sat.slots) == slot:
@@ -701,7 +701,7 @@ def _ref_held(table, literals, subst):
 
 
 def _assert_held_like_the_separate_passes(sat, first, second, literals, subst):
-    """first and second are the parts of literals, in order."""
+    """first and second are the entries of literals, in order."""
     if not literals:
         with pytest.raises(prover._Refuted):
             sat._insert(first, second, subst, frozenset({"a1"}))
@@ -722,17 +722,17 @@ def test_unify_and_instantiate_match_the_walk_based_kernels(n):
         return
     literals = random_literals(rng, 4)
     sat = prover._Saturation((), LIMITS)
-    parts = sat._parts(literals)
-    for lit, (entry, variables) in zip(literals, parts):
+    entries = sat._entries(literals)
+    for lit, entry in zip(literals, entries):
         assert entry[0] == lit
-        assert _ref_apply_literal(lit, dict.fromkeys(variables, _A)) == _ref_apply_literal(
+        assert _ref_apply_literal(lit, dict.fromkeys(entry[3], _A)) == _ref_apply_literal(
             lit, _GROUNDING
         )
     skip = rng.randrange(-1, len(literals))
     if skip >= 0:
-        parts = _rests(parts)[skip]
+        entries = _rests(entries)[skip]
         literals = literals[:skip] + literals[skip + 1 :]
-    _assert_held_like_the_separate_passes(sat, parts, (), literals, subst)
+    _assert_held_like_the_separate_passes(sat, entries, (), literals, subst)
 
 
 @given(st.integers(0, 2**32))
@@ -756,7 +756,7 @@ def test_insert_holds_what_the_separate_passes_held(n):
     sat = prover._Saturation((), LIMITS)
     literals = first + tuple(second)
     _assert_held_like_the_separate_passes(
-        sat, sat._parts(first), sat._parts(second), literals, subst
+        sat, sat._entries(first), sat._entries(second), literals, subst
     )
 
 
@@ -767,7 +767,7 @@ def test_tautology_lookup_answers_like_the_set_based_check(n):
     planted = rng.sample(literals, rng.randint(0, 1))
     literals += tuple((not positive, pred, args) for positive, pred, args in planted)
     sat = prover._Saturation((), LIMITS)
-    assert (_held(sat, sat._parts(literals), (), {}) is None) == _ref_is_tautology(literals)
+    assert (_held(sat, sat._entries(literals), (), {}) is None) == _ref_is_tautology(literals)
 
 
 def test_unit_resolvent_is_refuted_with_both_origin_sets():
@@ -924,7 +924,7 @@ def test_quoted_constant_and_variable_stay_distinct():
     assert clause == ((True, "p", ("X0",)), (True, "p", (("X0", ()),)))
     sat = prover._Saturation((), LIMITS)
     mixed = normalize(((True, "p", const), (False, "p", var)))
-    assert _held(sat, sat._parts(mixed), (), {}) is not None
+    assert _held(sat, sat._entries(mixed), (), {}) is not None
     var_unit = normalize(((True, "p", var),))
     const_unit = normalize(((True, "p", const),))
     assert _subsumes_into(var_unit, _literals_by_key(const_unit))
@@ -957,7 +957,7 @@ def test_raw_clause_weight_and_tautology_match_its_normal_form(n):
     unique = tuple(dict.fromkeys(raw))
     normal = normalize(raw)
     sat = prover._Saturation((), LIMITS)
-    held = _held(sat, sat._parts(raw), (), {})
+    held = _held(sat, sat._entries(raw), (), {})
     assert sum(sat.shared_literals[lit][1] for lit in unique) == _term_sum_weight(normal)
     assert (held is None) == _ref_is_tautology(normal)
     if held is not None:
