@@ -340,25 +340,22 @@ SEARCH_PINS = [
 _THEORY_TEXTS = dict(ORACLE_THEORIES + UNSAT_CLAUSE_SETS)
 
 
-def _puz001_query(name: str) -> Theory:
-    """The PUZ001+1 prover queries that analyses make besides the full
-    proof: `reprove --method syntactic` stage 2, and `independence --method
-    naive` on pel55_2_1, built as `QuerySession.query_theory` builds them."""
-    puz = parse_file(str(PROBLEM_DIR / "PUZ001+1.p"))
-    if name == "PUZ001+1 from its used premises":
-        return puz.restrict(_PUZ001_USED)
-    others = frozenset(puz.premise_names) - {"pel55_2_1"}
-    return puz.restrict(others).with_conjecture(puz["pel55_2_1"])
-
-
-_PUZ001_QUERIES = ("PUZ001+1 from its used premises", "pel55_2_1 from the other PUZ001+1 axioms")
+# The PUZ001+1 prover queries that analyses make besides the full proof:
+# `reprove --method syntactic` stage 2, and `independence --method naive` on
+# pel55_2_1, built from PUZ001+1 as `QuerySession.query_theory` builds them.
+_PUZ001_QUERIES = {
+    "PUZ001+1 from its used premises": lambda puz: puz.restrict(_PUZ001_USED),
+    "pel55_2_1 from the other PUZ001+1 axioms": lambda puz: puz.restrict(
+        frozenset(puz.premise_names) - {"pel55_2_1"}
+    ).with_conjecture(puz["pel55_2_1"]),
+}
 
 
 def _pinned_theory(name: str) -> Theory:
     if name in _THEORY_TEXTS:
         return mk(_THEORY_TEXTS[name])
     if name in _PUZ001_QUERIES:
-        return _puz001_query(name)
+        return _PUZ001_QUERIES[name](parse_file(str(PROBLEM_DIR / "PUZ001+1.p")))
     return parse_file(str(PROBLEM_DIR / f"{name}.p"))
 
 
