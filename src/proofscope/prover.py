@@ -253,10 +253,7 @@ def _variables(lit: Literal) -> tuple[str, ...]:
     """The distinct variables of lit, in order of first occurrence."""
     found: dict[str, None] = {}
     for a in lit[2]:
-        if type(a) is str:
-            found[a] = None
-        elif a[1]:
-            _add_variables(a, found)
+        _add_variables(a, found)
     return tuple(found)
 
 
