@@ -872,7 +872,7 @@ def _digest(calls: list) -> str:
 
 
 class TestEngineCallSequencePinned:
-    """Every engine call of three CLI analyses, in order, as (engine id, goal,
+    """Every engine call of the CLI analyses, in order, as (engine id, goal,
     premise set), pinned by length and sha256 digest.  Each run follows its
     cmd_* function in the CLI."""
 
@@ -898,6 +898,51 @@ class TestEngineCallSequencePinned:
             5,
             "9e2db2ab72139442eeb0786909852311e7cec2c01c834ebdaa8fe2df7efb3c23",
         )
+
+    @pytest.mark.parametrize(
+        "max_subset_size, pinned",
+        [
+            (None, (4, "ab05b8f8e17439ebc019e90747fb05bc70ce9e1a0fa7e70ec7fa597588de4a19")),
+            (1, (4, "ab05b8f8e17439ebc019e90747fb05bc70ce9e1a0fa7e70ec7fa597588de4a19")),
+        ],
+    )
+    def test_independence_failfast(self, prover, model_finder, limits, max_subset_size, pinned):
+        t = parse_file(str(PROBLEM_DIR / "dependent_axioms.p")).without_conjecture()
+        session, calls = _recording_session(t, [prover], [model_finder], limits)
+        independence_failfast(session, max_subset_size)
+        assert (len(calls), _digest(calls)) == pinned
+
+    def test_independence_random(self, prover, model_finder, limits):
+        t = parse_file(str(PROBLEM_DIR / "dependent_axioms.p")).without_conjecture()
+        session, calls = _recording_session(t, [prover], [model_finder], limits)
+        independence_random(session, 10, 0)
+        assert (len(calls), _digest(calls)) == (
+            2,
+            "b95d6ace372736c5cbb864780a80b0ee799ea58e379e4b9168a5ca42f1ebd1a9",
+        )
+
+    @pytest.mark.parametrize(
+        "budget, pinned",
+        [
+            (1, (5, "8dbc34f99aaf3ecedc309623f2eef1f467c38a965acd7ed0ad64da7dd000e972", 0, False)),
+            (2, (6, "21879ee26c597f389814daecbced1f80bafa36ed5e7376ee98a00e65906e7c25", 0, False)),
+            (3, (7, "174b6e3858cd6e9ef10473c5edfc84af438df75294ce4a12a94fb62226fcde8d", 0, False)),
+            (4, (8, "8b64d748e987d97df484632bdbeeedb4c700e5cd4f2d8d08c71a543b50ac70d5", 1, False)),
+        ],
+    )
+    def test_minimize_under_a_subset_budget(self, prover, model_finder, limits, budget, pinned):
+        """The budget is checked before every candidate that is not a superset
+        of a found minimum, cache-answered ones included: at budget 4 every
+        engine call of the full walk is made, yet the walk stops before the
+        cache would answer the second minimum."""
+        t = parse_file(str(PROBLEM_DIR / "two_minima.p"))
+        session, calls = _recording_session(t, [prover], [model_finder], limits)
+        full = frozenset(t.premise_names)
+        assert session.decide(full, prefer="prove") == Entailment.Proves
+        session.run_engine(full, session.provers[0])
+        cls, _ = semantic_reprove(session)
+        report = enumerate_minima(session, cls, budget)
+        assert (len(calls), _digest(calls), len(report.minima), report.exhaustive) == pinned
 
     def test_consistency_puz001(self, prover, model_finder, puz001, limits):
         session, calls = _recording_session(puz001, [prover], [model_finder], limits)
