@@ -144,8 +144,6 @@ class QuerySession:
         limits: EngineLimits | None = None,
     ):
         self.theory = theory
-        # Theory.conjecture scans the formulas, and every decide needs the goal.
-        self._default_goal = GOAL_UNSAT if theory.conjecture is None else GOAL_CONJECTURE
         self.provers = list(provers)
         self.counters = list(counters)
         self.limits = limits or EngineLimits()
@@ -170,7 +168,9 @@ class QuerySession:
         if goal == GOAL_UNSAT:
             # Refute the named formulas: a named conjecture joins them as an
             # axiom, after the premises.
-            if c is None or c.name not in names:
+            if c is None:
+                return t
+            if c.name not in names:
                 return t.without_conjecture()
             as_axiom = AnnotatedFormula(c.name, "axiom", c.formula, c.source)
             return Theory(t.premises + (as_axiom,))
@@ -182,7 +182,7 @@ class QuerySession:
         return t.with_conjecture(self.theory[goal[1]])
 
     def default_goal(self) -> tuple:
-        return self._default_goal
+        return GOAL_UNSAT if self.theory.conjecture is None else GOAL_CONJECTURE
 
     # -- engine invocation ---------------------------------------------------
 
@@ -380,45 +380,37 @@ def enumerate_minima(
     finder first: most do not prove, and a countermodel grows the set shown
     insufficient.
     """
-    order = {name: i for i, name in enumerate(session.theory.premise_names)}
+    theory = session.theory
     core = frozenset(cls.needed | cls.unknown)
-    eliminable = sorted(cls.eliminable, key=order.get)
+    eliminable = theory.ordered(cls.eliminable)
+    candidates = (
+        core | frozenset(extra)
+        for k in range(len(eliminable) + 1)
+        for extra in itertools.combinations(eliminable, k)
+    )
     exhaustive = not cls.unknown
     found: list[frozenset[str]] = []
     calls_start = session.engine_calls
-    budget_left = lambda: session.engine_calls - calls_start < subset_budget  # noqa: E731
-
-    stopped = False
-    for k in range(len(eliminable) + 1):
-        if stopped:
+    for candidate in candidates:
+        if any(m <= candidate for m in found):
+            continue
+        if session.engine_calls - calls_start >= subset_budget:
+            exhaustive = False
             break
-        for extra in itertools.combinations(eliminable, k):
-            candidate = core | frozenset(extra)
-            if any(m <= candidate for m in found):
-                continue
-            if not budget_left():
+        ent = session.decide(candidate, prefer="counter")
+        if ent == Entailment.Undetermined:
+            exhaustive = False
+        if ent != Entailment.Proves:
+            continue
+        # Sufficient; minimal if no single deletion proves.
+        for name in theory.ordered(candidate):
+            sub_ent = session.decide(candidate - {name}, prefer="counter")
+            if sub_ent == Entailment.Undetermined:
                 exhaustive = False
-                stopped = True
+            if sub_ent != Entailment.DoesNotProve:
                 break
-            ent = session.decide(candidate, prefer="counter")
-            if ent == Entailment.Undetermined:
-                exhaustive = False
-                continue
-            if ent == Entailment.DoesNotProve:
-                continue
-            # Sufficient; verify minimality through single deletions.
-            minimal = True
-            for name in sorted(candidate, key=order.get):
-                sub_ent = session.decide(candidate - {name}, prefer="counter")
-                if sub_ent == Entailment.Proves:
-                    minimal = False
-                    break
-                if sub_ent == Entailment.Undetermined:
-                    minimal = False
-                    exhaustive = False
-                    break
-            if minimal:
-                found.append(candidate)
+        else:
+            found.append(candidate)
     return MinimaReport(tuple(found), exhaustive, session.engine_calls - calls_start)
 
 
@@ -433,16 +425,12 @@ def brute_force_minima(t: Theory, prover, limits: EngineLimits) -> MinimaReport:
     n = len(names)
     if n > 12:
         raise AnalysisError(f"brute force guarded to 12 premises, got {n}")
-    unsat_mode = t.conjecture is None
-    kind = ProblemKind.no_conjecture_unsat if unsat_mode else ProblemKind.has_conjecture
+    kind = ProblemKind.no_conjecture_unsat if t.conjecture is None else ProblemKind.has_conjecture
     sufficient = [False] * (1 << n)
     calls = 0
     for mask in range(1 << n):
         subset = frozenset(names[i] for i in range(n) if mask >> i & 1)
-        sub_theory = t.restrict(subset)
-        if unsat_mode:
-            sub_theory = sub_theory.without_conjecture()
-        verdict = prover.run(sub_theory, limits)
+        verdict = prover.run(t.restrict(subset), limits)
         calls += 1
         ent = classify(verdict.status, kind)
         if ent == Entailment.Undetermined:

@@ -12,6 +12,9 @@ polarity instead of rewriting negations: a quantifier that is universal
 under its polarity binds fresh variables, an existential one Skolem terms
 over the universals around it, and each connective joins its operands'
 clauses by concatenation (a conjunction) or by product (a disjunction).
+
+`query_formulas` names what either engine refutes for a theory: its
+premises, then the negated conjecture under `ORIGIN_CONJECTURE`.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .logic import (
     symbols,
     term_symbols,
 )
+from .tptp import Theory
 
 # Reserved origin names; TPTP formula names cannot start with '$'.
 ORIGIN_CONJECTURE = "$conjecture"
@@ -62,6 +66,15 @@ _SHAPES = {
     NOR: (False, False, False),
     NAND: (True, False, False),
 }
+
+
+def query_formulas(t: Theory) -> list[tuple[str, Formula]]:
+    """What an engine refutes for t: its premises by name, then the negated
+    conjecture under ORIGIN_CONJECTURE if t has one."""
+    named = [(p.name, p.formula) for p in t.premises]
+    if t.conjecture is not None:
+        named.append((ORIGIN_CONJECTURE, Not(t.conjecture.formula)))
+    return named
 
 
 def clausify(named: Sequence[tuple[str, Formula]], limit: float = math.inf) -> ClauseSet:

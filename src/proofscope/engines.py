@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Sequence
 
-from .clauses import ORIGIN_CONJECTURE
-from .logic import Formula, Interpretation, Not
+from .clauses import query_formulas
+from .logic import Formula, Interpretation
 from .modelfinder import ModelKind, ModelOutcome, find_model
 from .prover import prove, refute
 from .tptp import Theory, render_theory
@@ -272,11 +272,10 @@ class BuiltinModelFinder:
     capabilities: frozenset[str] = frozenset({CAP_FINDS_MODELS})
 
     def run(self, t: Theory, limits: EngineLimits) -> EngineVerdict:
+        """Search for a model of t's `query_formulas`: a model of the
+        premises, and of the negated conjecture if t has one."""
         start = time.monotonic()
-        formulas: list[tuple[str, Formula]] = [(p.name, p.formula) for p in t.premises]
-        if t.conjecture is not None:
-            formulas.append((ORIGIN_CONJECTURE, Not(t.conjecture.formula)))
-        outcome = self.search_formulas(formulas, limits)
+        outcome = self.search_formulas(query_formulas(t), limits)
         if outcome.kind == ModelKind.ModelFound:
             status = (
                 SzsStatus.CounterSatisfiable

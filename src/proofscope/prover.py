@@ -34,8 +34,8 @@ only skips matches that must fail.  Equality is handled by appending
 congruence axioms under the reserved origin name "$equality", which is
 excluded from used premises.
 
-The search runs on the plain-tuple clause form of `clauses`, as `clausify`
-returns it.  Substitutions stay triangular: a binding may hold variables
+The search runs on `clausify`'s plain-tuple clauses of `query_formulas(t)`.
+Substitutions stay triangular: a binding may hold variables
 that are bound elsewhere in the same dict, and `_unify`, `_occurs` and
 `_apply` follow such chains inline.  The occurs check runs only when a
 variable is bound to a term with arguments; after walking, the other side of
@@ -63,8 +63,9 @@ from .clauses import (
     clausify,
     contains_equality,
     formula_signature,
+    query_formulas,
 )
-from .logic import EQUALITY, Not, Term
+from .logic import EQUALITY, Term
 from .tptp import Theory
 from .verdicts import SzsStatus
 
@@ -619,16 +620,12 @@ def _input_clauses(named: list[tuple[str, object]], limit: float = math.inf) -> 
 
 
 def _search(
-    t: Theory,
-    goal: list[tuple[str, object]],
-    limits: EngineLimits,
-    refuted: SzsStatus,
-    saturated: SzsStatus,
+    t: Theory, limits: EngineLimits, refuted: SzsStatus, saturated: SzsStatus
 ) -> ProofOutcome:
-    """Saturate t's premises plus the goal formulas (the negated conjecture,
-    if any); a refutation answers refuted, a closed search saturated, and
-    an exhausted budget ResourceOut."""
-    named = [(p.name, p.formula) for p in t.premises] + goal
+    """Saturate t's `query_formulas` (its premises, plus the negated
+    conjecture if any); a refutation answers refuted, a closed search
+    saturated, and an exhausted budget ResourceOut."""
+    named = query_formulas(t)
     formula_signature(f for _, f in named)  # a symbol at two arities raises ValueError
     sat = None
     used: frozenset[str] = frozenset()
@@ -653,12 +650,11 @@ def prove(t: Theory, limits: EngineLimits) -> ProofOutcome:
     """Attempt to derive the conjecture of t from its premises."""
     if t.conjecture is None:
         raise ValueError("prove requires a conjecture; use refute for Unsatisfiable-mode problems")
-    goal = [(ORIGIN_CONJECTURE, Not(t.conjecture.formula))]
-    return _search(t, goal, limits, SzsStatus.Theorem, SzsStatus.CounterSatisfiable)
+    return _search(t, limits, SzsStatus.Theorem, SzsStatus.CounterSatisfiable)
 
 
 def refute(t: Theory, limits: EngineLimits) -> ProofOutcome:
     """Attempt to refute a conjecture-free theory (intended status Unsatisfiable)."""
     if t.conjecture is not None:
         raise ValueError("refute requires a theory without a conjecture")
-    return _search(t, [], limits, SzsStatus.Unsatisfiable, SzsStatus.Satisfiable)
+    return _search(t, limits, SzsStatus.Unsatisfiable, SzsStatus.Satisfiable)

@@ -22,7 +22,7 @@ def verdict_to_dict(v: EngineVerdict, theory: Theory) -> dict:
     return {
         "engine": v.engine_id,
         "status": v.status.value,
-        "used_premises": _ordered(v.used_premises, theory),
+        "used_premises": theory.ordered(v.used_premises),
         "has_premise_info": v.has_premise_info,
         "raw_output_digest": v.raw_output_digest,
         "elapsed_seconds": round(v.elapsed, 6),
@@ -42,11 +42,6 @@ def signature_to_dict(entries: list[SignatureEntry]) -> list[dict]:
     ]
 
 
-def _ordered(names, theory: Theory) -> list[str]:
-    order = {name: i for i, name in enumerate(theory.premise_names)}
-    return sorted(names, key=lambda n: order.get(n, len(order)))
-
-
 def trace_to_dict(trace: ReproveTrace, theory: Theory) -> dict:
     return {
         "stages": [
@@ -59,16 +54,16 @@ def trace_to_dict(trace: ReproveTrace, theory: Theory) -> dict:
 
 def classification_to_dict(cls: NeededClassification, theory: Theory) -> dict:
     return {
-        "needed": _ordered(cls.needed, theory),
-        "eliminable": _ordered(cls.eliminable, theory),
-        "unknown": _ordered(cls.unknown, theory),
+        "needed": theory.ordered(cls.needed),
+        "eliminable": theory.ordered(cls.eliminable),
+        "unknown": theory.ordered(cls.unknown),
         "approximate": cls.approximate,
     }
 
 
 def minima_to_dict(report: MinimaReport, theory: Theory, subset_budget: int) -> dict:
     return {
-        "minima": [_ordered(m, theory) for m in report.minima],
+        "minima": [theory.ordered(m) for m in report.minima],
         "exhaustive": report.exhaustive,
         "budget_spent": report.budget_spent,
         "subset_budget": subset_budget,
@@ -80,7 +75,7 @@ def independence_to_dict(report: IndependenceReport, theory: Theory) -> dict:
     if report.witness is not None:
         witness = {
             "axiom": report.witness[0],
-            "subset": _ordered(report.witness[1], theory),
+            "subset": theory.ordered(report.witness[1]),
         }
     return {
         "verdict": report.verdict.value,

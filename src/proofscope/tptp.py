@@ -15,7 +15,8 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 from .logic import (
     AND,
@@ -108,20 +109,31 @@ class Theory:
         if sum(1 for f in self.formulas if f.role == "conjecture") > 1:
             raise ValueError("theory has more than one conjecture")
 
-    @property
+    # Views computed once per instance; not fields, so never compared or hashed.
+    @cached_property
     def conjecture(self) -> AnnotatedFormula | None:
         for f in self.formulas:
             if f.role == "conjecture":
                 return f
         return None
 
-    @property
+    @cached_property
     def premises(self) -> tuple[AnnotatedFormula, ...]:
         return tuple(f for f in self.formulas if f.role != "conjecture")
 
-    @property
+    @cached_property
     def premise_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.premises)
+
+    @cached_property
+    def _rank(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.premise_names)}
+
+    def ordered(self, names: Iterable[str]) -> list[str]:
+        """names in premise declaration order; names that are not premises
+        come last, in the order given."""
+        rank = self._rank
+        return sorted(names, key=lambda n: rank.get(n, len(rank)))
 
     def __getitem__(self, name: str) -> AnnotatedFormula:
         for f in self.formulas:

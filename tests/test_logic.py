@@ -6,7 +6,13 @@ import time
 
 import pytest
 
-from proofscope.clauses import OutOfBudget, clause_signature, clausify
+from proofscope.clauses import (
+    ORIGIN_CONJECTURE,
+    OutOfBudget,
+    clause_signature,
+    clausify,
+    query_formulas,
+)
 from proofscope.logic import (
     EQUALITY,
     Atom,
@@ -97,6 +103,21 @@ class TestEvaluate:
         assert evaluate(m, Binary("<~>", p, q)) is True
         assert evaluate(m, Binary("~|", p, q)) is False
         assert evaluate(m, Binary("~&", p, q)) is True
+
+
+class TestQueryFormulas:
+    def test_premises_in_order_then_the_negated_conjecture(self):
+        t = mk("fof(b, axiom, q). fof(c, conjecture, p). fof(a, axiom, p => q).")
+        assert query_formulas(t) == [
+            ("b", Atom("q")),
+            ("a", Binary("=>", Atom("p"), Atom("q"))),
+            (ORIGIN_CONJECTURE, Not(Atom("p"))),
+        ]
+
+    def test_nothing_is_added_without_a_conjecture(self):
+        t = mk("fof(b, axiom, q). fof(a, axiom, ~q).")
+        assert query_formulas(t) == [("b", Atom("q")), ("a", Not(Atom("q")))]
+        assert query_formulas(t.restrict(set())) == []
 
 
 class TestClausify:

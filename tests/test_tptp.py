@@ -160,6 +160,42 @@ class TestParsing:
         assert t.formulas[0].role == "negated_conjecture"
 
 
+class TestTheoryViews:
+    TEXT = "fof(b, axiom, q). fof(c, conjecture, p). fof(a, axiom, p)."
+
+    def test_ordered_keeps_declaration_order_and_puts_other_names_last(self):
+        t = mk(self.TEXT)
+        assert t.ordered({"a", "b"}) == ["b", "a"]
+        assert t.ordered(["zz", "a", "c", "b"]) == ["b", "a", "zz", "c"]
+        assert t.ordered([]) == []
+
+    @pytest.mark.parametrize(
+        "derive, premises, conjecture",
+        [
+            (lambda t: t.restrict({"a"}), ("a",), "c"),
+            (lambda t: t.without_conjecture(), ("b", "a"), None),
+            (lambda t: t.with_conjecture(t["a"]), ("b",), "a"),
+        ],
+        ids=["restrict", "without_conjecture", "with_conjecture"],
+    )
+    def test_a_derived_theory_computes_its_own_views(self, derive, premises, conjecture):
+        t = mk(self.TEXT)
+        # Every view of the parent is computed before the derived theory is built.
+        assert (t.premise_names, t.conjecture.name, t.ordered("ab")) == (("b", "a"), "c", ["b", "a"])
+        u = derive(t)
+        assert u.premise_names == tuple(f.name for f in u.premises) == premises
+        assert (u.conjecture.name if u.conjecture else None) == conjecture
+        assert u.ordered(reversed(premises + ("x",))) == list(premises) + ["x"]
+        assert (t.premise_names, t.conjecture.name) == (("b", "a"), "c")
+
+    def test_compares_and_hashes_by_its_formulas_alone(self):
+        warm, cold = mk(self.TEXT), mk(self.TEXT)
+        assert warm.premises and warm.conjecture and warm.ordered(["a"])
+        assert warm == cold and hash(warm) == hash(cold)
+        assert len({warm, cold}) == 1
+        assert warm != warm.restrict({"a"})
+
+
 class TestIncludes:
     def test_include_resolution_order(self, tmp_path, monkeypatch):
         axdir = tmp_path / "ax"
