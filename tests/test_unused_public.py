@@ -12,6 +12,7 @@ walks each module's syntax tree.
 from __future__ import annotations
 
 import ast
+import functools
 import re
 from pathlib import Path
 
@@ -35,6 +36,7 @@ def public_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
     }
 
 
+@functools.cache
 def references(tree: ast.AST) -> set[str]:
     """Names and attributes read in tree, string annotations included."""
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
