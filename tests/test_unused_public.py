@@ -38,10 +38,9 @@ def public_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
 
 @functools.cache
 def references(tree: ast.AST) -> set[str]:
-    """Names and attributes read in tree, string annotations included."""
+    """Names read and attributes named in tree, string annotations included."""
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    module = tree if isinstance(tree, ast.Module) else ast.Module([tree], [])
-    return loaded_names(module) | attributes
+    return loaded_names(tree) | attributes
 
 
 def exported(init: ast.Module) -> set[str]:
