@@ -157,6 +157,88 @@ def test_compiled_literals_agree_with_the_layout(flat, n):
     ] == want_equations
 
 
+def cell_var(layout, table, cell):
+    """The variable of a cell of the table ("func", name) or ("pred", name);
+    a function cell is its arguments followed by its value."""
+    kind, name = table
+    if kind == "func":
+        return layout.func_var(name, cell[:-1], cell[-1])
+    return layout.pred_var(name, cell)
+
+
+def layout_tables(preds, funcs, splits):
+    """The tables of a layout in numbering order, each with its width:
+    function tables by name, then predicate tables by name, then split
+    tables by index."""
+    return (
+        [(("func", name), funcs[name] + 1) for name in sorted(funcs)]
+        + [(("pred", name), preds[name]) for name in sorted(preds)]
+        + [(("pred", index), arity) for index, arity in enumerate(splits)]
+    )
+
+
+# Random layouts: predicate and function signatures, which may share names
+# as the library API allows, split arities and a domain size.
+layout_signatures = st.tuples(
+    st.dictionaries(st.sampled_from("abfp"), st.integers(0, 3), max_size=3),
+    st.dictionaries(st.sampled_from("abfp"), st.integers(0, 2), max_size=3),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.integers(1, 4),
+)
+
+
+@settings(max_examples=300)
+@given(signature=layout_signatures)
+def test_layout_numbers_every_cell_once_in_table_order(signature):
+    """The cells of the tables, table after table and each table's in
+    itertools.product order, are the variables 1..count, so the signature's
+    variables come before the split atoms' as _split's greatest-model
+    argument needs.  A function cell ends with its value: the totality
+    clause of each argument tuple holds its cells for every value."""
+    preds, funcs, splits, n = signature
+    layout = modelfinder._VarLayout(preds, funcs, splits, n)
+    numbers = [
+        cell_var(layout, table, cell)
+        for table, width in layout_tables(preds, funcs, splits)
+        for cell in itertools.product(range(n), repeat=width)
+    ]
+    assert numbers == list(range(1, layout.count + 1))
+    assert signature_variables(layout) == layout.count - sum(n**arity for arity in splits)
+    cnf = modelfinder._ground([], layout, [], time.monotonic() + 60, 10**9)
+    totality = [
+        [cell_var(layout, ("func", name), args + (value,)) for value in range(n)]
+        for name in sorted(funcs)
+        for args in itertools.product(range(n), repeat=funcs[name])
+    ]
+    assert [clause for clause in cnf if clause[0] > 0] == totality
+
+
+@given(signature=layout_signatures, seed=st.integers(0, 2**32 - 1))
+def test_decode_reads_back_the_interpretation_of_an_assignment(signature, seed):
+    """An assignment that sets the cells of a random interpretation's tables,
+    and the split atoms at random, decodes to that interpretation."""
+    preds, funcs, splits, n = signature
+    rng = random.Random(seed)
+    layout = modelfinder._VarLayout(preds, funcs, splits, n)
+    predicates = {
+        name: {args: rng.random() < 0.5 for args in itertools.product(range(n), repeat=arity)}
+        for name, arity in preds.items()
+    }
+    functions = {
+        name: {args: rng.randrange(n) for args in itertools.product(range(n), repeat=arity)}
+        for name, arity in funcs.items()
+    }
+    assign = [0] + [rng.choice((1, -1)) for _ in range(layout.count)]
+    for name, table in predicates.items():
+        for args, value in table.items():
+            assign[cell_var(layout, ("pred", name), args)] = 1 if value else -1
+    for name, table in functions.items():
+        for args, value in table.items():
+            for v in range(n):
+                assign[cell_var(layout, ("func", name), args + (v,))] = 1 if v == value else -1
+    assert modelfinder._decode(assign, layout, n) == Interpretation(n, predicates, functions)
+
+
 def split_by_definition(flat):
     """_split's rule with every cut worked out again from the literals, as
     (pieces, splits)."""
@@ -309,6 +391,20 @@ class TestFindModel:
         ]
         with pytest.raises(ValueError, match=r"symbol p used with arity 1 and arity 0"):
             find_model(formulas, EngineLimits(timeout=10, max_domain_size=3))
+
+    def test_a_name_can_be_a_predicate_and_a_constant(self):
+        """The library API lets p name a predicate and a constant at once:
+        they are two tables, so p(p) & ~p(c) has a model of size 2 with both.
+        A layout keyed by name alone would give both one table."""
+        formulas = [
+            ("a", Atom("p", (("p", ()),))),
+            ("b", Not(Atom("p", (("c", ()),)))),
+        ]
+        out = find_model(formulas, EngineLimits(timeout=10, max_domain_size=3))
+        assert (out.kind, out.model.domain_size) == (ModelKind.ModelFound, 2)
+        assert (set(out.model.predicates), set(out.model.functions)) == ({"p"}, {"c", "p"})
+        assert out.model.predicates["p"][(out.model.functions["p"][()],)]
+        assert not out.model.predicates["p"][(out.model.functions["c"][()],)]
 
     def test_input_symbols_never_meet_split_atoms(self):
         """A split predicate is named by an int, so no input symbol shares its
