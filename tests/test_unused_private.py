@@ -1,11 +1,12 @@
 """Every private name and every attribute of the package is used in its module.
 
 A `_`-prefixed function, class, constant or method is private to its
-module, so one that the module never loads is dead code.  So is an
-attribute that the module stores but never reads: appending to it or
-assigning to one of its items is a store, not a read.  No linter ships with
-the project, so this walks each module's syntax tree.  Dunder names such as
-``__all__`` are not private and are skipped.
+module, and so is every method of a `_`-prefixed class, so one that the
+module never loads is dead code.  So is an attribute that the module stores
+but never reads: appending to it or assigning to one of its items is a
+store, not a read.  No linter ships with the project, so this walks each
+module's syntax tree.  Dunder names such as ``__all__`` are not private and
+are skipped.
 """
 
 from __future__ import annotations
@@ -59,13 +60,16 @@ def loaded_names(tree: ast.Module) -> set[str]:
 
 
 def private_methods(tree: ast.Module) -> dict[str, int]:
-    """Each private method a class of the module defines, with its line."""
+    """Each private method a class of the module defines, with its line.
+    Every method of a private class is private, dunders aside."""
     return {
         node.name: node.lineno
         for cls in ast.walk(tree)
         if isinstance(cls, ast.ClassDef)
         for node in cls.body
-        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef) and _is_private(node.name)
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef)
+        and not node.name.startswith("__")
+        and (node.name.startswith("_") or _is_private(cls.name))
     }
 
 
@@ -135,6 +139,25 @@ def test_detects_an_unused_private_method_and_a_write_only_attribute():
     stored, read = attribute_uses(tree)
     assert set(private_methods(tree)) - loaded_names(tree) - read == {"_dead"}
     assert set(stored) - read == {"done"}
+
+
+def test_every_method_of_a_private_class_is_private():
+    tree = ast.parse(
+        "class _Layout:\n"
+        "    def __init__(self):\n"
+        "        self.n = 1\n"
+        "    def var(self):\n"
+        "        return self.n\n"
+        "    def pred_var(self):\n"
+        "        return self.n\n"
+        "class Public:\n"
+        "    def unread(self):\n"
+        "        return 0\n"
+        "_Layout().var()\n"
+    )
+    assert set(private_methods(tree)) - loaded_names(tree) - attribute_uses(tree)[1] == {
+        "pred_var"
+    }
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
