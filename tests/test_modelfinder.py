@@ -19,7 +19,7 @@ from proofscope.modelfinder import (
     model_to_text,
     verify_model,
 )
-from proofscope.logic import Atom, Interpretation, Not, Quantified
+from proofscope.logic import EQUALITY, Atom, Interpretation, Not, Quantified
 from proofscope.tptp import parse_file
 
 from conftest import PUZ001, enumerate_interpretations, mk, random_closed_formula
@@ -394,17 +394,20 @@ class TestFindModel:
 
     def test_a_name_can_be_a_predicate_and_a_constant(self):
         """The library API lets p name a predicate and a constant at once:
-        they are two tables, so p(p) & ~p(c) has a model of size 2 with both.
-        A layout keyed by name alone would give both one table."""
-        formulas = [
-            ("a", Atom("p", (("p", ()),))),
-            ("b", Not(Atom("p", (("c", ()),)))),
-        ]
-        out = find_model(formulas, EngineLimits(timeout=10, max_domain_size=3))
+        they are two tables, so p(p) & ~p(c) has a model of size 2 with both,
+        and so has p(p) & p(c) & c != p.  A layout keyed by name alone would
+        give both one table, whose totality lets p hold of one element only."""
+        p_of_p, p_of_c = Atom("p", (("p", ()),)), Atom("p", (("c", ()),))
+        limits = EngineLimits(timeout=10, max_domain_size=3)
+        out = find_model([("a", p_of_p), ("b", Not(p_of_c))], limits)
         assert (out.kind, out.model.domain_size) == (ModelKind.ModelFound, 2)
         assert (set(out.model.predicates), set(out.model.functions)) == ({"p"}, {"c", "p"})
         assert out.model.predicates["p"][(out.model.functions["p"][()],)]
         assert not out.model.predicates["p"][(out.model.functions["c"][()],)]
+        apart = Not(Atom(EQUALITY, (("c", ()), ("p", ()))))
+        out = find_model([("a", p_of_p), ("b", p_of_c), ("c", apart)], limits)
+        assert (out.kind, out.model.domain_size) == (ModelKind.ModelFound, 2)
+        assert out.model.predicates["p"] == {(0,): True, (1,): True}
 
     def test_input_symbols_never_meet_split_atoms(self):
         """A split predicate is named by an int, so no input symbol shares its
