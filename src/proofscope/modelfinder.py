@@ -4,11 +4,13 @@ Clauses are flattened in the style of Paradox (Claessen & Sorensson 2003)
 so the propositional encoding stays polynomial in the domain size per
 clause: every nested subterm gets a fresh variable, a positive equation
 with a function term on one side becomes one function-cell literal, and a
-negative equation between variables is removed by substitution.  Function
-symbols contribute totality and functionality constraints.  Symmetry is
-broken by a canonical constant ordering: with the constants of the clauses
-in pre-order c0, c1, ..., each ci takes a value of at most i, and a value
-d >= 1 only if some earlier constant takes d - 1.
+negative equation between variables is removed by substitution.  A
+function of arity k is a table of k + 1 coordinates, its value last, and a
+predicate of arity k one of k; one layout numbers the cells of every table
+(see _VarLayout).  Function tables contribute totality and functionality
+constraints.  Symmetry is broken by a canonical constant ordering: with the
+constants of the clauses in pre-order c0, c1, ..., each ci takes a value of
+at most i, and a value d >= 1 only if some earlier constant takes d - 1.
 
 Each flattened clause is then split (Claessen & Sorensson 2003) before it
 is grounded: a clause A | B, with A its literals on one variable, becomes
@@ -16,11 +18,11 @@ A | s(S) and ~s(S) | B for a fresh predicate s over the variables S that A
 and B share, while both halves lack a variable of the clause (see _split).
 Associativity's six variables become two clauses of five, and a clause
 with a ground term nested d deep, which flattening gives d + 1 variables,
-becomes pieces of at most two.  A split predicate is named by its index,
-an int, which no input symbol (a str) can equal.  The split atoms are
-numbered after every function cell and predicate atom of the signature,
-and the model found is the same.  Every model of the split CNF restricts to a model of the
-original, since resolving the halves on s gives back each instance of
+becomes pieces of at most two.  A split predicate is a predicate table
+named by its index, an int, which no input symbol (a str) can equal, and
+its table is numbered after every table of the signature, so the model
+found is the same.  Every model of the split CNF restricts to a model of
+the original, since resolving the halves on s gives back each instance of
 A | B.  Every model M of the original extends to the split CNF by making
 s(S) true exactly where some instance of A is false: an instance of B with
 the same values of S, joined with that instance of A, is an instance of
@@ -77,9 +79,11 @@ class ModelOutcome:
 # Clause flattening
 
 # Flat literals reference clause variables by index:
-#   ("pred", name, argvar_indices, positive)
+#   ("pred", name, cell, positive)  a predicate or split atom
+#   ("func", name, cell, positive)  a function cell
 #   ("eq", var_index, var_index)  (positive; negative ones are substituted away)
-#   ("func", name, argvar_indices, result_var_index, positive)
+# A cell is a tuple of variable indices, one per coordinate of its table (see
+# _VarLayout): an atom's arguments, or a function's arguments and its value.
 FlatLiteral = tuple
 
 
@@ -111,7 +115,7 @@ def _flatten(literals: Literals) -> FlatClause:
             return defs[key]
         aux = next(counter)
         defs[key] = aux
-        lits.append(("func", head, arg_ids, aux, False))
+        lits.append(("func", head, arg_ids + (aux,), False))
         return aux
 
     for positive, pred, args in literals:
@@ -126,8 +130,8 @@ def _flatten(literals: Literals) -> FlatClause:
             else:
                 # f(s) = t is the cell f(s) -> t: totality and functionality
                 # make it equivalent to f(s) != u | u = t for every u.
-                arg_ids = tuple(flat_term(a) for a in left[1])
-                lits.append(("func", left[0], arg_ids, flat_term(right), True))
+                cell = tuple(flat_term(a) for a in (*left[1], right))
+                lits.append(("func", left[0], cell, True))
         else:
             arg_ids = tuple(flat_term(a) for a in args)
             lits.append(("pred", pred, arg_ids, positive))
@@ -155,14 +159,10 @@ def _substitute(lits: list[FlatLiteral], disequal: list[tuple[int, int]]) -> Fla
 
     out: list[FlatLiteral] = []
     for lit in lits:
-        tag = lit[0]
-        if tag == "eq":
+        if lit[0] == "eq":
             out.append(("eq", renumber(lit[1]), renumber(lit[2])))
-        elif tag == "pred":
-            out.append(("pred", lit[1], tuple(map(renumber, lit[2])), lit[3]))
         else:
-            args = tuple(map(renumber, lit[2]))
-            out.append(("func", lit[1], args, renumber(lit[3]), lit[4]))
+            out.append((lit[0], lit[1], tuple(map(renumber, lit[2])), lit[3]))
     return FlatClause(len(dense), tuple(dict.fromkeys(out)))
 
 
@@ -171,11 +171,7 @@ def _substitute(lits: list[FlatLiteral], disequal: list[tuple[int, int]]) -> Fla
 
 
 def _variables(lit: FlatLiteral) -> frozenset[int]:
-    if lit[0] == "eq":
-        return frozenset(lit[1:])
-    if lit[0] == "pred":
-        return frozenset(lit[2])
-    return frozenset((*lit[2], lit[3]))
+    return frozenset(lit[1:] if lit[0] == "eq" else lit[2])
 
 
 class _Piece:
@@ -284,42 +280,36 @@ def _split(flat: FlatClause, splits: list[int]) -> list[FlatClause]:
 
 
 class _VarLayout:
-    """Deterministic numbering of predicate atoms and function cells, and
-    after all of them the atoms of the split predicates (see _split)."""
+    """Deterministic numbering of the cells of every table: a table is a
+    kind, "func" or "pred", and a name, and a cell is a tuple of domain
+    elements, a function's arguments followed by its value.  The function
+    tables come first, by name, then the predicate tables, by name, then the
+    split predicates' (see _split), by index; each table's cells are
+    numbered in itertools.product order."""
 
     def __init__(
         self, preds: dict[str, int], funcs: dict[str, int], splits: list[int], n: int
     ):
         self.n = n
-        self.pred_base: dict[str | int, int] = {}
-        self.func_base: dict[str, int] = {}
-        next_id = 1  # DIMACS-style 1-based variables
-        # Function cells first: deciding them early lets the clause
-        # constraints propagate into the predicate tables.
-        for name in sorted(funcs):
-            self.func_base[name] = next_id
-            next_id += n ** (funcs[name] + 1)
-        for name in sorted(preds):
-            self.pred_base[name] = next_id
-            next_id += n ** preds[name]
-        for name, arity in enumerate(splits):
-            self.pred_base[name] = next_id
-            next_id += n**arity
-        self.count = next_id - 1
         self.preds = preds
         self.funcs = funcs
+        # Function cells first: deciding them early lets the clause
+        # constraints propagate into the predicate tables.
+        tables = [(("func", name), funcs[name] + 1) for name in sorted(funcs)]
+        tables += [(("pred", name), preds[name]) for name in sorted(preds)]
+        tables += [(("pred", name), arity) for name, arity in enumerate(splits)]
+        self.base: dict[tuple[str, str | int], int] = {}
+        next_id = 1  # DIMACS-style 1-based variables
+        for table, width in tables:
+            self.base[table] = next_id
+            next_id += n**width
+        self.count = next_id - 1
 
-    def pred_var(self, name: str | int, args: tuple[int, ...]) -> int:
+    def var(self, table: tuple[str, str | int], cell: tuple[int, ...]) -> int:
         idx = 0
-        for a in args:
+        for a in cell:
             idx = idx * self.n + a
-        return self.pred_base[name] + idx
-
-    def func_var(self, name: str, args: tuple[int, ...], value: int) -> int:
-        idx = 0
-        for a in args:
-            idx = idx * self.n + a
-        return self.func_base[name] + idx * self.n + value
+        return self.base[table] + idx
 
 
 # A linear form over a flat clause's variables: (base, stride per variable).
@@ -330,9 +320,10 @@ def _compile(flat: FlatClause, layout: _VarLayout) -> tuple[list[_Form], list[_F
     """The literals of a flat clause as linear forms over its variables.
 
     A form (base, strides) takes the value base + sum(strides[i] * a[i]) under
-    the assignment a.  A pred or func literal's form is its signed
-    propositional literal, the position strides of _VarLayout summed per
-    variable; an eq literal's form is a[i] - a[j], zero where it holds."""
+    the assignment a.  A table literal's form is its signed propositional
+    literal: its table's base, and the position strides of its cell (see
+    _VarLayout) summed per variable; an eq literal's form is a[i] - a[j],
+    zero where it holds."""
     n = layout.n
     literals: list[_Form] = []
     equations: list[_Form] = []
@@ -343,14 +334,10 @@ def _compile(flat: FlatClause, layout: _VarLayout) -> tuple[list[_Form], list[_F
             strides[lit[2]] -= 1
             equations.append((0, strides))
             continue
-        if lit[0] == "pred":
-            base, cells, positive = layout.pred_base[lit[1]], lit[2], lit[3]
-        else:
-            base, cells, positive = layout.func_base[lit[1]], lit[2] + (lit[3],), lit[4]
-        for power, var in enumerate(reversed(cells)):
+        for power, var in enumerate(reversed(lit[2])):
             strides[var] += n**power
-        sign = 1 if positive else -1
-        literals.append((sign * base, [sign * stride for stride in strides]))
+        sign = 1 if lit[3] else -1
+        literals.append((sign * layout.base[lit[:2]], [sign * stride for stride in strides]))
     return literals, equations
 
 
@@ -380,9 +367,9 @@ def _ground(
     cnf: list[list[int]] = []
     for i, c in enumerate(constants):
         for d in range(1, n):
-            clause = [-layout.func_var(c, (), d)]
+            clause = [-layout.var(("func", c), (d,))]
             if d <= i:
-                clause += [layout.func_var(prev, (), d - 1) for prev in constants[:i]]
+                clause += [layout.var(("func", prev), (d - 1,)) for prev in constants[:i]]
             cnf.append(clause)
     for flat in flats:
         literals, equations = _compile(flat, layout)
@@ -411,7 +398,7 @@ def _ground(
     for name in sorted(layout.funcs):
         arity = layout.funcs[name]
         for args in itertools.product(range(n), repeat=arity):
-            cells = [layout.func_var(name, args, v) for v in range(n)]
+            cells = [layout.var(("func", name), (*args, v)) for v in range(n)]
             cnf.append(cells)
             for i in range(n):
                 for j in range(i + 1, n):
@@ -599,15 +586,14 @@ def _dpll(
 # Decode, verify, search
 
 
-def _decode(
-    assign: list[int], layout: _VarLayout, n: int
-) -> Interpretation:
+def _decode(assign: list[int], layout: _VarLayout) -> Interpretation:
+    n = layout.n
     predicates: dict[str, dict[tuple[int, ...], bool]] = {}
     for name in sorted(layout.preds):
         arity = layout.preds[name]
         table: dict[tuple[int, ...], bool] = {}
         for args in itertools.product(range(n), repeat=arity):
-            table[args] = assign[layout.pred_var(name, args)] == 1
+            table[args] = assign[layout.var(("pred", name), args)] == 1
         predicates[name] = table
     functions: dict[str, dict[tuple[int, ...], int]] = {}
     for name in sorted(layout.funcs):
@@ -615,7 +601,7 @@ def _decode(
         table_f: dict[tuple[int, ...], int] = {}
         for args in itertools.product(range(n), repeat=arity):
             for v in range(n):
-                if assign[layout.func_var(name, args, v)] == 1:
+                if assign[layout.var(("func", name), (*args, v))] == 1:
                     table_f[args] = v
                     break
         functions[name] = table_f
@@ -661,7 +647,7 @@ def find_model(
             result = _dpll(cnf, layout.count, deadline, limits.max_clause_count)
             if result is None:
                 continue
-            model = _decode(result, layout, n)
+            model = _decode(result, layout)
             if not verify_model(model, originals, deadline):
                 raise RuntimeError("decoded model failed verification; grounding bug")
             return ModelOutcome(ModelKind.ModelFound, model=model)

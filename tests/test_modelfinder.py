@@ -92,7 +92,7 @@ class TestFlatten:
     def test_negative_variable_equation_is_substituted(self):
         flat = flat_clause("![X]: f(X) != X")
         assert flat.nvars == 1
-        assert flat.literals == (("func", "f", (0,), 0, False),)
+        assert flat.literals == (("func", "f", (0, 0), False),)
 
     def test_variable_equation_stays(self):
         flat = flat_clause("![X,Y]: X = Y")
@@ -122,19 +122,17 @@ def flat_clauses(draw, max_vars=4, max_literals=4):
             continue
         table = FLAT_PREDS if kind == "pred" else FLAT_FUNCS
         name = draw(st.sampled_from(sorted(table)))
-        args = tuple(draw(var) for _ in range(table[name]))
-        if kind == "pred":
-            literals.append(("pred", name, args, draw(st.booleans())))
-        else:
-            literals.append(("func", name, args, draw(var), draw(st.booleans())))
+        width = table[name] + (kind == "func")
+        cell = tuple(draw(var) for _ in range(width))
+        literals.append((kind, name, cell, draw(st.booleans())))
     return modelfinder.FlatClause(nvars, tuple(literals))
 
 
 @given(flat=flat_clauses(), n=st.integers(1, 4))
 def test_compiled_literals_agree_with_the_layout(flat, n):
     """At every assignment, a compiled pred or func literal is the signed
-    pred_var or func_var of its instance, and a compiled equation is zero
-    exactly where its two variables are equal."""
+    variable of its instance's cell in its table, and a compiled equation
+    is zero exactly where its two variables are equal."""
     layout = modelfinder._VarLayout(FLAT_PREDS, FLAT_FUNCS, [], n)
     literals, equations = modelfinder._compile(flat, layout)
     assignments = list(itertools.product(range(n), repeat=flat.nvars))
@@ -143,27 +141,12 @@ def test_compiled_literals_agree_with_the_layout(flat, n):
         if lit[0] == "eq":
             want_equations.append([a[lit[1]] == a[lit[2]] for a in assignments])
             continue
-        if lit[0] == "pred":
-            cells = [layout.pred_var(lit[1], tuple(a[i] for i in lit[2])) for a in assignments]
-        else:
-            cells = [
-                layout.func_var(lit[1], tuple(a[i] for i in lit[2]), a[lit[3]])
-                for a in assignments
-            ]
+        cells = [layout.var(lit[:2], tuple(a[i] for i in lit[2])) for a in assignments]
         want_literals.append([v if lit[-1] else -v for v in cells])
     assert [list(modelfinder._values(f, n)) for f in literals] == want_literals
     assert [
         [v == 0 for v in modelfinder._values(f, n)] for f in equations
     ] == want_equations
-
-
-def cell_var(layout, table, cell):
-    """The variable of a cell of the table ("func", name) or ("pred", name);
-    a function cell is its arguments followed by its value."""
-    kind, name = table
-    if kind == "func":
-        return layout.func_var(name, cell[:-1], cell[-1])
-    return layout.pred_var(name, cell)
 
 
 def layout_tables(preds, funcs, splits):
@@ -198,7 +181,7 @@ def test_layout_numbers_every_cell_once_in_table_order(signature):
     preds, funcs, splits, n = signature
     layout = modelfinder._VarLayout(preds, funcs, splits, n)
     numbers = [
-        cell_var(layout, table, cell)
+        layout.var(table, cell)
         for table, width in layout_tables(preds, funcs, splits)
         for cell in itertools.product(range(n), repeat=width)
     ]
@@ -206,7 +189,7 @@ def test_layout_numbers_every_cell_once_in_table_order(signature):
     assert signature_variables(layout) == layout.count - sum(n**arity for arity in splits)
     cnf = modelfinder._ground([], layout, [], time.monotonic() + 60, 10**9)
     totality = [
-        [cell_var(layout, ("func", name), args + (value,)) for value in range(n)]
+        [layout.var(("func", name), args + (value,)) for value in range(n)]
         for name in sorted(funcs)
         for args in itertools.product(range(n), repeat=funcs[name])
     ]
@@ -231,12 +214,12 @@ def test_decode_reads_back_the_interpretation_of_an_assignment(signature, seed):
     assign = [0] + [rng.choice((1, -1)) for _ in range(layout.count)]
     for name, table in predicates.items():
         for args, value in table.items():
-            assign[cell_var(layout, ("pred", name), args)] = 1 if value else -1
+            assign[layout.var(("pred", name), args)] = 1 if value else -1
     for name, table in functions.items():
         for args, value in table.items():
             for v in range(n):
-                assign[cell_var(layout, ("func", name), args + (v,))] = 1 if v == value else -1
-    assert modelfinder._decode(assign, layout, n) == Interpretation(n, predicates, functions)
+                assign[layout.var(("func", name), args + (v,))] = 1 if v == value else -1
+    assert modelfinder._decode(assign, layout) == Interpretation(n, predicates, functions)
 
 
 def split_by_definition(flat):
@@ -416,7 +399,12 @@ class TestFindModel:
         splits = []
         modelfinder._split(flat_clause(assoc), splits)
         layout = modelfinder._VarLayout({"$split0": 4, "0": 4}, {"mult": 2}, splits, 2)
-        assert layout.pred_base == {"$split0": 9, "0": 25, 0: 41}
+        assert layout.base == {
+            ("func", "mult"): 1,
+            ("pred", "$split0"): 9,
+            ("pred", "0"): 25,
+            ("pred", 0): 41,
+        }
         # Were the split atom's table that of $split0, this would leave
         # associativity's first piece without its split literal: no model.
         empty = Quantified("!", ("X", "Y", "Z", "W"), Not(Atom("$split0", ("X", "Y", "Z", "W"))))
