@@ -171,7 +171,9 @@ def _substitute(lits: list[FlatLiteral], disequal: list[tuple[int, int]]) -> Fla
 
 
 def _variables(lit: FlatLiteral) -> frozenset[int]:
-    return frozenset(lit[1:] if lit[0] == "eq" else lit[2])
+    if lit[0] == "eq":
+        return frozenset(lit[1:])
+    return frozenset(lit[2])
 
 
 class _Piece:
