@@ -4,9 +4,10 @@ import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from proofscope import modelfinder
 from proofscope.analysis import QuerySession, consistency_triple
@@ -107,21 +108,29 @@ class TestFlatten:
 
 # A signature for random flat clauses: name -> arity.
 FLAT_PREDS = {"p": 0, "q": 1, "r": 2}
-FLAT_FUNCS = {"c": 0, "f": 1, "g": 2}
+FLAT_FUNCS = {"c": 0, "d": 0, "f": 1, "g": 2}
 
 
 @st.composite
-def flat_clauses(draw, max_vars=4, max_literals=4):
-    nvars = draw(st.integers(1, max_vars))
+def flat_clauses(draw, min_vars=1, max_vars=4, max_literals=4):
+    """Random flat clauses over FLAT_PREDS and FLAT_FUNCS, literal-less ones
+    included.  A literal may take the table of an earlier one, with its own
+    cell and sign, so that two literals of one table meet or swap places
+    from one instance to the next."""
+    nvars = draw(st.integers(min_vars, max_vars))
     var = st.integers(0, nvars - 1)
     literals = []
     for _ in range(draw(st.integers(0, max_literals))):
-        kind = draw(st.sampled_from(["pred", "func", "eq"]))
+        used = sorted({lit[:2] for lit in literals if lit[0] != "eq"}, key=repr)
+        kind = draw(st.sampled_from(["pred", "func", "eq"] + ["again"] * bool(used)))
         if kind == "eq":
             literals.append(("eq", draw(var), draw(var)))
             continue
+        if kind == "again":
+            kind, name = draw(st.sampled_from(used))
+        else:
+            name = draw(st.sampled_from(sorted(FLAT_PREDS if kind == "pred" else FLAT_FUNCS)))
         table = FLAT_PREDS if kind == "pred" else FLAT_FUNCS
-        name = draw(st.sampled_from(sorted(table)))
         width = table[name] + (kind == "func")
         cell = tuple(draw(var) for _ in range(width))
         literals.append((kind, name, cell, draw(st.booleans())))
@@ -147,6 +156,84 @@ def test_compiled_literals_agree_with_the_layout(flat, n):
     assert [
         [v == 0 for v in modelfinder._values(f, n)] for f in equations
     ] == want_equations
+
+
+def ground_instance_by_instance(flats, layout, constants):
+    """_ground's CNF worked out one instance at a time: each table literal's
+    cell through layout.var, an instance where an equation holds skipped,
+    equal literals merged, a tautology dropped and the rest sorted by
+    variable."""
+    n = layout.n
+    cnf = []
+    for i, c in enumerate(constants):
+        for d in range(1, n):
+            clause = [-layout.var(("func", c), (d,))]
+            if d <= i:
+                clause += [layout.var(("func", prev), (d - 1,)) for prev in constants[:i]]
+            cnf.append(clause)
+    for flat in flats:
+        table_literals = [lit for lit in flat.literals if lit[0] != "eq"]
+        equations = [lit for lit in flat.literals if lit[0] == "eq"]
+        for a in itertools.product(range(n), repeat=flat.nvars):
+            if any(a[i] == a[j] for _, i, j in equations):
+                continue
+            clause = set()
+            for lit in table_literals:
+                v = layout.var(lit[:2], tuple(a[i] for i in lit[2]))
+                clause.add(v if lit[3] else -v)
+            if not clause:
+                cnf.append([])
+                return cnf
+            if not any(-v in clause for v in clause):
+                cnf.append(sorted(clause, key=abs))
+    for name in sorted(layout.funcs):
+        for args in itertools.product(range(n), repeat=layout.funcs[name]):
+            cells = [layout.var(("func", name), (*args, v)) for v in range(n)]
+            cnf.append(cells)
+            cnf += [[-x, -y] for x, y in itertools.combinations(cells, 2)]
+    return cnf
+
+
+FLAT_CONSTANTS = sorted(name for name, arity in FLAT_FUNCS.items() if arity == 0)
+
+
+@settings(max_examples=300)
+@given(
+    flats=st.lists(flat_clauses(), max_size=4),
+    n=st.integers(1, 4),
+    constants=st.permutations(FLAT_CONSTANTS).flatmap(
+        lambda order: st.integers(0, len(order)).map(lambda k: order[:k])
+    ),
+)
+def test_ground_agrees_with_instance_by_instance_grounding(flats, n, constants):
+    """The CNF is the clause list of every instance in turn, literal for
+    literal, and ends at the first instance with no literal left."""
+    layout = modelfinder._VarLayout(FLAT_PREDS, FLAT_FUNCS, [], n)
+    cnf = modelfinder._ground(flats, layout, constants, time.monotonic() + 60, 10**9)
+    assert cnf == ground_instance_by_instance(flats, layout, constants)
+
+
+@settings(max_examples=8)
+@given(flat=flat_clauses(min_vars=7, max_vars=7, max_literals=6))
+@example(
+    flat=modelfinder.FlatClause(
+        7,
+        (
+            ("func", "g", (0, 1, 2), False),
+            ("func", "g", (1, 2, 3), False),
+            ("pred", "r", (3, 3), True),
+            ("pred", "r", (4, 5), False),
+            ("eq", 5, 6),
+            ("pred", "q", (6,), True),
+        ),
+    )
+)
+def test_ground_agrees_with_instance_by_instance_grounding_over_many_instances(flat):
+    """Seven variables at size 4 are 16,384 instances of one clause, more
+    than grounding takes at once."""
+    layout = modelfinder._VarLayout(FLAT_PREDS, FLAT_FUNCS, [], 4)
+    cnf = modelfinder._ground([flat], layout, [], time.monotonic() + 60, 10**9)
+    assert cnf == ground_instance_by_instance([flat], layout, [])
 
 
 def layout_tables(preds, funcs, splits):
@@ -685,6 +772,21 @@ class TestGroundingLimits:
         with pytest.raises(OutOfBudget):
             modelfinder._ground([flat], layout, [], start + 0.05, 10**9)
         assert time.monotonic() - start < 1
+
+    def test_grounding_past_the_clause_cap_holds_little_memory(self):
+        """Associativity at size 10 has 10**6 instances, about 180 MB of
+        clauses; with a cap of 5,000 clauses grounding stops after a few
+        thousand, holding those and one block of instances at a time."""
+        flat = flat_clause("![X,Y,Z]: mult(mult(X,Y),Z) = mult(X,mult(Y,Z))")
+        layout = modelfinder._VarLayout({}, {"mult": 2}, [], 10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfBudget):
+                modelfinder._ground([flat], layout, [], time.monotonic() + 60, 5_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_a_falsified_instance_ends_the_cnf(self):
         """![X,Y]: X = Y has no literal but its equation.  At size 1 every
