@@ -33,12 +33,19 @@ model, and _decode reads only the signature's cells and atoms.
 
 Grounding is compiled once per flattened clause and domain size: each
 literal becomes a linear form in the clause's variables, whose value at an
-assignment is its propositional literal, so the instances of a clause come
-from integer sums instead of per-instance lookups.  A size whose CNF would
-hold more than the call's max_clause_count clauses ends the search with
-ResourceOut, and so does a solver that would learn more clauses than that:
-each raises OutOfBudget where the budget runs out, as evaluate does past its
-deadline, and find_model alone reads it as ResourceOut.
+assignment is its signed propositional variable.  The instances of a clause
+are ground in blocks of at most 4096, column by column: a literal's column
+over the innermost variables is expanded from its form once, and each block
+adds the offset of its outer variables.  A ground clause lists its literals
+by variable.  _VarLayout numbers each table in a range of its own, the
+tables in turn, so literals of different tables never meet on a variable
+and keep their order in every instance; only two literals of one table can
+meet or swap places, and only where they meet does an instance need a step
+of its own (see _ground).  A size whose CNF would hold more than the call's
+max_clause_count clauses ends the search with ResourceOut, and so does a
+solver that would learn more clauses than that: each raises OutOfBudget
+where the budget runs out, as evaluate does past its deadline, and
+find_model alone reads it as ResourceOut.
 
 The solver is DPLL with conflict-driven clause learning: first-UIP learned
 clauses and backjumping, with fixed branching (least unassigned variable,
@@ -50,10 +57,11 @@ fast a size is refuted, never which model comes back.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .clauses import Literals, OutOfBudget, clause_signature, clausify, formula_signature
 from .logic import EQUALITY, Formula, Interpretation, Term, evaluate
@@ -343,10 +351,14 @@ def _compile(flat: FlatClause, layout: _VarLayout) -> tuple[list[_Form], list[_F
     return literals, equations
 
 
-def _values(form: _Form, n: int) -> Iterator[int]:
-    """The form's value at every assignment, in itertools.product order."""
-    base, strides = form
-    return map(sum, itertools.product((base,), *([s * v for v in range(n)] for s in strides)))
+def _column(form: _Form, n: int) -> list[int]:
+    """The form's value at every assignment of its variables, in
+    itertools.product order."""
+    column = [form[0]]
+    for stride in form[1]:
+        steps = [stride * a for a in range(n)]
+        column = [x + t for x in column for t in steps]
+    return column
 
 
 def _ground(
@@ -360,11 +372,26 @@ def _ground(
 
     Every model can be renumbered so that the constants, in the given order,
     take their values in order of first appearance: ci is at most i, and
-    ci = d >= 1 only if some cj with j < i is d - 1.  An instance with no
-    literal left falsifies its clause: grounding stops there, and the CNF
-    ends with the empty clause.  Past the deadline, or once the CNF holds
-    more than max_clauses clauses, grounding raises OutOfBudget; both are
-    checked every 4096 clause instances."""
+    ci = d >= 1 only if some cj with j < i is d - 1.
+
+    The instances of a clause come in itertools.product order, in blocks:
+    the innermost variables, as many as keep a block to at most 4096
+    instances, span the block, and each assignment of the outer ones is one
+    block.  Each literal and equation has a column of values per block, its
+    column over the inner variables (see _column) plus the outer variables'
+    offset.  An instance where some equation holds is satisfied and left
+    out.  Every other instance is the row of its literals, which the
+    literals give in table order: the tables' variable ranges ascend, so
+    that is the order by variable wherever no two literals share a table.
+    Literals of one table are ordered per instance by compare-exchanges of
+    their columns, and an instance where two of them meet, the same
+    variable of the same sign or of opposite signs, is the one row that
+    takes a step of its own: its repeats merge, and a tautology is dropped.
+    An instance with no literal left falsifies its clause: grounding stops
+    there, and the CNF ends with the empty clause.  Past the deadline, or
+    once the CNF holds more than max_clauses clauses, grounding raises
+    OutOfBudget; both are checked before every block, so the CNF up to the
+    cap and one block's columns are all it holds."""
     n = layout.n
     cnf: list[list[int]] = []
     for i, c in enumerate(constants):
@@ -375,27 +402,69 @@ def _ground(
             cnf.append(clause)
     for flat in flats:
         literals, equations = _compile(flat, layout)
-        # An instance where some equation holds is satisfied: keep the others.
-        if equations:
-            kept = map(all, zip(*(_values(e, n) for e in equations)))
-        else:
-            kept = itertools.repeat(True)
-        if not literals:
-            if any(kept):
-                cnf.append([])
-                return cnf
-            continue
-        rows = zip(*(_values(lit, n) for lit in literals))
-        for _ in range(0, n**flat.nvars, 4096):
+        # A form's base is its table's base, signed: order by table, stably.
+        literals.sort(key=lambda form: abs(form[0]))
+        tables = [abs(base) for base, _ in literals]
+        # Selection sort's compare-exchanges, in this order, sort each table.
+        pairs = [
+            (i, j)
+            for i in range(len(tables))
+            for j in range(i + 1, len(tables))
+            if tables[i] == tables[j]
+        ]
+        inner = flat.nvars
+        while n**inner > 4096:
+            inner -= 1
+        outer = flat.nvars - inner
+        forms = [
+            (_column((base, strides[outer:]), n), strides[:outer])
+            for base, strides in literals + equations
+        ]
+        for prefix in itertools.product(range(n), repeat=outer):
             if len(cnf) > max_clauses or time.monotonic() >= deadline:
                 raise OutOfBudget
-            block = itertools.islice(rows, 4096), itertools.islice(kept, 4096)
-            for row in itertools.compress(*block):
-                uniq = set(row)
-                # Two literals on one variable make a tautology; in any other
-                # instance sorting by variable alone gives the clause order.
-                if len({*map(abs, uniq)}) == len(uniq):
-                    cnf.append(sorted(uniq, key=abs))
+            cols = [column for column, _ in forms]
+            if any(prefix):
+                for k, (column, strides) in enumerate(forms):
+                    offset = sum(map(operator.mul, strides, prefix))
+                    if offset:
+                        cols[k] = list(map(offset.__add__, column))
+            eqs = cols[len(literals) :]
+            # An instance where some equation holds is satisfied: keep the others.
+            kept = eqs[0] if len(eqs) == 1 else list(map(all, zip(*eqs))) if eqs else None
+            if not literals:
+                if kept is None or any(kept):
+                    cnf.append([])
+                    return cnf
+                continue
+            if not pairs:
+                rows = zip(*cols[: len(literals)])
+                cnf.extend(map(list, rows if kept is None else itertools.compress(rows, kept)))
+                continue
+            # Literals of one sign meet where they are equal, of opposite
+            # signs where they are opposite; before the exchanges, each
+            # column has its literal's sign.
+            masks = [
+                map(operator.eq, cols[i], cols[j])
+                if (literals[i][0] > 0) == (literals[j][0] > 0)
+                else map(operator.eq, cols[i], map(operator.neg, cols[j]))
+                for i, j in pairs
+            ]
+            meet = masks[0] if len(masks) == 1 else map(any, zip(*masks))
+            for i, j in pairs:
+                a, b = cols[i], cols[j]
+                cols[i] = [x if abs(x) < abs(y) else y for x, y in zip(a, b)]
+                cols[j] = [y if abs(x) < abs(y) else x for x, y in zip(a, b)]
+            rows = zip(*cols[: len(literals)])
+            if kept is not None:
+                rows, meet = itertools.compress(rows, kept), itertools.compress(meet, kept)
+            clauses = list(map(list, rows))
+            for k in itertools.compress(range(len(clauses)), meet):
+                uniq = set(clauses[k])
+                # Two literals on one variable make a tautology.
+                tautology = len({*map(abs, uniq)}) < len(uniq)
+                clauses[k] = None if tautology else sorted(uniq, key=abs)
+            cnf.extend(filter(None, clauses))
     # Totality and functionality for every function symbol.
     for name in sorted(layout.funcs):
         arity = layout.funcs[name]

@@ -152,10 +152,8 @@ def test_compiled_literals_agree_with_the_layout(flat, n):
             continue
         cells = [layout.var(lit[:2], tuple(a[i] for i in lit[2])) for a in assignments]
         want_literals.append([v if lit[-1] else -v for v in cells])
-    assert [list(modelfinder._values(f, n)) for f in literals] == want_literals
-    assert [
-        [v == 0 for v in modelfinder._values(f, n)] for f in equations
-    ] == want_equations
+    assert [modelfinder._column(f, n) for f in literals] == want_literals
+    assert [[v == 0 for v in modelfinder._column(f, n)] for f in equations] == want_equations
 
 
 def ground_instance_by_instance(flats, layout, constants):
