@@ -416,19 +416,17 @@ def _ground(
         while n**inner > 4096:
             inner -= 1
         outer = flat.nvars - inner
-        forms = [
-            (_column((base, strides[outer:]), n), strides[:outer])
-            for base, strides in literals + equations
-        ]
+        forms = literals + equations
+        columns = [_column((base, strides[outer:]), n) for base, strides in forms]
         for prefix in itertools.product(range(n), repeat=outer):
             if len(cnf) > max_clauses or time.monotonic() >= deadline:
                 raise OutOfBudget
-            cols = [column for column, _ in forms]
+            cols = columns[:]
             if any(prefix):
-                for k, (column, strides) in enumerate(forms):
-                    offset = sum(map(operator.mul, strides, prefix))
+                for k, (_, strides) in enumerate(forms):
+                    offset = sum(map(operator.mul, strides[:outer], prefix))
                     if offset:
-                        cols[k] = list(map(offset.__add__, column))
+                        cols[k] = list(map(offset.__add__, columns[k]))
             eqs = cols[len(literals) :]
             # An instance where some equation holds is satisfied: keep the others.
             kept = eqs[0] if len(eqs) == 1 else list(map(all, zip(*eqs))) if eqs else None
