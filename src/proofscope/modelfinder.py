@@ -429,7 +429,7 @@ def _ground(
                         cols[k] = list(map(offset.__add__, columns[k]))
             eqs = cols[len(literals) :]
             # An instance where some equation holds is satisfied: keep the others.
-            kept = eqs[0] if len(eqs) == 1 else list(map(all, zip(*eqs))) if eqs else None
+            kept = list(map(all, zip(*eqs))) if eqs else None
             if not literals:
                 if kept is None or any(kept):
                     cnf.append([])
