@@ -122,7 +122,7 @@ def flat_clauses(draw, min_vars=1, max_vars=4, max_literals=4):
     literals = []
     for _ in range(draw(st.integers(0, max_literals))):
         used = sorted({lit[:2] for lit in literals if lit[0] != "eq"}, key=repr)
-        kind = draw(st.sampled_from(["pred", "func", "eq"] + ["again"] * bool(used)))
+        kind = draw(st.sampled_from(["pred", "func", "eq"] + (["again"] if used else [])))
         if kind == "eq":
             literals.append(("eq", draw(var), draw(var)))
             continue
