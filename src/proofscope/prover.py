@@ -1,4 +1,23 @@
-"""Given-clause refutation prover (binary resolution + positive factoring).
+"""Given-clause refutation prover: ordered binary resolution and ordered
+positive factoring.
+
+The ordering is an A-ordering on predicate symbols (Kowalski & Hayes 1969,
+"Semantic trees in automatic theorem-proving"; Bachmair & Ganzinger 2001,
+"Resolution theorem proving", Handbook of Automated Reasoning): every
+non-equality atom lies above every equality atom.  Resolution and factoring
+use only a clause's eligible literals, those that no literal of the clause
+lies strictly above, so an equality literal is eligible only in a clause
+without a non-equality literal.  The clauses whose origins are exactly the
+congruence axioms' (see below) are exempt, and all their literals are
+eligible.  The ordering depends only on the predicate, so it is stable
+under substitution and extends to a well-founded total order on ground
+atoms; a literal maximal in some ground instance of its clause is eligible,
+so every inference that ordered resolution needs is made.  Ordered
+resolution with ordered factoring is refutationally complete and stays so
+with tautology deletion, duplicate deletion and forward subsumption, and
+the exemption only adds inferences.  A search that closes without the empty
+clause is therefore a saturation, and its CounterSatisfiable (Satisfiable)
+answer sound.  Without equality every literal is eligible.
 
 Clause selection picks the lowest-weight unprocessed clause with FIFO
 tie-break by age, and on every PICK_GIVEN_RATIO-th pick the oldest.  A
@@ -331,10 +350,14 @@ def _features(literals: Literals, shared: dict[tuple, tuple]) -> frozenset:
 # ---------------------------------------------------------------------------
 # Congruence axioms for equality
 
+# The origins of the congruence axioms, and of the clauses derived from them
+# alone.
+_EQUALITY_ORIGINS = frozenset({ORIGIN_EQUALITY})
+
 
 def congruence_axioms(clauses: ClauseSet) -> ClauseSet:
     preds, funcs = clause_signature(clauses)
-    origin = frozenset({ORIGIN_EQUALITY})
+    origin = _EQUALITY_ORIGINS
     eq = lambda a, b, pos: (pos, EQUALITY, (a, b))  # noqa: E731
     out = [
         ((eq("X0", "X0", True),), origin),
@@ -487,6 +510,17 @@ class _Saturation:
         if len(self.slots) > self.max_clause_count:
             raise OutOfBudget
 
+    def _eligible(self, literals: Literals, origins: frozenset[str]) -> tuple[int, ...]:
+        """The indices of the literals that ordered resolution resolves and
+        factors on: every literal, except that an equality literal of a
+        clause with a non-equality literal is left out unless the clause
+        comes from the congruence axioms alone."""
+        if origins != _EQUALITY_ORIGINS:
+            kept = tuple([i for i, lit in enumerate(literals) if lit[1] != EQUALITY])
+            if kept:
+                return kept
+        return tuple(range(len(literals)))
+
     def _check_deadline(self) -> None:
         if time.monotonic() >= self.deadline:
             raise OutOfBudget
@@ -565,20 +599,28 @@ class _Saturation:
                 for lit, entry in zip(literals, entries)
             )
             self.processed.append((renamed, origins, features, _rests(self._entries(renamed))))
-            for li, (positive, pred, _) in enumerate(literals):
+            eligible = self._eligible(literals, origins)
+            for li in eligible:
+                positive, pred, _ = literals[li]
                 self.index.setdefault((pred, positive), []).append((gidx, li))
-            self._infer(literals, origins, entries)
+            self._infer(literals, origins, entries, eligible)
 
     def _infer(
-        self, literals: Literals, origins: frozenset[str], entries: tuple[_Entry, ...]
+        self,
+        literals: Literals,
+        origins: frozenset[str],
+        entries: tuple[_Entry, ...],
+        eligible: tuple[int, ...],
     ) -> None:
-        """Generate resolvents and positive factors of the given clause;
-        entries are its literals' entries."""
+        """Generate resolvents and positive factors of the given clause on
+        its eligible literals, the indices in eligible; entries are its
+        literals' entries."""
         processed = self.processed
         insert = self._insert
         unions = self.origin_unions.setdefault(origins, {})
         # Binary resolution against processed clauses (including given itself).
-        for li, (positive, pred, args) in enumerate(literals):
+        for li in eligible:
+            positive, pred, args = literals[li]
             partners = self.index.get((pred, not positive))
             if not partners:
                 continue
@@ -597,7 +639,7 @@ class _Saturation:
                 if self._tick % 256 == 0:
                     self._check_deadline()
         # Positive factoring on the given clause.
-        positives = [i for i, l in enumerate(literals) if l[0]]
+        positives = [i for i in eligible if literals[i][0]]
         for a in range(len(positives)):
             for b in range(a + 1, len(positives)):
                 la = literals[positives[a]]

@@ -265,7 +265,12 @@ class TestAgainstTruthTables:
 # _unify and _apply followed bindings inline.  The two PUZ001+1 query rows,
 # the other prover queries that analyses of PUZ001+1 make, were recorded
 # while resolvents were still instantiated, deduplicated, checked for
-# tautology and shared in separate passes.
+# tautology and shared in separate passes.  When resolution came to leave
+# out the equality literals of mixed clauses outside the congruence axioms
+# (ordered resolution), only the three PUZ001+1 rows changed, all but their
+# status and used premises: (6036, 5693, 187, 309, "1ef387acced8ef26"),
+# (7408, 7108, 221, 325, "865f4a3cb382eb09") and (6342, 6010, 191, 286,
+# "c39f18619429a737") before.
 
 _PUZ001_USED = (
     "pel55_1", "pel55_10", "pel55_11", "pel55_3", "pel55_4",
@@ -307,31 +312,31 @@ SEARCH_PINS = [
         "PUZ001+1",
         "Theorem",
         _PUZ001_USED,
-        6036,
-        5693,
-        187,
-        309,
-        "1ef387acced8ef26",
+        1132,
+        1116,
+        107,
+        125,
+        "17781566c6c54f02",
     ),
     (
         "PUZ001+1 from its used premises",
         "Theorem",
         _PUZ001_USED,
-        7408,
-        7108,
-        221,
-        325,
-        "865f4a3cb382eb09",
+        1989,
+        1952,
+        154,
+        213,
+        "e294fe301e79d8e1",
     ),
     (
         "pel55_2_1 from the other PUZ001+1 axioms",
         "Theorem",
         _PUZ001_USED,
-        6342,
-        6010,
-        191,
-        286,
-        "c39f18619429a737",
+        1680,
+        1655,
+        128,
+        186,
+        "c0b0c0533c881b82",
     ),
     ("dependent_axioms", "Satisfiable", (), 3, 3, 2, 1, "995aafd2fd72a9e6"),
     ("two_minima", "Theorem", ("route_a", "route_a_works"), 8, 7, 5, 0, "79ac399a04feea56"),
@@ -463,9 +468,9 @@ _KEPT_AT_INSERTION = {
     "shortcut_implication": 9,
     "duplicate_axiom": 3,
     "full_square": 8,
-    "PUZ001+1": 2403,
-    "PUZ001+1 from its used premises": 3180,
-    "pel55_2_1 from the other PUZ001+1 axioms": 2476,
+    "PUZ001+1": 767,
+    "PUZ001+1 from its used premises": 1206,
+    "pel55_2_1 from the other PUZ001+1 axioms": 981,
 }
 
 
@@ -478,14 +483,22 @@ def test_selection_check_gives_the_insertion_check_search(name, kept):
     assert eager.stats.kept == _KEPT_AT_INSERTION.get(name, kept)
 
 
-@given(seeds=st.lists(st.integers(0, 2**16), min_size=2, max_size=3))
-def test_selection_check_gives_the_insertion_check_search_with_equality(seeds):
-    formulas = [random_closed_formula(random.Random(s), 1) for s in seeds]
+def _random_equality_theory(seeds, depth):
+    """The theory whose premises and conjecture, the last, are one
+    random_closed_formula per seed, and the formulas of its query: its
+    premises and its negated conjecture, whose clauses must hold `=`."""
+    formulas = [random_closed_formula(random.Random(s), depth) for s in seeds]
     premises = tuple(AnnotatedFormula(f"a{i}", "axiom", f) for i, f in enumerate(formulas[:-1]))
     goal = AnnotatedFormula("goal", "conjecture", formulas[-1])
     query = [(p.name, p.formula) for p in premises] + [("$neg", Not(goal.formula))]
     assume(contains_equality(clausify(query)))
-    _same_search(Theory(premises + (goal,)), EngineLimits(timeout=10, max_clause_count=300))
+    return Theory(premises + (goal,)), query
+
+
+@given(seeds=st.lists(st.integers(0, 2**16), min_size=2, max_size=3))
+def test_selection_check_gives_the_insertion_check_search_with_equality(seeds):
+    t, _ = _random_equality_theory(seeds, 1)
+    _same_search(t, EngineLimits(timeout=10, max_clause_count=300))
 
 
 def test_held_clauses_share_literals_and_origin_sets(puz001):
@@ -510,9 +523,12 @@ def test_puz001_subsumption_tests_stay_filtered(puz001):
     131,421 matcher calls here; the index, checking at insertion, made
     10,987, and checking at selection 180.  The head-symbol filter that
     replaced the index makes 309.  Since duplicates are deleted at
-    selection, kept counts them too (4353 before)."""
+    selection, kept counts them too (4353 before).  Ordered resolution,
+    which leaves out the equality literals of mixed clauses, cuts the
+    search from 6036 generated, 5693 kept and 187 given clauses, and the
+    matcher calls to 125."""
     out = prove(puz001, EngineLimits(timeout=60))
-    assert (out.stats.generated, out.stats.kept, out.stats.given) == (6036, 5693, 187)
+    assert (out.stats.generated, out.stats.kept, out.stats.given) == (1132, 1116, 107)
     assert out.stats.subsumption_tests <= 1_000
 
 
@@ -524,7 +540,7 @@ class _PickRecorder(prover._Saturation):
         super().__init__(initial, limits)
         self.given = []
 
-    def _infer(self, literals, origins, entries):
+    def _infer(self, literals, origins, entries, eligible):
         self.given.append((self.picks, literals[0][1]))
 
 
@@ -992,11 +1008,74 @@ def test_prover_and_finder_never_contradict(seeds, depth):
     """On small random theories with equality, no query is both a Theorem of
     the prover and a ModelFound of the finder, whose models are verified.
     The clause cap stops the saturations that equality makes endless."""
-    formulas = [random_closed_formula(random.Random(s), depth) for s in seeds]
-    premises = tuple(AnnotatedFormula(f"a{i}", "axiom", f) for i, f in enumerate(formulas[:-1]))
-    goal = AnnotatedFormula("goal", "conjecture", formulas[-1])
-    query = [(p.name, p.formula) for p in premises] + [("$neg", Not(goal.formula))]
-    assume(contains_equality(clausify(query)))
-    proof = prove(Theory(premises + (goal,)), EngineLimits(timeout=10, max_clause_count=150))
+    t, query = _random_equality_theory(seeds, depth)
+    proof = prove(t, EngineLimits(timeout=10, max_clause_count=150))
     found = find_model(query, EngineLimits(timeout=10, max_domain_size=3))
     assert not (proof.status == SzsStatus.Theorem and found.kind == ModelKind.ModelFound)
+
+
+# ---------------------------------------------------------------------------
+# Ordered resolution: an equality literal of a clause that also has a
+# non-equality literal is not resolved or factored on, unless the clause
+# comes from the congruence axioms alone.  Without `=` every literal is
+# eligible, and the search is the unrestricted one.
+
+
+def test_eligible_literals():
+    sat = prover._Saturation((), LIMITS)
+    a, b = ("a", ()), ("b", ())
+    eq, not_eq = (True, "=", ("X0", a)), (False, "=", ("X0", "X1"))
+    p, not_p = (True, "p", ("X1",)), (False, "p", ("X0",))
+    premise, axioms = frozenset({"a1"}), frozenset({"$equality"})
+    assert sat._eligible((not_eq, not_p, p), premise) == (1, 2)
+    assert sat._eligible((not_eq, not_p, p), axioms | premise) == (1, 2)
+    assert sat._eligible((eq, p), premise) == (1,)
+    assert sat._eligible((not_eq, eq, (True, "=", (a, b))), premise) == (0, 1, 2)
+    assert sat._eligible((not_eq, not_p, p), axioms) == (0, 1, 2)
+    assert sat._eligible((not_p, p, (True, "q", ())), premise) == (0, 1, 2)
+
+
+class _UnorderedSaturation(prover._Saturation):
+    """Resolves and factors on every literal, as the search did before
+    ordered resolution."""
+
+    def _eligible(self, literals, origins):
+        return tuple(range(len(literals)))
+
+
+@given(
+    seeds=st.lists(st.integers(0, 2**16), min_size=2, max_size=4),
+    depth=st.integers(1, 2),
+)
+def test_ordered_and_unordered_searches_never_contradict(seeds, depth):
+    """Both searches are sound and refutationally complete, so on random
+    theories with equality neither answers Theorem where the other answers
+    CounterSatisfiable; the clause cap may stop either first."""
+    t, _ = _random_equality_theory(seeds, depth)
+    limits = EngineLimits(timeout=10, max_clause_count=300)
+    ordered, _ = _saturate(t, limits, prover._Saturation)
+    unordered, _ = _saturate(t, limits, _UnorderedSaturation)
+    assert {ordered.status, unordered.status} != {
+        SzsStatus.Theorem,
+        SzsStatus.CounterSatisfiable,
+    }
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "fof(a0, axiom, ! [X] : b = X). fof(a1, axiom, ~p(a)). "
+        "fof(goal, conjecture, ? [X] : p(a)).",
+        "fof(a0, axiom, p(f(a)) => p(f(a))). fof(a1, axiom, ! [X] : X = a). "
+        "fof(goal, conjecture, p(a) | p(a)).",
+        "fof(a0, axiom, $false <=> p(b)). fof(a1, axiom, ! [X] : a = X). "
+        "fof(goal, conjecture, p(a) & p(f(a))).",
+    ],
+)
+def test_congruence_axioms_resolve_on_every_literal(text):
+    """Without the exemption for the congruence axioms, these searches
+    chain the substitution axioms into ever longer clauses whose `=`
+    literals never resolve, and none saturates in 20 s under a 3000-clause
+    cap."""
+    out = prove(mk(text), EngineLimits(timeout=20, max_clause_count=300))
+    assert out.status == SzsStatus.CounterSatisfiable
