@@ -128,9 +128,11 @@ class QuerySession:
     finite model of the query set (and of the negated goal), the non-proving
     set recorded is grown to every premise of the theory that is true in that
     model, with symbols the model lacks read as predicates true everywhere
-    and functions constantly 0.  Only the built-in model finder hands back a
-    model, so external engines never grow.  A theory without a conjecture is
-    an Unsatisfiable-mode task: the default goal refutes its premises.  Cache
+    and functions constantly 0.  The grown set is also recorded as
+    non-proving for every axiom goal whose premise is false in the extended
+    model.  Only the built-in model finder hands back a model, so external
+    engines never grow.  A theory without a conjecture is an
+    Unsatisfiable-mode task: the default goal refutes its premises.  Cache
     hits and pruned queries consume no engine calls, so reports are
     deterministic for a fixed order of queries.  A symbol used at two arities
     is an input error (ValueError), raised when the session is built.
@@ -205,15 +207,26 @@ class QuerySession:
             # The premises the proof used prove the goal on their own.
             recorded = verdict.used_premises & names
         elif ent == Entailment.DoesNotProve and verdict.model is not None:
-            recorded = self._grow(names, verdict.model)
+            recorded, refuted = self._grow(names, verdict.model)
+            # An axiom goal's query drops its target from the premises, so the
+            # model falsifies the target even when names holds it: other goals
+            # get the grown set without it.
+            held = recorded - {goal[1]} if goal[0] == "axiom" else recorded
+            for name in refuted:
+                self._note(_axiom_goal(name), held, ent)
         self._note(goal, recorded, ent)
         return verdict
 
-    def _grow(self, names: frozenset[str], model: Interpretation) -> frozenset[str]:
+    def _grow(
+        self, names: frozenset[str], model: Interpretation
+    ) -> tuple[frozenset[str], list[str]]:
         """names plus every other premise true in the model, extended to the
-        theory's signature.  The goal's symbols are interpreted by the model
-        already, so the extension is a model of the result and the negated
-        goal; an ("axiom", name) target is false in it and never added."""
+        theory's signature, and the list of those false in it.  The goal's
+        symbols are interpreted by the model already, so the extension is a
+        model of the grown set and the negated goal; an ("axiom", name) target
+        is false in it and never added.  The grown set is also recorded as
+        non-proving for every axiom goal whose premise is false in the
+        extended model, which is a model of that premise's negation too."""
         n = model.domain_size
         candidates = [
             p
@@ -221,7 +234,7 @@ class QuerySession:
             if p.name not in names and n ** self._depth[p.name] <= GROW_EVAL_CAP
         ]
         if not candidates:
-            return names
+            return names, []
 
         def table(tables: dict, name: str, arity: int, default):
             # A table of another arity is a Skolem function that the
@@ -236,7 +249,10 @@ class QuerySession:
             {s: table(model.predicates, s, a, True) for s, a in self._preds.items()},
             {s: table(model.functions, s, a, 0) for s, a in self._funcs.items()},
         )
-        return names | {p.name for p in candidates if evaluate(extended, p.formula)}
+        true, false = [], []
+        for p in candidates:
+            (true if evaluate(extended, p.formula) else false).append(p.name)
+        return names | frozenset(true), false
 
     # -- entailment decisions -------------------------------------------------
 

@@ -754,6 +754,62 @@ class TestQuerySessionPruning:
         assert ent == Entailment.DoesNotProve
         assert calls > 0
 
+    def test_countermodel_answers_every_axiom_goal_it_falsifies(self, prover, model_finder):
+        t = mk("fof(a1, axiom, p). fof(a2, axiom, q). fof(a3, axiom, r). fof(a4, axiom, r & s).")
+        session = QuerySession(t, provers=[prover], counters=[model_finder], limits=LIMITS)
+        assert self._calls(session, {"a1"}, goal=("axiom", "a3"), prefer="counter") == (
+            Entailment.DoesNotProve,
+            1,
+        )
+        # The model makes p true and r false; q and s are read as true, so the
+        # grown set is {a1, a2} and a4 is false in the extended model.
+        goal = ("axiom", "a4")
+        assert self._calls(session, {"a1", "a2"}, goal=goal) == (Entailment.DoesNotProve, 0)
+        assert self._calls(session, {"a2"}, goal=goal) == (Entailment.DoesNotProve, 0)
+        # a2 is true in the extended model, so its goal still asks an engine.
+        ent, calls = self._calls(session, {"a1"}, goal=("axiom", "a2"), prefer="counter")
+        assert ent == Entailment.DoesNotProve
+        assert calls > 0
+
+    def test_axiom_goal_target_in_the_query_set_is_not_noted_for_other_goals(
+        self, prover, model_finder
+    ):
+        """An axiom goal's query leaves its target out even when the set names
+        it, so the model falsifies the target and proves nothing about the
+        other goals of a set that contains it."""
+        t = mk("fof(a0, axiom, q). fof(a1, axiom, q).")
+        session = QuerySession(t, provers=[prover], counters=[model_finder], limits=LIMITS)
+        assert self._calls(session, {"a0"}, goal=("axiom", "a0"), prefer="counter") == (
+            Entailment.DoesNotProve,
+            1,
+        )
+        assert self._calls(session, (), goal=("axiom", "a1")) == (Entailment.DoesNotProve, 0)
+        ent, calls = self._calls(session, {"a0"}, goal=("axiom", "a1"), prefer="counter")
+        assert ent == Entailment.Proves
+        assert calls > 0
+
+    def test_premise_above_evaluation_cap_not_noted(self, prover, model_finder):
+        """A premise false in the extended model but too deep to evaluate is
+        not recorded as refuted."""
+        k = GROW_EVAL_CAP.bit_length()
+        variables = ",".join(f"X{i}" for i in range(k))
+        t = mk(
+            "fof(a1, axiom, ?[X,Y]: X != Y). "
+            "fof(a_small, axiom, ![X0]: ~p(X0)). "
+            f"fof(a_big, axiom, ![{variables}]: ~p(X0)). "
+            "fof(goal, conjecture, q)."
+        )
+        session = QuerySession(t, provers=[prover], counters=[model_finder], limits=LIMITS)
+        assert self._calls(session, {"a1"}, prefer="counter") == (Entailment.DoesNotProve, 1)
+        # p is absent from the model, so read as true everywhere.
+        assert self._calls(session, {"a1"}, goal=("axiom", "a_small")) == (
+            Entailment.DoesNotProve,
+            0,
+        )
+        ent, calls = self._calls(session, {"a1"}, goal=("axiom", "a_big"), prefer="counter")
+        assert ent == Entailment.DoesNotProve
+        assert calls > 0
+
     def test_external_model_finder_never_grows(self, prover):
         t = mk(
             "fof(a1, axiom, p). fof(a2, axiom, p => q). fof(a3, axiom, r). "
@@ -833,7 +889,7 @@ def test_chain_engine_calls_pinned(prover, model_finder):
     axioms = QuerySession(t.without_conjecture(), [prover], [model_finder], LIMITS)
     report = independence_failfast(axioms)
     assert report.witness == ("x5", frozenset({"x2", "x3"}))
-    assert axioms.engine_calls == 21
+    assert axioms.engine_calls == 19
 
 
 class _RecordingEngine:
@@ -944,6 +1000,24 @@ class TestEngineCallSequencePinned:
         report = enumerate_minima(session, cls, budget)
         assert (len(calls), _digest(calls), len(report.minima), report.exhaustive) == pinned
 
+    def test_independence_failfast_chain(self, prover, model_finder, limits):
+        t = mk(CHAIN_12).without_conjecture()
+        session, calls = _recording_session(t, [prover], [model_finder], limits)
+        independence_failfast(session, max_subset_size=2)
+        assert (len(calls), _digest(calls)) == (
+            19,
+            "2e028d370eb24a15bb702331abf506f19d341e46a49a6bf9f0f567a0d3d165cf",
+        )
+
+    def test_independence_random_chain(self, prover, model_finder, limits):
+        t = mk(CHAIN_12).without_conjecture()
+        session, calls = _recording_session(t, [prover], [model_finder], limits)
+        independence_random(session, trials=40, seed=0)
+        assert (len(calls), _digest(calls)) == (
+            14,
+            "ef927026abeeb0ad06f156c95211b12f0adc98d3236a97b42667874d5f0dea5f",
+        )
+
     def test_consistency_puz001(self, prover, model_finder, puz001, limits):
         session, calls = _recording_session(puz001, [prover], [model_finder], limits)
         consistency_triple(session)
@@ -1032,7 +1106,8 @@ def test_growing_session_agrees_with_uncached_prover(
 ):
     """On small random theories, a session that asks the model finder first,
     and so grows every countermodel, answers each premise subset like the
-    uncached prover."""
+    uncached prover: for the conjecture, then for every axiom goal, which the
+    countermodels found so far may answer without an engine call."""
     t = Theory(
         tuple(AnnotatedFormula(f"a{i}", "axiom", f) for i, f in enumerate(premises))
         + (AnnotatedFormula("goal", "conjecture", conjecture),)
@@ -1041,9 +1116,10 @@ def test_growing_session_agrees_with_uncached_prover(
         t, provers=[prover], counters=[model_finder], limits=SMALL_LIMITS
     )
     names = t.premise_names
-    for k in range(len(names) + 1):
-        for subset in itertools.combinations(names, k):
-            want = _oracle(prover, t, subset, ("conjecture",), SMALL_LIMITS)
-            got = session.decide(frozenset(subset), prefer="counter")
-            if want != Entailment.Undetermined:
-                assert got == want, subset
+    for goal in [("conjecture",)] + [("axiom", name) for name in names]:
+        for k in range(len(names) + 1):
+            for subset in itertools.combinations(names, k):
+                want = _oracle(prover, t, subset, goal, SMALL_LIMITS)
+                got = session.decide(frozenset(subset), prefer="counter", goal=goal)
+                if want != Entailment.Undetermined:
+                    assert got == want, (goal, subset)
